@@ -12,6 +12,8 @@ The package has three layers:
   scheme's security argument plus the KS indistinguishability protocol.
 """
 
+import types as _types
+
 from .attacks import (
     AttackReport,
     SignOracle,
@@ -92,78 +94,9 @@ from .utility import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackReport",
-    "Coefficients",
-    "ConcentrationCheckConfig",
-    "Dataset",
-    "DegenerateInputError",
-    "DimensionMismatchError",
-    "DivergenceError",
-    "EncryptedSample",
-    "EncryptionKey",
-    "FormatError",
-    "Image",
-    "IndistinguishabilityReport",
-    "InfeasibleConstraintError",
-    "LabelVector",
-    "LinearSoftmaxModel",
-    "PatchSet",
-    "RankDeficiencyError",
-    "RngStream",
-    "SCHEMES",
-    "SchemeConfig",
-    "SignMask",
-    "SignOracle",
-    "TruncatedFileError",
-    "ValidationError",
-    "averaging_attack",
-    "braverman_attack",
-    "braverman_statistic",
-    "build_patchset",
-    "canonical_input",
-    "check_bernstein_tail",
-    "check_chi_square_tail",
-    "check_inner_product_concentration",
-    "check_theorem_gap",
-    "dataset_from_bytes",
-    "dataset_to_bytes",
-    "encrypt_epoch",
-    "encrypt_history",
-    "encrypt_input",
-    "encrypt_sample",
-    "evaluate",
-    "export_challenge",
-    "gradient_matching_attack",
-    "import_raw",
-    "indistinguishability_protocol",
-    "init_model",
-    "inner_product",
-    "keypoint_count",
-    "kolmogorov_survival",
-    "ks_two_sample",
-    "ks_uniform",
-    "load_dataset",
-    "load_model",
-    "load_patchset",
-    "loss_and_gradient",
-    "make_gaussian_dataset",
-    "mixup_encrypt",
-    "normalize_image",
-    "one_hot",
-    "pair_detection_attack",
-    "predict_encrypted",
-    "public_scan_attack",
-    "recover_private_residual",
-    "sample_coefficients",
-    "sample_sign_mask",
-    "save_dataset",
-    "save_model",
-    "save_patchset",
-    "scan_scores",
-    "similarity_search_attack",
-    "ssim",
-    "ssim_pairwise",
-    "train",
-    "train_encrypted",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Coefficients, Dataset, Image, SignMask, inner_product, scan_scores
+from .core import Coefficients, Dataset, Image, SignMask, _pixels, inner_product, scan_scores
 from .encrypt import EncryptedSample, EncryptionKey, apply_mask
 from .errors import (
     DivergenceError,
@@ -112,9 +112,7 @@ class AttackReport:
 
 def correlation(a, b) -> float:
     """Pearson correlation of two pixel vectors; 0.0 when either is constant."""
-    av = (a.pixels if isinstance(a, Image) else np.asarray(a)).astype(np.float64)
-    bv = (b.pixels if isinstance(b, Image) else np.asarray(b)).astype(np.float64)
-    av, bv = av.reshape(-1), bv.reshape(-1)
+    av, bv = (_pixels(v).astype(np.float64).reshape(-1) for v in (a, b))
     if av.size != bv.size:
         raise ValidationError(f"length mismatch: {av.size} vs {bv.size}")
     ac = av - av.mean()
@@ -126,11 +124,7 @@ def correlation(a, b) -> float:
 
 
 def _sample_pixels(x) -> np.ndarray:
-    if isinstance(x, EncryptedSample):
-        return x.xtilde.pixels
-    if isinstance(x, Image):
-        return x.pixels
-    return np.asarray(x)
+    return _pixels(x.xtilde if isinstance(x, EncryptedSample) else x)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,12 @@ from .encrypt import (
     SCHEMES,
     SchemeConfig,
     encrypt_history,
+    encrypt_history_arrays,
     encrypt_sample,
     export_challenge,
 )
 from .errors import ValidationError
-from .ihds import import_raw, load_dataset, save_dataset
+from .ihds import import_raw, load_dataset, payload_rows, save_dataset
 from .rng import RngStream
 
 DEFAULTS = {
@@ -113,10 +114,18 @@ def _scheme_config(opts: dict) -> SchemeConfig:
     )
 
 
+def _read_input(load, path):
+    """load(path); a missing, unreadable or truncated file is bad input (exit 2)."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
+
+
 def _private_dataset(args, opts: dict, rng: RngStream) -> Dataset:
     """The dataset behind --in, or a labelled synthetic Gaussian stand-in."""
     if getattr(args, "infile", None):
-        return load_dataset(args.infile)
+        return _read_input(load_dataset, args.infile)
     return make_gaussian_dataset(
         int(opts["synthetic_n"]),
         _parse_dims(str(opts["synthetic_dims"])),
@@ -129,7 +138,7 @@ def _private_dataset(args, opts: dict, rng: RngStream) -> Dataset:
 def _public_patches(args, dims, rng: RngStream, count: int = 1000):
     """PatchSet from --public, or synthetic textured patches of the same dims."""
     if getattr(args, "public", None):
-        return publicprep.load_patchset(args.public)
+        return _read_input(publicprep.load_patchset, args.public)
     sources = make_gaussian_dataset(count, dims, rng.child("public"), normalize=False)
     return publicprep.build_patchset(
         sources, dims[1:], 1, rng.child("crop"), min_keypoints=0
@@ -171,7 +180,7 @@ def cmd_import(args) -> int:
 def cmd_prep_public(args) -> int:
     opts = resolve_options(args, ["seed"])
     rng = RngStream(int(opts["seed"]))
-    source = load_dataset(args.infile)
+    source = _read_input(load_dataset, args.infile)
     out_hw = tuple(int(v) for v in args.patch_size.split("x"))
     if len(out_hw) != 2:
         raise ValidationError(f"patch size must be HxW, got {args.patch_size!r}")
@@ -193,6 +202,18 @@ def cmd_prep_public(args) -> int:
     return 0
 
 
+def _export(args, opts: dict, rng: RngStream, private: Dataset, cfg, publicset) -> dict:
+    """Encrypt opts["epochs"] epochs and write them to --out (encrypt, challenge)."""
+    epochs = int(opts["epochs"])
+    arrays = encrypt_history_arrays(private, cfg, epochs, rng.child("enc"), publicset)
+    meta = {
+        "scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "c2": cfg.c2,
+        "epochs": epochs, "n": private.n,
+    }
+    out_path, meta_path = export_challenge(arrays, args.out, meta)
+    return {"samples": len(arrays[0]), "out": str(out_path), "meta": str(meta_path)}
+
+
 def cmd_encrypt(args) -> int:
     keys = ["scheme", "k", "c1", "c2", "epochs", "seed",
             "synthetic_n", "synthetic_dims", "synthetic_classes"]
@@ -203,15 +224,7 @@ def cmd_encrypt(args) -> int:
     publicset = (
         _public_patches(args, private.dims, rng) if cfg.scheme == "cross" else None
     )
-    samples, _ = encrypt_history(
-        private, cfg, int(opts["epochs"]), rng.child("enc"), publicset=publicset
-    )
-    meta = {
-        "scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "c2": cfg.c2,
-        "epochs": int(opts["epochs"]), "n": private.n,
-    }
-    out_path, meta_path = export_challenge(samples, args.out, meta)
-    results = {"samples": len(samples), "out": str(out_path), "meta": str(meta_path)}
+    results = _export(args, opts, rng, private, cfg, publicset)
     write_report(args.report, _report("encrypt", dict(opts), results))
     return 0
 
@@ -439,14 +452,18 @@ def cmd_stats_ks_table(args) -> int:
     return 0
 
 
-def cmd_stats_concentration(args) -> int:
-    keys = ["seed", "delta", "trials", "beta", "k"]
-    opts = resolve_options(args, keys)
+def _concentration_config(args):
+    """Resolved options, the validators' config and the rng of a stats run."""
+    opts = resolve_options(args, ["seed", "delta", "trials", "beta", "k"])
     cfg = stats.ConcentrationCheckConfig(
         d=int(args.d), n=int(args.n), k=int(opts["k"]),
         delta=float(opts["delta"]), trials=int(opts["trials"]), beta=float(opts["beta"]),
     )
-    rng = RngStream(int(opts["seed"]))
+    return opts, cfg, RngStream(int(opts["seed"]))
+
+
+def cmd_stats_concentration(args) -> int:
+    opts, cfg, rng = _concentration_config(args)
     results = {
         "chi_square": stats.check_chi_square_tail(cfg, rng.child("chi")),
         "inner_product": stats.check_inner_product_concentration(cfg, rng.child("ip")),
@@ -457,16 +474,21 @@ def cmd_stats_concentration(args) -> int:
 
 
 def cmd_stats_theorem_gap(args) -> int:
-    keys = ["seed", "delta", "trials", "beta", "k"]
-    opts = resolve_options(args, keys)
-    cfg = stats.ConcentrationCheckConfig(
-        d=int(args.d), n=int(args.n), k=int(opts["k"]),
-        delta=float(opts["delta"]), trials=int(opts["trials"]), beta=float(opts["beta"]),
-    )
-    rng = RngStream(int(opts["seed"]))
+    opts, cfg, rng = _concentration_config(args)
     results = stats.check_theorem_gap(cfg, args.which, rng.child("gap"))
     write_report(args.report, _report("stats theorem-gap", dict(opts), results))
     return 0
+
+
+def leakage_guard(path: str | Path, private: Dataset) -> None:
+    """Raise if any private image is, byte for byte, a row of the IHDS file at
+    ``path``. The rows read back from disk go into a set: O(total bytes)."""
+    rows = set(payload_rows(Path(path).read_bytes()))
+    for i, row in enumerate(private.matrix().astype("<f4")):
+        if row.tobytes() in rows:
+            raise RuntimeError(
+                f"leakage guard: private image {i} appears verbatim in the output"
+            )
 
 
 def cmd_challenge(args) -> int:
@@ -485,27 +507,9 @@ def cmd_challenge(args) -> int:
         scheme="cross", k=int(opts["k"]), c1=float(opts["c1"]), c2=float(opts["c2"])
     )
     publicset = _public_patches(args, private.dims, rng)
-    samples, _ = encrypt_history(
-        private, cfg, int(opts["epochs"]), rng.child("enc"), publicset=publicset
-    )
-    meta = {
-        "scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "c2": cfg.c2,
-        "epochs": int(opts["epochs"]), "n": private.n,
-    }
-    out_path, meta_path = export_challenge(samples, args.out, meta)
-
-    blob = Path(out_path).read_bytes()
-    for i, im in enumerate(private.images):
-        if im.pixels.tobytes() in blob:
-            raise RuntimeError(
-                f"leakage guard: private image {i} appears verbatim in the output"
-            )
-    results = {
-        "samples": len(samples),
-        "out": str(out_path),
-        "meta": str(meta_path),
-        "leakage_scan": "clean",
-    }
+    results = _export(args, opts, rng, private, cfg, publicset)
+    leakage_guard(results["out"], private)
+    results["leakage_scan"] = "clean"
     write_report(args.report, _report("challenge", dict(opts), results))
     return 0
 
@@ -676,25 +680,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats_ks_table)
 
     p = ssub.add_parser("concentration", help="tail-bound Monte Carlo checks")
-    p.add_argument("--d", type=int, default=3072)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--beta", type=float)
-    _add_common(p)
     p.set_defaults(func=cmd_stats_concentration)
-
-    p = ssub.add_parser("theorem-gap", help="member/non-member separation check")
-    p.add_argument("--which", choices=stats.GAP_KINDS, required=True)
-    p.add_argument("--d", type=int, default=3072)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--beta", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_stats_theorem_gap)
+    p2 = ssub.add_parser("theorem-gap", help="member/non-member separation check")
+    p2.add_argument("--which", choices=stats.GAP_KINDS, required=True)
+    p2.set_defaults(func=cmd_stats_theorem_gap)
+    for p in (p, p2):
+        p.add_argument("--d", type=int, default=3072)
+        p.add_argument("--n", type=int, default=1000)
+        p.add_argument("--k", type=int)
+        p.add_argument("--delta", type=float)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--beta", type=float)
+        _add_common(p)
 
     p = sub.add_parser("challenge", help="export encrypted samples, no keys or originals")
     p.add_argument("--in", dest="infile")

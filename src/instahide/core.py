@@ -292,27 +292,32 @@ def scan_scores(matrix: np.ndarray, query) -> np.ndarray:
     return out
 
 
-def _sample_coefficients_from(
-    gen: np.random.Generator, k: int, c1: float, head_pair_min: float = 0.0
-) -> Coefficients:
-    """Rejection loop on an already-open generator, so a caller can run one
-    stream through several draws in a fixed order."""
-    k = int(k)
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if not 0.0 < c1 <= 1.0:
-        raise ValidationError(f"c1 must be in (0, 1], got {c1}")
+def check_feasible(k: int, c1: float, head_pair_min: float = 0.0) -> None:
+    """Closed-form feasibility, raising InfeasibleConstraintError: k entries
+    in [0, c1] summing to one exist iff c1 * k >= 1, and the first two can
+    reach ``head_pair_min`` iff 2 * c1 can (c1 * k >= 1 then leaves room for
+    the other k - 2 to take the rest)."""
     if c1 * k < 1.0 - 1e-12:
         raise InfeasibleConstraintError(
             f"c1*k = {c1 * k:.4g} < 1: no coefficient vector satisfies the cap"
         )
-    if head_pair_min > 0.0 and k < 2:
-        raise ValidationError("head_pair_min requires k >= 2")
+    if head_pair_min > 2.0 * c1 + 1e-12:
+        raise InfeasibleConstraintError(
+            f"2*c1 = {2.0 * c1:.4g} < {head_pair_min}: the first two "
+            "coefficients cannot reach the pair floor"
+        )
+
+
+def _draw_lambda(
+    gen: np.random.Generator, k: int, c1: float, head_pair_min: float = 0.0
+) -> np.ndarray:
+    """The rejection loop alone, on an already-open generator, returning the
+    raw float64 vector. Callers validate (k, c1, head_pair_min) first."""
     if k == 1:
-        return Coefficients(np.ones(1))
+        return np.ones(1)
     if c1 * k < 1.0 + 1e-12:
         # boundary case: the uniform vector is the only admissible point
-        return Coefficients(np.full(k, 1.0 / k))
+        return np.full(k, 1.0 / k)
 
     drawn = 0
     batch = 256
@@ -326,7 +331,7 @@ def _sample_coefficients_from(
             keep &= lam[:, 0] + lam[:, 1] >= head_pair_min
         hits = np.nonzero(keep)[0]
         if hits.size:
-            return Coefficients(lam[hits[0]])
+            return lam[hits[0]]
         batch = min(4096, batch * 2)
     raise InfeasibleConstraintError(
         f"no admissible coefficients after {REJECTION_CAP} draws "
@@ -342,10 +347,19 @@ def sample_coefficients(
 
     ``head_pair_min`` additionally requires values[0] + values[1] to reach the
     given floor (used by the cross-dataset scheme, where the first two slots
-    are the private images). Raises InfeasibleConstraintError when c1 * k < 1
-    (no admissible vector exists) or when the rejection cap is exhausted.
+    are the private images). Raises InfeasibleConstraintError when no
+    admissible vector exists (see check_feasible) or when the rejection cap is
+    exhausted.
     """
-    return _sample_coefficients_from(rng.generator(), k, c1, head_pair_min)
+    k = int(k)
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if not 0.0 < c1 <= 1.0:
+        raise ValidationError(f"c1 must be in (0, 1], got {c1}")
+    if head_pair_min > 0.0 and k < 2:
+        raise ValidationError("head_pair_min requires k >= 2")
+    check_feasible(k, c1, head_pair_min)
+    return Coefficients(_draw_lambda(rng.generator(), k, c1, head_pair_min))
 
 
 def sample_sign_mask(d: int, rng: RngStream) -> SignMask:

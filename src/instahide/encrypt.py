@@ -8,12 +8,25 @@ the private set (the first source is x_i itself); the cross-dataset variant
 mixes x_i, one other private image, and k-2 public patches, with the two
 private coefficients summing to at least c2, and only the private images
 contribute to the published label.
+
+Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes a
+source matrix (private rows, then public rows) stacked and cast to float64
+once per call, and each output row's own image index and RngStream. Each
+row's generator draws the partners, then lambda (``core._draw_lambda``),
+then the int8 mask; all rows are then mixed in k vectorised float64 passes,
+``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order), cast
+to float32 and multiplied by the signs. The RNG layout is unchanged from the
+per-sample code: one stream ``rng.child(epoch, i)`` per sample, drawn as
+partners -> lambda -> mask, so a seed still gives the same bytes. The public
+functions below are thin wrappers that build Image and EncryptionKey objects
+only for callers that want them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +36,8 @@ from .core import (
     Image,
     LabelVector,
     SignMask,
-    _sample_coefficients_from,
+    _draw_lambda,
+    check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
 from .rng import RngStream
@@ -33,7 +47,8 @@ SCHEMES = ("mixup", "inside", "cross")
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Encryption parameters; defaults follow the standard evaluation setup."""
+    """Encryption parameters; defaults follow the standard evaluation setup.
+    Infeasible coefficient constraints are rejected here, in closed form."""
 
     scheme: str = "inside"
     k: int = 4
@@ -52,6 +67,7 @@ class SchemeConfig:
             raise ValidationError(f"c1 must be in (0, 1], got {self.c1}")
         if not 0.0 <= self.c2 <= 1.0:
             raise ValidationError(f"c2 must be in [0, 1], got {self.c2}")
+        check_feasible(self.k, self.c1, self.c2 if self.scheme == "cross" else 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,10 +88,6 @@ class EncryptionKey:
             if tag not in ("private", "public") or int(idx) < 0:
                 raise ValidationError(f"bad source ({tag!r}, {idx})")
 
-    def source_set(self, tag: str | None = None) -> frozenset:
-        items = self.sources if tag is None else [s for s in self.sources if s[0] == tag]
-        return frozenset(items)
-
 
 @dataclass(frozen=True)
 class EncryptedSample:
@@ -88,27 +100,145 @@ class EncryptedSample:
     sample_id: int = 0
 
 
+# ---------------------------------------------------------------------------
+# the kernel
+
+
+class _Rows(NamedTuple):
+    """Kernel output for m rows: float32 pixels (m, d) and labels (m, classes)
+    or None, source rows of S and lambda (m, k), int8 signs (m, d) or None."""
+
+    pixels: np.ndarray
+    labels: np.ndarray | None
+    sources: np.ndarray
+    lam: np.ndarray
+    signs: np.ndarray | None
+
+
+class _LazyMatrix:
+    """Row lookup over Image or LabelVector objects that casts only the rows
+    asked for, so a single encryption never stacks a whole pool."""
+
+    def __init__(self, items, attr: str, width: int):
+        self.items, self.attr, self.shape = items, attr, (len(items), width)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return np.stack([getattr(self.items[j], self.attr) for j in idx]).astype(np.float64)
+
+
+def _sources(private: Dataset, cfg: SchemeConfig, publicset=None, lazy: bool = False):
+    """The source matrix (private rows, then the public set's rows for the
+    cross scheme) and the private label matrix, as float64; ``lazy`` defers
+    the casts to _LazyMatrix."""
+    if private.labels is None:
+        raise ValidationError(f"{cfg.scheme} encryption needs labels")
+    sets = [private]
+    if cfg.scheme == "cross":
+        if publicset is None:
+            raise ValidationError("cross-dataset encryption needs a public set")
+        sets.append(publicset)
+    if lazy:
+        images = tuple(im for s in sets for im in s.images)
+        return (_LazyMatrix(images, "pixels", private.d),
+                _LazyMatrix(private.labels, "weights", private.classes))
+    S = np.concatenate([s.matrix() for s in sets if s.images], dtype=np.float64)
+    return S, private.label_matrix().astype(np.float64)
+
+
+def _pick_partners(gen: np.random.Generator, n: int, i: int, count: int) -> np.ndarray:
+    """``count`` distinct private rows other than i; the same draw as
+    gen.choice(np.delete(np.arange(n), i), count, replace=False)."""
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    j = gen.choice(n - 1, size=count, replace=False)
+    return j + (j >= i)
+
+
+def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Float64 rows sum_j lam[:, j] * S[idx[:, j]], accumulated slot by slot
+    from zero as the per-sample code did, so each row matches it bit for bit."""
+    acc = np.zeros((idx.shape[0], S.shape[1]))
+    for j in range(idx.shape[1]):
+        term = S[idx[:, j]]  # a fresh gathered copy, scaled in place
+        term *= lam[:, j, None]
+        acc += term
+    return acc
+
+
+def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None) -> _Rows:
+    """Encrypt one row per entry of ``base``, the row of S holding its own
+    image. S has n private rows, then the public rows; Y is the private label
+    matrix, or None to skip labels. Row r draws from streams[r] its partners
+    (unless ``partners`` gives them as an (m, k-1) array of rows of S), then
+    lambda, then the mask."""
+    k, m, d, cross = cfg.k, len(base), S.shape[1], cfg.scheme == "cross"
+    n_public, masked = S.shape[0] - n, cfg.scheme != "mixup"
+    head = cfg.c2 if cross else 0.0
+    if partners is None and m and n - 1 < (need := 1 if cross else k - 1):
+        raise ValidationError(f"need {need} partners but only {n - 1} other images")
+    if partners is None and m and cross and n_public < k - 2:
+        raise ValidationError(f"public set has {n_public} patches, need {k - 2}")
+    idx = np.empty((m, k), dtype=np.int64)
+    idx[:, 0] = base
+    lam = np.ones((m, k))
+    bits = np.empty((m, d), dtype=np.int8) if masked else None
+    for r in range(m):
+        if k == 1 and not masked:
+            continue  # nothing to draw
+        gen = streams[r].generator()
+        if partners is not None:
+            idx[r, 1:] = partners[r]
+        elif cross:
+            idx[r, 1] = _pick_partners(gen, n, idx[r, 0], 1)[0]
+            idx[r, 2:] = n + gen.choice(n_public, size=k - 2, replace=False)
+        else:
+            idx[r, 1:] = _pick_partners(gen, n, idx[r, 0], k - 1)
+        lam[r] = _draw_lambda(gen, k, cfg.c1, head)
+        if masked:
+            bits[r] = gen.integers(0, 2, size=d, dtype=np.int8)
+    pixels = _mix(S, idx, lam).astype(np.float32)
+    signs = None if bits is None else bits * 2 - 1
+    if masked:
+        pixels *= signs
+    labels = None
+    if Y is not None:  # only private images carry labels
+        slots = 2 if cross else k
+        labels = np.clip(_mix(Y, idx[:, :slots], lam[:, :slots]), 0, 1).astype(np.float32)
+    return _Rows(pixels, labels, idx, lam, signs)
+
+
+def _epoch_rows(S, Y, n: int, cfg: SchemeConfig, epoch: int, rng: RngStream):
+    """One epoch in private order, and the permutation into published order."""
+    rows = _encrypt_rows(S, Y, n, cfg, range(n), [rng.child(epoch, i) for i in range(n)])
+    return rows, rng.child(epoch, "perm").generator().permutation(n)
+
+
+def _objects(rows: _Rows, order, n: int, dims, epoch: int = 0, first_id: int = 0):
+    """(EncryptedSample, EncryptionKey) lists for rows[order]; the sample id
+    of row r is first_id + r."""
+    samples, keys = [], []
+    for r in order:
+        xt = Image(rows.pixels[r], dims)
+        y = LabelVector(rows.labels[r])
+        samples.append(EncryptedSample(xt, y, epoch, first_id + int(r)))
+        sources = tuple(("private", int(j)) if j < n else ("public", int(j - n))
+                        for j in rows.sources[r])
+        mask = identity_mask(xt.d) if rows.signs is None else SignMask(rows.signs[r])
+        keys.append(EncryptionKey(sources, Coefficients(rows.lam[r]), mask))
+    return samples, keys
+
+
+# ---------------------------------------------------------------------------
+# object-level wrappers
+
+
 def mix_pixels(images: list[Image], lam: Coefficients) -> np.ndarray:
     if len(images) != lam.k:
         raise ValidationError(f"{len(images)} images for {lam.k} coefficients")
-    dims = images[0].dims
-    acc = np.zeros(images[0].d, dtype=np.float64)
-    for w, im in zip(lam.values, images):
-        if im.dims != dims:
-            raise DimensionMismatchError("mixing images with mixed dims")
-        acc += w * im.pixels.astype(np.float64)
-    return acc.astype(np.float32)
-
-
-def mix_labels(labels: list[LabelVector], lam_values: np.ndarray) -> LabelVector:
-    classes = labels[0].classes
-    acc = np.zeros(classes, dtype=np.float64)
-    for w, lb in zip(lam_values, labels):
-        if lb.classes != classes:
-            raise ValidationError("mixing labels with mixed class counts")
-        acc += w * lb.weights.astype(np.float64)
-    # mixing can overshoot 1 by a few ulps; clip the float noise only
-    return LabelVector(np.clip(acc, 0.0, 1.0).astype(np.float32))
+    if any(im.dims != images[0].dims for im in images):
+        raise DimensionMismatchError("mixing images with mixed dims")
+    S = np.stack([im.pixels for im in images]).astype(np.float64)
+    return _mix(S, np.arange(lam.k)[None], lam.values[None])[0].astype(np.float32)
 
 
 def apply_mask(x, mask: SignMask):
@@ -137,19 +267,13 @@ def mixup_encrypt(
     sample_id: int = 0,
 ) -> EncryptedSample:
     """Plain Mixup: coefficient-weighted image and label sums, no mask."""
-    images = [s[0] for s in sources]
-    labels = [s[1] for s in sources]
-    xt = Image(mix_pixels(images, lam), images[0].dims)
-    return EncryptedSample(xt, mix_labels(labels, lam.values), epoch, sample_id)
-
-
-def _pick_partners(gen: np.random.Generator, n: int, i: int, count: int) -> list[int]:
-    if count > n - 1:
-        raise ValidationError(f"need {count} partners but only {n - 1} other images")
-    others = np.delete(np.arange(n), i)
-    if count == 0:
-        return []
-    return [int(v) for v in gen.choice(others, size=count, replace=False)]
+    xt = Image(mix_pixels([s[0] for s in sources], lam), sources[0][0].dims)
+    if any(s[1].classes != sources[0][1].classes for s in sources):
+        raise ValidationError("mixing labels with mixed class counts")
+    Y = np.stack([s[1].weights for s in sources]).astype(np.float64)
+    y = _mix(Y, np.arange(lam.k)[None], lam.values[None])[0]
+    # mixing can overshoot 1 by a few ulps; clip the float noise only
+    return EncryptedSample(xt, LabelVector(np.clip(y, 0.0, 1.0)), epoch, sample_id)
 
 
 def instahide_encrypt_inside(
@@ -157,143 +281,73 @@ def instahide_encrypt_inside(
 ) -> tuple[EncryptedSample, EncryptionKey]:
     """Inside-dataset InstaHide for image i: mix x_i with k-1 distinct other
     private images, then apply a fresh sign mask."""
-    if private.labels is None:
-        raise ValidationError("inside-dataset encryption needs labels")
-    if not 0 <= i < private.n:
-        raise ValidationError(f"index {i} out of range for n={private.n}")
-    gen = rng.generator()
-    partners = _pick_partners(gen, private.n, i, int(k) - 1)
-    idx = [int(i)] + partners
-    lam = _sample_coefficients_from(gen, int(k), c1)
-    mask = SignMask(gen.integers(0, 2, size=private.d, dtype=np.int8) * 2 - 1)
-
-    images = [private.images[j] for j in idx]
-    labels = [private.labels[j] for j in idx]
-    xt = Image(apply_mask(mix_pixels(images, lam), mask), private.dims)
-    key = EncryptionKey(tuple(("private", j) for j in idx), lam, mask)
-    return EncryptedSample(xt, mix_labels(labels, lam.values)), key
+    return encrypt_sample(private, i, SchemeConfig("inside", k, c1), rng)
 
 
 def instahide_encrypt_cross(
-    private: Dataset,
-    i: int,
-    publicset,
-    k: int,
-    c1: float,
-    c2: float,
-    rng: RngStream,
+    private: Dataset, i: int, publicset, k: int, c1: float, c2: float, rng: RngStream
 ) -> tuple[EncryptedSample, EncryptionKey]:
     """Cross-dataset InstaHide for image i: x_i, one other private image, and
     k-2 distinct public patches, masked. The two private coefficients sum to
     at least c2 and only they reach the label."""
-    if private.labels is None:
-        raise ValidationError("cross-dataset encryption needs labels")
-    if int(k) < 3:
-        raise ValidationError("cross-dataset mixing needs k >= 3")
-    patches = publicset.patches if hasattr(publicset, "patches") else publicset.images
-    if len(patches) < int(k) - 2:
-        raise ValidationError(
-            f"public set has {len(patches)} patches, need {int(k) - 2}"
-        )
-    gen = rng.generator()
-    partner = _pick_partners(gen, private.n, i, 1)[0]
-    pub_idx = [int(v) for v in gen.choice(len(patches), size=int(k) - 2, replace=False)]
-    lam = _sample_coefficients_from(gen, int(k), c1, head_pair_min=c2)
-    mask = SignMask(gen.integers(0, 2, size=private.d, dtype=np.int8) * 2 - 1)
-
-    images = [private.images[i], private.images[partner]] + [patches[j] for j in pub_idx]
-    xt = Image(apply_mask(mix_pixels(images, lam), mask), private.dims)
-    ytilde = mix_labels(
-        [private.labels[i], private.labels[partner]], lam.values[:2]
-    )
-    sources = (("private", int(i)), ("private", partner)) + tuple(
-        ("public", j) for j in pub_idx
-    )
-    return EncryptedSample(xt, ytilde), EncryptionKey(sources, lam, mask)
+    return encrypt_sample(private, i, SchemeConfig("cross", k, c1, c2), rng, publicset)
 
 
 def encrypt_sample(
-    private: Dataset,
-    i: int,
-    cfg: SchemeConfig,
-    rng: RngStream,
-    publicset=None,
-    epoch: int = 0,
-    sample_id: int = 0,
+    private: Dataset, i: int, cfg: SchemeConfig, rng: RngStream, publicset=None,
+    epoch: int = 0, sample_id: int = 0,
 ) -> tuple[EncryptedSample, EncryptionKey]:
-    """Scheme dispatch for one private image."""
-    if cfg.scheme == "inside":
-        sample, key = instahide_encrypt_inside(private, i, cfg.k, cfg.c1, rng)
-    elif cfg.scheme == "cross":
-        if publicset is None:
-            raise ValidationError("cross-dataset encryption needs a public set")
-        sample, key = instahide_encrypt_cross(
-            private, i, publicset, cfg.k, cfg.c1, cfg.c2, rng
-        )
-    else:  # mixup: same source policy as inside, no mask, c1 optional via cfg
-        if private.labels is None:
-            raise ValidationError("mixup needs labels")
-        gen = rng.generator()
-        idx = [int(i)] + _pick_partners(gen, private.n, i, cfg.k - 1)
-        lam = _sample_coefficients_from(gen, cfg.k, cfg.c1)
-        images = [private.images[j] for j in idx]
-        labels = [private.labels[j] for j in idx]
-        xt = Image(mix_pixels(images, lam), private.dims)
-        sample = EncryptedSample(xt, mix_labels(labels, lam.values))
-        key = EncryptionKey(
-            tuple(("private", j) for j in idx), lam, identity_mask(private.d)
-        )
-    return (
-        EncryptedSample(sample.xtilde, sample.ytilde, epoch, sample_id),
-        key,
-    )
+    """Encrypt one private image under any scheme. Only the k source rows
+    it mixes are cast, so this stays cheap on a large pool."""
+    if not 0 <= int(i) < private.n:
+        raise ValidationError(f"index {i} out of range for n={private.n}")
+    S, Y = _sources(private, cfg, publicset, lazy=True)
+    rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], [rng])
+    samples, keys = _objects(rows, [0], private.n, private.dims, epoch, sample_id)
+    return samples[0], keys[0]
+
+
+def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, publicset,
+             arrays: bool = False):
+    """Samples and keys of the given epochs in published order or, with
+    ``arrays``, their pixel (rows, C, H, W) and label matrices. Each epoch is
+    mixed on its own, so no (n * T, d) float64 buffer exists."""
+    S, Y = _sources(private, cfg, publicset)
+    parts = []
+    for t in epochs:
+        rows, perm = _epoch_rows(S, Y, private.n, cfg, t, rng)
+        parts.append((rows.pixels[perm], rows.labels[perm]) if arrays
+                     else _objects(rows, perm, private.n, private.dims, t, t * private.n))
+    if arrays:
+        pixels = np.concatenate([p for p, _ in parts]).reshape(-1, *private.dims)
+        return pixels, np.concatenate([y for _, y in parts])
+    return [s for p, _ in parts for s in p], [k for _, ks in parts for k in ks]
 
 
 def encrypt_epoch(
-    private: Dataset,
-    cfg: SchemeConfig,
-    epoch: int,
-    rng: RngStream,
-    publicset=None,
+    private: Dataset, cfg: SchemeConfig, epoch: int, rng: RngStream, publicset=None,
     return_keys: bool = False,
 ):
     """Encrypt every private image once with fresh keys, in a random output
     order. Sample ids are epoch * n + i, so merge order is recoverable."""
-    n = private.n
-    out, keys = [], []
-    for i in range(n):
-        sample, key = encrypt_sample(
-            private,
-            i,
-            cfg,
-            rng.child(epoch, i),
-            publicset=publicset,
-            epoch=epoch,
-            sample_id=epoch * n + i,
-        )
-        out.append(sample)
-        keys.append(key)
-    perm = rng.child(epoch, "perm").generator().permutation(n)
-    samples = [out[j] for j in perm]
-    keys = [keys[j] for j in perm]
+    samples, keys = _history(private, cfg, [epoch], rng, publicset)
     return (samples, keys) if return_keys else samples
 
 
 def encrypt_history(
-    private: Dataset,
-    cfg: SchemeConfig,
-    epochs: int,
-    rng: RngStream,
-    publicset=None,
+    private: Dataset, cfg: SchemeConfig, epochs: int, rng: RngStream, publicset=None
 ):
     """T epochs of encryptions with per-epoch fresh keys; returns aligned
     (samples, keys) lists of length n * T."""
-    samples, keys = [], []
-    for t in range(int(epochs)):
-        s, k = encrypt_epoch(private, cfg, t, rng, publicset=publicset, return_keys=True)
-        samples.extend(s)
-        keys.extend(k)
-    return samples, keys
+    return _history(private, cfg, range(int(epochs)), rng, publicset)
+
+
+def encrypt_history_arrays(
+    private: Dataset, cfg: SchemeConfig, epochs: int, rng: RngStream, publicset=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """encrypt_history's samples, same order and bytes, as float32 pixels
+    (n * T, C, H, W) and labels (n * T, classes), with no per-sample objects."""
+    return _history(private, cfg, range(int(epochs)), rng, publicset, arrays=True)
 
 
 def encrypt_input(
@@ -307,33 +361,27 @@ def encrypt_input(
     """
     if len(others) != cfg.k - 1:
         raise ValidationError(f"need {cfg.k - 1} partner images, got {len(others)}")
-    gen = rng.generator()
-    head = cfg.c2 if cfg.scheme == "cross" else 0.0
-    lam = _sample_coefficients_from(gen, cfg.k, cfg.c1, head_pair_min=head)
-    mixed = mix_pixels([x] + list(others), lam)
-    if cfg.scheme == "mixup":
-        return Image(mixed, x.dims)
-    mask = SignMask(gen.integers(0, 2, size=x.d, dtype=np.int8) * 2 - 1)
-    return Image(apply_mask(mixed, mask), x.dims)
+    if any(o.dims != x.dims for o in others):
+        raise DimensionMismatchError("mixing images with mixed dims")
+    S = np.stack([x.pixels] + [o.pixels for o in others]).astype(np.float64)
+    rows = _encrypt_rows(S, None, 1, cfg, [0], [rng], partners=np.arange(1, cfg.k)[None])
+    return Image(rows.pixels[0], x.dims)
 
 
-def export_challenge(
-    samples: list[EncryptedSample], path: str | Path, meta: dict
-) -> tuple[Path, Path]:
+def export_challenge(samples, path: str | Path, meta: dict) -> tuple[Path, Path]:
     """Write a challenge release: the encrypted samples as IHDS plus a
     key=value sidecar of public parameters. Keys and originals never touch
-    this path."""
-    from .ihds import save_dataset
+    this path. ``samples`` is a list of EncryptedSample, or the
+    (pixels, labels) pair that encrypt_history_arrays returns."""
+    from .ihds import arrays_to_bytes
 
-    if not samples:
+    if not isinstance(samples, tuple) and samples:
+        samples = (np.stack([s.xtilde.as_chw() for s in samples]),
+                   np.stack([s.ytilde.weights for s in samples]))
+    if len(samples) == 0 or len(samples[0]) == 0:
         raise ValidationError("challenge export needs at least one sample")
-    ds = Dataset(
-        tuple(s.xtilde for s in samples),
-        tuple(s.ytilde for s in samples),
-        name="challenge",
-    )
     path = Path(path)
-    save_dataset(ds, path)
+    path.write_bytes(arrays_to_bytes(*samples))
     sidecar = path.with_suffix(path.suffix + ".meta.txt")
     lines = [f"{k}={meta[k]}" for k in sorted(meta)]
     sidecar.write_text("\n".join(lines) + "\n")

@@ -39,39 +39,51 @@ FLAG_LABELS = 1 << 0
 FLAG_NORMALIZED = 1 << 1
 
 
-def dataset_to_bytes(ds: Dataset) -> bytes:
-    """Serialize a dataset; raises ValidationError before writing anything
-    inconsistent."""
-    c, h, w = ds.dims
+def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -> bytes:
+    """Serialize (n, C, H, W) float32 pixels and optional (n, classes)
+    labels; raises ValidationError before writing anything inconsistent."""
+    n, c, h, w = pixels.shape
     for dim, name in ((c, "channels"), (h, "height"), (w, "width")):
         if not 1 <= dim <= 0xFFFF:
             raise ValidationError(f"{name}={dim} does not fit the header")
-    if ds.n > 0xFFFFFFFF:
+    if n > 0xFFFFFFFF:
         raise ValidationError("too many images for a u32 count")
 
-    flags = 0
+    flags = FLAG_NORMALIZED if normalized else 0
     classes = 0
-    if ds.labels is not None:
+    if labels is not None:
         flags |= FLAG_LABELS
-        classes = int(ds.classes or 0)
+        classes = labels.shape[1]
         if not 0 <= classes <= 0xFFFF:
             raise ValidationError(f"classes={classes} does not fit the header")
-    if ds.images and all(im.normalized for im in ds.images):
-        flags |= FLAG_NORMALIZED
-
-    pixels = ds.matrix()
     if not np.all(np.isfinite(pixels)):
         raise ValidationError("refusing to write non-finite pixels")
     parts = [
-        _HEADER.pack(MAGIC, VERSION, flags, ds.n, c, h, w, classes),
-        np.ascontiguousarray(pixels, dtype="<f4").tobytes(),
+        _HEADER.pack(MAGIC, VERSION, flags, n, c, h, w, classes),
+        np.ascontiguousarray(pixels, dtype="<f4"),
     ]
-    if ds.labels is not None:
-        labels = ds.label_matrix()
+    if labels is not None:
         if not np.all(np.isfinite(labels)):
             raise ValidationError("refusing to write non-finite labels")
-        parts.append(np.ascontiguousarray(labels, dtype="<f4").tobytes())
+        parts.append(np.ascontiguousarray(labels, dtype="<f4"))
     return b"".join(parts)
+
+
+def dataset_to_bytes(ds: Dataset) -> bytes:
+    """Serialize a dataset; raises ValidationError before writing anything
+    inconsistent."""
+    labels = ds.label_matrix() if ds.labels is not None else None
+    normalized = bool(ds.images) and all(im.normalized for im in ds.images)
+    return arrays_to_bytes(ds.matrix().reshape(ds.n, *ds.dims), labels, normalized)
+
+
+def payload_rows(raw: bytes) -> list[memoryview]:
+    """The image payload of an IHDS file as one read-only slice per image."""
+    _, _, _, count, c, h, w, _ = _HEADER.unpack_from(raw, 0)
+    step, end = 4 * c * h * w, _HEADER.size + count * 4 * c * h * w
+    if len(raw) < end:
+        raise TruncatedFileError(f"file is {len(raw)} bytes, payload needs {end}")
+    return [memoryview(raw)[off : off + step] for off in range(_HEADER.size, end, step)]
 
 
 def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:

@@ -58,6 +58,12 @@ class PatchSet:
             raise ValidationError("empty patch set has no dims")
         return self.patches[0].dims
 
+    @property
+    def images(self) -> tuple[Image, ...]:
+        """The patches, under the name Dataset uses, so either can serve as
+        a public set."""
+        return self.patches
+
     def matrix(self) -> np.ndarray:
         return np.stack([p.pixels for p in self.patches])
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, Image
-from .encrypt import SchemeConfig, encrypt_sample
+from .encrypt import SchemeConfig, _encrypt_rows, _sources
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -252,14 +252,15 @@ def indistinguishability_protocol(
 
     n_stats = len(labels)
     stats = np.empty((picks, encryptions_per_image, n_stats))
+    S, _ = _sources(private, cfg, publicset)
     for r, idx in enumerate(chosen):
-        rows = np.empty((encryptions_per_image, private.d), dtype=np.float32)
-        for j in range(encryptions_per_image):
-            sample, _ = encrypt_sample(
-                private, int(idx), cfg, rng.child("enc", r, j), publicset=publicset
-            )
-            rows[j] = sample.xtilde.pixels
-        stats[r] = statistic_matrix(rows, private.dims, probes)
+        # 100 encryptions at a time bounds the float64 buffers; the statistics
+        # are per row, so the chunking does not change them
+        for lo in range(0, encryptions_per_image, 100):
+            js = range(lo, min(lo + 100, encryptions_per_image))
+            streams = [rng.child("enc", r, j) for j in js]
+            pixels = _encrypt_rows(S, None, private.n, cfg, [idx] * len(js), streams).pixels
+            stats[r, js] = statistic_matrix(pixels, private.dims, probes)
 
     p_all = np.empty((picks, n_stats))
     p_other = np.empty((picks, n_stats))

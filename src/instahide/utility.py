@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image, LabelVector
-from .encrypt import EncryptedSample, SchemeConfig, encrypt_epoch, encrypt_input
+from .core import Dataset, Image, LabelVector, _pixels
+from .encrypt import EncryptedSample, SchemeConfig, _encrypt_rows, _epoch_rows, _sources
 from .errors import FormatError, TruncatedFileError, ValidationError
 from .rng import RngStream
 
@@ -81,11 +81,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pixels_of(x) -> np.ndarray:
-    arr = x.pixels if isinstance(x, Image) else np.asarray(x)
-    return arr.astype(np.float64).reshape(-1)
-
-
 def _weights_of(y) -> np.ndarray:
     arr = y.weights if isinstance(y, LabelVector) else np.asarray(y)
     return arr.astype(np.float64).reshape(-1)
@@ -93,7 +88,7 @@ def _weights_of(y) -> np.ndarray:
 
 def forward(model: LinearSoftmaxModel, x) -> np.ndarray:
     """Class probabilities for one input; positive, summing to 1."""
-    xv = _pixels_of(x)
+    xv = _pixels(x).astype(np.float64).reshape(-1)
     if xv.size != model.d:
         raise ValidationError(f"input length {xv.size} != model d {model.d}")
     return softmax_rows(model.W @ xv + model.b)
@@ -107,7 +102,7 @@ def loss_and_gradient(
     L = -sum_c y_c log p_c, computed through log-sum-exp so extreme logits
     stay finite; grad_W = (sum(y) p - y) x^T and grad_b = sum(y) p - y.
     """
-    xv = _pixels_of(x)
+    xv = _pixels(x).astype(np.float64).reshape(-1)
     yv = _weights_of(y)
     if xv.size != model.d or yv.size != model.classes:
         raise ValidationError(
@@ -125,30 +120,22 @@ def loss_and_gradient(
     return loss, (np.outer(residual, xv), residual)
 
 
-def _as_xy(samples, classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _as_xy(samples) -> tuple[np.ndarray, np.ndarray]:
     """Stack training samples into (X, Y) float64 matrices. Accepts a Dataset,
-    EncryptedSamples, or (image, label) pairs."""
+    EncryptedSamples, (image, label) pairs, or an (X, Y) pair of arrays."""
     if isinstance(samples, Dataset):
         if samples.labels is None:
             raise ValidationError("training needs labels")
         return samples.matrix().astype(np.float64), samples.label_matrix().astype(
             np.float64
         )
-    xs, ys = [], []
-    for s in samples:
-        if isinstance(s, EncryptedSample):
-            xs.append(_pixels_of(s.xtilde))
-            ys.append(_weights_of(s.ytilde))
-        else:
-            xs.append(_pixels_of(s[0]))
-            ys.append(_weights_of(s[1]))
-    if not xs:
+    if isinstance(samples, tuple) and samples and isinstance(samples[0], np.ndarray):
+        return samples[0].astype(np.float64), samples[1].astype(np.float64)
+    pairs = [(s.xtilde, s.ytilde) if isinstance(s, EncryptedSample) else s for s in samples]
+    if not pairs:
         raise ValidationError("no training samples")
-    X = np.stack(xs)
-    Y = np.stack(ys)
-    if classes is not None and Y.shape[1] != classes:
-        raise ValidationError(f"label width {Y.shape[1]} != expected {classes}")
-    return X, Y
+    X = np.stack([_pixels(x).astype(np.float64).reshape(-1) for x, _ in pairs])
+    return X, np.stack([_weights_of(y) for _, y in pairs])
 
 
 def train(
@@ -166,7 +153,9 @@ def train(
     """
     if epochs < 0 or lr <= 0 or batch_size < 1:
         raise ValidationError("need epochs >= 0, lr > 0, batch_size >= 1")
-    X, Y = _as_xy(samples, model.classes)
+    X, Y = _as_xy(samples)
+    if Y.shape[1] != model.classes:
+        raise ValidationError(f"label width {Y.shape[1]} != expected {model.classes}")
     if X.shape[1] != model.d:
         raise ValidationError(f"sample length {X.shape[1]} != model d {model.d}")
     W, b = model.W.copy(), model.b.copy()
@@ -215,45 +204,72 @@ def train_encrypted(
     **train_kwargs,
 ) -> LinearSoftmaxModel:
     """Re-encrypt the private set with fresh keys every epoch and take one SGD
-    pass over each encryption batch. Sign-masked schemes train on the
-    canonical absolute-value representation (see canonical_input)."""
+    pass over each encryption batch, in published order. Sign-masked schemes
+    train on the canonical absolute-value representation (see
+    canonical_input)."""
+    S, Y = _sources(private, cfg, publicset)
     out = model.copy()
-    masked = cfg.scheme != "mixup"
     for epoch in range(int(epochs)):
-        samples = encrypt_epoch(
-            private, cfg, epoch, rng.child("enc"), publicset=publicset
-        )
-        if masked:
-            samples = [(canonical_input(s.xtilde, True), s.ytilde) for s in samples]
-        out = train(out, samples, 1, lr, rng.child("sgd", epoch), **train_kwargs)
+        rows, perm = _epoch_rows(S, Y, private.n, cfg, epoch, rng.child("enc"))
+        X = rows.pixels[perm]
+        if cfg.scheme != "mixup":
+            X = np.abs(X)
+        sgd = rng.child("sgd", epoch)
+        out = train(out, (X, rows.labels[perm]), 1, lr, sgd, **train_kwargs)
     return out
 
 
-def _draw_partners(
-    cfg: SchemeConfig, gen: np.random.Generator, partner_pool, publicset
-) -> list[Image]:
-    """Partner images for one inference-time encryption."""
-    if cfg.k == 1:
-        return []
-    pool = partner_pool.images if isinstance(partner_pool, Dataset) else partner_pool
-    if not pool:
-        raise ValidationError(f"k={cfg.k} inference encryption needs a partner pool")
-    if cfg.scheme == "cross":
-        patches = (
-            publicset.patches if hasattr(publicset, "patches") else
-            publicset.images if isinstance(publicset, Dataset) else publicset
-        )
-        if not patches or len(patches) < cfg.k - 2:
-            raise ValidationError("cross inference encryption needs k-2 public patches")
-        partner = pool[int(gen.integers(0, len(pool)))]
-        pub = [
-            patches[int(j)]
-            for j in gen.choice(len(patches), size=cfg.k - 2, replace=False)
-        ]
-        return [partner] + pub
-    return [
-        pool[int(j)] for j in gen.choice(len(pool), size=cfg.k - 1, replace=False)
-    ]
+def _encrypted_probs(
+    model: LinearSoftmaxModel, X, cfg: SchemeConfig, streams, ensemble, pool, publicset
+) -> np.ndarray:
+    """predict_encrypted for every row of X at once; streams[i] is row i's
+    rng. Member e of row i draws its partners (none at k=1) from
+    streams[i].child("predict", e): for the cross scheme one ``pool`` image,
+    then k-2 public patches, else k-1 distinct pool images. Its child "enc"
+    draws lambda and the mask."""
+    if ensemble < 1:
+        raise ValidationError(f"ensemble must be >= 1, got {ensemble}")
+    m, d = X.shape
+    if d != model.d:
+        raise ValidationError(f"input length {d} != model d {model.d}")
+    k, cross = cfg.k, cfg.scheme == "cross"
+    n_pool = len(pool.images) if k > 1 and pool is not None else 0
+    n_public = len(publicset.images) if cross and publicset is not None else 0
+    if k > 1 and n_pool == 0:
+        raise ValidationError(f"k={k} inference encryption needs a partner pool")
+    if cross and n_public < k - 2:
+        raise ValidationError("cross inference encryption needs k-2 public patches")
+    parts = [X] + [s.matrix() for s, n in ((pool, n_pool), (publicset, n_public)) if n]
+    S = np.concatenate(parts, dtype=np.float64)
+    block = max(1, (1 << 19) // (ensemble * d))  # ~4 MB float64 buffers per call
+    probs = np.empty((m, model.classes))
+    for lo in range(0, m, block):
+        rows_i = np.arange(lo, min(m, lo + block))
+        enc, partners = [], np.empty((len(rows_i) * ensemble, k - 1), dtype=np.int64)
+        for i in rows_i:
+            for e in range(ensemble):
+                child = streams[i].child("predict", e)
+                enc.append(child.child("enc"))
+                if k == 1:
+                    continue
+                gen = child.generator()
+                if cross:
+                    first = [gen.integers(0, n_pool)]
+                    pub = n_pool + gen.choice(n_public, size=k - 2, replace=False)
+                    partners[len(enc) - 1] = m + np.concatenate([first, pub])
+                else:
+                    partners[len(enc) - 1] = m + gen.choice(n_pool, k - 1, replace=False)
+        rows = _encrypt_rows(S, None, m, cfg, np.repeat(rows_i, ensemble), enc, partners)
+        Xc = np.abs(rows.pixels) if cfg.scheme != "mixup" else rows.pixels
+        Xc = Xc.astype(np.float64)
+        # matmul over a stack of column vectors runs forward()'s matrix-vector
+        # product row by row, so these probabilities equal forward()'s bit for bit
+        P = softmax_rows(np.matmul(model.W, Xc[:, :, None])[:, :, 0] + model.b)
+        acc = np.zeros((len(rows_i), model.classes))
+        for e in range(ensemble):  # summed in the order predict_encrypted sums
+            acc += P[e::ensemble]
+        probs[rows_i] = acc / ensemble
+    return probs
 
 
 def predict_encrypted(
@@ -266,17 +282,11 @@ def predict_encrypted(
     publicset=None,
 ) -> np.ndarray:
     """Mean of forward() over ``ensemble`` fresh encryptions of x; a mean of
-    simplex points, so still a probability vector."""
-    if ensemble < 1:
-        raise ValidationError(f"ensemble must be >= 1, got {ensemble}")
-    acc = np.zeros(model.classes)
-    masked = cfg.scheme != "mixup"
-    for e in range(int(ensemble)):
-        child = rng.child("predict", e)
-        others = _draw_partners(cfg, child.generator(), partner_pool, publicset)
-        enc = encrypt_input(x, others, cfg, child.child("enc"))
-        acc += forward(model, canonical_input(enc, masked))
-    return acc / ensemble
+    simplex points, so still a probability vector. ``partner_pool`` and
+    ``publicset`` are a Dataset or PatchSet."""
+    return _encrypted_probs(
+        model, x.pixels[None], cfg, [rng], ensemble, partner_pool, publicset
+    )[0]
 
 
 def evaluate(
@@ -289,7 +299,9 @@ def evaluate(
     partner_pool=None,
     publicset=None,
 ) -> float:
-    """Top-1 accuracy against the argmax of the true label vectors."""
+    """Top-1 accuracy against the argmax of the true label vectors. In
+    encrypted mode image i is predicted as predict_encrypted would with
+    rng.child("eval", i)."""
     if mode not in ("plain", "encrypted"):
         raise ValidationError(f"mode must be plain or encrypted, got {mode!r}")
     if test.labels is None or test.n == 0:
@@ -300,19 +312,11 @@ def evaluate(
         return float(np.mean(np.argmax(P, axis=1) == truth))
     if cfg is None or rng is None:
         raise ValidationError("encrypted evaluation needs cfg and rng")
-    hits = 0
-    for i, im in enumerate(test.images):
-        probs = predict_encrypted(
-            model,
-            im,
-            cfg,
-            rng.child("eval", i),
-            ensemble=ensemble,
-            partner_pool=partner_pool,
-            publicset=publicset,
-        )
-        hits += int(np.argmax(probs) == truth[i])
-    return hits / test.n
+    streams = [rng.child("eval", i) for i in range(test.n)]
+    P = _encrypted_probs(
+        model, test.matrix(), cfg, streams, ensemble, partner_pool, publicset
+    )
+    return int(np.sum(np.argmax(P, axis=1) == truth)) / test.n
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +355,3 @@ def save_model(model: LinearSoftmaxModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> LinearSoftmaxModel:
     return model_from_bytes(Path(path).read_bytes())
-
-
-def central_difference(fn, vec: np.ndarray, index: int, h: float) -> float:
-    """Central finite difference of a scalar function along one coordinate."""
-    hi = vec.copy()
-    lo = vec.copy()
-    hi[index] += h
-    lo[index] -= h
-    return (fn(hi) - fn(lo)) / (2.0 * h)

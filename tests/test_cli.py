@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from instahide.cli import main
+from instahide.cli import leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
-from instahide.core import make_gaussian_dataset
+from instahide.core import Dataset, make_gaussian_dataset
 from instahide.rng import RngStream
 
 
@@ -222,6 +222,34 @@ def test_challenge_export_contains_no_plaintext(tmp_path):
     for im in private.images:
         assert im.pixels.tobytes() not in blob
     assert ds.n == 24
+
+
+def test_leakage_guard_trips_on_a_verbatim_private_row(tmp_path):
+    private = make_gaussian_dataset(6, (1, 4, 4), RngStream(12), classes=3)
+    other = make_gaussian_dataset(5, (1, 4, 4), RngStream(13), classes=3)
+    leaky = Dataset(
+        other.images[:2] + private.images[4:5] + other.images[2:],
+        other.labels[:2] + private.labels[4:5] + other.labels[2:],
+    )
+    save_dataset(leaky, tmp_path / "leaky.ihds")
+    with pytest.raises(RuntimeError, match="private image 4 appears verbatim"):
+        leakage_guard(tmp_path / "leaky.ihds", private)
+    save_dataset(other, tmp_path / "clean.ihds")
+    leakage_guard(tmp_path / "clean.ihds", private)
+
+
+@pytest.mark.parametrize("command", ["encrypt", "challenge"])
+def test_missing_or_truncated_input_exits_2(tmp_path, capsys, command):
+    good = tmp_path / "d.ihds"
+    save_dataset(make_gaussian_dataset(6, (1, 4, 4), RngStream(14), classes=3), good)
+    truncated = tmp_path / "t.ihds"
+    truncated.write_bytes(good.read_bytes()[:-5])
+    for path in (tmp_path / "absent.ihds", truncated):
+        code = main(
+            [command, "--in", str(path), "--out", str(tmp_path / "o.ihds"), "--epochs", "1"]
+        )
+        assert code == 2
+        assert "error: cannot read input file" in capsys.readouterr().err
 
 
 def test_replay_is_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from instahide.core import (
     Coefficients,
+    _draw_lambda,
     Image,
     LabelVector,
     make_gaussian_dataset,
@@ -301,3 +302,38 @@ def test_export_challenge_writes_no_key_material(tmp_path):
     assert "k=2" in text and "scheme=inside" in text
     with pytest.raises(ValidationError):
         export_challenge([], tmp_path / "empty.ihds", {})
+
+
+def test_scheme_config_rejects_infeasible_constraints_up_front():
+    # lambda_0 + lambda_1 <= 2 * c1 = 0.68 < c2: rejected when the config is
+    # built, not after the rejection sampler's cap
+    with pytest.raises(InfeasibleConstraintError):
+        SchemeConfig("cross", k=3, c1=0.34, c2=0.99)
+    with pytest.raises(InfeasibleConstraintError):
+        SchemeConfig("inside", k=3, c1=0.3)  # 3 * 0.3 < 1
+    with pytest.raises(InfeasibleConstraintError):
+        SchemeConfig("mixup", k=1, c1=0.65)
+    SchemeConfig("inside", k=3, c1=0.34, c2=0.99)  # inside has no pair floor
+
+
+def test_closed_form_feasibility_agrees_with_the_sampler():
+    # feasible per SchemeConfig <=> the rejection loop finds an admissible
+    # vector. The c2 values stay below the floors whose admissible region is
+    # too thin to hit within the sampler's cap (e.g. k=6, c2=0.9: ~1e-5).
+    for scheme in ("inside", "cross"):
+        for k in (3, 4, 6):
+            for c1 in (0.2, 0.25, 0.34, 0.4, 0.5, 0.65, 1.0):
+                for c2 in (0.3, 0.6, 0.75):
+                    head = c2 if scheme == "cross" else 0.0
+                    try:
+                        SchemeConfig(scheme, k, c1, c2)
+                        built = True
+                    except InfeasibleConstraintError:
+                        built = False
+                    gen = RngStream(k, int(c1 * 100)).child(scheme, int(c2 * 100)).generator()
+                    try:
+                        lam = _draw_lambda(gen, k, c1, head)
+                        found = lam.max() <= c1 + 1e-12 and lam[0] + lam[1] >= head - 1e-12
+                    except InfeasibleConstraintError:
+                        found = False
+                    assert built == found, (scheme, k, c1, c2)

@@ -8,7 +8,6 @@ from instahide.rng import RngStream
 from instahide.utility import (
     LinearSoftmaxModel,
     canonical_input,
-    central_difference,
     evaluate,
     forward,
     init_model,
@@ -21,6 +20,15 @@ from instahide.utility import (
     train,
     train_encrypted,
 )
+
+
+def central_difference(fn, vec: np.ndarray, index: int, h: float) -> float:
+    """Central finite difference of a scalar function along one coordinate."""
+    hi = vec.copy()
+    lo = vec.copy()
+    hi[index] += h
+    lo[index] -= h
+    return (fn(hi) - fn(lo)) / (2.0 * h)
 
 
 def blocky_dataset(seed: int, n: int = 200, c: int = 4, dims=(3, 8, 8), sign=1.0):
