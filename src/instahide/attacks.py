@@ -294,7 +294,7 @@ def public_scan_attack(
     O(N d) pass; candidates above the threshold are flagged as suspected mix
     members. With ground truth the report adds member recall, precision, and
     the 1-based ranks of the true members under |score| ordering."""
-    patches = publicset.matrix() if hasattr(publicset, "matrix") else np.asarray(publicset)
+    patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     if patches.size == 0:
         raise ValidationError("public scan needs a non-empty patch set")
     query = _sample_pixels(xtilde)
@@ -390,7 +390,7 @@ def braverman_attack(
     """Rank all candidates by the fourth-moment statistic, descending. Mask
     bits do not enter the statistic, so this runs on masked samples as-is;
     the signal is weak and shrinks as k grows."""
-    patches = publicset.matrix() if hasattr(publicset, "matrix") else np.asarray(publicset)
+    patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     if patches.size == 0:
         raise ValidationError("ranking needs a non-empty candidate set")
     xv = _sample_pixels(xtilde).astype(np.float64)
@@ -573,7 +573,7 @@ def similarity_search_attack(
     as patch indices or, when the patch set carries provenance, as source
     image ids (robust to the attacker cropping differently than the
     encryptor)."""
-    patches = publicset.matrix() if hasattr(publicset, "matrix") else np.asarray(publicset)
+    patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     n = patches.shape[0]
     if not 0 <= m <= n:
         raise ValidationError(f"m must be in [0, {n}], got {m}")
@@ -647,11 +647,11 @@ def averaging_attack(
         if not cluster:
             raise ValidationError(f"no encryptions of private image {target} in history")
         recon = average_reconstruct(cluster)
-        original = private.images[int(target)]
+        original = private.matrix()[int(target)]
         metrics = {
             "cluster_size": float(len(cluster)),
             "corr_to_original": correlation(recon, original),
-            "ssim_to_original": ssim(recon, original),
+            "ssim_to_original": ssim(recon, Image(original, private.dims)),
         }
         return AttackReport(
             attack="averaging_strong",
@@ -677,8 +677,7 @@ def averaging_attack(
         order = np.lexsort((np.arange(len(history)), -sims[i]))
         members = np.concatenate([[i], order[:m]])
         avg = demasked[members].mean(axis=0)
-        base = private.images[keys[i].sources[0][1]]
-        corr[i] = correlation(avg, base.pixels)
+        corr[i] = correlation(avg, private.matrix()[keys[i].sources[0][1]])
         if i == 0:
             recon0 = Image(avg.astype(np.float32), dims)
     metrics = {

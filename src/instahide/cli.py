@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, publicprep, stats, utility
-from .core import Dataset, make_gaussian_dataset, one_hot
+from .core import Dataset, Image, make_gaussian_dataset
 from .encrypt import (
     SCHEMES,
     SchemeConfig,
@@ -85,7 +85,7 @@ def _load_config_file(path: str | None) -> dict:
 
 def resolve_options(args: argparse.Namespace, keys: list[str]) -> dict:
     """flags > config file > defaults; IH_SEED overrides any seed."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _read_input(_load_config_file, getattr(args, "config", None))
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)
@@ -114,12 +114,13 @@ def _scheme_config(opts: dict) -> SchemeConfig:
     )
 
 
-def _read_input(load, path):
-    """load(path); a missing, unreadable or truncated file is bad input (exit 2)."""
+def _read_input(load, path, *args, **kwargs):
+    """load(path, ...); a missing, unreadable or truncated file is bad input (exit 2)."""
     try:
-        return load(path)
+        return load(path, *args, **kwargs)
     except OSError as exc:
-        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
+        reason = exc.strerror or exc
+        raise ValidationError(f"cannot read input file {exc.filename or path}: {reason}") from exc
 
 
 def _private_dataset(args, opts: dict, rng: RngStream) -> Dataset:
@@ -164,11 +165,8 @@ def _report(command: str, opts: dict, results: dict) -> dict:
 
 def cmd_import(args) -> int:
     dims = _parse_dims(args.dims)
-    ds = import_raw(
-        args.raw,
-        dims,
-        labels_path=args.labels,
-        classes=args.classes,
+    ds = _read_input(
+        import_raw, args.raw, dims, labels_path=args.labels, classes=args.classes,
         name=Path(args.out).stem,
     )
     save_dataset(ds, args.out)
@@ -235,9 +233,7 @@ def cmd_train(args) -> int:
     opts = resolve_options(args, keys)
     rng = RngStream(int(opts["seed"]))
     private = _private_dataset(args, opts, rng)
-    if private.labels is None:
-        raise ValidationError("training data must carry labels")
-    model = utility.init_model(int(private.classes), private.d)
+    model = utility.init_model(private.label_matrix().shape[1], private.d)
     if args.plain:
         model = utility.train(
             model, private, int(opts["epochs"]), float(opts["lr"]), rng.child("sgd")
@@ -263,7 +259,7 @@ def cmd_eval(args) -> int:
             "synthetic_n", "synthetic_dims", "synthetic_classes"]
     opts = resolve_options(args, keys)
     rng = RngStream(int(opts["seed"]))
-    model = utility.load_model(args.model)
+    model = _read_input(utility.load_model, args.model)
     test = _private_dataset(args, opts, rng)
     if args.mode == "plain":
         acc = utility.evaluate(model, test, mode="plain")
@@ -340,7 +336,7 @@ def cmd_attack_braverman(args) -> int:
     dims = _parse_dims(str(opts["synthetic_dims"]))
     publicset = _public_patches(args, dims, rng, count=int(args.candidates))
     # labels are irrelevant to this ranking; any one-hot will do
-    pool = Dataset(publicset.patches, tuple([one_hot(0, 2)] * len(publicset)))
+    pool = Dataset(publicset.matrix(), np.ones((len(publicset), 1)), dims=publicset.dims)
     cfg = SchemeConfig(scheme="inside", k=int(opts["k"]), c1=float(opts["c1"]))
     sample, key = encrypt_sample(pool, 0, cfg, rng.child("enc"))
     truth = {idx for _, idx in key.sources}
@@ -385,9 +381,7 @@ def cmd_attack_similarity(args) -> int:
         max(2, trials), patch_dims, rng.child("private"),
         classes=int(opts["synthetic_classes"]), normalize=False,
     )
-    cfg = SchemeConfig(
-        scheme="cross", k=int(opts["k"]), c1=float(opts["c1"]), c2=float(opts["c2"])
-    )
+    cfg = _scheme_config({**opts, "scheme": "cross"})
     oracle = attacks.SignOracle(float(opts["oracle_p"]), rng.child("oracle"))
     hits = 0
     for t in range(trials):
@@ -418,7 +412,7 @@ def cmd_attack_grad_match(args) -> int:
     d = dims[0] * dims[1] * dims[2]
     model = utility.init_model(classes, d, rng.child("model"), scale=0.01)
     victim_ds = make_gaussian_dataset(1, dims, rng.child("victim"), classes=classes)
-    victim, label = victim_ds.images[0], victim_ds.labels[0]
+    victim, label = Image(victim_ds.matrix()[0], dims), victim_ds.label_matrix()[0]
     _, grads = utility.loss_and_gradient(model, victim, label)
     report = attacks.gradient_matching_attack(
         grads, model, rng.child("attack"),
@@ -503,9 +497,7 @@ def cmd_challenge(args) -> int:
         opts["synthetic_n"] = int(args.n) if args.n is not None else 100
     rng = RngStream(int(opts["seed"]))
     private = _private_dataset(args, opts, rng)
-    cfg = SchemeConfig(
-        scheme="cross", k=int(opts["k"]), c1=float(opts["c1"]), c2=float(opts["c2"])
-    )
+    cfg = _scheme_config({**opts, "scheme": "cross"})
     publicset = _public_patches(args, private.dims, rng)
     results = _export(args, opts, rng, private, cfg, publicset)
     leakage_guard(results["out"], private)

@@ -3,14 +3,17 @@ sign masks, normalization, and the rejection samplers the encryption schemes
 are built on.
 
 Conventions: pixel payloads are float32 vectors of length d = channels *
-height * width (channel-major); all statistics and accumulations run in
-float64; reductions use numpy's fixed pairwise summation so repeated runs are
-bit-identical.
+height * width (channel-major). A Dataset (like publicprep.PatchSet) holds
+its rows as one frozen float32 (n, d) matrix, checked once when built, and
+makes Image and LabelVector views of its rows only when asked for them. All
+statistics and accumulations run in float64; reductions use numpy's fixed
+pairwise summation so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,23 +47,8 @@ class Image:
     normalized: bool = False
 
     def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.float32).reshape(-1)
-        dims = tuple(int(v) for v in self.dims)
-        if len(dims) != 3 or any(v < 1 for v in dims):
-            raise ValidationError(f"dims must be three positive ints, got {self.dims}")
-        d = dims[0] * dims[1] * dims[2]
-        if px.size != d:
-            raise DimensionMismatchError(f"pixel count {px.size} != prod(dims) {d}")
-        if not np.all(np.isfinite(px)):
-            raise ValidationError("pixels must be finite")
-        if self.normalized:
-            s = float(np.sum(px, dtype=np.float64))
-            n = float(np.linalg.norm(px.astype(np.float64)))
-            if abs(s) > NORMALIZED_ATOL * np.sqrt(d) or abs(n - 1.0) > NORMALIZED_ATOL:
-                raise ValidationError(
-                    f"normalized flag set but sum={s:.3g}, norm={n:.6g}"
-                )
-        object.__setattr__(self, "pixels", _freeze(px))
+        px, dims, _ = _row_matrix(np.reshape(self.pixels, (1, -1)), self.dims, self.normalized)
+        object.__setattr__(self, "pixels", px[0])
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -89,14 +77,8 @@ class LabelVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float32).reshape(-1)
-        if w.size == 0:
-            raise ValidationError("label vector must have at least one class")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("label weights must be finite")
-        if w.min() < -1e-6 or w.max() > 1.0 + 1e-6:
-            raise ValidationError(f"label weights outside [0, 1]: {w.min()}..{w.max()}")
-        object.__setattr__(self, "weights", _freeze(w))
+        w = np.reshape(self.weights, (1, -1))
+        object.__setattr__(self, "weights", _label_matrix(w, 1)[0])
 
     @property
     def classes(self) -> int:
@@ -109,84 +91,135 @@ class LabelVector:
 
 
 def one_hot(label: int, classes: int) -> LabelVector:
-    w = np.zeros(classes, dtype=np.float32)
-    w[label] = 1.0
-    return LabelVector(w)
+    return LabelVector(np.eye(classes, dtype=np.float32)[label])
 
 
-@dataclass(eq=False)
+def _row_matrix(rows, dims=None, normalized: bool = False):
+    """The frozen float32 (n, d) matrix that Image, Dataset and PatchSet store,
+    its dims (None for an empty set that declares none) and normalized flag,
+    from Images (normalized iff all are), an (n, C, H, W) array, or an (n, d)
+    array and ``dims``. Writable arrays are copied, read-only ones shared.
+    Every row is checked at once: finite and, if normalized, zero-sum and
+    unit-norm within NORMALIZED_ATOL."""
+    if dims is not None:
+        dims = tuple(map(int, dims))
+        if len(dims) != 3 or min(dims) < 1:
+            raise ValidationError(f"dims must be three positive ints, got {dims}")
+    if not isinstance(rows, np.ndarray):
+        rows = tuple(rows)
+        if not rows:
+            d = 0 if dims is None else dims[0] * dims[1] * dims[2]
+            return _freeze(np.zeros((0, d), np.float32)), dims, normalized
+        if any(im.dims != rows[0].dims for im in rows):
+            raise DimensionMismatchError("images have mixed dims")
+        normalized = all(im.normalized for im in rows)
+        rows = _freeze(np.stack([im.as_chw() for im in rows]))
+    if rows.ndim == 4:
+        if dims is not None and dims != rows.shape[1:]:
+            raise DimensionMismatchError(f"declared dims {dims} != image dims {rows.shape[1:]}")
+        dims = tuple(int(v) for v in rows.shape[1:])
+    elif rows.ndim != 2 or dims is None:
+        raise ValidationError(f"pixels must be (n, C, H, W), or (n, d) with dims: {rows.shape}")
+    d = dims[0] * dims[1] * dims[2]
+    if rows.ndim == 2 and rows.shape[1] != d:
+        raise DimensionMismatchError(f"pixel count {rows.shape[1]} != prod(dims) {d}")
+    # copy what the caller can still write to; share the rest (IHDS reads)
+    px = (np.array if rows.flags.writeable else np.ascontiguousarray)(rows, np.float32)
+    px = px.reshape(len(rows), d)
+    if not np.isfinite(px).all():
+        raise ValidationError("pixels must be finite")
+    if normalized and px.size:
+        s = px.sum(axis=1, dtype=np.float64)
+        norm = np.sqrt(np.einsum("ij,ij->i", px, px, dtype=np.float64))
+        bad = (np.abs(s) > NORMALIZED_ATOL * np.sqrt(d)) | (np.abs(norm - 1.0) > NORMALIZED_ATOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"normalized flag set but sum={s[i]:.3g}, norm={norm[i]:.6g}")
+    return _freeze(px), dims, normalized
+
+
+def _label_matrix(labels, n: int, classes=None) -> np.ndarray:
+    """The frozen float32 (n, classes) matrix that LabelVector and Dataset
+    store (always a copy), from a LabelVector sequence or an array; every row
+    is checked at once: at least one class, finite, in [0, 1]."""
+    if not isinstance(labels, np.ndarray):
+        labels = tuple(labels)
+        if len({lb.classes for lb in labels}) > 1:
+            raise ValidationError("labels have mixed class counts")
+        width = int(classes or 0)
+        labels = np.stack([lb.weights for lb in labels]) if labels else np.zeros((0, width))
+    w = np.array(labels, np.float32)
+    if w.ndim != 2 or len(w) != n:
+        raise ValidationError(f"{len(w)} labels for {n} images")
+    if len(w) and classes is not None and int(classes) != w.shape[1]:
+        raise ValidationError(f"declared classes {classes} != label width {w.shape[1]}")
+    if len(w) and w.shape[1] == 0:
+        raise ValidationError("label vector must have at least one class")
+    if not np.isfinite(w).all():
+        raise ValidationError("label weights must be finite")
+    if w.size and (w.min() < -1e-6 or w.max() > 1.0 + 1e-6):
+        raise ValidationError(f"label weights outside [0, 1]: {w.min()}..{w.max()}")
+    return _freeze(w)
+
+
 class Dataset:
-    """An ordered collection of same-shape images with optional labels."""
+    """An ordered collection of same-shape images with optional labels, held
+    as one frozen float32 (n, d) pixel matrix and one (n, classes) label
+    matrix; ``classes`` is None exactly when there are no labels.
 
-    images: tuple[Image, ...]
-    labels: tuple[LabelVector, ...] | None = None
-    dims: tuple[int, int, int] | None = None
-    classes: int | None = None
-    name: str = ""
+    ``images`` is a sequence of Images or a pixel array (see _row_matrix),
+    ``labels`` a sequence of LabelVectors or an (n, classes) array, and
+    ``normalized`` flags the rows of an array (Images carry their own flag).
+    """
 
-    def __post_init__(self):
-        self.images = tuple(self.images)
-        if self.images:
-            dims = self.images[0].dims
-            if self.dims is not None and tuple(self.dims) != dims:
-                raise DimensionMismatchError(
-                    f"declared dims {self.dims} != image dims {dims}"
-                )
-            self.dims = dims
-            for im in self.images:
-                if im.dims != dims:
-                    raise DimensionMismatchError("images have mixed dims")
-        elif self.dims is None:
+    def __init__(self, images, labels=None, dims=None, classes=None, name: str = "",
+                 normalized: bool = False):
+        self._pixels, self.dims, self.normalized = _row_matrix(images, dims, normalized)
+        if self.dims is None:
             raise ValidationError("an empty dataset must declare dims")
-        else:
-            self.dims = tuple(int(v) for v in self.dims)
-        if self.labels is not None:
-            self.labels = tuple(self.labels)
-            if len(self.labels) != len(self.images):
-                raise ValidationError(
-                    f"{len(self.labels)} labels for {len(self.images)} images"
-                )
-            if self.labels:
-                c = self.labels[0].classes
-                if self.classes is not None and int(self.classes) != c:
-                    raise ValidationError(
-                        f"declared classes {self.classes} != label width {c}"
-                    )
-                self.classes = c
-                for lb in self.labels:
-                    if lb.classes != c:
-                        raise ValidationError("labels have mixed class counts")
+        self._labels = None if labels is None else _label_matrix(labels, self.n, classes)
+        self.classes = None if labels is None else self._labels.shape[1]
+        self.name = name
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self._pixels)
 
     @property
     def d(self) -> int:
-        c, h, w = self.dims
-        return c * h * w
+        return self._pixels.shape[1]
+
+    @cached_property
+    def images(self) -> tuple[Image, ...]:
+        """Image views of the rows, built on first use."""
+        return tuple(Image(row, self.dims, self.normalized) for row in self._pixels)
+
+    @cached_property
+    def labels(self) -> tuple[LabelVector, ...] | None:
+        """LabelVector objects of the label rows, built on first use."""
+        return None if self._labels is None else tuple(LabelVector(w) for w in self._labels)
 
     def matrix(self) -> np.ndarray:
-        """Stacked (n, d) float32 pixel matrix."""
-        if not self.images:
-            return np.zeros((0, self.d), dtype=np.float32)
-        return np.stack([im.pixels for im in self.images])
+        """The (n, d) float32 pixel matrix, shared and read-only."""
+        return self._pixels
 
     def label_matrix(self) -> np.ndarray:
-        if self.labels is None:
+        """The (n, classes) float32 label matrix, shared and read-only."""
+        if self._labels is None:
             raise ValidationError("dataset has no labels")
-        if not self.labels:
-            return np.zeros((0, int(self.classes or 0)), dtype=np.float32)
-        return np.stack([lb.weights for lb in self.labels])
+        return self._labels
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._pixels, dtype=dtype, copy=copy)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            self.dims == other.dims
-            and self.classes == other.classes
-            and self.images == other.images
-            and self.labels == other.labels
+            (self.dims, self.classes, self.normalized)
+            == (other.dims, other.classes, other.normalized)
+            and self._pixels.tobytes() == other._pixels.tobytes()
+            and (self.classes is None or self._labels.tobytes() == other._labels.tobytes())
         )
 
 
@@ -248,18 +281,25 @@ def _pixels(x) -> np.ndarray:
     return x.pixels if isinstance(x, Image) else np.asarray(x)
 
 
+def _normalize_rows(px: np.ndarray) -> np.ndarray:
+    """normalize_image on every row of an (n, d) matrix, bit for bit: the
+    stacked matmul takes each row's norm with np.linalg.norm's dot product.
+    A constant row raises DegenerateInputError."""
+    x = px.astype(np.float64)
+    centered = x - x.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.matmul(centered[:, None, :], centered[:, :, None])[:, 0, 0])
+    if np.any(norms <= 1e-12 * np.maximum(1.0, np.abs(x).max(axis=1))):
+        raise DegenerateInputError("cannot normalize a constant image")
+    return (centered / norms[:, None]).astype(np.float32)
+
+
 def normalize_image(x: Image) -> Image:
     """Mean-center then scale to unit Euclidean norm (computed in float64).
 
     Raises DegenerateInputError for constant images, whose normalization is
     undefined.
     """
-    px = x.pixels.astype(np.float64)
-    centered = px - px.mean()
-    norm = np.linalg.norm(centered)
-    if norm <= 1e-12 * max(1.0, np.abs(px).max()):
-        raise DegenerateInputError("cannot normalize a constant image")
-    return Image(centered / norm, x.dims, normalized=True)
+    return Image(_normalize_rows(x.pixels[None])[0], x.dims, normalized=True)
 
 
 def inner_product(a, b) -> float:
@@ -385,12 +425,9 @@ def make_gaussian_dataset(
     d = dims[0] * dims[1] * dims[2]
     gen = rng.generator()
     pixels = gen.standard_normal((n, d), dtype=np.float32) / np.sqrt(d, dtype=np.float32)
-    images = []
-    for row in pixels:
-        img = Image(row, dims)
-        images.append(normalize_image(img) if normalize else img)
+    if normalize:
+        pixels = _normalize_rows(pixels)
     labels = None
     if classes is not None:
-        ids = gen.integers(0, classes, size=n)
-        labels = tuple(one_hot(int(i), classes) for i in ids)
-    return Dataset(tuple(images), labels, dims=dims, name=name)
+        labels = np.eye(classes, dtype=np.float32)[gen.integers(0, classes, size=n)]
+    return Dataset(pixels, labels, dims=dims, name=name, normalized=normalize)

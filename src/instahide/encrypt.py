@@ -9,17 +9,18 @@ mixes x_i, one other private image, and k-2 public patches, with the two
 private coefficients summing to at least c2, and only the private images
 contribute to the published label.
 
-Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes a
-source matrix (private rows, then public rows) stacked and cast to float64
-once per call, and each output row's own image index and RngStream. Each
-row's generator draws the partners, then lambda (``core._draw_lambda``),
+Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes
+the sets' float32 matrices as row blocks (private rows, then public rows;
+nothing is stacked) and each output row's own image index and RngStream.
+Each row's generator draws the partners, then lambda (``core._draw_lambda``),
 then the int8 mask; all rows are then mixed in k vectorised float64 passes,
-``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order), cast
-to float32 and multiplied by the signs. The RNG layout is unchanged from the
-per-sample code: one stream ``rng.child(epoch, i)`` per sample, drawn as
-partners -> lambda -> mask, so a seed still gives the same bytes. The public
-functions below are thin wrappers that build Image and EncryptionKey objects
-only for callers that want them.
+``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order; each
+pass casts only the rows it gathers), cast to float32 and multiplied by the
+signs. The RNG layout is unchanged from the per-sample code: one stream
+``rng.child(epoch, i)`` per sample, drawn as partners -> lambda -> mask, so
+a seed still gives the same bytes. The public functions below are thin
+wrappers that build Image and EncryptionKey objects only for callers that
+want them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     LabelVector,
     SignMask,
     _draw_lambda,
+    _label_matrix,
     check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
@@ -115,34 +117,16 @@ class _Rows(NamedTuple):
     signs: np.ndarray | None
 
 
-class _LazyMatrix:
-    """Row lookup over Image or LabelVector objects that casts only the rows
-    asked for, so a single encryption never stacks a whole pool."""
-
-    def __init__(self, items, attr: str, width: int):
-        self.items, self.attr, self.shape = items, attr, (len(items), width)
-
-    def __getitem__(self, idx) -> np.ndarray:
-        return np.stack([getattr(self.items[j], self.attr) for j in idx]).astype(np.float64)
-
-
-def _sources(private: Dataset, cfg: SchemeConfig, publicset=None, lazy: bool = False):
-    """The source matrix (private rows, then the public set's rows for the
-    cross scheme) and the private label matrix, as float64; ``lazy`` defers
-    the casts to _LazyMatrix."""
-    if private.labels is None:
-        raise ValidationError(f"{cfg.scheme} encryption needs labels")
-    sets = [private]
+def _sources(private: Dataset, cfg: SchemeConfig, publicset=None):
+    """The source blocks (the private matrix, then, for the cross scheme, the
+    public set's) and the private label block, float32 as the sets store
+    them; the kernel gathers and casts only the rows it mixes."""
+    S, Y = [private.matrix()], [private.label_matrix()]  # raises when unlabelled
     if cfg.scheme == "cross":
         if publicset is None:
             raise ValidationError("cross-dataset encryption needs a public set")
-        sets.append(publicset)
-    if lazy:
-        images = tuple(im for s in sets for im in s.images)
-        return (_LazyMatrix(images, "pixels", private.d),
-                _LazyMatrix(private.labels, "weights", private.classes))
-    S = np.concatenate([s.matrix() for s in sets if s.images], dtype=np.float64)
-    return S, private.label_matrix().astype(np.float64)
+        S.append(publicset.matrix())
+    return S, Y
 
 
 def _pick_partners(gen: np.random.Generator, n: int, i: int, count: int) -> np.ndarray:
@@ -156,10 +140,18 @@ def _pick_partners(gen: np.random.Generator, n: int, i: int, count: int) -> np.n
 
 def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Float64 rows sum_j lam[:, j] * S[idx[:, j]], accumulated slot by slot
-    from zero as the per-sample code did, so each row matches it bit for bit."""
-    acc = np.zeros((idx.shape[0], S.shape[1]))
+    from zero as the per-sample code did, so each row matches it bit for bit.
+    S is a list of row blocks stacked top to bottom. Each slot's rows are
+    gathered into one float64 buffer that every slot reuses; only those rows
+    are cast, and float32 to float64 is exact."""
+    acc = np.zeros((idx.shape[0], S[0].shape[1]))
+    term = np.empty_like(acc)
     for j in range(idx.shape[1]):
-        term = S[idx[:, j]]  # a fresh gathered copy, scaled in place
+        lo = 0
+        for block in S:
+            hit = (idx[:, j] >= lo) & (idx[:, j] < lo + len(block))
+            term[hit] = block[idx[hit, j] - lo]
+            lo += len(block)
         term *= lam[:, j, None]
         acc += term
     return acc
@@ -167,12 +159,12 @@ def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None) -> _Rows:
     """Encrypt one row per entry of ``base``, the row of S holding its own
-    image. S has n private rows, then the public rows; Y is the private label
-    matrix, or None to skip labels. Row r draws from streams[r] its partners
-    (unless ``partners`` gives them as an (m, k-1) array of rows of S), then
-    lambda, then the mask."""
-    k, m, d, cross = cfg.k, len(base), S.shape[1], cfg.scheme == "cross"
-    n_public, masked = S.shape[0] - n, cfg.scheme != "mixup"
+    image. S is a list of row blocks, n private rows then the public rows; Y
+    the private label blocks, or None to skip labels. Row r draws from
+    streams[r] its partners (unless ``partners`` gives them as an (m, k-1)
+    array of rows of S), then lambda, then the mask."""
+    k, m, d, cross = cfg.k, len(base), S[0].shape[1], cfg.scheme == "cross"
+    n_public, masked = sum(len(block) for block in S) - n, cfg.scheme != "mixup"
     head = cfg.c2 if cross else 0.0
     if partners is None and m and n - 1 < (need := 1 if cross else k - 1):
         raise ValidationError(f"need {need} partners but only {n - 1} other images")
@@ -235,9 +227,7 @@ def _objects(rows: _Rows, order, n: int, dims, epoch: int = 0, first_id: int = 0
 def mix_pixels(images: list[Image], lam: Coefficients) -> np.ndarray:
     if len(images) != lam.k:
         raise ValidationError(f"{len(images)} images for {lam.k} coefficients")
-    if any(im.dims != images[0].dims for im in images):
-        raise DimensionMismatchError("mixing images with mixed dims")
-    S = np.stack([im.pixels for im in images]).astype(np.float64)
+    S = [Dataset(images).matrix()]  # refuses mixed dims
     return _mix(S, np.arange(lam.k)[None], lam.values[None])[0].astype(np.float32)
 
 
@@ -268,9 +258,7 @@ def mixup_encrypt(
 ) -> EncryptedSample:
     """Plain Mixup: coefficient-weighted image and label sums, no mask."""
     xt = Image(mix_pixels([s[0] for s in sources], lam), sources[0][0].dims)
-    if any(s[1].classes != sources[0][1].classes for s in sources):
-        raise ValidationError("mixing labels with mixed class counts")
-    Y = np.stack([s[1].weights for s in sources]).astype(np.float64)
+    Y = [_label_matrix([s[1] for s in sources], lam.k)]  # refuses mixed widths
     y = _mix(Y, np.arange(lam.k)[None], lam.values[None])[0]
     # mixing can overshoot 1 by a few ulps; clip the float noise only
     return EncryptedSample(xt, LabelVector(np.clip(y, 0.0, 1.0)), epoch, sample_id)
@@ -297,11 +285,12 @@ def encrypt_sample(
     private: Dataset, i: int, cfg: SchemeConfig, rng: RngStream, publicset=None,
     epoch: int = 0, sample_id: int = 0,
 ) -> tuple[EncryptedSample, EncryptionKey]:
-    """Encrypt one private image under any scheme. Only the k source rows
-    it mixes are cast, so this stays cheap on a large pool."""
+    """Encrypt one private image under any scheme. The sets' matrices are
+    used as stored and only the k source rows it mixes are cast, so this
+    stays cheap on a large pool."""
     if not 0 <= int(i) < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
-    S, Y = _sources(private, cfg, publicset, lazy=True)
+    S, Y = _sources(private, cfg, publicset)
     rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], [rng])
     samples, keys = _objects(rows, [0], private.n, private.dims, epoch, sample_id)
     return samples[0], keys[0]
@@ -361,9 +350,7 @@ def encrypt_input(
     """
     if len(others) != cfg.k - 1:
         raise ValidationError(f"need {cfg.k - 1} partner images, got {len(others)}")
-    if any(o.dims != x.dims for o in others):
-        raise DimensionMismatchError("mixing images with mixed dims")
-    S = np.stack([x.pixels] + [o.pixels for o in others]).astype(np.float64)
+    S = [Dataset([x, *others]).matrix()]  # refuses mixed dims
     rows = _encrypt_rows(S, None, 1, cfg, [0], [rng], partners=np.arange(1, cfg.k)[None])
     return Image(rows.pixels[0], x.dims)
 

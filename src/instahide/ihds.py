@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image, LabelVector, one_hot
+from .core import Dataset
 from .errors import FormatError, TruncatedFileError, ValidationError
 
 MAGIC = b"IHDS"
@@ -72,9 +72,9 @@ def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -
 def dataset_to_bytes(ds: Dataset) -> bytes:
     """Serialize a dataset; raises ValidationError before writing anything
     inconsistent."""
-    labels = ds.label_matrix() if ds.labels is not None else None
-    normalized = bool(ds.images) and all(im.normalized for im in ds.images)
-    return arrays_to_bytes(ds.matrix().reshape(ds.n, *ds.dims), labels, normalized)
+    labels = None if ds.classes is None else ds.label_matrix()
+    pixels = ds.matrix().reshape(ds.n, *ds.dims)
+    return arrays_to_bytes(pixels, labels, ds.n > 0 and ds.normalized)
 
 
 def payload_rows(raw: bytes) -> list[memoryview]:
@@ -108,20 +108,16 @@ def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
     if len(raw) > need:
         raise FormatError(f"{len(raw) - need} trailing bytes after payload")
 
-    off = _HEADER.size
-    pixels = np.frombuffer(raw, dtype="<f4", count=count * d, offset=off).reshape(count, d)
-    off += 4 * count * d
-    images = tuple(Image(row, (c, h, w), normalized=normalized) for row in pixels)
+    # read-only views of ``raw``, which the Dataset shares instead of copying
+    pixels = np.frombuffer(raw, dtype="<f4", count=count * d, offset=_HEADER.size)
     labels = None
     if has_labels:
-        lab = np.frombuffer(raw, dtype="<f4", count=count * classes, offset=off)
-        labels = tuple(LabelVector(row) for row in lab.reshape(count, classes))
+        off = _HEADER.size + 4 * count * d
+        labels = np.frombuffer(raw, dtype="<f4", count=count * classes, offset=off)
+        labels = labels.reshape(count, classes)
     return Dataset(
-        images,
-        labels,
-        dims=(c, h, w),
-        classes=classes if has_labels else None,
-        name=name,
+        pixels.reshape(count, d), labels, dims=(c, h, w),
+        classes=classes if has_labels else None, name=name, normalized=normalized,
     )
 
 
@@ -156,8 +152,7 @@ def import_raw(
     if d == 0 or len(raw) % d != 0:
         raise FormatError(f"raw size {len(raw)} is not a multiple of d={d}")
     count = len(raw) // d
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(count, d)
-    images = tuple(Image(row.astype(np.float32) / 255.0, dims) for row in data)
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, d).astype(np.float32) / 255.0
 
     labels = None
     if labels_path is not None:
@@ -165,17 +160,15 @@ def import_raw(
         with open(labels_path, newline="") as fh:
             for rec in csv.reader(fh):
                 rec = [v for v in rec if v.strip() != ""]
-                if not rec:
-                    continue
                 if len(rec) == 1:
                     if classes is None:
                         raise ValidationError(
                             "class-index labels need an explicit class count"
                         )
-                    rows.append(one_hot(int(rec[0]), classes))
-                else:
-                    rows.append(LabelVector([float(v) for v in rec]))
-        if len(rows) != count:
-            raise ValidationError(f"{len(rows)} labels for {count} images")
-        labels = tuple(rows)
-    return Dataset(images, labels, dims=dims, name=name)
+                    rows.append(np.eye(classes, dtype=np.float32)[int(rec[0])])
+                elif rec:
+                    rows.append(np.array([float(v) for v in rec], np.float32))
+        if len({r.size for r in rows}) > 1:
+            raise ValidationError("labels have mixed class counts")
+        labels = np.array(rows) if rows else np.zeros((0, classes or 0), np.float32)
+    return Dataset(pixels, labels, dims=dims, name=name)

@@ -7,18 +7,22 @@ luminance, a 3x3 box-summed structure tensor, response
 R = det - 0.06 * trace^2, 3x3 non-maximum suppression, and a threshold of
 0.01 * max(R). This is deterministic and dependency-free, which matters more
 here than matching any particular feature library.
+
+Crops are cut straight from the public set's pixel matrix by ``_crops``, the
+one crop path that random_crop also uses; the filter scores every candidate
+in one batch, and the kept crops become the PatchSet's frozen (n, d) matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image
+from .core import Dataset, Image, _row_matrix
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -27,48 +31,59 @@ HARRIS_THRESHOLD_RATIO = 0.01
 DEFAULT_MIN_KEYPOINTS = 40
 
 
-@dataclass
 class PatchSet:
-    """Crops that survived the flatness filter, with provenance
-    (source image index and crop offset) and per-patch keypoint counts."""
+    """Crops that survived the flatness filter, held as one frozen float32
+    (n, d) matrix, with provenance (source image index and crop offset) and
+    per-patch keypoint counts. ``patches`` is a sequence of Images or an
+    (n, C, H, W) array (see core._row_matrix)."""
 
-    patches: tuple[Image, ...]
-    provenance: tuple[tuple[int, int, int], ...]
-    keypoints: tuple[int, ...]
-    retention: float = 1.0
-
-    def __post_init__(self):
-        self.patches = tuple(self.patches)
-        self.provenance = tuple((int(a), int(b), int(c)) for a, b, c in self.provenance)
-        self.keypoints = tuple(int(v) for v in self.keypoints)
-        if not len(self.patches) == len(self.provenance) == len(self.keypoints):
+    def __init__(self, patches, provenance, keypoints, retention: float = 1.0):
+        self._pixels, self._dims, _ = _row_matrix(patches)
+        self.provenance = tuple((int(a), int(b), int(c)) for a, b, c in provenance)
+        self.keypoints = tuple(int(v) for v in keypoints)
+        self.retention = retention
+        if not len(self._pixels) == len(self.provenance) == len(self.keypoints):
             raise ValidationError("patches, provenance, and keypoints must align")
-        if self.patches:
-            dims = self.patches[0].dims
-            for p in self.patches:
-                if p.dims != dims:
-                    raise ValidationError("patches have mixed dims")
 
     def __len__(self) -> int:
-        return len(self.patches)
+        return len(self._pixels)
 
     @property
     def dims(self):
-        if not self.patches:
+        if self._dims is None:
             raise ValidationError("empty patch set has no dims")
-        return self.patches[0].dims
+        return self._dims
 
-    @property
-    def images(self) -> tuple[Image, ...]:
-        """The patches, under the name Dataset uses, so either can serve as
-        a public set."""
-        return self.patches
+    @cached_property
+    def patches(self) -> tuple[Image, ...]:
+        """Image views of the rows, built on first use."""
+        return tuple(Image(row, self._dims) for row in self._pixels)
 
     def matrix(self) -> np.ndarray:
-        return np.stack([p.pixels for p in self.patches])
+        """The (n, d) float32 patch matrix, shared and read-only."""
+        return self._pixels
+
+    __array__ = Dataset.__array__  # np.asarray gives the matrix
 
     def source_ids(self) -> np.ndarray:
         return np.array([src for src, _, _ in self.provenance], dtype=np.int64)
+
+
+def _crops(chw: np.ndarray, out_hw: tuple[int, int], count: int, rng: RngStream):
+    """``count`` crops of size (h, w) of one (C, H, W) source, as a
+    (count, C, h, w) array, at offsets (oys, oxs) uniform over every valid
+    position (drawn independently per crop, so repeats can occur)."""
+    _, H, W = chw.shape
+    h, w = int(out_hw[0]), int(out_hw[1])
+    if h < 1 or w < 1 or h > H or w > W:
+        raise ValidationError(f"crop {h}x{w} does not fit source {H}x{W}")
+    if count < 0:
+        raise ValidationError("count must be >= 0")
+    gen = rng.generator()
+    oys = gen.integers(0, H - h + 1, size=count)
+    oxs = gen.integers(0, W - w + 1, size=count)
+    crops = np.array([chw[:, y : y + h, x : x + w] for y, x in zip(oys, oxs)], chw.dtype)
+    return crops.reshape(count, len(chw), h, w), oys, oxs
 
 
 def random_crop(
@@ -76,23 +91,8 @@ def random_crop(
 ) -> list[tuple[Image, tuple[int, int]]]:
     """``count`` crops of size (h, w) at offsets uniform over every valid
     position (independently per crop, so repeats can occur)."""
-    c, H, W = source.dims
-    h, w = int(out_hw[0]), int(out_hw[1])
-    if h < 1 or w < 1 or h > H or w > W:
-        raise ValidationError(f"crop {h}x{w} does not fit source {H}x{W}")
-    if count < 0:
-        raise ValidationError("count must be >= 0")
-    if count == 0:
-        return []
-    gen = rng.generator()
-    oys = gen.integers(0, H - h + 1, size=count)
-    oxs = gen.integers(0, W - w + 1, size=count)
-    chw = source.as_chw()
-    out = []
-    for oy, ox in zip(oys, oxs):
-        block = chw[:, oy : oy + h, ox : ox + w]
-        out.append((Image(np.ascontiguousarray(block), (c, h, w)), (int(oy), int(ox))))
-    return out
+    crops, oys, oxs = _crops(source.as_chw(), out_hw, count, rng)
+    return [(Image(p, p.shape), (int(y), int(x))) for p, y, x in zip(crops, oys, oxs)]
 
 
 def _luminance_batch(batch: np.ndarray) -> np.ndarray:
@@ -175,31 +175,23 @@ def build_patchset(
     ``retention`` records the surviving fraction; an empty result warns, since
     a cross-dataset scheme cannot run without public patches.
     """
-    candidates, prov = [], []
-    for si, src in enumerate(public.images):
-        for patch, (oy, ox) in random_crop(src, out_hw, patches_per_image, rng.child("crop", si)):
-            candidates.append(patch)
-            prov.append((si, oy, ox))
-    if not candidates:
+    chw = public.matrix().reshape(public.n, *public.dims)
+    crops, prov = [], []
+    for si, src in enumerate(chw):
+        block, oys, oxs = _crops(src, out_hw, patches_per_image, rng.child("crop", si))
+        crops.append(block)
+        prov.extend((si, int(oy), int(ox)) for oy, ox in zip(oys, oxs))
+    if not prov:
         warnings.warn("no crop candidates produced; patch set is empty")
         return PatchSet((), (), (), retention=0.0)
 
-    counts = keypoint_counts(np.stack([p.as_chw() for p in candidates]))
-    if min_keypoints <= 0:
-        keep = np.ones(len(candidates), dtype=bool)
-    else:
-        keep = counts > min_keypoints
-    kept = [i for i in range(len(candidates)) if keep[i]]
-    retention = len(kept) / len(candidates)
-    if not kept:
-        warnings.warn(
-            f"flatness filter removed all {len(candidates)} candidate patches"
-        )
+    crops = np.concatenate(crops)
+    counts = keypoint_counts(crops)
+    kept = np.flatnonzero(counts > min_keypoints) if min_keypoints > 0 else np.arange(len(prov))
+    if not kept.size:
+        warnings.warn(f"flatness filter removed all {len(prov)} candidate patches")
     return PatchSet(
-        tuple(candidates[i] for i in kept),
-        tuple(prov[i] for i in kept),
-        tuple(int(counts[i]) for i in kept),
-        retention=retention,
+        crops[kept], [prov[i] for i in kept], counts[kept], retention=kept.size / len(prov)
     )
 
 
@@ -207,10 +199,10 @@ def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
     """IHDS file of the patches plus a provenance CSV sidecar."""
     from .ihds import save_dataset
 
-    if not ps.patches:
+    if not len(ps):
         raise ValidationError("refusing to save an empty patch set")
     path = Path(path)
-    save_dataset(Dataset(ps.patches, name="patches"), path)
+    save_dataset(Dataset(ps.matrix(), dims=ps.dims, name="patches"), path)
     sidecar = path.with_suffix(path.suffix + ".prov.csv")
     with open(sidecar, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -233,6 +225,4 @@ def load_patchset(path: str | Path) -> PatchSet:
         for row in reader:
             prov.append((int(row[0]), int(row[1]), int(row[2])))
             kps.append(int(row[3]))
-    if len(prov) != ds.n:
-        raise ValidationError(f"{len(prov)} provenance rows for {ds.n} patches")
-    return PatchSet(ds.images, tuple(prov), tuple(kps))
+    return PatchSet(ds.matrix().reshape(ds.n, *ds.dims), prov, kps)

@@ -124,11 +124,7 @@ def _as_xy(samples) -> tuple[np.ndarray, np.ndarray]:
     """Stack training samples into (X, Y) float64 matrices. Accepts a Dataset,
     EncryptedSamples, (image, label) pairs, or an (X, Y) pair of arrays."""
     if isinstance(samples, Dataset):
-        if samples.labels is None:
-            raise ValidationError("training needs labels")
-        return samples.matrix().astype(np.float64), samples.label_matrix().astype(
-            np.float64
-        )
+        samples = (samples.matrix(), samples.label_matrix())  # raises when unlabelled
     if isinstance(samples, tuple) and samples and isinstance(samples[0], np.ndarray):
         return samples[0].astype(np.float64), samples[1].astype(np.float64)
     pairs = [(s.xtilde, s.ytilde) if isinstance(s, EncryptedSample) else s for s in samples]
@@ -233,14 +229,13 @@ def _encrypted_probs(
     if d != model.d:
         raise ValidationError(f"input length {d} != model d {model.d}")
     k, cross = cfg.k, cfg.scheme == "cross"
-    n_pool = len(pool.images) if k > 1 and pool is not None else 0
-    n_public = len(publicset.images) if cross and publicset is not None else 0
+    n_pool = len(pool.matrix()) if k > 1 and pool is not None else 0
+    n_public = len(publicset.matrix()) if cross and publicset is not None else 0
     if k > 1 and n_pool == 0:
         raise ValidationError(f"k={k} inference encryption needs a partner pool")
     if cross and n_public < k - 2:
         raise ValidationError("cross inference encryption needs k-2 public patches")
-    parts = [X] + [s.matrix() for s, n in ((pool, n_pool), (publicset, n_public)) if n]
-    S = np.concatenate(parts, dtype=np.float64)
+    S = [X] + [s.matrix() for s, n in ((pool, n_pool), (publicset, n_public)) if n]
     block = max(1, (1 << 19) // (ensemble * d))  # ~4 MB float64 buffers per call
     probs = np.empty((m, model.classes))
     for lo in range(0, m, block):
@@ -304,7 +299,7 @@ def evaluate(
     rng.child("eval", i)."""
     if mode not in ("plain", "encrypted"):
         raise ValidationError(f"mode must be plain or encrypted, got {mode!r}")
-    if test.labels is None or test.n == 0:
+    if test.classes is None or test.n == 0:
         raise ValidationError("evaluation needs a labelled, non-empty dataset")
     truth = np.argmax(test.label_matrix(), axis=1)
     if mode == "plain":

@@ -100,9 +100,20 @@ def test_validation_error_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_file_exit(tmp_path, capsys):
-    code = main(["eval", "--model", str(tmp_path / "absent.ihmd")])
-    assert code == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--model", "{absent}"],
+        ["import", "--raw", "{absent}", "--dims", "3x4x4", "--out", "{out}"],
+        ["encrypt", "--config", "{absent}", "--out", "{out}"],
+    ],
+    ids=["model", "raw", "config"],
+)
+def test_missing_file_exit(tmp_path, capsys, argv):
+    paths = {"absent": tmp_path / "absent", "out": tmp_path / "o.ihds"}
+    code = main([a.format(**paths) for a in argv])
+    assert code == 2
+    assert "error: cannot read input file" in capsys.readouterr().err
 
 
 def test_import_and_prep_public_roundtrip(tmp_path):
@@ -265,3 +276,26 @@ def test_replay_is_byte_identical(tmp_path):
         )
         assert code == 0
     assert (a / "e.ihds").read_bytes() == (b / "e.ihds").read_bytes()
+
+
+def test_nonfinite_input_file_exits_2(tmp_path, capsys):
+    # a NaN pixel written past the IHDS writer's own check
+    good = tmp_path / "good.ihds"
+    save_dataset(make_gaussian_dataset(6, (3, 8, 8), RngStream(15), classes=3), good)
+    raw = bytearray(good.read_bytes())
+    raw[20:24] = np.array([np.nan], "<f4").tobytes()  # first pixel, after the header
+    bad = tmp_path / "nan.ihds"
+    bad.write_bytes(bytes(raw))
+    model = tmp_path / "m.ihmd"
+    assert main(["train", "--in", str(good), "--plain", "--epochs", "1", "--out", str(model)]) == 0
+    out = str(tmp_path / "o")
+    for argv in (
+        ["encrypt", "--epochs", "1", "--out", out],
+        ["challenge", "--epochs", "1", "--out", out],
+        ["prep-public", "--patch-size", "4x4", "--out", out],
+        ["train", "--epochs", "1", "--out", out],
+        ["eval", "--model", str(model)],
+    ):
+        code = main(argv + ["--in", str(bad)])
+        assert code == 2, argv[0]
+        assert "pixels must be finite" in capsys.readouterr().err

@@ -89,6 +89,68 @@ def test_dataset_shape_checks():
     assert empty.n == 0 and empty.matrix().shape == (0, 4)
 
 
+def test_dataset_accessors_share_one_frozen_matrix():
+    ds = make_gaussian_dataset(5, (2, 3, 3), RngStream(1), classes=4)
+    for accessor in (ds.matrix, ds.label_matrix):
+        first = accessor()
+        assert accessor() is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+    assert ds.images is ds.images and ds.labels is ds.labels
+    assert np.asarray(ds) is ds.matrix()
+
+
+def test_dataset_from_images_equals_dataset_from_matrix():
+    for normalize in (True, False):
+        ds = make_gaussian_dataset(6, (3, 4, 4), RngStream(2), classes=3, normalize=normalize)
+        from_objects = Dataset(ds.images, ds.labels)
+        from_matrix = Dataset(
+            ds.matrix(), ds.label_matrix(), dims=ds.dims, normalized=normalize
+        )
+        assert from_objects == from_matrix == ds
+        assert from_objects.images == ds.images and from_matrix.labels == ds.labels
+        assert from_objects.normalized is normalize
+
+
+def test_dataset_copies_writable_arrays_and_shares_read_only_ones():
+    pixels = np.ones((2, 4), np.float32)
+    ds = Dataset(pixels, dims=(1, 2, 2))
+    pixels[0, 0] = 7.0
+    assert pixels.flags.writeable and ds.matrix()[0, 0] == 1.0
+    frozen = np.frombuffer(np.ones((2, 4), np.float32).tobytes(), np.float32).reshape(2, 4)
+    assert np.shares_memory(Dataset(frozen, dims=(1, 2, 2)).matrix(), frozen)
+
+
+def test_dataset_validates_the_whole_matrix_once():
+    bad = np.zeros((3, 4), np.float32)
+    bad[2, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        Dataset(bad, dims=(1, 2, 2))
+    with pytest.raises(DimensionMismatchError):
+        Dataset(np.zeros((3, 5), np.float32), dims=(1, 2, 2))
+    with pytest.raises(ValidationError, match="normalized"):
+        Dataset(np.ones((3, 4), np.float32), dims=(1, 2, 2), normalized=True)
+    with pytest.raises(ValidationError):
+        Dataset(np.zeros((2, 4), np.float32), np.full((2, 3), 1.5), dims=(1, 2, 2))
+    with pytest.raises(ValidationError):
+        Dataset((Image(np.zeros(4), (1, 2, 2)),) * 2, (one_hot(0, 2), one_hot(0, 3)))
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 2), (1, 8, 8), (3, 32, 32), (3, 48, 48)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gaussian_rows_equal_per_image_normalization(seed, dims):
+    raw = make_gaussian_dataset(4, dims, RngStream(seed), normalize=False).matrix()
+    ds = make_gaussian_dataset(4, dims, RngStream(seed))
+    for row, got in zip(raw, ds.matrix()):
+        px = row.astype(np.float64)
+        centered = px - px.mean()
+        by_hand = (centered / np.linalg.norm(centered)).astype(np.float32)
+        assert got.tobytes() == normalize_image(Image(row, dims)).pixels.tobytes()
+        assert got.tobytes() == by_hand.tobytes()
+    with pytest.raises(DegenerateInputError):
+        make_gaussian_dataset(3, (1, 1, 1), RngStream(seed))  # every row is constant
+
+
 def test_dataset_matrices():
     ds = make_gaussian_dataset(5, (2, 3, 3), RngStream(1), classes=4)
     assert ds.matrix().shape == (5, 18)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from instahide.core import Dataset, Image, make_gaussian_dataset, one_hot
+from instahide.core import Dataset, make_gaussian_dataset, one_hot
 from instahide.errors import FormatError, TruncatedFileError, ValidationError
 from instahide.ihds import (
+    arrays_to_bytes,
     dataset_from_bytes,
     dataset_to_bytes,
     import_raw,
@@ -69,11 +70,12 @@ def test_trailing_bytes_rejected():
 
 
 def test_nonfinite_payload_refused():
-    im = Image(np.ones(4, np.float32), (1, 2, 2))
-    ds = Dataset((im,))
-    object.__setattr__(im, "pixels", np.array([np.inf, 0, 0, 0], np.float32))
+    # a Dataset refuses non-finite pixels itself, so poison the writer's input
+    pixels = np.array([np.inf, 0, 0, 0], np.float32).reshape(1, 1, 2, 2)
     with pytest.raises(ValidationError):
-        dataset_to_bytes(ds)
+        arrays_to_bytes(pixels)
+    with pytest.raises(ValidationError):
+        arrays_to_bytes(np.ones((1, 1, 2, 2), np.float32), np.array([[np.nan]], np.float32))
 
 
 def test_file_roundtrip(tmp_path):

@@ -159,3 +159,24 @@ def test_load_rejects_mismatched_sidecar(tmp_path):
     prov_path.write_text("\n".join(lines[:-1]) + "\n")  # drop one row
     with pytest.raises(ValidationError):
         load_patchset(data_path)
+
+
+def test_patchset_is_one_frozen_matrix_with_cached_views():
+    src = make_gaussian_dataset(6, (3, 16, 16), RngStream(13), normalize=False)
+    ps = build_patchset(src, (8, 8), 2, RngStream(14), min_keypoints=0)
+    first = ps.matrix()
+    assert ps.matrix() is first and not first.flags.writeable
+    assert first.shape == (12, 3 * 8 * 8) and np.asarray(ps) is first
+    assert ps.patches is ps.patches
+    from_objects = PatchSet(ps.patches, ps.provenance, ps.keypoints)
+    assert from_objects.matrix().tobytes() == first.tobytes()
+    assert from_objects.patches == ps.patches and from_objects.dims == ps.dims == (3, 8, 8)
+
+
+def test_build_patchset_crops_match_random_crop():
+    src = make_gaussian_dataset(3, (3, 12, 10), RngStream(15), normalize=False)
+    ps = build_patchset(src, (5, 4), 3, RngStream(16), min_keypoints=0)
+    for si, image in enumerate(src.images):
+        crops = random_crop(image, (5, 4), 3, RngStream(16).child("crop", si))
+        assert [p for p, _ in crops] == list(ps.patches[3 * si : 3 * si + 3])
+        assert [(si, *off) for _, off in crops] == list(ps.provenance[3 * si : 3 * si + 3])
