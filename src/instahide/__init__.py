@@ -52,7 +52,6 @@ from .encrypt import (
     encrypt_input,
     encrypt_sample,
     export_challenge,
-    mixup_encrypt,
 )
 from .errors import (
     DegenerateInputError,
@@ -65,7 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .ihds import dataset_from_bytes, dataset_to_bytes, import_raw, load_dataset, save_dataset
-from .publicprep import PatchSet, build_patchset, keypoint_count, load_patchset, save_patchset
+from .publicprep import PatchSet, build_patchset, load_patchset, save_patchset
 from .rng import RngStream
 from .stats import (
     ConcentrationCheckConfig,
@@ -81,7 +80,6 @@ from .stats import (
 )
 from .utility import (
     LinearSoftmaxModel,
-    canonical_input,
     evaluate,
     init_model,
     load_model,

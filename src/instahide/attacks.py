@@ -7,6 +7,10 @@ a learned sign recoverer with error rate p (p=0 perfect, p=0.5 uninformative);
 averaging and SSIM similarity search consume oracle output; gradient matching
 inverts a training gradient of the linear softmax model.
 
+Every attack reads its samples and candidates through ``np.asarray``, so an
+EncryptedSample, an Image and a raw pixel array are interchangeable inputs;
+results carry the input's (C, H, W) dims when it has them.
+
 Detection thresholds default to the geometric midpoint between the typical
 member score scale and a union-bounded noise ceiling, both computable from the
 runtime parameters (d, k, candidate count, delta).
@@ -14,14 +18,12 @@ runtime parameters (d, k, candidate count, delta).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import Coefficients, Dataset, Image, SignMask, _pixels, inner_product, scan_scores
+from .core import Coefficients, Dataset, Image, SignMask, scan_scores
 from .encrypt import EncryptedSample, EncryptionKey, apply_mask
 from .errors import (
     DivergenceError,
@@ -90,29 +92,10 @@ class AttackReport:
             out["reconstruction_path"] = reconstruction_path
         return out
 
-    def to_json(
-        self, path: str | Path, reconstruction_path: str | Path | None = None
-    ) -> None:
-        """Write the report as deterministic JSON; when the attack produced a
-        reconstruction and a path is given, store it there as a one-image
-        dataset and record the path."""
-        rec_str = None
-        if self.reconstruction is not None and reconstruction_path is not None:
-            from .ihds import save_dataset
-
-            save_dataset(
-                Dataset((self.reconstruction,), name="reconstruction"),
-                reconstruction_path,
-            )
-            rec_str = str(reconstruction_path)
-        Path(path).write_text(
-            json.dumps(self.to_dict(rec_str), indent=2, sort_keys=True) + "\n"
-        )
-
 
 def correlation(a, b) -> float:
     """Pearson correlation of two pixel vectors; 0.0 when either is constant."""
-    av, bv = (_pixels(v).astype(np.float64).reshape(-1) for v in (a, b))
+    av, bv = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (a, b))
     if av.size != bv.size:
         raise ValidationError(f"length mismatch: {av.size} vs {bv.size}")
     ac = av - av.mean()
@@ -121,10 +104,6 @@ def correlation(a, b) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.clip(np.dot(ac, bc) / denom, -1.0, 1.0))
-
-
-def _sample_pixels(x) -> np.ndarray:
-    return _pixels(x.xtilde if isinstance(x, EncryptedSample) else x)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +135,6 @@ def pair_threshold(d: int, k: int, n_pairs: int, delta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # inner-product attacks
-
-
-def pair_share_score(a, b) -> float:
-    """Inner product of two published samples; large magnitude indicates a
-    shared source when masks are absent or undone."""
-    return inner_product(_sample_pixels(a), _sample_pixels(b))
 
 
 class _UnionFind:
@@ -205,7 +178,7 @@ def pair_detection_attack(
     if not history:
         raise ValidationError("pair detection needs a non-empty history")
     m = len(history)
-    rows = np.stack([_sample_pixels(s) for s in history]).astype(np.float64)
+    rows = np.stack([np.asarray(s) for s in history]).astype(np.float64)
     n_pairs = m * (m - 1) // 2
     if threshold is None:
         threshold = (
@@ -227,12 +200,7 @@ def pair_detection_attack(
     largest = max(clusters, key=len) if clusters else ()
     reconstruction = None
     if len(largest) >= 2:
-        reconstruction = average_reconstruct(
-            [
-                history[i].xtilde if isinstance(history[i], EncryptedSample) else history[i]
-                for i in largest
-            ]
-        )
+        reconstruction = average_reconstruct([history[i] for i in largest])
 
     metrics: dict = {
         "detected_pairs": float(detected.sum()),
@@ -263,23 +231,33 @@ def pair_detection_attack(
 
 
 def average_reconstruct(cluster: list) -> Image:
-    """Coordinate-wise mean of a non-empty cluster of same-shape images."""
+    """Coordinate-wise mean of a non-empty cluster of same-shape images, with
+    their dims ((1, 1, d) when no member has any)."""
     if not cluster:
         raise ValidationError("cannot average an empty cluster")
-    first = cluster[0]
-    dims = first.dims if isinstance(first, Image) else None
-    acc = np.zeros(_sample_pixels(first).size, dtype=np.float64)
-    for item in cluster:
-        px = _sample_pixels(item)
+    dims = {getattr(x, "dims", None) for x in cluster} - {None}
+    if len(dims) > 1:
+        raise ValidationError("cluster images have mixed dims")
+    acc = np.zeros(np.asarray(cluster[0]).size, dtype=np.float64)
+    for x in cluster:
+        px = np.asarray(x)
         if px.size != acc.size:
             raise ValidationError("cluster images have mixed sizes")
-        if isinstance(item, Image) and dims is not None and item.dims != dims:
-            raise ValidationError("cluster images have mixed dims")
-        acc += px.astype(np.float64)
+        acc += px.astype(np.float64).reshape(-1)
     acc /= len(cluster)
-    if dims is None:
-        dims = (1, 1, acc.size)
-    return Image(acc.astype(np.float32), dims)
+    return Image(acc.astype(np.float32), dims.pop() if dims else (1, 1, acc.size))
+
+
+def _truth_ranks(order: np.ndarray, truth_members) -> tuple[frozenset, np.ndarray]:
+    """The truth set and every candidate's 1-based rank under ``order``; a
+    member index outside [0, n) is refused."""
+    n = order.size
+    truth = frozenset(int(t) for t in truth_members)
+    if any(not 0 <= t < n for t in truth):
+        raise ValidationError(f"truth members must be in [0, {n}), got {sorted(truth)}")
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[order] = np.arange(1, n + 1)
+    return truth, rank_of
 
 
 def public_scan_attack(
@@ -297,7 +275,7 @@ def public_scan_attack(
     patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     if patches.size == 0:
         raise ValidationError("public scan needs a non-empty patch set")
-    query = _sample_pixels(xtilde)
+    query = np.asarray(xtilde)
     raw = scan_scores(patches, query)
     mags = np.abs(raw)
     n = raw.size
@@ -310,9 +288,7 @@ def public_scan_attack(
     metrics: dict = {"flagged": float(len(flagged))}
     ranks = None
     if truth_members is not None:
-        truth = frozenset(int(t) for t in truth_members)
-        rank_of = np.empty(n, dtype=np.int64)
-        rank_of[order] = np.arange(1, n + 1)
+        truth, rank_of = _truth_ranks(order, truth_members)
         ranks = tuple(sorted(int(rank_of[t]) for t in truth))
         hit = len(truth & set(flagged))
         metrics["recall"] = hit / len(truth) if truth else None
@@ -341,8 +317,8 @@ def recover_private_residual(
     matrix; a rank-deficient member set cannot be fit and raises."""
     if not members:
         raise ValidationError("need at least one member to subtract")
-    query = _sample_pixels(xtilde).astype(np.float64)
-    A = np.stack([_sample_pixels(z) for z in members]).astype(np.float64)
+    query = np.asarray(xtilde, dtype=np.float64).reshape(-1)
+    A = np.stack([np.asarray(z) for z in members]).astype(np.float64)
     if A.shape[1] != query.size:
         raise ValidationError(f"member length {A.shape[1]} != query length {query.size}")
     if lam_estimate is None:
@@ -359,27 +335,33 @@ def recover_private_residual(
         if coeffs.size != A.shape[0]:
             raise ValidationError(f"{coeffs.size} coefficients for {A.shape[0]} members")
     residual = query - coeffs @ A
-    dims = xtilde.xtilde.dims if isinstance(xtilde, EncryptedSample) else (
-        xtilde.dims if isinstance(xtilde, Image) else (1, 1, query.size)
-    )
-    return Image(residual.astype(np.float32), dims)
+    return Image(residual.astype(np.float32), getattr(xtilde, "dims", (1, 1, query.size)))
 
 
 # ---------------------------------------------------------------------------
 # fourth-moment ranking
 
 
-def braverman_statistic(xtilde, s) -> float:
-    """v_s = <xtilde^2, s^2> - (1/d) ||xtilde||^2 ||s||^2 with coordinate-wise
-    squares. Squaring erases any sign mask bit for bit, so masked and
-    unmasked versions of the same mix score identically."""
-    xv = _sample_pixels(xtilde).astype(np.float64)
-    sv = _sample_pixels(s).astype(np.float64)
-    if xv.size != sv.size:
-        raise ValidationError(f"length mismatch: {xv.size} vs {sv.size}")
+def _fourth_moment_scores(candidates: np.ndarray, xtilde) -> np.ndarray:
+    """v_s = <xtilde^2, s^2> - (1/d) ||xtilde||^2 ||s||^2, with coordinate-wise
+    squares, for every row s of ``candidates``. Squaring erases any sign mask
+    bit for bit, so masked and unmasked versions of the same mix score
+    identically."""
+    xv = np.asarray(xtilde, dtype=np.float64).reshape(-1)
+    if candidates.shape[1] != xv.size:
+        raise ValidationError(
+            f"candidate length {candidates.shape[1]} != query length {xv.size}"
+        )
     x2 = xv * xv
-    s2 = sv * sv
-    return float(np.sum(x2 * s2) - np.sum(x2) * np.sum(s2) / xv.size)
+    P = candidates.astype(np.float64)
+    P2 = P * P
+    return P2 @ x2 - np.sum(x2) * np.einsum("ij,ij->i", P, P) / xv.size
+
+
+def braverman_statistic(xtilde, s) -> float:
+    """v_s = <xtilde^2, s^2> - (1/d) ||xtilde||^2 ||s||^2 for one candidate
+    ``s``: a one-row call of the kernel that braverman_attack ranks by."""
+    return float(_fourth_moment_scores(np.asarray(s).reshape(1, -1), xtilde)[0])
 
 
 def braverman_attack(
@@ -393,24 +375,14 @@ def braverman_attack(
     patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     if patches.size == 0:
         raise ValidationError("ranking needs a non-empty candidate set")
-    xv = _sample_pixels(xtilde).astype(np.float64)
-    if patches.shape[1] != xv.size:
-        raise ValidationError(
-            f"candidate length {patches.shape[1]} != query length {xv.size}"
-        )
-    x2 = xv * xv
-    P = patches.astype(np.float64)
-    P2 = P * P
-    v = P2 @ x2 - np.sum(x2) * np.einsum("ij,ij->i", P, P) / xv.size
+    v = _fourth_moment_scores(patches, xtilde)
     n = v.size
     order = np.lexsort((np.arange(n), -v))
 
     metrics: dict = {}
     ranks = None
     if truth_members is not None:
-        truth = frozenset(int(t) for t in truth_members)
-        rank_of = np.empty(n, dtype=np.int64)
-        rank_of[order] = np.arange(1, n + 1)
+        truth, rank_of = _truth_ranks(order, truth_members)
         ranks = tuple(sorted(int(rank_of[t]) for t in truth))
         non_ranks = np.delete(rank_of, list(truth))
         metrics["median_member_rank"] = float(np.median(ranks))
@@ -458,8 +430,9 @@ class SignOracle:
 def demask_with_oracle(xtilde, truth_mask: SignMask, oracle: SignOracle, tag=0) -> Image:
     """Undo a sign mask as well as the oracle can: applies the oracle's mask
     estimate, leaving a p-fraction of coordinates still sign-flipped."""
-    img = xtilde.xtilde if isinstance(xtilde, EncryptedSample) else xtilde
-    return apply_mask(img, oracle.recovered_mask(truth_mask, tag))
+    px = np.asarray(xtilde).reshape(-1)
+    demasked = apply_mask(px, oracle.recovered_mask(truth_mask, tag))
+    return Image(demasked, getattr(xtilde, "dims", (1, 1, px.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +550,10 @@ def similarity_search_attack(
     n = patches.shape[0]
     if not 0 <= m <= n:
         raise ValidationError(f"m must be in [0, {n}], got {m}")
-    img = xtilde.xtilde if isinstance(xtilde, EncryptedSample) else xtilde
-    estimate = demask_with_oracle(img, truth_mask, oracle, tag)
-    sims = ssim_pairwise(estimate.pixels, patches, img.dims)[0]
+    estimate = demask_with_oracle(xtilde, truth_mask, oracle, tag)
+    # SSIM windows need the image geometry: a raw query takes the candidates'
+    dims = getattr(xtilde, "dims", getattr(publicset, "dims", estimate.dims))
+    sims = ssim_pairwise(estimate.pixels, patches, dims)[0]
     order = np.lexsort((np.arange(n), -sims))
     top = order[:m]
 
@@ -668,7 +642,7 @@ def averaging_attack(
             for s, key in zip(history, keys)
         ]
     ).astype(np.float64)
-    dims = history[0].xtilde.dims
+    dims = history[0].dims
     sims = ssim_pairwise(demasked, demasked, dims)
     np.fill_diagonal(sims, -np.inf)
     corr = np.empty(len(history))
@@ -765,8 +739,7 @@ def gradient_matching_attack(
         steps_run = step + 1
 
     final, _, _ = _matching_objective(model, x, y, gW, gb)
-    dims = victim.dims if isinstance(victim, Image) else (1, 1, model.d)
-    recovered = Image(x.astype(np.float32), dims)
+    recovered = Image(x.astype(np.float32), getattr(victim, "dims", (1, 1, model.d)))
     metrics: dict = {"final_objective": final, "steps_run": float(steps_run)}
     if victim is not None:
         metrics["corr_to_victim"] = correlation(recovered, victim)

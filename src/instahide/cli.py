@@ -101,11 +101,12 @@ def resolve_options(args: argparse.Namespace, keys: list[str]) -> dict:
     return resolved
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
+def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
+    """Unsigned ints separated by 'x' (or ','), one per letter of ``shape``."""
     parts = [p for p in text.replace(",", "x").split("x") if p]
-    if len(parts) != 3:
-        raise ValidationError(f"dims must be CxHxW, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    if len(parts) != len(shape.split("x")) or not all(p.isdecimal() for p in parts):
+        raise ValidationError(f"dims must be {shape}, got {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _scheme_config(opts: dict) -> SchemeConfig:
@@ -179,14 +180,8 @@ def cmd_prep_public(args) -> int:
     opts = resolve_options(args, ["seed"])
     rng = RngStream(int(opts["seed"]))
     source = _read_input(load_dataset, args.infile)
-    out_hw = tuple(int(v) for v in args.patch_size.split("x"))
-    if len(out_hw) != 2:
-        raise ValidationError(f"patch size must be HxW, got {args.patch_size!r}")
     ps = publicprep.build_patchset(
-        source,
-        out_hw,  # type: ignore[arg-type]
-        int(args.per_image),
-        rng.child("crop"),
+        source, _parse_dims(args.patch_size, "HxW"), int(args.per_image), rng.child("crop"),
         min_keypoints=int(args.min_keypoints),
     )
     publicprep.save_patchset(ps, args.out)
@@ -315,6 +310,8 @@ def cmd_attack_public_scan(args) -> int:
     dims = _parse_dims(str(opts["synthetic_dims"]))
     publicset = _public_patches(args, dims, rng, count=int(args.candidates))
     k = int(opts["k"])
+    if not 1 <= k <= len(publicset):
+        raise ValidationError(f"k must be in [1, {len(publicset)}] candidates, got {k}")
     gen = rng.child("mix").generator()
     members = [int(v) for v in gen.choice(len(publicset), size=k, replace=False)]
     mixed = publicset.matrix()[members].astype(np.float64).sum(axis=0)
@@ -365,6 +362,8 @@ def cmd_attack_similarity(args) -> int:
     rng = RngStream(int(opts["seed"]))
     m = int(args.m if args.m is not None else 100)
     trials = int(args.trials_count)
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     source_dims = _parse_dims(args.source_dims)
     patch_dims = _parse_dims(str(args.patch_dims))
 
@@ -519,17 +518,21 @@ def _add_common(p: argparse.ArgumentParser, *, seed=True, report=True, config=Tr
         p.add_argument("--report", help="write the JSON report here (default stdout)")
 
 
-def _add_scheme(p: argparse.ArgumentParser):
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
+_SCHEME_FLAGS = {"scheme": {"choices": SCHEMES}, "k": {"type": int},
+                 "c1": {"type": float}, "c2": {"type": float}}
+_SYNTHETIC_FLAGS = {"synthetic_n": int, "synthetic_dims": str, "synthetic_classes": int}
 
 
-def _add_synthetic(p: argparse.ArgumentParser):
-    p.add_argument("--synthetic-n", dest="synthetic_n", type=int)
-    p.add_argument("--synthetic-dims", dest="synthetic_dims")
-    p.add_argument("--synthetic-classes", dest="synthetic_classes", type=int)
+def _add_scheme(p: argparse.ArgumentParser, *names):
+    """The scheme flags a command reads; all four when none are named."""
+    for name in names or _SCHEME_FLAGS:
+        p.add_argument(f"--{name}", **_SCHEME_FLAGS[name])
+
+
+def _add_synthetic(p: argparse.ArgumentParser, *names):
+    """The synthetic-dataset flags a command reads; all three when none are named."""
+    for name in names or _SYNTHETIC_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_SYNTHETIC_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--classes", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("prep-public", help="crop and filter a public dataset")
@@ -599,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--reconstruction-out", dest="reconstruction_out")
-    _add_scheme(p)
+    _add_scheme(p, "k", "c1")
     _add_synthetic(p)
     _add_common(p)
     p.set_defaults(func=cmd_attack_pair)
@@ -609,17 +612,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=int, default=1000)
     p.add_argument("--threshold", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--synthetic-dims", dest="synthetic_dims")
+    _add_scheme(p, "k")
+    _add_synthetic(p, "synthetic_dims")
     _add_common(p)
     p.set_defaults(func=cmd_attack_public_scan)
 
     p = asub.add_parser("braverman", help="fourth-moment candidate ranking")
     p.add_argument("--public")
     p.add_argument("--candidates", type=int, default=1000)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--synthetic-dims", dest="synthetic_dims")
+    _add_scheme(p, "k", "c1")
+    _add_synthetic(p, "synthetic_dims")
     _add_common(p)
     p.set_defaults(func=cmd_attack_braverman)
 
@@ -631,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--target", type=int, default=0)
     p.add_argument("--reconstruction-out", dest="reconstruction_out")
-    _add_scheme(p)
+    _add_scheme(p, "k", "c1")
     _add_synthetic(p)
     _add_common(p)
     p.set_defaults(func=cmd_attack_averaging)
@@ -643,9 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-dims", dest="source_dims", default="3x48x48")
     p.add_argument("--patch-dims", dest="patch_dims", default="3x32x32")
     p.add_argument("--oracle-p", dest="oracle_p", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
+    _add_scheme(p, "k", "c1", "c2")
     _add_common(p)
     p.set_defaults(func=cmd_attack_similarity)
 
@@ -653,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", dest="lr_attack", type=float, default=0.05)
     p.add_argument("--reconstruction-out", dest="reconstruction_out")
-    _add_synthetic(p)
+    _add_synthetic(p, "synthetic_dims", "synthetic_classes")
     _add_common(p)
     p.set_defaults(func=cmd_attack_grad_match)
 
@@ -679,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p, p2):
         p.add_argument("--d", type=int, default=3072)
         p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--k", type=int)
+        _add_scheme(p, "k")
         p.add_argument("--delta", type=float)
         p.add_argument("--trials", type=int)
         p.add_argument("--beta", type=float)
@@ -691,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="synthetic private size (default 100)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--out", required=True)
-    _add_scheme(p)
-    _add_synthetic(p)
+    _add_scheme(p, "k", "c1", "c2")
+    _add_synthetic(p, "synthetic_dims", "synthetic_classes")
     _add_common(p)
     p.set_defaults(func=cmd_challenge)
 

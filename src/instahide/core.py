@@ -5,9 +5,12 @@ are built on.
 Conventions: pixel payloads are float32 vectors of length d = channels *
 height * width (channel-major). A Dataset (like publicprep.PatchSet) holds
 its rows as one frozen float32 (n, d) matrix, checked once when built, and
-makes Image and LabelVector views of its rows only when asked for them. All
-statistics and accumulations run in float64; reductions use numpy's fixed
-pairwise summation so repeated runs are bit-identical.
+makes Image and LabelVector views of its rows only when asked for them.
+Every package object that holds numbers implements ``__array__``, so
+``np.asarray(x)`` gives an Image's or EncryptedSample's pixel row, a
+LabelVector's weights, or a set's (n, d) matrix. All statistics and
+accumulations run in float64; reductions use numpy's fixed pairwise
+summation so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ class Image:
         """Read-only (channels, height, width) view."""
         return self.pixels.reshape(self.dims)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.pixels, dtype=dtype, copy=copy)
+
     def __eq__(self, other):
         if not isinstance(other, Image):
             return NotImplemented
@@ -83,6 +89,9 @@ class LabelVector:
     @property
     def classes(self) -> int:
         return self.weights.size
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.weights, dtype=dtype, copy=copy)
 
     def __eq__(self, other):
         if not isinstance(other, LabelVector):
@@ -277,10 +286,6 @@ class SignMask:
 # primitive operations
 
 
-def _pixels(x) -> np.ndarray:
-    return x.pixels if isinstance(x, Image) else np.asarray(x)
-
-
 def _normalize_rows(px: np.ndarray) -> np.ndarray:
     """normalize_image on every row of an (n, d) matrix, bit for bit: the
     stacked matmul takes each row's norm with np.linalg.norm's dot product.
@@ -303,24 +308,16 @@ def normalize_image(x: Image) -> Image:
 
 
 def inner_product(a, b) -> float:
-    """Float64 inner product of two equal-length pixel vectors.
-
-    Accepts Images or raw arrays. Uses numpy's fixed pairwise reduction, so
-    the result is reproducible run to run.
-    """
-    av, bv = _pixels(a), _pixels(b)
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    return float(np.sum(av.astype(np.float64) * bv.astype(np.float64)))
+    """Float64 inner product of two equal-length pixel vectors: the one-row
+    scan_scores of ``a`` against ``b``."""
+    return float(scan_scores(np.asarray(a).reshape(1, -1), b)[0])
 
 
 def scan_scores(matrix: np.ndarray, query) -> np.ndarray:
-    """Inner product of every row of ``matrix`` against ``query``.
-
-    Row i equals inner_product(matrix[i], query) bit for bit; rows are reduced
-    with the same pairwise summation, chunked to bound temporary memory.
-    """
-    q = _pixels(query).astype(np.float64)
+    """Inner product of every row of ``matrix`` against ``query``, each row
+    reduced with numpy's fixed pairwise summation (reproducible run to run),
+    chunked to bound temporary memory."""
+    q = np.asarray(query).astype(np.float64)
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[1] != q.size:
         raise DimensionMismatchError(f"matrix {m.shape} incompatible with query {q.size}")

@@ -38,7 +38,6 @@ from .core import (
     LabelVector,
     SignMask,
     _draw_lambda,
-    _label_matrix,
     check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
@@ -94,12 +93,20 @@ class EncryptionKey:
 @dataclass(frozen=True)
 class EncryptedSample:
     """One published sample: mixed (and possibly masked) pixels plus the
-    mixed label, tagged with the epoch and a history-unique sample id."""
+    mixed label, tagged with the epoch and a history-unique sample id.
+    ``np.asarray(sample)`` gives the published pixels, ``dims`` their shape."""
 
     xtilde: Image
     ytilde: LabelVector
     epoch: int = 0
     sample_id: int = 0
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.xtilde.dims
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.xtilde.pixels, dtype=dtype, copy=copy)
 
 
 # ---------------------------------------------------------------------------
@@ -250,37 +257,6 @@ def identity_mask(d: int) -> SignMask:
     return SignMask(np.ones(d, dtype=np.int8))
 
 
-def mixup_encrypt(
-    sources: list[tuple[Image, LabelVector]],
-    lam: Coefficients,
-    epoch: int = 0,
-    sample_id: int = 0,
-) -> EncryptedSample:
-    """Plain Mixup: coefficient-weighted image and label sums, no mask."""
-    xt = Image(mix_pixels([s[0] for s in sources], lam), sources[0][0].dims)
-    Y = [_label_matrix([s[1] for s in sources], lam.k)]  # refuses mixed widths
-    y = _mix(Y, np.arange(lam.k)[None], lam.values[None])[0]
-    # mixing can overshoot 1 by a few ulps; clip the float noise only
-    return EncryptedSample(xt, LabelVector(np.clip(y, 0.0, 1.0)), epoch, sample_id)
-
-
-def instahide_encrypt_inside(
-    private: Dataset, i: int, k: int, c1: float, rng: RngStream
-) -> tuple[EncryptedSample, EncryptionKey]:
-    """Inside-dataset InstaHide for image i: mix x_i with k-1 distinct other
-    private images, then apply a fresh sign mask."""
-    return encrypt_sample(private, i, SchemeConfig("inside", k, c1), rng)
-
-
-def instahide_encrypt_cross(
-    private: Dataset, i: int, publicset, k: int, c1: float, c2: float, rng: RngStream
-) -> tuple[EncryptedSample, EncryptionKey]:
-    """Cross-dataset InstaHide for image i: x_i, one other private image, and
-    k-2 distinct public patches, masked. The two private coefficients sum to
-    at least c2 and only they reach the label."""
-    return encrypt_sample(private, i, SchemeConfig("cross", k, c1, c2), rng, publicset)
-
-
 def encrypt_sample(
     private: Dataset, i: int, cfg: SchemeConfig, rng: RngStream, publicset=None,
     epoch: int = 0, sample_id: int = 0,
@@ -314,13 +290,12 @@ def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, public
 
 
 def encrypt_epoch(
-    private: Dataset, cfg: SchemeConfig, epoch: int, rng: RngStream, publicset=None,
-    return_keys: bool = False,
+    private: Dataset, cfg: SchemeConfig, epoch: int, rng: RngStream, publicset=None
 ):
     """Encrypt every private image once with fresh keys, in a random output
-    order. Sample ids are epoch * n + i, so merge order is recoverable."""
-    samples, keys = _history(private, cfg, [epoch], rng, publicset)
-    return (samples, keys) if return_keys else samples
+    order; returns aligned (samples, keys) lists. Sample ids are
+    epoch * n + i, so merge order is recoverable."""
+    return _history(private, cfg, [epoch], rng, publicset)
 
 
 def encrypt_history(

@@ -143,8 +143,8 @@ def import_raw(
 
     The raw file is count * channels*height*width bytes, channel-major per
     image, row-major within a channel; pixels are scaled to [0, 1]. Each CSV
-    row is either a single class index (requires ``classes``) or a full
-    weight vector with one float per class.
+    row is either a single integer class index in [0, ``classes``) (which
+    must be given) or a full weight vector with one float per class.
     """
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
@@ -165,7 +165,12 @@ def import_raw(
                         raise ValidationError(
                             "class-index labels need an explicit class count"
                         )
-                    rows.append(np.eye(classes, dtype=np.float32)[int(rec[0])])
+                    text = rec[0].strip()
+                    if not text.isdecimal() or int(text) >= classes:
+                        raise ValidationError(
+                            f"class index {text!r} is not an integer in [0, {classes})"
+                        )
+                    rows.append(np.eye(classes, dtype=np.float32)[int(text)])
                 elif rec:
                     rows.append(np.array([float(v) for v in rec], np.float32))
         if len({r.size for r in rows}) > 1:

@@ -157,11 +157,6 @@ def keypoint_counts(batch: np.ndarray) -> np.ndarray:
     return counts
 
 
-def keypoint_count(x: Image) -> int:
-    """Keypoint count of a single image (see keypoint_counts)."""
-    return int(keypoint_counts(x.as_chw()[None])[0])
-
-
 def build_patchset(
     public: Dataset,
     out_hw: tuple[int, int],

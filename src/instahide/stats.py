@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image
+from .core import Dataset
 from .encrypt import SchemeConfig, _encrypt_rows, _sources
 from .errors import ValidationError
 from .rng import RngStream
@@ -94,29 +94,6 @@ def _singleton_pvalues(values: np.ndarray, pool_sorted: np.ndarray) -> np.ndarra
 # per-encryption statistics
 
 
-@dataclass(frozen=True)
-class StatisticProfile:
-    """Scalar summaries of one image: pixel mean, population std, anisotropic
-    total variation, and raw values at fixed probe locations."""
-
-    mean: float
-    std: float
-    total_variation: float
-    probe_values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = (self.mean, self.std, self.total_variation, *self.probe_values)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValidationError("profile entries must be finite")
-        if self.total_variation < 0.0:
-            raise ValidationError("total variation cannot be negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.mean, self.std, self.total_variation, *self.probe_values]
-        )
-
-
 def statistic_labels(probe_count: int) -> tuple[str, ...]:
     return ("mean", "std", "tv") + tuple(f"loc{i + 1}" for i in range(probe_count))
 
@@ -151,14 +128,6 @@ def statistic_matrix(
     for p in probes:
         cols.append(m[:, p])
     return np.stack(cols, axis=1)
-
-
-def statistic_profile(x: Image, probes) -> StatisticProfile:
-    """StatisticProfile of a single image at the given probe pixel indices."""
-    row = statistic_matrix(x.pixels, x.dims, tuple(probes))[0]
-    return StatisticProfile(
-        float(row[0]), float(row[1]), float(row[2]), tuple(float(v) for v in row[3:])
-    )
 
 
 def default_probe_locations(d: int, rng: RngStream, count: int = 4) -> tuple[int, ...]:

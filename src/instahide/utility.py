@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image, LabelVector, _pixels
-from .encrypt import EncryptedSample, SchemeConfig, _encrypt_rows, _epoch_rows, _sources
+from .core import Dataset, Image
+from .encrypt import SchemeConfig, _encrypt_rows, _epoch_rows, _sources
 from .errors import FormatError, TruncatedFileError, ValidationError
 from .rng import RngStream
 
@@ -81,14 +81,9 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _weights_of(y) -> np.ndarray:
-    arr = y.weights if isinstance(y, LabelVector) else np.asarray(y)
-    return arr.astype(np.float64).reshape(-1)
-
-
 def forward(model: LinearSoftmaxModel, x) -> np.ndarray:
     """Class probabilities for one input; positive, summing to 1."""
-    xv = _pixels(x).astype(np.float64).reshape(-1)
+    xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.size != model.d:
         raise ValidationError(f"input length {xv.size} != model d {model.d}")
     return softmax_rows(model.W @ xv + model.b)
@@ -102,8 +97,8 @@ def loss_and_gradient(
     L = -sum_c y_c log p_c, computed through log-sum-exp so extreme logits
     stay finite; grad_W = (sum(y) p - y) x^T and grad_b = sum(y) p - y.
     """
-    xv = _pixels(x).astype(np.float64).reshape(-1)
-    yv = _weights_of(y)
+    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    yv = np.asarray(y, dtype=np.float64).reshape(-1)
     if xv.size != model.d or yv.size != model.classes:
         raise ValidationError(
             f"input ({xv.size}, {yv.size}) incompatible with model "
@@ -120,20 +115,6 @@ def loss_and_gradient(
     return loss, (np.outer(residual, xv), residual)
 
 
-def _as_xy(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Stack training samples into (X, Y) float64 matrices. Accepts a Dataset,
-    EncryptedSamples, (image, label) pairs, or an (X, Y) pair of arrays."""
-    if isinstance(samples, Dataset):
-        samples = (samples.matrix(), samples.label_matrix())  # raises when unlabelled
-    if isinstance(samples, tuple) and samples and isinstance(samples[0], np.ndarray):
-        return samples[0].astype(np.float64), samples[1].astype(np.float64)
-    pairs = [(s.xtilde, s.ytilde) if isinstance(s, EncryptedSample) else s for s in samples]
-    if not pairs:
-        raise ValidationError("no training samples")
-    X = np.stack([_pixels(x).astype(np.float64).reshape(-1) for x, _ in pairs])
-    return X, np.stack([_weights_of(y) for _, y in pairs])
-
-
 def train(
     model: LinearSoftmaxModel,
     samples,
@@ -144,12 +125,15 @@ def train(
     batch_size: int = DEFAULT_BATCH_SIZE,
     weight_decay: float = DEFAULT_WEIGHT_DECAY,
 ) -> LinearSoftmaxModel:
-    """Minibatch SGD with momentum and L2 weight decay on W. Input model is
+    """Minibatch SGD with momentum and L2 weight decay on W, over a labelled
+    Dataset or an (X, Y) pair of pixel and label matrices. Input model is
     left untouched; a trained copy is returned. Deterministic given the rng.
     """
     if epochs < 0 or lr <= 0 or batch_size < 1:
         raise ValidationError("need epochs >= 0, lr > 0, batch_size >= 1")
-    X, Y = _as_xy(samples)
+    if isinstance(samples, Dataset):
+        samples = (samples.matrix(), samples.label_matrix())  # raises when unlabelled
+    X, Y = (np.asarray(m, dtype=np.float64) for m in samples)
     if Y.shape[1] != model.classes:
         raise ValidationError(f"label width {Y.shape[1]} != expected {model.classes}")
     if X.shape[1] != model.d:
@@ -175,20 +159,6 @@ def train(
     return LinearSoftmaxModel(W, b)
 
 
-def canonical_input(x: Image, masked: bool) -> Image:
-    """Model-side representation of an encrypted sample.
-
-    A sign-masked sample carries exactly the per-pixel absolute values of its
-    underlying mix (|sigma o m| == |m|), and the mask's sign symmetry makes any
-    linear map of the raw masked pixels uninformative in expectation. Masked
-    inputs therefore enter the model as their absolute values, the canonical
-    mask-invariant form; unmasked inputs pass through untouched.
-    """
-    if not masked:
-        return x
-    return Image(np.abs(x.pixels), x.dims)
-
-
 def train_encrypted(
     model: LinearSoftmaxModel,
     private: Dataset,
@@ -200,9 +170,13 @@ def train_encrypted(
     **train_kwargs,
 ) -> LinearSoftmaxModel:
     """Re-encrypt the private set with fresh keys every epoch and take one SGD
-    pass over each encryption batch, in published order. Sign-masked schemes
-    train on the canonical absolute-value representation (see
-    canonical_input)."""
+    pass over each encryption batch, in published order.
+
+    Sign-masked samples enter the model as their absolute values. A masked
+    sample carries exactly the per-pixel absolute values of its underlying
+    mix (|sigma o m| == |m|), and the mask's sign symmetry makes any linear
+    map of the raw masked pixels uninformative in expectation, so |x~| is the
+    canonical mask-invariant form; unmasked (Mixup) samples pass through."""
     S, Y = _sources(private, cfg, publicset)
     out = model.copy()
     for epoch in range(int(epochs)):
@@ -280,7 +254,7 @@ def predict_encrypted(
     simplex points, so still a probability vector. ``partner_pool`` and
     ``publicset`` are a Dataset or PatchSet."""
     return _encrypted_probs(
-        model, x.pixels[None], cfg, [rng], ensemble, partner_pool, publicset
+        model, np.asarray(x).reshape(1, -1), cfg, [rng], ensemble, partner_pool, publicset
     )[0]
 
 

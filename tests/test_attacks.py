@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from instahide.attacks import (
     gradient_matching_attack,
     noise_ceiling,
     pair_detection_attack,
-    pair_share_score,
     pair_threshold,
     public_scan_attack,
     recover_private_residual,
@@ -29,13 +27,13 @@ from instahide.core import (
     Coefficients,
     Dataset,
     Image,
+    inner_product,
     make_gaussian_dataset,
     one_hot,
     sample_sign_mask,
 )
-from instahide.encrypt import SchemeConfig, apply_mask, encrypt_history
+from instahide.encrypt import SchemeConfig, apply_mask, encrypt_history, encrypt_sample
 from instahide.errors import DivergenceError, RankDeficiencyError, ValidationError
-from instahide.ihds import load_dataset
 from instahide.rng import RngStream
 from instahide.utility import init_model, loss_and_gradient
 
@@ -86,7 +84,7 @@ def test_correlation_basics():
 def test_pair_share_score_matches_inner_product():
     a = Image(np.array([1.0, 2.0], np.float32), (1, 1, 2))
     b = Image(np.array([3.0, -1.0], np.float32), (1, 1, 2))
-    assert pair_share_score(a, b) == pytest.approx(1.0)
+    assert inner_product(a, b) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +260,16 @@ def test_braverman_attack_validation():
         braverman_attack(q, np.empty((0, 4)))
     with pytest.raises(ValidationError):
         braverman_attack(q, np.ones((3, 5)))
+
+
+@pytest.mark.parametrize("truth", [{-1}, {3}, {0, 7}])
+def test_truth_members_outside_the_candidates_are_refused(truth):
+    patches = unit_rows(3, 16, 19)
+    q = Image(patches[0].astype(np.float32), (1, 4, 4))
+    for attack in (lambda: public_scan_attack(q, patches, 1, truth_members=truth),
+                   lambda: braverman_attack(q, patches, truth_members=truth)):
+        with pytest.raises(ValidationError, match="truth members"):
+            attack()
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +484,65 @@ def test_report_rejects_bad_metrics():
     assert report.to_dict()["metrics"]["precision"] is None
 
 
-def test_report_json_roundtrip_with_reconstruction(tmp_path):
-    rec = Image(np.arange(4, dtype=np.float32), (1, 2, 2))
-    report = AttackReport("demo", params={"k": 2}, reconstruction=rec)
-    out = tmp_path / "report.json"
-    rec_path = tmp_path / "rec.ihds"
-    report.to_json(out, rec_path)
-    report.to_json(tmp_path / "again.json", tmp_path / "rec2.ihds")
-    assert out.read_bytes() != b""
-    loaded = json.loads(out.read_text())
-    assert loaded["reconstruction_path"] == str(rec_path)
-    back = load_dataset(rec_path)
-    assert np.array_equal(back.images[0].pixels, rec.pixels)
-    a = (tmp_path / "report.json").read_text().replace(str(rec_path), "")
-    b = (tmp_path / "again.json").read_text().replace(str(tmp_path / "rec2.ihds"), "")
-    assert a == b
+# ---------------------------------------------------------------------------
+# input kinds: every attack reads samples through np.asarray
+
+
+def three_kinds(sample):
+    """One EncryptedSample, its xtilde Image, and its raw pixel array."""
+    return sample, sample.xtilde, np.array(sample.xtilde.pixels)
+
+
+def report_fields(report):
+    rec = report.reconstruction
+    return (report.params, report.scores, report.decisions, report.metrics, report.ranks,
+            report.clusters, None if rec is None else rec.pixels.tobytes())
+
+
+def test_attacks_give_equal_results_for_every_input_kind():
+    rng = RngStream(23)
+    dims = (3, 8, 8)
+    pool = make_gaussian_dataset(40, dims, rng.child("pool"), classes=2)
+    sample, key = encrypt_sample(pool, 5, SchemeConfig("inside", k=4, c1=0.65), rng.child("e"))
+    truth = {j for _, j in key.sources}
+    members = [pool.images[j] for _, j in key.sources[1:]]
+    other = pool.images[9]
+
+    results = [
+        (
+            report_fields(public_scan_attack(x, pool, 4, truth_members=truth)),
+            report_fields(braverman_attack(x, pool, truth_members=truth)),
+            recover_private_residual(x, members).pixels.tobytes(),
+            correlation(x, other),
+            correlation(other, x),
+            report_fields(similarity_search_attack(x, pool, SignOracle(0.1, rng), key.mask, 5,
+                                                   truth_patches=truth)),
+        )
+        for x in three_kinds(sample)
+    ]
+    assert results[0] == results[1] == results[2]
+
+    history, keys = encrypt_history(
+        make_gaussian_dataset(6, dims, rng.child("h"), classes=2),
+        SchemeConfig("mixup", k=2, c1=0.65), 4, rng.child("hist"),
+    )
+    kinds = [history, [s.xtilde for s in history], [np.array(s.xtilde.pixels) for s in history]]
+    pairs = [report_fields(pair_detection_attack(h, truth_keys=keys, k=2)) for h in kinds]
+    assert pairs[0] == pairs[1] == pairs[2]
+    averages = [average_reconstruct(h).pixels.tobytes() for h in kinds]
+    assert averages[0] == averages[1] == averages[2]
+
+
+def test_results_keep_the_dims_of_encrypted_samples():
+    rng = RngStream(29)
+    dims = (3, 8, 8)
+    ds = make_gaussian_dataset(6, dims, rng.child("ds"), classes=2)
+    history, _ = encrypt_history(ds, SchemeConfig("mixup", k=2, c1=0.65), 4, rng.child("h"))
+    assert average_reconstruct(history).dims == dims
+    assert average_reconstruct([s.xtilde for s in history]).dims == dims
+    assert average_reconstruct([np.array(s.xtilde.pixels) for s in history]).dims == (1, 1, 192)
+    z = ds.images[1]
+    assert recover_private_residual(history[0], [z], lam_estimate=[0.5]).dims == dims
+    assert demask_with_oracle(history[0], sample_sign_mask(192, rng), SignOracle(0.0)).dims == dims
+    with pytest.raises(ValidationError, match="mixed dims"):
+        average_reconstruct([history[0], Image(np.zeros(192, np.float32), (1, 1, 192))])

@@ -172,7 +172,7 @@ def test_attack_pair_defaults_to_k2(tmp_path):
     rep = tmp_path / "r.json"
     code = main(
         [
-            "attack", "pair", "--scheme", "mixup", "--epochs", "10",
+            "attack", "pair", "--epochs", "10",
             "--synthetic-n", "30", "--synthetic-dims", "3x16x16",
             "--report", str(rep), "--seed", "6",
         ]
@@ -299,3 +299,65 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         code = main(argv + ["--in", str(bad)])
         assert code == 2, argv[0]
         assert "pixels must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encrypt", "--synthetic-dims", "3xax3", "--out", "{tmp}/o.ihds"],
+        ["prep-public", "--in", "{tmp}/d.ihds", "--patch-size", "2xb", "--out", "{tmp}/p.ihds"],
+        ["attack", "public-scan", "--candidates", "3", "--k", "5", "--synthetic-dims", "1x4x4"],
+        ["attack", "similarity", "--trials", "0", "--sources", "4", "--source-dims", "1x8x8",
+         "--patch-dims", "1x4x4"],
+        ["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels", "{tmp}/y.csv",
+         "--classes", "3", "--out", "{tmp}/i.ihds"],
+    ],
+    ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
+                 tmp_path / "d.ihds")
+    (tmp_path / "x.raw").write_bytes(bytes(4))
+    (tmp_path / "y.csv").write_text("5\n")
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["challenge", "--out", "o.ihds", "--scheme", "mixup"],
+        ["challenge", "--out", "o.ihds", "--synthetic-n", "4"],
+        ["attack", "pair", "--scheme", "inside"],
+        ["attack", "averaging", "--scheme", "inside"],
+        ["attack", "averaging", "--c2", "0.3"],
+        ["attack", "grad-match", "--synthetic-n", "4"],
+        ["import", "--raw", "x.raw", "--dims", "1x2x2", "--out", "o", "--config", "c.cfg"],
+    ],
+    ids=["challenge-scheme", "challenge-synthetic-n", "pair-scheme", "averaging-scheme",
+         "averaging-c2", "grad-match-synthetic-n", "import-config"],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_attack_averaging_reconstruction_out_replays(tmp_path, monkeypatch):
+    save_dataset(make_gaussian_dataset(8, (3, 4, 4), RngStream(16), classes=2),
+                 tmp_path / "private.ihds")
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([
+            "attack", "averaging", "--in", "../private.ihds", "--epochs", "6", "--k", "2",
+            "--seed", "17", "--reconstruction-out", "rec.ihds", "--report", "report.json",
+        ]) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    assert (a / "rec.ihds").read_bytes() == (b / "rec.ihds").read_bytes()
+    assert read_report(a / "report.json")["results"]["reconstruction_path"] == "rec.ihds"
+    rec = load_dataset(a / "rec.ihds")
+    assert rec.n == 1 and rec.dims == (3, 4, 4)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from instahide.core import (
     Coefficients,
+    Dataset,
     _draw_lambda,
     Image,
-    LabelVector,
     make_gaussian_dataset,
     one_hot,
     sample_sign_mask,
@@ -21,9 +21,7 @@ from instahide.encrypt import (
     encrypt_sample,
     export_challenge,
     identity_mask,
-    instahide_encrypt_cross,
-    instahide_encrypt_inside,
-    mixup_encrypt,
+    mix_pixels,
 )
 from instahide.errors import (
     DimensionMismatchError,
@@ -52,16 +50,17 @@ def unit_patchset(n: int, dims, rng: RngStream) -> PatchSet:
 def test_mixup_k1_is_identity():
     im = Image(np.arange(4, dtype=np.float32), (1, 2, 2))
     lv = one_hot(1, 3)
-    out = mixup_encrypt([(im, lv)], Coefficients([1.0]))
+    out, _ = encrypt_sample(Dataset([im], [lv]), 0, SchemeConfig("mixup", k=1, c1=1.0),
+                            RngStream(0))
     assert out.xtilde == im and out.ytilde == lv
 
 
 def test_mixup_basis_vectors():
+    # c1 * k == 1 admits only the uniform coefficient vector
     e1 = Image(np.array([1, 0, 0, 0], np.float32), (1, 2, 2))
     e2 = Image(np.array([0, 1, 0, 0], np.float32), (1, 2, 2))
-    out = mixup_encrypt(
-        [(e1, one_hot(0, 2)), (e2, one_hot(1, 2))], Coefficients([0.5, 0.5])
-    )
+    ds = Dataset([e1, e2], [one_hot(0, 2), one_hot(1, 2)])
+    out, _ = encrypt_sample(ds, 0, SchemeConfig("mixup", k=2, c1=0.5), RngStream(0))
     assert out.xtilde.pixels.tolist() == [0.5, 0.5, 0.0, 0.0]
     assert out.ytilde.weights.tolist() == [0.5, 0.5]
 
@@ -70,11 +69,11 @@ def test_mixup_rejects_mismatches():
     a = Image(np.zeros(4, np.float32), (1, 2, 2))
     b = Image(np.zeros(6, np.float32), (1, 2, 3))
     with pytest.raises(DimensionMismatchError):
-        mixup_encrypt([(a, one_hot(0, 2)), (b, one_hot(1, 2))], Coefficients([0.5, 0.5]))
+        mix_pixels([a, b], Coefficients([0.5, 0.5]))
     with pytest.raises(ValidationError):
-        mixup_encrypt([(a, one_hot(0, 2)), (a, one_hot(0, 3))], Coefficients([0.5, 0.5]))
+        Dataset([a, a], [one_hot(0, 2), one_hot(0, 3)])
     with pytest.raises(ValidationError):
-        mixup_encrypt([(a, one_hot(0, 2))], Coefficients([0.5, 0.5]))
+        mix_pixels([a], Coefficients([0.5, 0.5]))
 
 
 def test_mixed_norm_tracks_coefficient_norm():
@@ -132,7 +131,7 @@ def test_mask_dim_mismatch():
 def test_inside_k1_is_mask_only():
     rng = RngStream(4)
     ds = make_gaussian_dataset(3, (1, 3, 3), rng.child("ds"), classes=2)
-    sample, key = instahide_encrypt_inside(ds, 1, 1, 1.0, rng.child("e"))
+    sample, key = encrypt_sample(ds, 1, SchemeConfig("inside", 1, 1.0), rng.child("e"))
     assert key.sources == (("private", 1),)
     assert sample.ytilde == ds.labels[1]
     assert np.array_equal(
@@ -144,7 +143,7 @@ def test_inside_first_source_is_self():
     rng = RngStream(6)
     ds = make_gaussian_dataset(8, (1, 3, 3), rng.child("ds"), classes=2)
     for i in range(8):
-        _, key = instahide_encrypt_inside(ds, i, 4, 0.65, rng.child("e", i))
+        _, key = encrypt_sample(ds, i, SchemeConfig("inside", 4, 0.65), rng.child("e", i))
         tags, idxs = zip(*key.sources)
         assert key.sources[0] == ("private", i)
         assert set(tags) == {"private"}
@@ -154,15 +153,15 @@ def test_inside_first_source_is_self():
 def test_inside_k_larger_than_n_fails():
     ds = make_gaussian_dataset(3, (1, 2, 2), RngStream(0), classes=2)
     with pytest.raises(ValidationError):
-        instahide_encrypt_inside(ds, 0, 4, 0.65, RngStream(1))
+        encrypt_sample(ds, 0, SchemeConfig("inside", 4, 0.65), RngStream(1))
 
 
 def test_inside_reencryption_key_is_deterministic_and_fresh():
     rng = RngStream(13)
     ds = make_gaussian_dataset(6, (1, 4, 4), rng.child("ds"), classes=2)
-    s1, k1 = instahide_encrypt_inside(ds, 2, 4, 0.65, rng.child("e", 0))
-    s2, k2 = instahide_encrypt_inside(ds, 2, 4, 0.65, rng.child("e", 0))
-    s3, k3 = instahide_encrypt_inside(ds, 2, 4, 0.65, rng.child("e", 1))
+    s1, k1 = encrypt_sample(ds, 2, SchemeConfig("inside", 4, 0.65), rng.child("e", 0))
+    s2, k2 = encrypt_sample(ds, 2, SchemeConfig("inside", 4, 0.65), rng.child("e", 0))
+    s3, k3 = encrypt_sample(ds, 2, SchemeConfig("inside", 4, 0.65), rng.child("e", 1))
     assert s1.xtilde == s2.xtilde and k1.mask == k2.mask and k1.lam == k2.lam
     assert k1.mask != k3.mask
 
@@ -171,7 +170,7 @@ def test_inside_label_mix_sums_to_one():
     rng = RngStream(15)
     ds = make_gaussian_dataset(10, (1, 4, 4), rng.child("ds"), classes=4)
     for i in range(10):
-        sample, _ = instahide_encrypt_inside(ds, i, 4, 0.65, rng.child("e", i))
+        sample, _ = encrypt_sample(ds, i, SchemeConfig("inside", 4, 0.65), rng.child("e", i))
         assert float(sample.ytilde.weights.sum()) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -184,9 +183,8 @@ def test_cross_key_structure_over_100_draws():
     ds = make_gaussian_dataset(10, (1, 4, 4), rng.child("ds"), classes=3)
     pub = unit_patchset(50, (1, 4, 4), rng.child("pub"))
     for t in range(100):
-        sample, key = instahide_encrypt_cross(
-            ds, t % 10, pub, 6, 0.65, 0.3, rng.child("e", t)
-        )
+        cfg = SchemeConfig("cross", 6, 0.65, 0.3)
+        sample, key = encrypt_sample(ds, t % 10, cfg, rng.child("e", t), pub)
         tags = [tag for tag, _ in key.sources]
         assert tags.count("private") == 2 and tags.count("public") == 4
         pubidx = [i for tag, i in key.sources if tag == "public"]
@@ -200,17 +198,17 @@ def test_cross_infeasible_c2():
     ds = make_gaussian_dataset(5, (1, 2, 2), RngStream(0), classes=2)
     pub = unit_patchset(5, (1, 2, 2), RngStream(1))
     with pytest.raises(InfeasibleConstraintError):
-        instahide_encrypt_cross(ds, 0, pub, 3, 0.65, 1.0, RngStream(2))
+        encrypt_sample(ds, 0, SchemeConfig("cross", 3, 0.65, 1.0), RngStream(2), pub)
 
 
 def test_cross_requires_k_at_least_3_and_patches():
     ds = make_gaussian_dataset(5, (1, 2, 2), RngStream(0), classes=2)
     pub = unit_patchset(5, (1, 2, 2), RngStream(1))
     with pytest.raises(ValidationError):
-        instahide_encrypt_cross(ds, 0, pub, 2, 0.65, 0.3, RngStream(2))
+        encrypt_sample(ds, 0, SchemeConfig("cross", 2, 0.65, 0.3), RngStream(2), pub)
     empty = PatchSet((), (), (), 0.0)
     with pytest.raises(ValidationError):
-        instahide_encrypt_cross(ds, 0, empty, 4, 0.65, 0.3, RngStream(2))
+        encrypt_sample(ds, 0, SchemeConfig("cross", 4, 0.65, 0.3), RngStream(2), empty)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def test_epoch_covers_every_image_once():
     rng = RngStream(41)
     ds = make_gaussian_dataset(10, (1, 4, 4), rng.child("ds"), classes=2)
     cfg = SchemeConfig("inside", k=4, c1=0.65)
-    samples, keys = encrypt_epoch(ds, cfg, 3, rng, return_keys=True)
+    samples, keys = encrypt_epoch(ds, cfg, 3, rng)
     assert len(samples) == 10
     assert all(s.epoch == 3 for s in samples)
     bases = sorted(key.sources[0][1] for key in keys)
@@ -234,8 +232,8 @@ def test_epochs_share_no_mask():
     rng = RngStream(43)
     ds = make_gaussian_dataset(6, (1, 8, 8), rng.child("ds"), classes=2)
     cfg = SchemeConfig("inside", k=2, c1=0.65)
-    _, k0 = encrypt_epoch(ds, cfg, 0, rng, return_keys=True)
-    _, k1 = encrypt_epoch(ds, cfg, 1, rng, return_keys=True)
+    _, k0 = encrypt_epoch(ds, cfg, 0, rng)
+    _, k1 = encrypt_epoch(ds, cfg, 1, rng)
     masks0 = {key.mask.signs.tobytes() for key in k0}
     masks1 = {key.mask.signs.tobytes() for key in k1}
     assert not masks0 & masks1

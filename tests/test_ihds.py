@@ -118,3 +118,17 @@ def test_import_raw_errors(tmp_path):
     lp.write_text("1\n")  # class index without a class count
     with pytest.raises(ValidationError):
         import_raw(rp, (2, 2, 2), labels_path=lp)
+
+
+@pytest.mark.parametrize("index", ["5", "-1", "1.5", "3"])
+def test_import_raw_rejects_class_indices_outside_the_classes(tmp_path, index):
+    rp = tmp_path / "imgs.raw"
+    rp.write_bytes(bytes(8))
+    lp = tmp_path / "labels.csv"
+    lp.write_text(index + "\n")
+    with pytest.raises(ValidationError, match="class index"):
+        import_raw(rp, (2, 2, 2), labels_path=lp, classes=3)
+    lp.write_text("2\n")
+    assert import_raw(rp, (2, 2, 2), labels_path=lp, classes=3).label_matrix().tolist() == [
+        [0.0, 0.0, 1.0]
+    ]

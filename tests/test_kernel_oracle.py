@@ -62,7 +62,7 @@ def test_kernel_matches_oracle(scheme, k, d, seed):
     cfg = config(scheme, k)
     pub = public if scheme == "cross" else None
 
-    got, got_keys = encrypt.encrypt_epoch(private, cfg, 2, rng.child("e"), pub, True)
+    got, got_keys = encrypt.encrypt_epoch(private, cfg, 2, rng.child("e"), pub)
     want, want_keys = oracle.encrypt_epoch(private, cfg, 2, rng.child("e"), pub, True)
     assert len(got) == len(want) == private.n
     for g, w, gk, wk in zip(got, want, got_keys, want_keys):

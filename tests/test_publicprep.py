@@ -7,13 +7,17 @@ from instahide.errors import ValidationError
 from instahide.publicprep import (
     PatchSet,
     build_patchset,
-    keypoint_count,
     keypoint_counts,
     load_patchset,
     random_crop,
     save_patchset,
 )
 from instahide.rng import RngStream
+
+
+def keypoint_count(im: Image) -> int:
+    """One image's count, as a one-image keypoint_counts batch."""
+    return int(keypoint_counts(im.as_chw()[None])[0])
 
 
 def test_random_crop_geometry_and_content():

@@ -9,7 +9,6 @@ from instahide.errors import ValidationError
 from instahide.rng import RngStream
 from instahide.stats import (
     ConcentrationCheckConfig,
-    StatisticProfile,
     _singleton_pvalues,
     check_bernstein_tail,
     check_chi_square_tail,
@@ -22,7 +21,6 @@ from instahide.stats import (
     ks_uniform,
     statistic_labels,
     statistic_matrix,
-    statistic_profile,
     total_variation_rows,
 )
 
@@ -117,14 +115,15 @@ def test_singleton_pvalues_equal_two_sample_on_one_point():
 
 
 def test_statistic_profile_hand_cases():
+    # one image's profile is the one-row statistic matrix: mean, std, tv, probes
     flat = Image(np.full(8, 3.0, np.float32), (2, 2, 2))
-    prof = statistic_profile(flat, probes=(0, 5))
-    assert prof.std == 0.0 and prof.total_variation == 0.0 and prof.mean == 3.0
-    assert prof.probe_values == (3.0, 3.0)
+    mean, std, tv, *probes = statistic_matrix(np.asarray(flat), flat.dims, (0, 5))[0]
+    assert std == 0.0 and tv == 0.0 and mean == 3.0
+    assert probes == [3.0, 3.0]
 
     two = Image(np.array([0.0, 1.0], np.float32), (1, 2, 1))
-    prof = statistic_profile(two, probes=())
-    assert prof.total_variation == 1.0 and prof.mean == 0.5
+    mean, _, tv = statistic_matrix(np.asarray(two), two.dims, ())[0]
+    assert tv == 1.0 and mean == 0.5
 
 
 def test_total_variation_checkerboard_oracle():
@@ -138,8 +137,8 @@ def test_statistic_matrix_layout():
     m = statistic_matrix(ds.matrix(), (3, 4, 4), probes=(1, 9, 30))
     assert m.shape == (5, 6)
     assert statistic_labels(3) == ("mean", "std", "tv", "loc1", "loc2", "loc3")
-    prof = statistic_profile(ds.images[2], probes=(1, 9, 30))
-    assert np.allclose(m[2], prof.as_array())
+    row = statistic_matrix(np.asarray(ds.images[2]), (3, 4, 4), probes=(1, 9, 30))
+    assert np.array_equal(m[2], row[0])
 
 
 def test_probe_locations_are_sorted_distinct_and_seeded():
@@ -152,9 +151,9 @@ def test_probe_locations_are_sorted_distinct_and_seeded():
 
 def test_statistic_profile_validation():
     with pytest.raises(ValidationError):
-        StatisticProfile(np.nan, 1.0, 1.0, ())
+        statistic_matrix(np.zeros(7), (2, 2, 2), ())
     with pytest.raises(ValidationError):
-        StatisticProfile(0.0, 1.0, -0.5, ())
+        statistic_matrix(np.zeros(8), (2, 2, 2), (8,))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from instahide.core import Dataset, Image, LabelVector, make_gaussian_dataset, one_hot
-from instahide.encrypt import SchemeConfig
+from instahide.encrypt import SchemeConfig, encrypt_epoch
 from instahide.errors import FormatError, TruncatedFileError, ValidationError
 from instahide.rng import RngStream
 from instahide.utility import (
     LinearSoftmaxModel,
-    canonical_input,
     evaluate,
     forward,
     init_model,
@@ -179,9 +178,16 @@ def test_train_validates_arguments():
 
 
 def test_canonical_input_passthrough_and_abs():
-    x = Image(np.array([-1.0, 2.0, -3.0, 4.0], np.float32), (1, 2, 2))
-    assert canonical_input(x, masked=False) is x
-    assert canonical_input(x, masked=True).pixels.tolist() == [1.0, 2.0, 3.0, 4.0]
+    # train_encrypted feeds masked samples to the model as |x~|, Mixup ones as they are
+    ds = blocky_dataset(21, n=12)
+    for scheme, canonical in (("mixup", np.asarray), ("inside", np.abs)):
+        cfg, rng = SchemeConfig(scheme, k=2, c1=0.65), RngStream(22)
+        got = train_encrypted(init_model(4, ds.d), ds, cfg, 1, 0.05, rng)
+        samples, _ = encrypt_epoch(ds, cfg, 0, rng.child("enc"))
+        X = canonical(np.stack([np.asarray(s) for s in samples]))
+        Y = np.stack([np.asarray(s.ytilde) for s in samples])
+        want = train(init_model(4, ds.d), (X, Y), 1, 0.05, rng.child("sgd", 0))
+        assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
 
 
 def test_predict_encrypted_mixup_k1_equals_forward():
