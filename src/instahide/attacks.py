@@ -551,9 +551,13 @@ def similarity_search_attack(
     if not 0 <= m <= n:
         raise ValidationError(f"m must be in [0, {n}], got {m}")
     estimate = demask_with_oracle(xtilde, truth_mask, oracle, tag)
-    # SSIM windows need the image geometry: a raw query takes the candidates'
-    dims = getattr(xtilde, "dims", getattr(publicset, "dims", estimate.dims))
-    sims = ssim_pairwise(estimate.pixels, patches, dims)[0]
+    sims = np.zeros(0)  # an empty candidate set (which may have no dims) ranks nothing
+    if n:
+        # SSIM windows need the image geometry: a raw query takes the candidates'
+        dims = estimate.dims
+        if not hasattr(xtilde, "dims") and hasattr(publicset, "dims"):
+            dims = publicset.dims
+        sims = ssim_pairwise(estimate.pixels, patches, dims)[0]
     order = np.lexsort((np.arange(n), -sims))
     top = order[:m]
 

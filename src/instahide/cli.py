@@ -103,7 +103,7 @@ def resolve_options(args: argparse.Namespace, keys: list[str]) -> dict:
 
 def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
     """Unsigned ints separated by 'x' (or ','), one per letter of ``shape``."""
-    parts = [p for p in text.replace(",", "x").split("x") if p]
+    parts = [p.strip() for p in text.replace(",", "x").split("x") if p]
     if len(parts) != len(shape.split("x")) or not all(p.isdecimal() for p in parts):
         raise ValidationError(f"dims must be {shape}, got {text!r}")
     return tuple(int(p) for p in parts)

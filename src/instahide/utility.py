@@ -133,7 +133,13 @@ def train(
         raise ValidationError("need epochs >= 0, lr > 0, batch_size >= 1")
     if isinstance(samples, Dataset):
         samples = (samples.matrix(), samples.label_matrix())  # raises when unlabelled
+    if len(samples) != 2:
+        raise ValidationError("train takes a labelled Dataset or an (X, Y) pair of matrices")
     X, Y = (np.asarray(m, dtype=np.float64) for m in samples)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0] or X.shape[0] == 0:
+        raise ValidationError(
+            f"need X (n, d) and Y (n, classes) with n >= 1, got {X.shape} and {Y.shape}"
+        )
     if Y.shape[1] != model.classes:
         raise ValidationError(f"label width {Y.shape[1]} != expected {model.classes}")
     if X.shape[1] != model.d:

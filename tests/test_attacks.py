@@ -34,6 +34,7 @@ from instahide.core import (
 )
 from instahide.encrypt import SchemeConfig, apply_mask, encrypt_history, encrypt_sample
 from instahide.errors import DivergenceError, RankDeficiencyError, ValidationError
+from instahide.publicprep import PatchSet
 from instahide.rng import RngStream
 from instahide.utility import init_model, loss_and_gradient
 
@@ -385,6 +386,17 @@ def test_similarity_search_validation():
     with pytest.raises(ValidationError):
         # source-id truth needs provenance, a bare matrix has none
         similarity_search_attack(x, patches, SignOracle(0.0), mask, m=2, truth_sources={0})
+
+
+def test_similarity_search_on_an_empty_patch_set_ranks_nothing():
+    # build_patchset returns a dimless empty set when every crop is filtered out
+    px = RngStream(30).generator().random(16).astype(np.float32)
+    mask = sample_sign_mask(16, RngStream(31))
+    for query in (px, Image(px, (1, 4, 4))):
+        report = similarity_search_attack(
+            query, PatchSet((), (), ()), SignOracle(0.0), mask, m=0, truth_patches={0}
+        )
+        assert report.decisions == () and report.metrics["hit"] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from instahide.cli import leakage_guard, main
+from instahide.cli import _parse_dims, leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
 from instahide.core import Dataset, make_gaussian_dataset
+from instahide.errors import ValidationError
 from instahide.rng import RngStream
 
 
@@ -322,6 +323,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parse_dims_allows_spaces_and_refuses_non_digits():
+    for text in ("3x32x32", "3 x 32 x 32", "3x 32x32", "3,32,32"):
+        assert _parse_dims(text) == (3, 32, 32), text
+    assert _parse_dims(" 8 x8", "HxW") == (8, 8)
+    for text in ("3xax3", "3x-1x3", "3x x3", "3x32", "3x3x3x3"):
+        with pytest.raises(ValidationError):
+            _parse_dims(text)
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,12 @@ def test_train_validates_arguments():
         train(init_model(4, ds.d), ds, 1, 0.0, RngStream(0))
     with pytest.raises(ValidationError):
         train(init_model(4, 10), ds, 1, 0.1, RngStream(0))  # d mismatch
+    samples, _ = encrypt_epoch(ds, SchemeConfig("inside", k=2), 0, RngStream(1))
+    X, Y = ds.matrix(), ds.label_matrix()
+    # only a labelled Dataset or an (X, Y) pair with one row per sample trains
+    for bad in ([], list(samples), samples[:2], (X, Y[:-1]), (X[:0], Y[:0]), (X[0], Y[0])):
+        with pytest.raises(ValidationError):
+            train(init_model(4, ds.d), bad, 1, 0.1, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
