@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Coefficients, Dataset, Image, SignMask, scan_scores
+from .core import Coefficients, Dataset, Image, SignMask, float64_blocks, scan_scores
 from .encrypt import EncryptedSample, EncryptionKey, apply_mask
 from .errors import (
     DivergenceError,
@@ -137,30 +137,41 @@ def pair_threshold(d: int, k: int, n_pairs: int, delta: float) -> float:
 # inner-product attacks
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Label every node of the graph on m nodes with edges (i, j) by the
+    smallest node of its component: hook roots under the smaller label across
+    each edge, flatten by pointer jumping, repeat until no edge spans two."""
+    label = np.arange(m)
+    while True:
+        li, lj = label[i], label[j]
+        if np.array_equal(li, lj):
+            return label
+        low = np.minimum(li, lj)
+        np.minimum.at(label, li, low)
+        np.minimum.at(label, lj, low)
+        while not np.array_equal(label[label], label):
+            label = label[label]
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _top_order(scores: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest scores in descending order, ties by
+    index (the head of a stable argsort of -scores), without sorting all."""
+    count = min(count, scores.size)
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    cut = np.partition(scores, scores.size - count)[scores.size - count]
+    keep = np.flatnonzero(scores >= cut)
+    return keep[np.lexsort((keep, -scores[keep]))][:count]
 
 
 def _truth_pair_matrix(keys: list[EncryptionKey], count: int) -> np.ndarray:
     """Boolean (count, count): do samples i and j share any tagged source?"""
     ids = sorted({src for key in keys for src in key.sources})
     col = {src: c for c, src in enumerate(ids)}
-    B = np.zeros((count, len(ids)), dtype=np.int32)
+    B = np.zeros((count, len(ids)), dtype=np.float32)
     for i, key in enumerate(keys):
-        for src in key.sources:
-            B[i, col[src]] = 1
+        B[i, [col[src] for src in key.sources]] = 1.0
+    # shared-source counts are small integers, exact in float32
     return (B @ B.T) > 0
 
 
@@ -190,14 +201,11 @@ def pair_detection_attack(
     pair_scores = np.abs(gram[iu, ju])
     detected = pair_scores >= threshold
 
-    uf = _UnionFind(m)
-    for i, j in zip(iu[detected], ju[detected]):
-        uf.union(int(i), int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(uf.find(i), []).append(i)
-    clusters = tuple(tuple(v) for v in sorted(groups.values()))
-    largest = max(clusters, key=len) if clusters else ()
+    label = _components(m, iu[detected], ju[detected])
+    members = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[members])) + 1
+    clusters = tuple(tuple(c.tolist()) for c in np.split(members, cuts))
+    largest = max(clusters, key=len)
     reconstruction = None
     if len(largest) >= 2:
         reconstruction = average_reconstruct([history[i] for i in largest])
@@ -215,7 +223,7 @@ def pair_detection_attack(
         metrics["precision"] = tp / detected.sum() if detected.any() else None
         metrics["recall"] = tp / truth.sum() if truth.any() else None
 
-    order = np.argsort(-pair_scores, kind="stable")[:TOP_SCORES]
+    order = _top_order(pair_scores, TOP_SCORES)
     scores = tuple(
         (int(iu[o] * m + ju[o]), float(pair_scores[o])) for o in order
     )
@@ -223,7 +231,7 @@ def pair_detection_attack(
         attack="pair_detection",
         params={"threshold": float(threshold), "delta": delta, "samples": m, "k": k},
         scores=scores,
-        decisions=tuple(int(iu[o] * m + ju[o]) for o in np.flatnonzero(detected)),
+        decisions=tuple((iu[detected] * m + ju[detected]).tolist()),
         reconstruction=reconstruction,
         metrics=metrics,
         clusters=clusters,
@@ -344,18 +352,22 @@ def recover_private_residual(
 
 def _fourth_moment_scores(candidates: np.ndarray, xtilde) -> np.ndarray:
     """v_s = <xtilde^2, s^2> - (1/d) ||xtilde||^2 ||s||^2, with coordinate-wise
-    squares, for every row s of ``candidates``. Squaring erases any sign mask
-    bit for bit, so masked and unmasked versions of the same mix score
-    identically."""
+    squares, for every row s of ``candidates`` (row blocks squared in place).
+    Squaring erases any sign mask bit for bit, so masked and unmasked
+    versions of the same mix score identically."""
     xv = np.asarray(xtilde, dtype=np.float64).reshape(-1)
     if candidates.shape[1] != xv.size:
         raise ValidationError(
             f"candidate length {candidates.shape[1]} != query length {xv.size}"
         )
     x2 = xv * xv
-    P = candidates.astype(np.float64)
-    P2 = P * P
-    return P2 @ x2 - np.sum(x2) * np.einsum("ij,ij->i", P, P) / xv.size
+    total = np.sum(x2)
+    out = np.empty(len(candidates))
+    for rows, block in float64_blocks(candidates, 8 * xv.size):
+        np.square(block, out=block)
+        norms = np.einsum("ij->i", block)
+        out[rows] = np.einsum("ij,j->i", block, x2) - total * norms / xv.size
+    return out
 
 
 def braverman_statistic(xtilde, s) -> float:
@@ -449,25 +461,53 @@ def _window_starts(size: int, win: int, stride: int) -> np.ndarray:
     return starts
 
 
-def _window_matrix(batch: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """(n, d) pixel rows -> (n, n_windows, win_pixels) float64, all channels'
-    windows concatenated along the window axis."""
-    n = batch.shape[0]
+def _axis_blocks(size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Cut one image axis at every window start and end: the block edges and
+    each window's [first, last) block range."""
+    win = min(SSIM_WINDOW, size)
+    starts = _window_starts(size, win, SSIM_STRIDE)
+    edges = np.union1d(starts, starts + win)
+    first, last = np.searchsorted(edges, starts), np.searchsorted(edges, starts + win)
+    return edges, [(int(a), int(b)) for a, b in zip(first, last)]
+
+
+def _blocks(rows: np.ndarray, dims, ey: np.ndarray, ex: np.ndarray) -> np.ndarray:
+    """(n, d) rows -> float64 (C, by, bx, n, block pixels): every block
+    zero-padded to the longest block on each axis (zeros add nothing to the
+    sums taken over a block)."""
     c, h, w = dims
-    win_h = min(SSIM_WINDOW, h)
-    win_w = min(SSIM_WINDOW, w)
-    ys = _window_starts(h, win_h, SSIM_STRIDE)
-    xs = _window_starts(w, win_w, SSIM_STRIDE)
-    imgs = batch.reshape(n, c, h, w).astype(np.float64)
-    out = np.empty((n, c * ys.size * xs.size, win_h * win_w))
-    idx = 0
-    for ch in range(c):
-        for y in ys:
-            for x in xs:
-                block = imgs[:, ch, y : y + win_h, x : x + win_w]
-                out[:, idx, :] = block.reshape(n, -1)
-                idx += 1
-    return out
+    img = rows.reshape(len(rows), c, h, w).transpose(1, 0, 2, 3)
+    ly, lx = int(np.diff(ey).max()), int(np.diff(ex).max())
+    out = np.zeros((c, ey.size - 1, ex.size - 1, len(rows), ly, lx))
+    for b, (y0, y1) in enumerate(zip(ey[:-1], ey[1:])):
+        for a, (x0, x1) in enumerate(zip(ex[:-1], ex[1:])):
+            out[:, b, a, :, : y1 - y0, : x1 - x0] = img[:, :, y0:y1, x0:x1]
+    return out.reshape(out.shape[:4] + (ly * lx,))
+
+
+def _window_sums(per_block: np.ndarray, ry, rx) -> np.ndarray:
+    """Sum (C, by, bx, ...) block values over every window's block ranges:
+    (windows, ...), windows in (channel, y, x) order."""
+    c, by = per_block.shape[:2]
+    cols = np.empty((c, by, len(rx)) + per_block.shape[3:])
+    for j, (a, b) in enumerate(rx):
+        np.copyto(cols[:, :, j], per_block[:, :, a])
+        for k in range(a + 1, b):
+            cols[:, :, j] += per_block[:, :, k]
+    out = np.empty((c, len(ry), len(rx)) + per_block.shape[3:])
+    for i, (a, b) in enumerate(ry):
+        np.copyto(out[:, i], cols[:, a])
+        for k in range(a + 1, b):
+            out[:, i] += cols[:, k]
+    return out.reshape((-1,) + out.shape[3:])
+
+
+def _window_moments(blocks: np.ndarray, ry, rx, npix: int):
+    """Population mean and variance of every window, (windows, n) each, from
+    per-block sums and sums of squares."""
+    mean = _window_sums(np.einsum("...l->...", blocks), ry, rx) / npix
+    square = _window_sums(np.einsum("...l,...l->...", blocks, blocks), ry, rx) / npix
+    return mean, square - mean * mean
 
 
 def ssim_pairwise(
@@ -475,18 +515,19 @@ def ssim_pairwise(
     b_rows: np.ndarray,
     dims: tuple[int, int, int],
     dynamic_range: float | None = None,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """(na, nb) matrix of mean local structural similarity over 8x8 windows
     with stride 4 (window statistics are population moments).
 
     The dynamic range defaults to the joint peak-to-peak of both batches,
-    falling back to 1.0 when everything is constant. Cross terms are reduced
-    one window position at a time (a single matmul each), so memory stays at
-    O(na * nb) however many windows there are."""
+    falling back to 1.0 when everything is constant. Both axes are cut into
+    blocks at the window edges, so a window's moments and cross term are
+    sums over its blocks (cross terms: one batched matmul per pair of row
+    blocks); the formula runs one window at a time."""
     A = np.atleast_2d(np.asarray(a_rows))
     B = np.atleast_2d(np.asarray(b_rows))
-    d = dims[0] * dims[1] * dims[2]
+    c, h, w = dims
+    d = c * h * w
     if A.shape[1] != d or B.shape[1] != d:
         raise ValidationError(f"rows must have length {d}")
     if dynamic_range is None:
@@ -498,26 +539,35 @@ def ssim_pairwise(
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
 
-    wa = _window_matrix(A, dims)
-    npix = wa.shape[2]
-    n_win = wa.shape[1]
-    mu_a = wa.mean(axis=2)
-    var_a = wa.var(axis=2)
+    (ey, ry), (ex, rx) = _axis_blocks(h), _axis_blocks(w)
+    npix = min(SSIM_WINDOW, h) * min(SSIM_WINDOW, w)
+    blocks = c * (ey.size - 1) * (ex.size - 1)
     out = np.empty((A.shape[0], B.shape[0]))
-    for lo_i in range(0, B.shape[0], chunk):
-        wb = _window_matrix(B[lo_i : lo_i + chunk], dims)
-        mu_b = wb.mean(axis=2)
-        var_b = wb.var(axis=2)
-        acc = np.zeros((A.shape[0], wb.shape[0]))
-        for w in range(n_win):
-            eab = wa[:, w, :] @ wb[:, w, :].T / npix
-            cov = eab - np.outer(mu_a[:, w], mu_b[:, w])
-            num = (2.0 * np.outer(mu_a[:, w], mu_b[:, w]) + c1) * (2.0 * cov + c2)
-            den = (mu_a[:, w, None] ** 2 + mu_b[None, :, w] ** 2 + c1) * (
-                var_a[:, w, None] + var_b[None, :, w] + c2
-            )
-            acc += num / den
-        out[:, lo_i : lo_i + wb.shape[0]] = acc / n_win
+    for rows_a, a in float64_blocks(A, 8 * d):
+        a = _blocks(a, dims, ey, ex)
+        mu_a, var_a = _window_moments(a, ry, rx, npix)
+        # SSIM = (2 mu_a mu_b + c1)(2 cov + c2) / ((pa + mu_b^2)(va + var_b))
+        mu2_a, pa, va = 2.0 * mu_a, mu_a * mu_a + c1, var_a + c2
+        # b's chunk also bounds the (blocks, rows of a, rows of b) cross terms
+        for rows_b, b in float64_blocks(B, max(8 * d, 8 * blocks * a.shape[3])):
+            b = _blocks(b, dims, ey, ex)
+            mu_b, var_b = _window_moments(b, ry, rx, npix)
+            pb = mu_b * mu_b
+            # per window, the sum of a*b over its pixels: (windows, na, nb)
+            sab = _window_sums(np.matmul(a, b.swapaxes(-1, -2)), ry, rx)
+            acc = np.zeros((a.shape[3], b.shape[3]))
+            for wi, s in enumerate(sab):
+                m2 = np.multiply.outer(mu2_a[wi], mu_b[wi])  # 2 mu_a mu_b
+                s *= 2.0 / npix
+                s -= m2
+                s += c2  # 2 cov + c2
+                m2 += c1
+                m2 *= s
+                den = np.add.outer(pa[wi], pb[wi])
+                den *= np.add.outer(va[wi], var_b[wi])
+                m2 /= den
+                acc += m2
+            out[rows_a, rows_b] = acc / len(sab)
     return out
 
 

@@ -9,8 +9,10 @@ makes Image and LabelVector views of its rows only when asked for them.
 Every package object that holds numbers implements ``__array__``, so
 ``np.asarray(x)`` gives an Image's or EncryptedSample's pixel row, a
 LabelVector's weights, or a set's (n, d) matrix. All statistics and
-accumulations run in float64; reductions use numpy's fixed pairwise
-summation so repeated runs are bit-identical.
+accumulations run in float64. Scoring kernels stream a pool in float64
+row blocks (``float64_blocks``); scan_scores reduces each row with
+``np.einsum``, not BLAS, so a row's score is the same bits whatever the row
+count, the chunk size or the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ NORMALIZED_ATOL = 1e-5
 
 # sample_coefficients gives up after this many rejected candidates.
 REJECTION_CAP = 1_000_000
+
+# Float64 bytes per row block that the scoring kernels (scan, fourth-moment,
+# SSIM) cast from a pool at a time: bounds their memory, amortises numpy calls.
+CHUNK_BYTES = 1 << 23
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -313,19 +319,30 @@ def inner_product(a, b) -> float:
     return float(scan_scores(np.asarray(a).reshape(1, -1), b)[0])
 
 
+def float64_blocks(matrix: np.ndarray, row_bytes: int):
+    """Yield ``(rows, block)`` over consecutive row blocks of ``matrix``: a
+    slice and a float64 copy of those rows, as many as fit CHUNK_BYTES at
+    ``row_bytes`` bytes per row (at least one). Every block is written into
+    one buffer, so a block is only valid until the next one is drawn."""
+    step = max(1, CHUNK_BYTES // max(int(row_bytes), 1))
+    buf = np.empty((min(step, len(matrix)),) + matrix.shape[1:])
+    for lo in range(0, len(matrix), step):
+        block = buf[: min(step, len(matrix) - lo)]
+        np.copyto(block, matrix[lo : lo + step])
+        yield slice(lo, lo + len(block)), block
+
+
 def scan_scores(matrix: np.ndarray, query) -> np.ndarray:
-    """Inner product of every row of ``matrix`` against ``query``, each row
-    reduced with numpy's fixed pairwise summation (reproducible run to run),
-    chunked to bound temporary memory."""
-    q = np.asarray(query).astype(np.float64)
+    """Float64 inner product of every row of ``matrix`` against ``query``,
+    streamed in row blocks; a row's score does not depend on the row count,
+    the chunk size or the number of BLAS threads (no BLAS is used)."""
+    q = np.asarray(query).astype(np.float64).reshape(-1)
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[1] != q.size:
         raise DimensionMismatchError(f"matrix {m.shape} incompatible with query {q.size}")
     out = np.empty(m.shape[0], dtype=np.float64)
-    chunk = max(1, int(8_000_000 // max(q.size, 1)))
-    for lo in range(0, m.shape[0], chunk):
-        block = m[lo : lo + chunk].astype(np.float64)
-        out[lo : lo + chunk] = np.sum(block * q, axis=1)
+    for rows, block in float64_blocks(m, 8 * q.size):
+        out[rows] = np.einsum("ij,j->i", block, q)
     return out
 
 

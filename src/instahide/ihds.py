@@ -144,7 +144,8 @@ def import_raw(
     The raw file is count * channels*height*width bytes, channel-major per
     image, row-major within a channel; pixels are scaled to [0, 1]. Each CSV
     row is either a single integer class index in [0, ``classes``) (which
-    must be given) or a full weight vector with one float per class.
+    must be given) or a full weight vector with one float per class (as
+    many as ``classes`` when it is given).
     """
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
@@ -172,8 +173,11 @@ def import_raw(
                         )
                     rows.append(np.eye(classes, dtype=np.float32)[int(text)])
                 elif rec:
-                    rows.append(np.array([float(v) for v in rec], np.float32))
+                    try:
+                        rows.append(np.array([float(v) for v in rec], np.float32))
+                    except ValueError:
+                        raise ValidationError(f"label row {rec} is not all numbers") from None
         if len({r.size for r in rows}) > 1:
             raise ValidationError("labels have mixed class counts")
         labels = np.array(rows) if rows else np.zeros((0, classes or 0), np.float32)
-    return Dataset(pixels, labels, dims=dims, name=name)
+    return Dataset(pixels, labels, dims=dims, classes=classes, name=name)

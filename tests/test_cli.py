@@ -312,14 +312,21 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "--patch-dims", "1x4x4"],
         ["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels", "{tmp}/y.csv",
          "--classes", "3", "--out", "{tmp}/i.ihds"],
+        ["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels", "{tmp}/w.csv",
+         "--out", "{tmp}/i.ihds"],
+        ["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels", "{tmp}/v.csv",
+         "--classes", "3", "--out", "{tmp}/i.ihds"],
     ],
-    ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index"],
+    ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
+         "weight-not-a-number", "weight-width"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
                  tmp_path / "d.ihds")
     (tmp_path / "x.raw").write_bytes(bytes(4))
     (tmp_path / "y.csv").write_text("5\n")
+    (tmp_path / "w.csv").write_text("0.5,x,0.5\n")
+    (tmp_path / "v.csv").write_text("0.5,0.5\n")
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -132,3 +132,20 @@ def test_import_raw_rejects_class_indices_outside_the_classes(tmp_path, index):
     assert import_raw(rp, (2, 2, 2), labels_path=lp, classes=3).label_matrix().tolist() == [
         [0.0, 0.0, 1.0]
     ]
+
+
+@pytest.mark.parametrize(
+    "row, classes",
+    [("0.5,x,0.5", 3), ("0.5,x,0.5", None), ("0.5,0.5", 3), ("0.25,0.25,0.25,0.25", 3)],
+    ids=["non-numeric", "non-numeric-no-classes", "narrower", "wider"],
+)
+def test_import_raw_rejects_malformed_weight_rows(tmp_path, row, classes):
+    rp = tmp_path / "imgs.raw"
+    rp.write_bytes(bytes(8))
+    lp = tmp_path / "labels.csv"
+    lp.write_text(row + "\n")
+    with pytest.raises(ValidationError):
+        import_raw(rp, (2, 2, 2), labels_path=lp, classes=classes)
+    lp.write_text("0.25,0.25,0.5\n")
+    ds = import_raw(rp, (2, 2, 2), labels_path=lp, classes=classes)
+    assert ds.label_matrix().tolist() == [[0.25, 0.25, 0.5]]
