@@ -378,6 +378,9 @@ def _draw_lambda(
     while drawn < REJECTION_CAP:
         cand = gen.random((batch, k))
         drawn += batch
+        lam = cand[0] / cand[0].sum()  # row 0 alone usually decides, with the bytes below
+        if lam.max() <= c1 and (head_pair_min <= 0.0 or lam[0] + lam[1] >= head_pair_min):
+            return lam
         sums = cand.sum(axis=1)
         lam = cand[sums > 0] / sums[sums > 0, None]
         keep = lam.max(axis=1) <= c1

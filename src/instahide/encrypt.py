@@ -11,9 +11,10 @@ contribute to the published label.
 
 Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes
 the sets' float32 matrices as row blocks (private rows, then public rows;
-nothing is stacked) and each output row's own image index and RngStream.
-Each row's generator draws the partners, then lambda (``core._draw_lambda``),
-then the int8 mask; all rows are then mixed in k vectorised float64 passes,
+nothing is stacked), each output row's own image index, and one
+``rng.Streams`` block of the rows' streams. Each row's generator draws the
+partners, then lambda (``core._draw_lambda``), then the int8 mask; all rows
+are then mixed in k vectorised float64 passes,
 ``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order; each
 pass casts only the rows it gathers), cast to float32 and multiplied by the
 signs. The RNG layout is unchanged from the per-sample code: one stream
@@ -41,7 +42,7 @@ from .core import (
     check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
-from .rng import RngStream
+from .rng import RngStream, Streams
 
 SCHEMES = ("mixup", "inside", "cross")
 
@@ -167,9 +168,9 @@ def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None) -> _Rows:
     """Encrypt one row per entry of ``base``, the row of S holding its own
     image. S is a list of row blocks, n private rows then the public rows; Y
-    the private label blocks, or None to skip labels. Row r draws from
-    streams[r] its partners (unless ``partners`` gives them as an (m, k-1)
-    array of rows of S), then lambda, then the mask."""
+    the private label blocks, or None to skip labels. Row r draws from row r
+    of the Streams block its partners (unless ``partners`` gives them as an
+    (m, k-1) array of rows of S), then lambda, then the mask."""
     k, m, d, cross = cfg.k, len(base), S[0].shape[1], cfg.scheme == "cross"
     n_public, masked = sum(len(block) for block in S) - n, cfg.scheme != "mixup"
     head = cfg.c2 if cross else 0.0
@@ -181,10 +182,7 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
     idx[:, 0] = base
     lam = np.ones((m, k))
     bits = np.empty((m, d), dtype=np.int8) if masked else None
-    for r in range(m):
-        if k == 1 and not masked:
-            continue  # nothing to draw
-        gen = streams[r].generator()
+    for r, gen in enumerate(streams.generators() if k > 1 or masked else ()):
         if partners is not None:
             idx[r, 1:] = partners[r]
         elif cross:
@@ -208,7 +206,7 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
 
 def _epoch_rows(S, Y, n: int, cfg: SchemeConfig, epoch: int, rng: RngStream):
     """One epoch in private order, and the permutation into published order."""
-    rows = _encrypt_rows(S, Y, n, cfg, range(n), [rng.child(epoch, i) for i in range(n)])
+    rows = _encrypt_rows(S, Y, n, cfg, range(n), rng.children(epoch, ids=np.arange(n)))
     return rows, rng.child(epoch, "perm").generator().permutation(n)
 
 
@@ -267,7 +265,7 @@ def encrypt_sample(
     if not 0 <= int(i) < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
     S, Y = _sources(private, cfg, publicset)
-    rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], [rng])
+    rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
     samples, keys = _objects(rows, [0], private.n, private.dims, epoch, sample_id)
     return samples[0], keys[0]
 
@@ -326,7 +324,8 @@ def encrypt_input(
     if len(others) != cfg.k - 1:
         raise ValidationError(f"need {cfg.k - 1} partner images, got {len(others)}")
     S = [Dataset([x, *others]).matrix()]  # refuses mixed dims
-    rows = _encrypt_rows(S, None, 1, cfg, [0], [rng], partners=np.arange(1, cfg.k)[None])
+    rows = _encrypt_rows(S, None, 1, cfg, [0], Streams(rng.seed, [rng.stream]),
+                         partners=np.arange(1, cfg.k)[None])
     return Image(rows.pixels[0], x.dims)
 
 

@@ -227,7 +227,7 @@ def indistinguishability_protocol(
         # are per row, so the chunking does not change them
         for lo in range(0, encryptions_per_image, 100):
             js = range(lo, min(lo + 100, encryptions_per_image))
-            streams = [rng.child("enc", r, j) for j in js]
+            streams = rng.children("enc", r, ids=js)
             pixels = _encrypt_rows(S, None, private.n, cfg, [idx] * len(js), streams).pixels
             stats[r, js] = statistic_matrix(pixels, private.dims, probes)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import Dataset, Image
 from .encrypt import SchemeConfig, _encrypt_rows, _epoch_rows, _sources
 from .errors import FormatError, TruncatedFileError, ValidationError
-from .rng import RngStream
+from .rng import RngStream, Streams
 
 MODEL_MAGIC = b"IHMD"
 _MODEL_HEADER = struct.Struct("<4sHI")
@@ -198,11 +198,11 @@ def train_encrypted(
 def _encrypted_probs(
     model: LinearSoftmaxModel, X, cfg: SchemeConfig, streams, ensemble, pool, publicset
 ) -> np.ndarray:
-    """predict_encrypted for every row of X at once; streams[i] is row i's
-    rng. Member e of row i draws its partners (none at k=1) from
-    streams[i].child("predict", e): for the cross scheme one ``pool`` image,
-    then k-2 public patches, else k-1 distinct pool images. Its child "enc"
-    draws lambda and the mask."""
+    """predict_encrypted for every row of X at once; row i of the Streams
+    block ``streams`` is row i's rng. Member e of row i draws its partners
+    (none at k=1) from streams[i].child("predict", e): for the cross scheme
+    one ``pool`` image, then k-2 public patches, else k-1 distinct pool
+    images. Its child "enc" draws lambda and the mask."""
     if ensemble < 1:
         raise ValidationError(f"ensemble must be >= 1, got {ensemble}")
     m, d = X.shape
@@ -220,21 +220,18 @@ def _encrypted_probs(
     probs = np.empty((m, model.classes))
     for lo in range(0, m, block):
         rows_i = np.arange(lo, min(m, lo + block))
-        enc, partners = [], np.empty((len(rows_i) * ensemble, k - 1), dtype=np.int64)
-        for i in rows_i:
-            for e in range(ensemble):
-                child = streams[i].child("predict", e)
-                enc.append(child.child("enc"))
-                if k == 1:
-                    continue
-                gen = child.generator()
-                if cross:
-                    first = [gen.integers(0, n_pool)]
-                    pub = n_pool + gen.choice(n_public, size=k - 2, replace=False)
-                    partners[len(enc) - 1] = m + np.concatenate([first, pub])
-                else:
-                    partners[len(enc) - 1] = m + gen.choice(n_pool, k - 1, replace=False)
-        rows = _encrypt_rows(S, None, m, cfg, np.repeat(rows_i, ensemble), enc, partners)
+        rep = np.repeat(rows_i, ensemble)
+        members = Streams(streams.seed, streams.ids[rep]).child(
+            "predict", np.tile(np.arange(ensemble), len(rows_i)))
+        partners = np.empty((len(rep), k - 1), dtype=np.int64)
+        for r, gen in enumerate(members.generators() if k > 1 else ()):
+            if cross:
+                first = [gen.integers(0, n_pool)]
+                pub = n_pool + gen.choice(n_public, size=k - 2, replace=False)
+                partners[r] = m + np.concatenate([first, pub])
+            else:
+                partners[r] = m + gen.choice(n_pool, k - 1, replace=False)
+        rows = _encrypt_rows(S, None, m, cfg, rep, members.child("enc"), partners)
         Xc = np.abs(rows.pixels) if cfg.scheme != "mixup" else rows.pixels
         Xc = Xc.astype(np.float64)
         # matmul over a stack of column vectors runs forward()'s matrix-vector
@@ -260,7 +257,8 @@ def predict_encrypted(
     simplex points, so still a probability vector. ``partner_pool`` and
     ``publicset`` are a Dataset or PatchSet."""
     return _encrypted_probs(
-        model, np.asarray(x).reshape(1, -1), cfg, [rng], ensemble, partner_pool, publicset
+        model, np.asarray(x).reshape(1, -1), cfg, Streams(rng.seed, [rng.stream]), ensemble,
+        partner_pool, publicset,
     )[0]
 
 
@@ -287,7 +285,7 @@ def evaluate(
         return float(np.mean(np.argmax(P, axis=1) == truth))
     if cfg is None or rng is None:
         raise ValidationError("encrypted evaluation needs cfg and rng")
-    streams = [rng.child("eval", i) for i in range(test.n)]
+    streams = rng.children("eval", ids=np.arange(test.n))
     P = _encrypted_probs(
         model, test.matrix(), cfg, streams, ensemble, partner_pool, publicset
     )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_encrypt as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from instahide.core import (
     Image,
     LabelVector,
     SignMask,
+    _draw_lambda,
     inner_product,
     make_gaussian_dataset,
     normalize_image,
@@ -269,6 +271,34 @@ def test_coefficients_are_deterministic():
 
 def test_k1_coefficients_are_exactly_one():
     assert sample_coefficients(1, 1.0, RngStream(0)).values.tolist() == [1.0]
+
+
+LAMBDA_GRID = [  # (k, c1, head_pair_min); the last head of each row is near 2 * c1
+    (1, 1.0, 0.0), (2, 0.5, 0.0), (4, 0.25, 0.0), (4, 0.25, 0.3),  # no draws
+    (2, 0.55, 0.0), (2, 0.55, 0.3), (2, 0.55, 0.95),
+    (4, 0.65, 0.0), (4, 0.65, 0.3), (4, 0.4, 0.75),
+    (6, 0.65, 0.0), (6, 0.65, 0.3), (6, 0.3, 0.55),
+    (12, 0.65, 0.0), (12, 0.2, 0.3), (12, 0.2, 0.35),
+]
+
+
+def test_draw_lambda_matches_the_reference_sampler_and_stream_position():
+    # _draw_lambda tests the first candidate row on its own before the whole
+    # batch; it must return the reference loop's bytes and leave the stream
+    # where the reference leaves it
+    first_row = {True: 0, False: 0}
+    for k, c1, head in LAMBDA_GRID:
+        for seed in range(12):
+            gen, ref = (RngStream(seed, k).child(str(c1), str(head)).generator() for _ in "ab")
+            peek = RngStream(seed, k).child(str(c1), str(head)).generator().random((1, k))[0]
+            lam = _draw_lambda(gen, k, c1, head)
+            expect = oracle._sample_coefficients_from(ref, k, c1, head).values
+            assert lam.tobytes() == expect.tobytes(), (k, c1, head, seed)
+            assert gen.random(4).tobytes() == ref.random(4).tobytes(), (k, c1, head, seed)
+            if c1 * k > 1.0 + 1e-12:
+                p = peek / peek.sum()
+                first_row[bool(p.max() <= c1 and p[0] + p[1] >= head)] += 1
+    assert first_row[True] and first_row[False]  # both the fast path and the fall-through ran
 
 
 def test_infeasible_cap_is_rejected_up_front():
