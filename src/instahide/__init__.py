@@ -45,7 +45,9 @@ from .core import (
 from .encrypt import (
     SCHEMES,
     EncryptedSample,
+    EncryptedSamples,
     EncryptionKey,
+    EncryptionKeys,
     SchemeConfig,
     encrypt_epoch,
     encrypt_history,

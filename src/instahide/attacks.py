@@ -8,8 +8,10 @@ averaging and SSIM similarity search consume oracle output; gradient matching
 inverts a training gradient of the linear softmax model.
 
 Every attack reads its samples and candidates through ``np.asarray``, so an
-EncryptedSample, an Image and a raw pixel array are interchangeable inputs;
-results carry the input's (C, H, W) dims when it has them.
+EncryptedSample, an Image and a raw pixel array are interchangeable inputs,
+as are a history's EncryptedSamples block and a list of them; results carry
+the input's (C, H, W) dims when it has them. Ground truth and the averaging
+attack read a history's key columns (sources, signs) directly.
 
 Detection thresholds default to the geometric midpoint between the typical
 member score scale and a union-bounded noise ceiling, both computable from the
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Coefficients, Dataset, Image, SignMask, float64_blocks, scan_scores
-from .encrypt import EncryptedSample, EncryptionKey, apply_mask
+from .encrypt import EncryptedSamples, EncryptionKeys, apply_mask
 from .errors import (
     DivergenceError,
     RankDeficiencyError,
@@ -164,21 +166,10 @@ def _top_order(scores: np.ndarray, count: int) -> np.ndarray:
     return keep[np.lexsort((keep, -scores[keep]))][:count]
 
 
-def _truth_pair_matrix(keys: list[EncryptionKey], count: int) -> np.ndarray:
-    """Boolean (count, count): do samples i and j share any tagged source?"""
-    ids = sorted({src for key in keys for src in key.sources})
-    col = {src: c for c, src in enumerate(ids)}
-    B = np.zeros((count, len(ids)), dtype=np.float32)
-    for i, key in enumerate(keys):
-        B[i, [col[src] for src in key.sources]] = 1.0
-    # shared-source counts are small integers, exact in float32
-    return (B @ B.T) > 0
-
-
 def pair_detection_attack(
-    history: list,
+    history,
     threshold: float | None = None,
-    truth_keys: list[EncryptionKey] | None = None,
+    truth_keys: EncryptionKeys | None = None,
     delta: float = DEFAULT_DELTA,
     k: int = 2,
 ) -> AttackReport:
@@ -186,10 +177,10 @@ def pair_detection_attack(
     components; clusters are averaged into reconstructions (the largest one is
     attached to the report). With ground-truth keys the report carries
     pairwise precision and recall. Pair (i, j) is encoded as id i*m + j."""
-    if not history:
-        raise ValidationError("pair detection needs a non-empty history")
     m = len(history)
-    rows = np.stack([np.asarray(s) for s in history]).astype(np.float64)
+    if not m:
+        raise ValidationError("pair detection needs a non-empty history")
+    rows = np.asarray(history).astype(np.float64)
     n_pairs = m * (m - 1) // 2
     if threshold is None:
         threshold = (
@@ -217,7 +208,11 @@ def pair_detection_attack(
     if truth_keys is not None:
         if len(truth_keys) != m:
             raise ValidationError(f"{len(truth_keys)} keys for {m} samples")
-        truth = _truth_pair_matrix(truth_keys, m)[iu, ju]
+        # B[i, c] = 1 iff sample i mixes source c; shared counts are exact in float32
+        _, col = np.unique(truth_keys.sources, return_inverse=True)
+        B = np.zeros((m, col.max() + 1), dtype=np.float32)
+        B[np.arange(m)[:, None], col.reshape(m, -1)] = 1.0
+        truth = ((B @ B.T) > 0)[iu, ju]
         tp = float(np.sum(detected & truth))
         metrics["truth_pair_rate"] = float(truth.mean()) if n_pairs else None
         metrics["precision"] = tp / detected.sum() if detected.any() else None
@@ -427,16 +422,20 @@ class SignOracle:
         if not 0.0 <= self.p <= 0.5:
             raise ValidationError(f"error rate must be in [0, 0.5], got {self.p}")
 
-    def recovered_mask(self, truth: SignMask, tag=0) -> SignMask:
-        """The oracle's estimate of a mask: truth with each sign flipped
-        independently with probability p. Distinct tags give independent
+    def recovered_masks(self, truths: np.ndarray, tags) -> np.ndarray:
+        """The oracle's estimates of (m, d) int8 masks: row r is truths[r] with
+        each sign flipped independently with probability p, drawn from the
+        flip stream of the integer tags[r]. Distinct tags give independent
         estimates."""
         if self.p == 0.0:
-            return truth
-        gen = self.rng.child("flip", tag).generator()
-        errors = gen.random(truth.d) < self.p
-        signs = truth.signs * np.where(errors, np.int8(-1), np.int8(1))
-        return SignMask(signs)
+            return truths
+        gens = self.rng.children("flip", ids=tags).generators()
+        errors = np.stack([gen.random(truths.shape[1]) < self.p for gen in gens])
+        return truths * np.where(errors, np.int8(-1), np.int8(1))
+
+    def recovered_mask(self, truth: SignMask, tag: int = 0) -> SignMask:
+        """recovered_masks for one mask."""
+        return SignMask(self.recovered_masks(truth.signs[None], [tag])[0])
 
 
 def demask_with_oracle(xtilde, truth_mask: SignMask, oracle: SignOracle, tag=0) -> Image:
@@ -642,8 +641,8 @@ AVERAGING_MODES = ("strong", "weak")
 
 
 def averaging_attack(
-    history: list[EncryptedSample],
-    keys: list[EncryptionKey],
+    history: EncryptedSamples,
+    keys: EncryptionKeys,
     private: Dataset,
     mode: str,
     oracle: SignOracle,
@@ -658,26 +657,33 @@ def averaging_attack(
     weak: no cluster knowledge; every sample is probed once, its top-m SSIM
     neighbors among the other demasked samples are averaged with it, and the
     distribution of correlation-to-own-base over probes is reported. The
-    probe-0 average is attached as the reconstruction."""
+    probe-0 average is attached as the reconstruction.
+
+    The chosen rows are demasked in one multiply by the oracle's estimates of
+    their masks, each drawn under the row's sample id."""
     if mode not in AVERAGING_MODES:
         raise ValidationError(f"mode must be one of {AVERAGING_MODES}, got {mode!r}")
-    if not history:
+    if not len(history):
         raise ValidationError("averaging needs a non-empty history")
     if len(keys) != len(history):
         raise ValidationError(f"{len(keys)} keys for {len(history)} samples")
+    rows = np.arange(len(history))
+    if mode == "strong":
+        rows = np.flatnonzero(keys.sources[:, 0] == int(target))
+        if not rows.size:
+            raise ValidationError(f"no encryptions of private image {target} in history")
+    elif m < 1 or m >= len(history):
+        raise ValidationError(f"weak mode needs 1 <= m < {len(history)}, got {m}")
+    pixels, dims = np.asarray(history)[rows], history.dims
+    # Mixup keys carry no signs: their masks are all +1
+    truth = np.ones(pixels.shape, np.int8) if keys.signs is None else keys.signs[rows]
+    demasked = pixels * oracle.recovered_masks(truth, history.ids[rows])
 
     if mode == "strong":
-        cluster = [
-            demask_with_oracle(s, key.mask, oracle, tag=s.sample_id)
-            for s, key in zip(history, keys)
-            if key.sources[0] == ("private", int(target))
-        ]
-        if not cluster:
-            raise ValidationError(f"no encryptions of private image {target} in history")
-        recon = average_reconstruct(cluster)
+        recon = average_reconstruct([Image(row, dims) for row in demasked])
         original = private.matrix()[int(target)]
         metrics = {
-            "cluster_size": float(len(cluster)),
+            "cluster_size": float(rows.size),
             "corr_to_original": correlation(recon, original),
             "ssim_to_original": ssim(recon, Image(original, private.dims)),
         }
@@ -688,15 +694,7 @@ def averaging_attack(
             metrics=metrics,
         )
 
-    if m < 1 or m >= len(history):
-        raise ValidationError(f"weak mode needs 1 <= m < {len(history)}, got {m}")
-    demasked = np.stack(
-        [
-            demask_with_oracle(s, key.mask, oracle, tag=s.sample_id).pixels
-            for s, key in zip(history, keys)
-        ]
-    ).astype(np.float64)
-    dims = history[0].dims
+    demasked = demasked.astype(np.float64)
     sims = ssim_pairwise(demasked, demasked, dims)
     np.fill_diagonal(sims, -np.inf)
     corr = np.empty(len(history))
@@ -705,7 +703,7 @@ def averaging_attack(
         order = np.lexsort((np.arange(len(history)), -sims[i]))
         members = np.concatenate([[i], order[:m]])
         avg = demasked[members].mean(axis=0)
-        corr[i] = correlation(avg, private.matrix()[keys[i].sources[0][1]])
+        corr[i] = correlation(avg, private.matrix()[keys.sources[i, 0]])
         if i == 0:
             recon0 = Image(avg.astype(np.float32), dims)
     metrics = {

@@ -28,7 +28,6 @@ from .encrypt import (
     SCHEMES,
     SchemeConfig,
     encrypt_history,
-    encrypt_history_arrays,
     encrypt_sample,
     export_challenge,
 )
@@ -137,8 +136,11 @@ def _private_dataset(args, opts: dict, rng: RngStream) -> Dataset:
     )
 
 
-def _public_patches(args, dims, rng: RngStream, count: int = 1000):
-    """PatchSet from --public, or synthetic textured patches of the same dims."""
+def _public_patches(args, dims, rng: RngStream, count: int = 1000, cfg=None):
+    """PatchSet from --public, or synthetic textured patches of the same dims;
+    None when ``cfg`` is given and is not the cross scheme."""
+    if cfg is not None and cfg.scheme != "cross":
+        return None
     if getattr(args, "public", None):
         return _read_input(publicprep.load_patchset, args.public)
     sources = make_gaussian_dataset(count, dims, rng.child("public"), normalize=False)
@@ -156,8 +158,7 @@ def write_report(path: str | None, payload: dict) -> None:
 
 
 def _report(command: str, opts: dict, results: dict) -> dict:
-    config = {k: v for k, v in sorted(opts.items())}
-    return {"command": command, "config": config, "results": results}
+    return {"command": command, "config": dict(opts), "results": results}
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +199,13 @@ def cmd_prep_public(args) -> int:
 def _export(args, opts: dict, rng: RngStream, private: Dataset, cfg, publicset) -> dict:
     """Encrypt opts["epochs"] epochs and write them to --out (encrypt, challenge)."""
     epochs = int(opts["epochs"])
-    arrays = encrypt_history_arrays(private, cfg, epochs, rng.child("enc"), publicset)
+    samples = encrypt_history(private, cfg, epochs, rng.child("enc"), publicset)[0]
     meta = {
         "scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "c2": cfg.c2,
         "epochs": epochs, "n": private.n,
     }
-    out_path, meta_path = export_challenge(arrays, args.out, meta)
-    return {"samples": len(arrays[0]), "out": str(out_path), "meta": str(meta_path)}
+    out_path, meta_path = export_challenge(samples, args.out, meta)
+    return {"samples": len(samples), "out": str(out_path), "meta": str(meta_path)}
 
 
 def cmd_encrypt(args) -> int:
@@ -214,9 +215,7 @@ def cmd_encrypt(args) -> int:
     rng = RngStream(int(opts["seed"]))
     private = _private_dataset(args, opts, rng)
     cfg = _scheme_config(opts)
-    publicset = (
-        _public_patches(args, private.dims, rng) if cfg.scheme == "cross" else None
-    )
+    publicset = _public_patches(args, private.dims, rng, cfg=cfg)
     results = _export(args, opts, rng, private, cfg, publicset)
     write_report(args.report, _report("encrypt", dict(opts), results))
     return 0
@@ -235,9 +234,7 @@ def cmd_train(args) -> int:
         )
     else:
         cfg = _scheme_config(opts)
-        publicset = (
-            _public_patches(args, private.dims, rng) if cfg.scheme == "cross" else None
-        )
+        publicset = _public_patches(args, private.dims, rng, cfg=cfg)
         model = utility.train_encrypted(
             model, private, cfg, int(opts["epochs"]), float(opts["lr"]),
             rng.child("train"), publicset=publicset,
@@ -260,9 +257,7 @@ def cmd_eval(args) -> int:
         acc = utility.evaluate(model, test, mode="plain")
     else:
         cfg = _scheme_config(opts)
-        publicset = (
-            _public_patches(args, test.dims, rng) if cfg.scheme == "cross" else None
-        )
+        publicset = _public_patches(args, test.dims, rng, cfg=cfg)
         acc = utility.evaluate(
             model, test, mode="encrypted", cfg=cfg, rng=rng.child("eval"),
             ensemble=int(opts["ensemble"]), partner_pool=test, publicset=publicset,
@@ -427,9 +422,7 @@ def cmd_stats_ks_table(args) -> int:
     rng = RngStream(int(opts["seed"]))
     private = _private_dataset(args, opts, rng)
     cfg = _scheme_config(opts)
-    publicset = (
-        _public_patches(args, private.dims, rng) if cfg.scheme == "cross" else None
-    )
+    publicset = _public_patches(args, private.dims, rng, cfg=cfg)
     report = stats.indistinguishability_protocol(
         private, cfg, rng.child("protocol"),
         picks=int(args.picks), encryptions_per_image=int(args.encryptions),

@@ -19,14 +19,15 @@ are then mixed in k vectorised float64 passes,
 pass casts only the rows it gathers), cast to float32 and multiplied by the
 signs. The RNG layout is unchanged from the per-sample code: one stream
 ``rng.child(epoch, i)`` per sample, drawn as partners -> lambda -> mask, so
-a seed still gives the same bytes. The public functions below are thin
-wrappers that build Image and EncryptionKey objects only for callers that
-want them.
+a seed still gives the same bytes. A history is the kernel's columns:
+``encrypt_history`` returns EncryptedSamples and EncryptionKeys blocks, and
+only an integer index into a block builds an EncryptedSample or EncryptionKey.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,6 +40,7 @@ from .core import (
     LabelVector,
     SignMask,
     _draw_lambda,
+    _freeze,
     check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
@@ -204,25 +206,64 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
     return _Rows(pixels, labels, idx, lam, signs)
 
 
-def _epoch_rows(S, Y, n: int, cfg: SchemeConfig, epoch: int, rng: RngStream):
-    """One epoch in private order, and the permutation into published order."""
-    rows = _encrypt_rows(S, Y, n, cfg, range(n), rng.children(epoch, ids=np.arange(n)))
-    return rows, rng.child(epoch, "perm").generator().permutation(n)
+@dataclass(frozen=True, eq=False)
+class EncryptedSamples(Sequence):
+    """Published samples as columns: float32 pixels (m, d) (``np.asarray``
+    gives them), labels (m, classes), epochs and history-unique sample ids.
+    An integer index builds one EncryptedSample, any other index a block."""
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    epochs: np.ndarray
+    ids: np.ndarray
+    dims: tuple[int, int, int]
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return replace(self, pixels=self.pixels[i], labels=self.labels[i],
+                           epochs=self.epochs[i], ids=self.ids[i])
+        return EncryptedSample(Image(self.pixels[i], self.dims), LabelVector(self.labels[i]),
+                               int(self.epochs[i]), int(self.ids[i]))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.pixels, dtype=dtype, copy=copy)
 
 
-def _objects(rows: _Rows, order, n: int, dims, epoch: int = 0, first_id: int = 0):
-    """(EncryptedSample, EncryptionKey) lists for rows[order]; the sample id
-    of row r is first_id + r."""
-    samples, keys = [], []
-    for r in order:
-        xt = Image(rows.pixels[r], dims)
-        y = LabelVector(rows.labels[r])
-        samples.append(EncryptedSample(xt, y, epoch, first_id + int(r)))
-        sources = tuple(("private", int(j)) if j < n else ("public", int(j - n))
-                        for j in rows.sources[r])
-        mask = identity_mask(xt.d) if rows.signs is None else SignMask(rows.signs[r])
-        keys.append(EncryptionKey(sources, Coefficients(rows.lam[r]), mask))
-    return samples, keys
+@dataclass(frozen=True, eq=False)
+class EncryptionKeys(Sequence):
+    """Keys as columns: ``sources`` (m, k) index the n private rows, then the
+    public rows; ``lam`` (m, k); int8 ``signs`` (m, d), None for Mixup's +1
+    masks. An integer index builds one EncryptionKey, any other index a block."""
+
+    sources: np.ndarray
+    lam: np.ndarray
+    signs: np.ndarray | None
+    n: int
+    d: int
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return replace(self, sources=self.sources[i], lam=self.lam[i],
+                           signs=None if self.signs is None else self.signs[i])
+        tagged = tuple(("private", j) if j < self.n else ("public", j - self.n)
+                       for j in self.sources[i].tolist())
+        mask = identity_mask(self.d) if self.signs is None else SignMask(self.signs[i])
+        return EncryptionKey(tagged, Coefficients(self.lam[i]), mask)
+
+
+def _blocks(rows: _Rows, private: Dataset, epochs: np.ndarray, ids: np.ndarray):
+    """Read-only (samples, keys) blocks of kernel rows of ``private``."""
+    for col in (*rows, epochs, ids):
+        if col is not None:
+            _freeze(col)
+    return (EncryptedSamples(rows.pixels, rows.labels, epochs, ids, private.dims),
+            EncryptionKeys(rows.sources, rows.lam, rows.signs, private.n, private.d))
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +280,10 @@ def mix_pixels(images: list[Image], lam: Coefficients) -> np.ndarray:
 def apply_mask(x, mask: SignMask):
     """Multiply pixels by the +/-1 mask. Involutive and magnitude-preserving
     bit for bit. Accepts an Image or a raw array; returns the same kind."""
-    if isinstance(x, Image):
-        if x.d != mask.d:
-            raise DimensionMismatchError(f"mask length {mask.d} != image length {x.d}")
-        return Image(x.pixels * mask.signs, x.dims, normalized=False)
     arr = np.asarray(x)
     if arr.shape[-1] != mask.d:
-        raise DimensionMismatchError(
-            f"mask length {mask.d} != vector length {arr.shape[-1]}"
-        )
-    return arr * mask.signs
+        raise DimensionMismatchError(f"mask length {mask.d} != pixel length {arr.shape[-1]}")
+    return Image(arr * mask.signs, x.dims) if isinstance(x, Image) else arr * mask.signs
 
 
 def identity_mask(d: int) -> SignMask:
@@ -266,32 +301,36 @@ def encrypt_sample(
         raise ValidationError(f"index {i} out of range for n={private.n}")
     S, Y = _sources(private, cfg, publicset)
     rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
-    samples, keys = _objects(rows, [0], private.n, private.dims, epoch, sample_id)
+    samples, keys = _blocks(rows, private, np.array([epoch]), np.array([sample_id]))
     return samples[0], keys[0]
 
 
-def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, publicset,
-             arrays: bool = False):
-    """Samples and keys of the given epochs in published order or, with
-    ``arrays``, their pixel (rows, C, H, W) and label matrices. Each epoch is
-    mixed on its own, so no (n * T, d) float64 buffer exists."""
+def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, publicset):
+    """Samples and keys of the given epochs, each mixed on its own (no
+    (n * T, d) float64 buffer) and permuted straight into the preallocated
+    columns. The sample id of private image i in epoch t is t * n + i."""
+    if not len(epochs):
+        raise ValidationError("need at least one epoch")
     S, Y = _sources(private, cfg, publicset)
-    parts = []
-    for t in epochs:
-        rows, perm = _epoch_rows(S, Y, private.n, cfg, t, rng)
-        parts.append((rows.pixels[perm], rows.labels[perm]) if arrays
-                     else _objects(rows, perm, private.n, private.dims, t, t * private.n))
-    if arrays:
-        pixels = np.concatenate([p for p, _ in parts]).reshape(-1, *private.dims)
-        return pixels, np.concatenate([y for _, y in parts])
-    return [s for p, _ in parts for s in p], [k for _, ks in parts for k in ks]
+    n, m, cols = private.n, len(epochs) * private.n, None
+    for e, t in enumerate(epochs):
+        rows = _encrypt_rows(S, Y, n, cfg, range(n), rng.children(t, ids=np.arange(n)))
+        perm = rng.child(t, "perm").generator().permutation(n)
+        if cols is None:
+            cols = _Rows(*(None if c is None else np.empty((m, *c.shape[1:]), c.dtype)
+                           for c in rows))
+        for col, part in zip(cols, rows):
+            if col is not None:  # "clip" writes to out without a buffered copy
+                np.take(part, perm, axis=0, out=col[e * n : (e + 1) * n], mode="clip")
+    epochs = np.repeat(np.asarray(epochs, dtype=np.int64), n)
+    return _blocks(cols, private, epochs, epochs * n + cols.sources[:, 0])
 
 
 def encrypt_epoch(
     private: Dataset, cfg: SchemeConfig, epoch: int, rng: RngStream, publicset=None
 ):
     """Encrypt every private image once with fresh keys, in a random output
-    order; returns aligned (samples, keys) lists. Sample ids are
+    order; returns aligned (samples, keys) blocks. Sample ids are
     epoch * n + i, so merge order is recoverable."""
     return _history(private, cfg, [epoch], rng, publicset)
 
@@ -299,17 +338,9 @@ def encrypt_epoch(
 def encrypt_history(
     private: Dataset, cfg: SchemeConfig, epochs: int, rng: RngStream, publicset=None
 ):
-    """T epochs of encryptions with per-epoch fresh keys; returns aligned
-    (samples, keys) lists of length n * T."""
+    """T >= 1 epochs of encryptions with per-epoch fresh keys; returns aligned
+    (samples, keys) blocks of length n * T."""
     return _history(private, cfg, range(int(epochs)), rng, publicset)
-
-
-def encrypt_history_arrays(
-    private: Dataset, cfg: SchemeConfig, epochs: int, rng: RngStream, publicset=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """encrypt_history's samples, same order and bytes, as float32 pixels
-    (n * T, C, H, W) and labels (n * T, classes), with no per-sample objects."""
-    return _history(private, cfg, range(int(epochs)), rng, publicset, arrays=True)
 
 
 def encrypt_input(
@@ -332,17 +363,14 @@ def encrypt_input(
 def export_challenge(samples, path: str | Path, meta: dict) -> tuple[Path, Path]:
     """Write a challenge release: the encrypted samples as IHDS plus a
     key=value sidecar of public parameters. Keys and originals never touch
-    this path. ``samples`` is a list of EncryptedSample, or the
-    (pixels, labels) pair that encrypt_history_arrays returns."""
+    this path. ``samples`` is an EncryptedSamples block."""
     from .ihds import arrays_to_bytes
 
-    if not isinstance(samples, tuple) and samples:
-        samples = (np.stack([s.xtilde.as_chw() for s in samples]),
-                   np.stack([s.ytilde.weights for s in samples]))
-    if len(samples) == 0 or len(samples[0]) == 0:
+    if not len(samples):
         raise ValidationError("challenge export needs at least one sample")
     path = Path(path)
-    path.write_bytes(arrays_to_bytes(*samples))
+    path.write_bytes(arrays_to_bytes(np.asarray(samples).reshape(-1, *samples.dims),
+                                     samples.labels))
     sidecar = path.with_suffix(path.suffix + ".meta.txt")
     lines = [f"{k}={meta[k]}" for k in sorted(meta)]
     sidecar.write_text("\n".join(lines) + "\n")

@@ -69,17 +69,16 @@ class PatchSet:
         return np.array([src for src, _, _ in self.provenance], dtype=np.int64)
 
 
-def _crops(chw: np.ndarray, out_hw: tuple[int, int], count: int, rng: RngStream):
+def _crops(chw: np.ndarray, out_hw: tuple[int, int], count: int, gen: np.random.Generator):
     """``count`` crops of size (h, w) of one (C, H, W) source, as a
-    (count, C, h, w) array, at offsets (oys, oxs) uniform over every valid
-    position (drawn independently per crop, so repeats can occur)."""
+    (count, C, h, w) array, at offsets (oys, oxs) drawn from ``gen`` uniform
+    over every valid position (independently per crop, so repeats can occur)."""
     _, H, W = chw.shape
     h, w = int(out_hw[0]), int(out_hw[1])
     if h < 1 or w < 1 or h > H or w > W:
         raise ValidationError(f"crop {h}x{w} does not fit source {H}x{W}")
     if count < 0:
         raise ValidationError("count must be >= 0")
-    gen = rng.generator()
     oys = gen.integers(0, H - h + 1, size=count)
     oxs = gen.integers(0, W - w + 1, size=count)
     crops = np.array([chw[:, y : y + h, x : x + w] for y, x in zip(oys, oxs)], chw.dtype)
@@ -91,7 +90,7 @@ def random_crop(
 ) -> list[tuple[Image, tuple[int, int]]]:
     """``count`` crops of size (h, w) at offsets uniform over every valid
     position (independently per crop, so repeats can occur)."""
-    crops, oys, oxs = _crops(source.as_chw(), out_hw, count, rng)
+    crops, oys, oxs = _crops(source.as_chw(), out_hw, count, rng.generator())
     return [(Image(p, p.shape), (int(y), int(x))) for p, y, x in zip(crops, oys, oxs)]
 
 
@@ -171,9 +170,10 @@ def build_patchset(
     a cross-dataset scheme cannot run without public patches.
     """
     chw = public.matrix().reshape(public.n, *public.dims)
+    gens = rng.children("crop", ids=np.arange(public.n)).generators()
     crops, prov = [], []
-    for si, src in enumerate(chw):
-        block, oys, oxs = _crops(src, out_hw, patches_per_image, rng.child("crop", si))
+    for si, (src, gen) in enumerate(zip(chw, gens)):
+        block, oys, oxs = _crops(src, out_hw, patches_per_image, gen)
         crops.append(block)
         prov.extend((si, int(oy), int(ox)) for oy, ox in zip(oys, oxs))
     if not prov:

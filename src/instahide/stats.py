@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +102,6 @@ def total_variation_rows(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.n
     """Anisotropic total variation of each row: sum of absolute vertical plus
     horizontal neighbor differences, per channel."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[None]
     c, h, w = dims
     x = m.reshape(m.shape[0], c, h, w)
     tv = np.abs(np.diff(x, axis=2)).sum(axis=(1, 2, 3))
@@ -159,17 +157,6 @@ class IndistinguishabilityReport:
     def max_pair_delta(self) -> float:
         """Largest |All - Other| over all cells."""
         return float(np.max(np.abs(self.p_all - self.p_other)))
-
-    def to_dict(self) -> dict:
-        return {
-            "image_indices": list(self.image_indices),
-            "probe_locations": list(self.probe_locations),
-            "labels": list(self.labels),
-            "p_all": [[float(v) for v in row] for row in self.p_all],
-            "p_other": [[float(v) for v in row] for row in self.p_other],
-            "min_p": self.min_p(),
-            "max_pair_delta": self.max_pair_delta(),
-        }
 
     def to_csv(self, path) -> None:
         """One row per image; per statistic a paired All/Other column."""
@@ -280,15 +267,7 @@ class ConcentrationCheckConfig:
         return float(self.sigma2) if self.sigma2 is not None else 1.0 / self.d
 
     def params(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "k": self.k,
-            "sigma2": self.pixel_variance,
-            "delta": self.delta,
-            "trials": self.trials,
-            "beta": self.beta,
-        }
+        return {**asdict(self), "sigma2": self.pixel_variance}
 
 
 def _three_sigma_ok(rate: float, bound: float, trials: int) -> bool:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, Image
-from .encrypt import SchemeConfig, _encrypt_rows, _epoch_rows, _sources
+from .encrypt import SchemeConfig, _encrypt_rows, encrypt_epoch
 from .errors import FormatError, TruncatedFileError, ValidationError
 from .rng import RngStream, Streams
 
@@ -183,15 +183,14 @@ def train_encrypted(
     mix (|sigma o m| == |m|), and the mask's sign symmetry makes any linear
     map of the raw masked pixels uninformative in expectation, so |x~| is the
     canonical mask-invariant form; unmasked (Mixup) samples pass through."""
-    S, Y = _sources(private, cfg, publicset)
+    if epochs < 0:
+        raise ValidationError(f"need epochs >= 0, got {epochs}")
     out = model.copy()
     for epoch in range(int(epochs)):
-        rows, perm = _epoch_rows(S, Y, private.n, cfg, epoch, rng.child("enc"))
-        X = rows.pixels[perm]
-        if cfg.scheme != "mixup":
-            X = np.abs(X)
+        samples, _ = encrypt_epoch(private, cfg, epoch, rng.child("enc"), publicset)
+        X = np.abs(samples) if cfg.scheme != "mixup" else np.asarray(samples)
         sgd = rng.child("sgd", epoch)
-        out = train(out, (X, rows.labels[perm]), 1, lr, sgd, **train_kwargs)
+        out = train(out, (X, samples.labels), 1, lr, sgd, **train_kwargs)
     return out
 
 

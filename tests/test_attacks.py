@@ -437,6 +437,46 @@ def test_averaging_weak_mode_reports_distribution():
     assert report.reconstruction is not None
 
 
+def averaging_per_row(history, keys, private, mode, oracle, m=5, target=0):
+    """averaging_attack's report fields, one demask_with_oracle call per row."""
+    demasked = [demask_with_oracle(s, key.mask, oracle, tag=s.sample_id)
+                for s, key in zip(history, keys)]
+    if mode == "strong":
+        cluster = [x for x, key in zip(demasked, keys) if key.sources[0] == ("private", target)]
+        recon = average_reconstruct(cluster)
+        original = private.images[target]
+        metrics = {"cluster_size": float(len(cluster)),
+                   "corr_to_original": correlation(recon, original),
+                   "ssim_to_original": ssim(recon, original)}
+        return metrics, recon.pixels.tobytes()
+    rows = np.stack([x.pixels for x in demasked]).astype(np.float64)
+    sims = ssim_pairwise(rows, rows, history[0].dims)
+    np.fill_diagonal(sims, -np.inf)
+    corr, recon0 = [], None
+    for i, key in enumerate(keys):
+        order = np.lexsort((np.arange(len(rows)), -sims[i]))
+        avg = rows[np.concatenate([[i], order[:m]])].mean(axis=0)
+        corr.append(correlation(avg, private.images[key.sources[0][1]]))
+        recon0 = avg.astype(np.float32).tobytes() if i == 0 else recon0
+    metrics = {"probes": float(len(rows)), "corr_mean": float(np.mean(corr)),
+               "corr_median": float(np.median(corr)), "corr_min": float(min(corr)),
+               "corr_max": float(max(corr))}
+    return metrics, recon0
+
+
+@pytest.mark.parametrize("scheme", ["inside", "mixup"])
+@pytest.mark.parametrize("p", [0.0, 0.25])
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_averaging_demasks_the_block_as_per_row_calls_do(scheme, p, mode):
+    ds = make_gaussian_dataset(6, (3, 8, 8), RngStream(40), classes=3)
+    samples, keys = encrypt_history(ds, SchemeConfig(scheme, k=2, c1=0.65), 4, RngStream(41))
+    oracle = SignOracle(p, RngStream(42))
+    report = averaging_attack(samples, keys, ds, mode, oracle, m=3, target=1)
+    want = averaging_per_row(samples, keys, ds, mode, oracle, m=3, target=1)
+    assert (report.metrics, report.reconstruction.pixels.tobytes()) == want
+    assert report.reconstruction.dims == (3, 8, 8)
+
+
 def test_averaging_validation():
     ds = make_gaussian_dataset(4, (1, 4, 4), RngStream(38), classes=2)
     cfg = SchemeConfig("inside", k=1, c1=1.0)

@@ -316,9 +316,18 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "--out", "{tmp}/i.ihds"],
         ["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels", "{tmp}/v.csv",
          "--classes", "3", "--out", "{tmp}/i.ihds"],
+        ["encrypt", "--epochs", "0", "--synthetic-n", "4", "--synthetic-dims", "1x4x4",
+         "--out", "{tmp}/o.ihds"],
+        ["challenge", "--epochs", "0", "--n", "4", "--synthetic-dims", "1x4x4",
+         "--out", "{tmp}/c.ihds"],
+        ["challenge", "--epochs", "-1", "--n", "4", "--synthetic-dims", "1x4x4",
+         "--out", "{tmp}/c.ihds"],
+        ["train", "--epochs", "-2", "--synthetic-n", "4", "--synthetic-dims", "1x4x4",
+         "--out", "{tmp}/m.bin"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
-         "weight-not-a-number", "weight-width"],
+         "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
+         "challenge-negative-epochs", "train-negative-epochs"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),

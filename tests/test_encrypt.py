@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from instahide.core import (
     sample_sign_mask,
 )
 from instahide.encrypt import (
+    EncryptedSamples,
+    EncryptionKeys,
     SchemeConfig,
     apply_mask,
     encrypt_epoch,
@@ -257,6 +261,47 @@ def test_history_is_deterministic():
     a, _ = encrypt_history(ds, cfg, 3, RngStream(52))
     b, _ = encrypt_history(ds, cfg, 3, RngStream(52))
     assert all(x.xtilde == y.xtilde and x.ytilde == y.ytilde for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("scheme", ["mixup", "cross"])
+def test_history_is_columnar(scheme):
+    rng = RngStream(53)
+    ds = make_gaussian_dataset(5, (1, 4, 4), rng.child("ds"), classes=3)
+    pub = unit_patchset(7, (1, 4, 4), rng.child("pub"))
+    cfg = SchemeConfig(scheme, k=3, c1=0.65, c2=0.3)
+    samples, keys = encrypt_history(ds, cfg, 3, rng.child("h"), pub)
+    assert isinstance(samples, EncryptedSamples) and isinstance(keys, EncryptionKeys)
+    assert len(samples) == len(keys) == 15
+    assert (keys.signs is None) == (scheme == "mixup")
+
+    # np.asarray is the pixel matrix, bit-equal to stacking the indexed objects
+    assert np.asarray(samples).shape == (15, 16) and samples.dims == (1, 4, 4)
+    assert np.asarray(samples).tobytes() == np.stack([s.xtilde.pixels for s in samples]).tobytes()
+    assert samples.labels.tobytes() == np.stack([s.ytilde.weights for s in samples]).tobytes()
+    assert [(s.epoch, s.sample_id) for s in samples] == list(zip(samples.epochs, samples.ids))
+
+    # keys[i].sources tags the rows of keys.sources: private first, then public
+    for i, key in enumerate(keys):
+        rows = [j if tag == "private" else ds.n + j for tag, j in key.sources]
+        assert rows == keys.sources[i].tolist()
+        assert key.lam.values.tobytes() == keys.lam[i].tobytes()
+        want = np.ones(16, np.int8) if keys.signs is None else keys.signs[i]
+        assert key.mask.signs.tobytes() == want.tobytes()
+    tags = {tag for key in keys for tag, _ in key.sources}
+    assert tags == ({"private", "public"} if scheme == "cross" else {"private"})
+
+    # a slice or an index array is a block of the same kind
+    part, kpart = samples[5:9], keys[[1, 4]]
+    assert isinstance(part, EncryptedSamples) and isinstance(kpart, EncryptionKeys)
+    assert len(part) == 4 and part[0].sample_id == samples[5].sample_id
+    assert kpart[1].sources == keys[4].sources and kpart.n == keys.n
+
+    # the pickle round trip keeps every column
+    back_s, back_k = pickle.loads(pickle.dumps((samples, keys)))
+    assert np.asarray(back_s).tobytes() == np.asarray(samples).tobytes()
+    assert back_s.ids.tobytes() == samples.ids.tobytes() and back_s.dims == samples.dims
+    assert back_k.sources.tobytes() == keys.sources.tobytes()
+    assert back_k[3].mask == keys[3].mask
 
 
 def test_scheme_config_validation():

@@ -74,12 +74,13 @@ def test_kernel_matches_oracle(scheme, k, d, seed):
     assert_same_sample(g, w)
     assert_same_key(gk, wk)
 
-    pixels, labels = encrypt.encrypt_history_arrays(private, cfg, 3, rng.child("h"), pub)
+    samples, _ = encrypt.encrypt_history(private, cfg, 3, rng.child("h"), pub)
     history, _ = oracle.encrypt_history(private, cfg, 3, rng.child("h"), pub)
-    assert pixels.shape == (3 * private.n, *dims)
-    assert np.array_equal(bits(pixels.reshape(len(history), -1)),
+    assert np.asarray(samples).shape == (3 * private.n, private.d) and samples.dims == dims
+    assert np.array_equal(bits(np.asarray(samples)),
                           bits(np.stack([s.xtilde.pixels for s in history])))
-    assert np.array_equal(bits(labels), bits(np.stack([s.ytilde.weights for s in history])))
+    assert np.array_equal(bits(samples.labels),
+                          bits(np.stack([s.ytilde.weights for s in history])))
 
     others = list(private.images[1:k])
     if scheme == "cross":
