@@ -199,7 +199,9 @@ def pair_detection_attack(
     largest = max(clusters, key=len)
     reconstruction = None
     if len(largest) >= 2:
-        reconstruction = average_reconstruct([history[i] for i in largest])
+        dims = getattr(history, "dims", None) or getattr(history[0], "dims", (1, 1, rows.shape[1]))
+        mean = _mean_rows(rows, label == label[largest[0]])
+        reconstruction = Image(mean.astype(np.float32), dims)
 
     metrics: dict = {
         "detected_pairs": float(detected.sum()),
@@ -233,22 +235,14 @@ def pair_detection_attack(
     )
 
 
-def average_reconstruct(cluster: list) -> Image:
-    """Coordinate-wise mean of a non-empty cluster of same-shape images, with
-    their dims ((1, 1, d) when no member has any)."""
-    if not cluster:
-        raise ValidationError("cannot average an empty cluster")
-    dims = {getattr(x, "dims", None) for x in cluster} - {None}
-    if len(dims) > 1:
-        raise ValidationError("cluster images have mixed dims")
-    acc = np.zeros(np.asarray(cluster[0]).size, dtype=np.float64)
-    for x in cluster:
-        px = np.asarray(x)
-        if px.size != acc.size:
-            raise ValidationError("cluster images have mixed sizes")
-        acc += px.astype(np.float64).reshape(-1)
-    acc /= len(cluster)
-    return Image(acc.astype(np.float32), dims.pop() if dims else (1, 1, acc.size))
+def _mean_rows(rows: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
+    """float64 coordinate-wise mean of ``rows``, or of the rows a boolean
+    ``members`` marks (no copy): summed from zero in row order, then divided by
+    their count."""
+    if members is None:
+        members = np.ones(len(rows), dtype=bool)
+    total = np.add.reduce(rows, axis=0, dtype=np.float64, where=members[:, None], initial=0.0)
+    return total / np.count_nonzero(members)
 
 
 def _truth_ranks(order: np.ndarray, truth_members) -> tuple[frozenset, np.ndarray]:
@@ -680,7 +674,7 @@ def averaging_attack(
     demasked = pixels * oracle.recovered_masks(truth, history.ids[rows])
 
     if mode == "strong":
-        recon = average_reconstruct([Image(row, dims) for row in demasked])
+        recon = Image(_mean_rows(demasked).astype(np.float32), dims)
         original = private.matrix()[int(target)]
         metrics = {
             "cluster_size": float(rows.size),
@@ -702,7 +696,7 @@ def averaging_attack(
     for i in range(len(history)):
         order = np.lexsort((np.arange(len(history)), -sims[i]))
         members = np.concatenate([[i], order[:m]])
-        avg = demasked[members].mean(axis=0)
+        avg = _mean_rows(demasked[members])
         corr[i] = correlation(avg, private.matrix()[keys.sources[i, 0]])
         if i == 0:
             recon0 = Image(avg.astype(np.float32), dims)

@@ -4,12 +4,18 @@ Subcommands: import, prep-public, encrypt, train, eval,
 attack {pair, public-scan, braverman, averaging, similarity, grad-match},
 stats {ks-table, concentration, theorem-gap}, challenge.
 
-Option precedence: command-line flags > config file (key=value lines) >
-built-in defaults. The IH_SEED environment variable overrides every other
-seed source. Each run writes a JSON report embedding the fully resolved
-configuration and seed, so any report can be replayed to byte-identical
-artifacts. Exit codes: 0 success, 2 invalid input or configuration, 1
-runtime failure.
+Every option is declared once, in OPTIONS, with its type and built-in
+default; a command's options are those whose flags its parser registers.
+Each resolves as: command-line flag > config file (``key = value`` lines) >
+command default > built-in default. The command defaults are challenge k=6
+and synthetic_n (its ``--n``) 100, attack pair k=2 and attack similarity
+m=100. The IH_SEED environment variable overrides every other seed source.
+Config-file values and IH_SEED are typed like flags: a value its option's
+type refuses, or an unknown key, is invalid input. ``main`` runs every
+command the same way: resolve the options, open RngStream(seed), run the
+command, write one JSON report embedding the resolved configuration and
+seed, so any report can be replayed to byte-identical artifacts. Exit codes:
+0 success, 2 invalid input or configuration, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import argparse
 import json
 import os
 import sys
+from collections import ChainMap
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,36 +43,62 @@ from .errors import ValidationError
 from .ihds import import_raw, load_dataset, payload_rows, save_dataset
 from .rng import RngStream
 
-DEFAULTS = {
-    "scheme": "inside",
-    "k": 4,
-    "c1": 0.65,
-    "c2": 0.3,
-    "epochs": 50,
-    "seed": 0,
-    "delta": 0.01,
-    "beta": 2.0,
-    "trials": 1000,
-    "oracle_p": 0.25,
-    "m": 5,
-    "lr": 0.1,
-    "ensemble": 10,
-    "synthetic_n": 50,
-    "synthetic_dims": "3x32x32",
-    "synthetic_classes": 10,
+
+class Option(NamedTuple):
+    """How an option's flag or config-file text converts, and its built-in default."""
+
+    type: Callable[[str], object]
+    default: object = None
+    choices: tuple | None = None
+
+
+OPTIONS = {
+    "scheme": Option(str, "inside", SCHEMES),
+    "k": Option(int, 4),
+    "c1": Option(float, 0.65),
+    "c2": Option(float, 0.3),
+    "epochs": Option(int, 50),
+    "seed": Option(int, 0),
+    "delta": Option(float, 0.01),
+    "beta": Option(float, 2.0),
+    "trials": Option(int, 1000),
+    "oracle_p": Option(float, 0.25),
+    "m": Option(int, 5),
+    "lr": Option(float, 0.1),
+    "ensemble": Option(int, 10),
+    "synthetic_n": Option(int, 50),
+    "synthetic_dims": Option(str, "3x32x32"),
+    "synthetic_classes": Option(int, 10),
+    # import's inputs, which its report records as its configuration
+    "raw": Option(str),
+    "dims": Option(str),
+    "labels": Option(str),
+    "classes": Option(int),
 }
 
+COMMAND_DEFAULTS = {
+    "challenge": {"k": 6, "synthetic_n": 100},
+    "attack pair": {"k": 2},
+    "attack similarity": {"m": 100},
+}
 
-def _parse_value(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            continue
-    return low
+_SCHEME = ("scheme", "k", "c1", "c2")
+_SYNTHETIC = ("synthetic_n", "synthetic_dims", "synthetic_classes")
+
+
+def _convert(name: str, text: str, source: str):
+    """``text`` as option ``name``'s value, converted and checked as its flag would be."""
+    opt = OPTIONS.get(name)
+    if opt is None:
+        raise ValidationError(f"{source}: unknown option {name!r}")
+    try:
+        value = opt.type(text)
+    except ValueError:
+        kind = opt.type.__name__
+        raise ValidationError(f"{source}: {name} must be {kind}, got {text!r}") from None
+    if opt.choices and value not in opt.choices:
+        raise ValidationError(f"{source}: {name} must be one of {opt.choices}, got {value!r}")
+    return value
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -78,26 +112,26 @@ def _load_config_file(path: str | None) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = _parse_value(value)
+        key = key.strip().replace("-", "_")
+        out[key] = _convert(key, value.strip(), f"config {path}")
     return out
 
 
-def resolve_options(args: argparse.Namespace, keys: list[str]) -> dict:
-    """flags > config file > defaults; IH_SEED overrides any seed."""
-    file_cfg = _read_input(_load_config_file, getattr(args, "config", None))
-    resolved = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = DEFAULTS.get(key)
-    env_seed = os.environ.get("IH_SEED")
-    if "seed" in resolved and env_seed is not None:
-        resolved["seed"] = int(env_seed)
-    return resolved
+def resolve_options(args: argparse.Namespace, command: str) -> dict:
+    """The value of every option whose flag ``command`` registers: IH_SEED (for
+    the seed) > flag > config file > COMMAND_DEFAULTS > OPTIONS default."""
+    given = vars(args)
+    env = {}
+    if "seed" in given and "IH_SEED" in os.environ:
+        env["seed"] = _convert("seed", os.environ["IH_SEED"], "IH_SEED")
+    layers = ChainMap(
+        env,
+        {name: value for name, value in given.items() if value is not None},
+        _read_input(_load_config_file, given.get("config")),
+        COMMAND_DEFAULTS.get(command, {}),
+        {name: opt.default for name, opt in OPTIONS.items()},
+    )
+    return {name: layers[name] for name in OPTIONS if name in given}
 
 
 def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
@@ -108,10 +142,11 @@ def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _scheme_config(opts: dict) -> SchemeConfig:
-    return SchemeConfig(
-        scheme=opts["scheme"], k=int(opts["k"]), c1=float(opts["c1"]), c2=float(opts["c2"])
-    )
+def _scheme_config(opts: dict, scheme: str | None = None) -> SchemeConfig:
+    """The scheme options a command registers; ``scheme`` for a command that
+    fixes its scheme (the options it lacks keep SchemeConfig's defaults)."""
+    given = {name: opts[name] for name in ("k", "c1", "c2") if name in opts}
+    return SchemeConfig(scheme or opts["scheme"], **given)
 
 
 def _read_input(load, path, *args, **kwargs):
@@ -128,10 +163,10 @@ def _private_dataset(args, opts: dict, rng: RngStream) -> Dataset:
     if getattr(args, "infile", None):
         return _read_input(load_dataset, args.infile)
     return make_gaussian_dataset(
-        int(opts["synthetic_n"]),
-        _parse_dims(str(opts["synthetic_dims"])),
+        opts["synthetic_n"],
+        _parse_dims(opts["synthetic_dims"]),
         rng.child("synthetic"),
-        classes=int(opts["synthetic_classes"]),
+        classes=opts["synthetic_classes"],
         name="synthetic",
     )
 
@@ -157,100 +192,70 @@ def write_report(path: str | None, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, opts: dict, results: dict) -> dict:
-    return {"command": command, "config": dict(opts), "results": results}
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, resolved options, RngStream(seed)) and returns
+# its report's results
 
 
-def cmd_import(args) -> int:
-    dims = _parse_dims(args.dims)
+def cmd_import(args, opts: dict, rng: None) -> dict:
     ds = _read_input(
-        import_raw, args.raw, dims, labels_path=args.labels, classes=args.classes,
-        name=Path(args.out).stem,
+        import_raw, opts["raw"], _parse_dims(opts["dims"]), labels_path=opts["labels"],
+        classes=opts["classes"], name=Path(args.out).stem,
     )
     save_dataset(ds, args.out)
-    opts = {"raw": args.raw, "dims": args.dims, "labels": args.labels, "classes": args.classes}
-    write_report(args.report, _report("import", opts, {"images": ds.n, "out": args.out}))
-    return 0
+    return {"images": ds.n, "out": args.out}
 
 
-def cmd_prep_public(args) -> int:
-    opts = resolve_options(args, ["seed"])
-    rng = RngStream(int(opts["seed"]))
+def cmd_prep_public(args, opts: dict, rng: RngStream) -> dict:
     source = _read_input(load_dataset, args.infile)
     ps = publicprep.build_patchset(
-        source, _parse_dims(args.patch_size, "HxW"), int(args.per_image), rng.child("crop"),
-        min_keypoints=int(args.min_keypoints),
+        source, _parse_dims(args.patch_size, "HxW"), args.per_image, rng.child("crop"),
+        min_keypoints=args.min_keypoints,
     )
     publicprep.save_patchset(ps, args.out)
-    results = {
-        "candidates": source.n * int(args.per_image),
+    return {
+        "candidates": source.n * args.per_image,
         "kept": len(ps),
         "retention": ps.retention,
         "out": args.out,
     }
-    write_report(args.report, _report("prep-public", dict(opts), results))
-    return 0
 
 
 def _export(args, opts: dict, rng: RngStream, private: Dataset, cfg, publicset) -> dict:
     """Encrypt opts["epochs"] epochs and write them to --out (encrypt, challenge)."""
-    epochs = int(opts["epochs"])
-    samples = encrypt_history(private, cfg, epochs, rng.child("enc"), publicset)[0]
+    samples = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"), publicset)[0]
     meta = {
         "scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "c2": cfg.c2,
-        "epochs": epochs, "n": private.n,
+        "epochs": opts["epochs"], "n": private.n,
     }
     out_path, meta_path = export_challenge(samples, args.out, meta)
     return {"samples": len(samples), "out": str(out_path), "meta": str(meta_path)}
 
 
-def cmd_encrypt(args) -> int:
-    keys = ["scheme", "k", "c1", "c2", "epochs", "seed",
-            "synthetic_n", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
+def cmd_encrypt(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
     cfg = _scheme_config(opts)
     publicset = _public_patches(args, private.dims, rng, cfg=cfg)
-    results = _export(args, opts, rng, private, cfg, publicset)
-    write_report(args.report, _report("encrypt", dict(opts), results))
-    return 0
+    return _export(args, opts, rng, private, cfg, publicset)
 
 
-def cmd_train(args) -> int:
-    keys = ["scheme", "k", "c1", "c2", "epochs", "seed", "lr",
-            "synthetic_n", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
+def cmd_train(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
     model = utility.init_model(private.label_matrix().shape[1], private.d)
     if args.plain:
-        model = utility.train(
-            model, private, int(opts["epochs"]), float(opts["lr"]), rng.child("sgd")
-        )
+        model = utility.train(model, private, opts["epochs"], opts["lr"], rng.child("sgd"))
     else:
         cfg = _scheme_config(opts)
         publicset = _public_patches(args, private.dims, rng, cfg=cfg)
         model = utility.train_encrypted(
-            model, private, cfg, int(opts["epochs"]), float(opts["lr"]),
-            rng.child("train"), publicset=publicset,
+            model, private, cfg, opts["epochs"], opts["lr"], rng.child("train"),
+            publicset=publicset,
         )
     utility.save_model(model, args.out)
-    train_acc = utility.evaluate(model, private, mode="plain")
-    results = {"out": args.out, "train_accuracy": train_acc}
-    write_report(args.report, _report("train", dict(opts), results))
-    return 0
+    return {"out": args.out, "train_accuracy": utility.evaluate(model, private, mode="plain")}
 
 
-def cmd_eval(args) -> int:
-    keys = ["scheme", "k", "c1", "c2", "seed", "ensemble",
-            "synthetic_n", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
+def cmd_eval(args, opts: dict, rng: RngStream) -> dict:
     model = _read_input(utility.load_model, args.model)
     test = _private_dataset(args, opts, rng)
     if args.mode == "plain":
@@ -260,51 +265,38 @@ def cmd_eval(args) -> int:
         publicset = _public_patches(args, test.dims, rng, cfg=cfg)
         acc = utility.evaluate(
             model, test, mode="encrypted", cfg=cfg, rng=rng.child("eval"),
-            ensemble=int(opts["ensemble"]), partner_pool=test, publicset=publicset,
+            ensemble=opts["ensemble"], partner_pool=test, publicset=publicset,
         )
-    write_report(args.report, _report("eval", dict(opts), {"accuracy": acc, "mode": args.mode}))
-    return 0
+    return {"accuracy": acc, "mode": args.mode}
 
 
-def _attack_report_out(args, report, opts, extra=None) -> int:
-    results = report.to_dict(getattr(args, "reconstruction_out", None))
-    if getattr(args, "reconstruction_out", None) and report.reconstruction is not None:
-        save_dataset(
-            Dataset((report.reconstruction,), name="reconstruction"),
-            args.reconstruction_out,
-        )
-    if extra:
-        results.update(extra)
-    write_report(args.report, _report(f"attack {args.attack_command}", dict(opts), results))
-    return 0
+def _attack_results(args, report, **extra) -> dict:
+    """The attack report's results plus ``extra``; the reconstruction goes to
+    --reconstruction-out when the command has one."""
+    path = getattr(args, "reconstruction_out", None)
+    if path and report.reconstruction is not None:
+        save_dataset(Dataset((report.reconstruction,), name="reconstruction"), path)
+    return {**report.to_dict(path), **extra}
 
 
-def cmd_attack_pair(args) -> int:
-    keys = ["k", "c1", "epochs", "seed", "delta", "synthetic_n", "synthetic_dims",
-            "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    opts["k"] = int(opts["k"]) if args.k is not None else 2
-    rng = RngStream(int(opts["seed"]))
+def cmd_attack_pair(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
-    cfg = SchemeConfig(scheme="mixup", k=int(opts["k"]), c1=float(opts["c1"]))
-    history, truth = encrypt_history(private, cfg, int(opts["epochs"]), rng.child("enc"))
+    cfg = _scheme_config(opts, "mixup")
+    history, truth = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
     report = attacks.pair_detection_attack(
         history,
         threshold=args.threshold,
         truth_keys=truth,
-        delta=float(opts["delta"]),
+        delta=opts["delta"],
         k=cfg.k,
     )
-    return _attack_report_out(args, report, opts)
+    return _attack_results(args, report)
 
 
-def cmd_attack_public_scan(args) -> int:
-    keys = ["k", "seed", "delta", "synthetic_dims"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
-    dims = _parse_dims(str(opts["synthetic_dims"]))
-    publicset = _public_patches(args, dims, rng, count=int(args.candidates))
-    k = int(opts["k"])
+def cmd_attack_public_scan(args, opts: dict, rng: RngStream) -> dict:
+    dims = _parse_dims(opts["synthetic_dims"])
+    publicset = _public_patches(args, dims, rng, count=args.candidates)
+    k = opts["k"]
     if not 1 <= k <= len(publicset):
         raise ValidationError(f"k must be in [1, {len(publicset)}] candidates, got {k}")
     gen = rng.child("mix").generator()
@@ -316,54 +308,43 @@ def cmd_attack_public_scan(args) -> int:
         k,
         threshold=args.threshold,
         truth_members=set(members),
-        delta=float(opts["delta"]),
+        delta=opts["delta"],
     )
-    return _attack_report_out(args, report, opts, extra={"true_members": members})
+    return _attack_results(args, report, true_members=members)
 
 
-def cmd_attack_braverman(args) -> int:
-    keys = ["k", "c1", "seed", "synthetic_dims"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
-    dims = _parse_dims(str(opts["synthetic_dims"]))
-    publicset = _public_patches(args, dims, rng, count=int(args.candidates))
+def cmd_attack_braverman(args, opts: dict, rng: RngStream) -> dict:
+    dims = _parse_dims(opts["synthetic_dims"])
+    publicset = _public_patches(args, dims, rng, count=args.candidates)
     # labels are irrelevant to this ranking; any one-hot will do
     pool = Dataset(publicset.matrix(), np.ones((len(publicset), 1)), dims=publicset.dims)
-    cfg = SchemeConfig(scheme="inside", k=int(opts["k"]), c1=float(opts["c1"]))
+    cfg = _scheme_config(opts, "inside")
     sample, key = encrypt_sample(pool, 0, cfg, rng.child("enc"))
     truth = {idx for _, idx in key.sources}
     report = attacks.braverman_attack(sample, publicset, truth_members=truth)
-    return _attack_report_out(args, report, opts, extra={"true_members": sorted(truth)})
+    return _attack_results(args, report, true_members=sorted(truth))
 
 
-def cmd_attack_averaging(args) -> int:
-    keys = ["k", "c1", "epochs", "seed", "oracle_p", "m",
-            "synthetic_n", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
+def cmd_attack_averaging(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
-    cfg = SchemeConfig(scheme="inside", k=int(opts["k"]), c1=float(opts["c1"]))
-    history, keys_ = encrypt_history(private, cfg, int(opts["epochs"]), rng.child("enc"))
-    oracle = attacks.SignOracle(float(opts["oracle_p"]), rng.child("oracle"))
+    cfg = _scheme_config(opts, "inside")
+    history, keys = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
+    oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
     report = attacks.averaging_attack(
-        history, keys_, private, args.mode, oracle, m=int(opts["m"]), target=args.target
+        history, keys, private, args.mode, oracle, m=opts["m"], target=args.target
     )
-    return _attack_report_out(args, report, opts)
+    return _attack_results(args, report)
 
 
-def cmd_attack_similarity(args) -> int:
-    keys = ["k", "c1", "c2", "seed", "oracle_p", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
-    m = int(args.m if args.m is not None else 100)
-    trials = int(args.trials_count)
+def cmd_attack_similarity(args, opts: dict, rng: RngStream) -> dict:
+    trials = args.trials_count
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     source_dims = _parse_dims(args.source_dims)
-    patch_dims = _parse_dims(str(args.patch_dims))
+    patch_dims = _parse_dims(args.patch_dims)
 
     sources = make_gaussian_dataset(
-        int(args.sources), source_dims, rng.child("sources"), normalize=False
+        args.sources, source_dims, rng.child("sources"), normalize=False
     )
     enc_patches = publicprep.build_patchset(
         sources, patch_dims[1:], 1, rng.child("crop-enc"), min_keypoints=0
@@ -371,12 +352,12 @@ def cmd_attack_similarity(args) -> int:
     attacker_patches = publicprep.build_patchset(
         sources, patch_dims[1:], 1, rng.child("crop-att"), min_keypoints=0
     )
+    # labels only satisfy the encryptor: the attack never reads them
     private = make_gaussian_dataset(
-        max(2, trials), patch_dims, rng.child("private"),
-        classes=int(opts["synthetic_classes"]), normalize=False,
+        max(2, trials), patch_dims, rng.child("private"), classes=10, normalize=False,
     )
-    cfg = _scheme_config({**opts, "scheme": "cross"})
-    oracle = attacks.SignOracle(float(opts["oracle_p"]), rng.child("oracle"))
+    cfg = _scheme_config(opts, "cross")
+    oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
     hits = 0
     for t in range(trials):
         sample, key = encrypt_sample(
@@ -388,82 +369,61 @@ def cmd_attack_similarity(args) -> int:
             if tag == "public"
         }
         rep = attacks.similarity_search_attack(
-            sample, attacker_patches, oracle, key.mask, m,
+            sample, attacker_patches, oracle, key.mask, opts["m"],
             truth_sources=truth_sources, tag=t,
         )
         hits += int(rep.metrics["hit"])
-    results = {"trials": trials, "hits": hits, "hit_rate": hits / trials, "m": m}
-    write_report(args.report, _report("attack similarity", dict(opts), results))
-    return 0
+    return {"trials": trials, "hits": hits, "hit_rate": hits / trials, "m": opts["m"]}
 
 
-def cmd_attack_grad_match(args) -> int:
-    keys = ["seed", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
-    dims = _parse_dims(str(opts["synthetic_dims"]))
-    classes = int(opts["synthetic_classes"])
+def cmd_attack_grad_match(args, opts: dict, rng: RngStream) -> dict:
+    dims = _parse_dims(opts["synthetic_dims"])
+    classes = opts["synthetic_classes"]
     d = dims[0] * dims[1] * dims[2]
     model = utility.init_model(classes, d, rng.child("model"), scale=0.01)
     victim_ds = make_gaussian_dataset(1, dims, rng.child("victim"), classes=classes)
     victim, label = Image(victim_ds.matrix()[0], dims), victim_ds.label_matrix()[0]
     _, grads = utility.loss_and_gradient(model, victim, label)
     report = attacks.gradient_matching_attack(
-        grads, model, rng.child("attack"),
-        steps=int(args.steps), lr=float(args.lr_attack), victim=victim,
+        grads, model, rng.child("attack"), steps=args.steps, lr=args.lr_attack, victim=victim,
     )
-    return _attack_report_out(args, report, opts)
+    return _attack_results(args, report)
 
 
-def cmd_stats_ks_table(args) -> int:
-    keys = ["scheme", "k", "c1", "c2", "seed",
-            "synthetic_n", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    rng = RngStream(int(opts["seed"]))
+def cmd_stats_ks_table(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
     cfg = _scheme_config(opts)
     publicset = _public_patches(args, private.dims, rng, cfg=cfg)
     report = stats.indistinguishability_protocol(
         private, cfg, rng.child("protocol"),
-        picks=int(args.picks), encryptions_per_image=int(args.encryptions),
-        publicset=publicset,
+        picks=args.picks, encryptions_per_image=args.encryptions, publicset=publicset,
     )
     report.to_csv(args.out)
-    results = {
+    return {
         "out": args.out,
         "min_p": report.min_p(),
         "max_pair_delta": report.max_pair_delta(),
     }
-    write_report(args.report, _report("stats ks-table", dict(opts), results))
-    return 0
 
 
-def _concentration_config(args):
-    """Resolved options, the validators' config and the rng of a stats run."""
-    opts = resolve_options(args, ["seed", "delta", "trials", "beta", "k"])
-    cfg = stats.ConcentrationCheckConfig(
-        d=int(args.d), n=int(args.n), k=int(opts["k"]),
-        delta=float(opts["delta"]), trials=int(opts["trials"]), beta=float(opts["beta"]),
+def _concentration_config(args, opts: dict) -> stats.ConcentrationCheckConfig:
+    return stats.ConcentrationCheckConfig(
+        d=args.d, n=args.n, k=opts["k"], delta=opts["delta"], trials=opts["trials"],
+        beta=opts["beta"],
     )
-    return opts, cfg, RngStream(int(opts["seed"]))
 
 
-def cmd_stats_concentration(args) -> int:
-    opts, cfg, rng = _concentration_config(args)
-    results = {
+def cmd_stats_concentration(args, opts: dict, rng: RngStream) -> dict:
+    cfg = _concentration_config(args, opts)
+    return {
         "chi_square": stats.check_chi_square_tail(cfg, rng.child("chi")),
         "inner_product": stats.check_inner_product_concentration(cfg, rng.child("ip")),
         "bernstein": stats.check_bernstein_tail(cfg, rng.child("bern")),
     }
-    write_report(args.report, _report("stats concentration", dict(opts), results))
-    return 0
 
 
-def cmd_stats_theorem_gap(args) -> int:
-    opts, cfg, rng = _concentration_config(args)
-    results = stats.check_theorem_gap(cfg, args.which, rng.child("gap"))
-    write_report(args.report, _report("stats theorem-gap", dict(opts), results))
-    return 0
+def cmd_stats_theorem_gap(args, opts: dict, rng: RngStream) -> dict:
+    return stats.check_theorem_gap(_concentration_config(args, opts), args.which, rng.child("gap"))
 
 
 def leakage_guard(path: str | Path, private: Dataset) -> None:
@@ -477,55 +437,35 @@ def leakage_guard(path: str | Path, private: Dataset) -> None:
             )
 
 
-def cmd_challenge(args) -> int:
-    keys = ["k", "c1", "c2", "epochs", "seed",
-            "synthetic_n", "synthetic_dims", "synthetic_classes"]
-    opts = resolve_options(args, keys)
-    if args.k is None:
-        opts["k"] = 6
-    if args.epochs is None:
-        opts["epochs"] = 50
-    if getattr(args, "infile", None) is None:
-        opts["synthetic_n"] = int(args.n) if args.n is not None else 100
-    rng = RngStream(int(opts["seed"]))
+def cmd_challenge(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
-    cfg = _scheme_config({**opts, "scheme": "cross"})
+    cfg = _scheme_config(opts, "cross")
     publicset = _public_patches(args, private.dims, rng)
     results = _export(args, opts, rng, private, cfg, publicset)
     leakage_guard(results["out"], private)
-    results["leakage_scan"] = "clean"
-    write_report(args.report, _report("challenge", dict(opts), results))
-    return 0
+    return {**results, "leakage_scan": "clean"}
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed=True, report=True, config=True):
-    if config:
+def _add_options(p: argparse.ArgumentParser, *names: str, flag: str | None = None, **kwargs):
+    """Register the flags of the named options, typed from OPTIONS; ``flag``
+    renames a lone option's flag, ``kwargs`` go to add_argument."""
+    for name in names:
+        opt = OPTIONS[name]
+        p.add_argument(
+            flag or "--" + name.replace("_", "-"), dest=name, type=opt.type,
+            choices=opt.choices, **kwargs,
+        )
+
+
+def _add_common(p: argparse.ArgumentParser, *, seeded=True):
+    if seeded:
         p.add_argument("--config", help="key=value option file")
-    if seed:
-        p.add_argument("--seed", type=int, help="base RNG seed (IH_SEED overrides)")
-    if report:
-        p.add_argument("--report", help="write the JSON report here (default stdout)")
-
-
-_SCHEME_FLAGS = {"scheme": {"choices": SCHEMES}, "k": {"type": int},
-                 "c1": {"type": float}, "c2": {"type": float}}
-_SYNTHETIC_FLAGS = {"synthetic_n": int, "synthetic_dims": str, "synthetic_classes": int}
-
-
-def _add_scheme(p: argparse.ArgumentParser, *names):
-    """The scheme flags a command reads; all four when none are named."""
-    for name in names or _SCHEME_FLAGS:
-        p.add_argument(f"--{name}", **_SCHEME_FLAGS[name])
-
-
-def _add_synthetic(p: argparse.ArgumentParser, *names):
-    """The synthetic-dataset flags a command reads; all three when none are named."""
-    for name in names or _SYNTHETIC_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_SYNTHETIC_FLAGS[name])
+        _add_options(p, "seed", help="base RNG seed (IH_SEED overrides)")
+    p.add_argument("--report", help="write the JSON report here (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,12 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", help="raw RGB bytes + label CSV -> dataset file")
-    p.add_argument("--raw", required=True)
-    p.add_argument("--dims", required=True, help="CxHxW of each raw image")
-    p.add_argument("--labels")
-    p.add_argument("--classes", type=int)
+    _add_options(p, "raw", required=True)
+    _add_options(p, "dims", required=True, help="CxHxW of each raw image")
+    _add_options(p, "labels", "classes")
     p.add_argument("--out", required=True)
-    _add_common(p, seed=False, config=False)
+    _add_common(p, seeded=False)
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("prep-public", help="crop and filter a public dataset")
@@ -556,10 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encrypt", help="encrypt a private dataset for T epochs")
     p.add_argument("--in", dest="infile")
     p.add_argument("--public")
-    p.add_argument("--epochs", type=int)
     p.add_argument("--out", required=True)
-    _add_scheme(p)
-    _add_synthetic(p)
+    _add_options(p, "epochs", *_SCHEME, *_SYNTHETIC)
     _add_common(p)
     p.set_defaults(func=cmd_encrypt)
 
@@ -567,11 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--public")
     p.add_argument("--plain", action="store_true", help="train on raw images")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True)
-    _add_scheme(p)
-    _add_synthetic(p)
+    _add_options(p, "epochs", "lr", *_SCHEME, *_SYNTHETIC)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -580,23 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--public")
     p.add_argument("--mode", choices=("plain", "encrypted"), default="plain")
-    p.add_argument("--ensemble", type=int)
-    _add_scheme(p)
-    _add_synthetic(p)
+    _add_options(p, "ensemble", *_SCHEME, *_SYNTHETIC)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     pa = sub.add_parser("attack", help="run an attack harness with known ground truth")
-    asub = pa.add_subparsers(dest="attack_command", required=True)
+    asub = pa.add_subparsers(dest="subcommand", required=True)
 
     p = asub.add_parser("pair", help="pairwise inner-product detection on a history")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--epochs", type=int)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--delta", type=float)
     p.add_argument("--reconstruction-out", dest="reconstruction_out")
-    _add_scheme(p, "k", "c1")
-    _add_synthetic(p)
+    _add_options(p, "epochs", "delta", "k", "c1", *_SYNTHETIC)
     _add_common(p)
     p.set_defaults(func=cmd_attack_pair)
 
@@ -604,41 +533,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--public")
     p.add_argument("--candidates", type=int, default=1000)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--delta", type=float)
-    _add_scheme(p, "k")
-    _add_synthetic(p, "synthetic_dims")
+    _add_options(p, "delta", "k", "synthetic_dims")
     _add_common(p)
     p.set_defaults(func=cmd_attack_public_scan)
 
     p = asub.add_parser("braverman", help="fourth-moment candidate ranking")
     p.add_argument("--public")
     p.add_argument("--candidates", type=int, default=1000)
-    _add_scheme(p, "k", "c1")
-    _add_synthetic(p, "synthetic_dims")
+    _add_options(p, "k", "c1", "synthetic_dims")
     _add_common(p)
     p.set_defaults(func=cmd_attack_braverman)
 
     p = asub.add_parser("averaging", help="average demasked encryptions")
     p.add_argument("--in", dest="infile")
     p.add_argument("--mode", choices=attacks.AVERAGING_MODES, default="strong")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--oracle-p", dest="oracle_p", type=float)
-    p.add_argument("--m", type=int)
     p.add_argument("--target", type=int, default=0)
     p.add_argument("--reconstruction-out", dest="reconstruction_out")
-    _add_scheme(p, "k", "c1")
-    _add_synthetic(p)
+    _add_options(p, "epochs", "oracle_p", "m", "k", "c1", *_SYNTHETIC)
     _add_common(p)
     p.set_defaults(func=cmd_attack_averaging)
 
     p = asub.add_parser("similarity", help="SSIM search after oracle demasking")
-    p.add_argument("--m", type=int)
     p.add_argument("--trials", dest="trials_count", type=int, default=50)
     p.add_argument("--sources", type=int, default=10000)
     p.add_argument("--source-dims", dest="source_dims", default="3x48x48")
     p.add_argument("--patch-dims", dest="patch_dims", default="3x32x32")
-    p.add_argument("--oracle-p", dest="oracle_p", type=float)
-    _add_scheme(p, "k", "c1", "c2")
+    _add_options(p, "m", "oracle_p", "k", "c1", "c2")
     _add_common(p)
     p.set_defaults(func=cmd_attack_similarity)
 
@@ -646,12 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", dest="lr_attack", type=float, default=0.05)
     p.add_argument("--reconstruction-out", dest="reconstruction_out")
-    _add_synthetic(p, "synthetic_dims", "synthetic_classes")
+    _add_options(p, "synthetic_dims", "synthetic_classes")
     _add_common(p)
     p.set_defaults(func=cmd_attack_grad_match)
 
     ps = sub.add_parser("stats", help="statistical validators")
-    ssub = ps.add_subparsers(dest="stats_command", required=True)
+    ssub = ps.add_subparsers(dest="subcommand", required=True)
 
     p = ssub.add_parser("ks-table", help="indistinguishability p-value table")
     p.add_argument("--in", dest="infile")
@@ -659,8 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--picks", type=int, default=stats.PROTOCOL_PICKS)
     p.add_argument("--encryptions", type=int, default=stats.PROTOCOL_ENCRYPTIONS)
-    _add_scheme(p)
-    _add_synthetic(p)
+    _add_options(p, *_SCHEME, *_SYNTHETIC)
     _add_common(p)
     p.set_defaults(func=cmd_stats_ks_table)
 
@@ -672,20 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p, p2):
         p.add_argument("--d", type=int, default=3072)
         p.add_argument("--n", type=int, default=1000)
-        _add_scheme(p, "k")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--beta", type=float)
+        _add_options(p, "k", "delta", "trials", "beta")
         _add_common(p)
 
     p = sub.add_parser("challenge", help="export encrypted samples, no keys or originals")
     p.add_argument("--in", dest="infile")
     p.add_argument("--public")
-    p.add_argument("--n", type=int, help="synthetic private size (default 100)")
-    p.add_argument("--epochs", type=int)
     p.add_argument("--out", required=True)
-    _add_scheme(p, "k", "c1", "c2")
-    _add_synthetic(p, "synthetic_dims", "synthetic_classes")
+    _add_options(p, "synthetic_n", flag="--n", help="synthetic private size (default 100)")
+    _add_options(p, "epochs", "k", "c1", "c2", "synthetic_dims", "synthetic_classes")
     _add_common(p)
     p.set_defaults(func=cmd_challenge)
 
@@ -693,16 +607,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: resolve its options, open RngStream(seed), call it and
+    write its report. Returns the exit code."""
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
-        return args.func(args)
+        opts = resolve_options(args, command)
+        rng = RngStream(opts["seed"]) if "seed" in opts else None
+        results = args.func(args, opts, rng)
+        write_report(args.report, {"command": command, "config": opts, "results": results})
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -135,6 +135,10 @@ def _sources(private: Dataset, cfg: SchemeConfig, publicset=None):
     if cfg.scheme == "cross":
         if publicset is None:
             raise ValidationError("cross-dataset encryption needs a public set")
+        if publicset.dims != private.dims:
+            raise DimensionMismatchError(
+                f"public patch dims {publicset.dims} != private image dims {private.dims}"
+            )
         S.append(publicset.matrix())
     return S, Y
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Dataset, Image
 from .encrypt import SchemeConfig, _encrypt_rows, encrypt_epoch
-from .errors import FormatError, TruncatedFileError, ValidationError
+from .errors import DimensionMismatchError, FormatError, TruncatedFileError, ValidationError
 from .rng import RngStream, Streams
 
 MODEL_MAGIC = b"IHMD"
@@ -215,6 +215,9 @@ def _encrypted_probs(
     if cross and n_public < k - 2:
         raise ValidationError("cross inference encryption needs k-2 public patches")
     S = [X] + [s.matrix() for s, n in ((pool, n_pool), (publicset, n_public)) if n]
+    for part in S[1:]:
+        if part.shape[1] != d:
+            raise DimensionMismatchError(f"partner rows have length {part.shape[1]}, inputs {d}")
     block = max(1, (1 << 19) // (ensemble * d))  # ~4 MB float64 buffers per call
     probs = np.empty((m, model.classes))
     for lo in range(0, m, block):

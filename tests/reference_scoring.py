@@ -5,7 +5,8 @@ streamed the pool in row blocks, copied verbatim.
 ``_fourth_moment_scores`` held the float64 pool and its square,
 ``ssim_pairwise`` copied every window into a float64 window tensor, and
 ``pair_detection_attack`` sorted every pair score and clustered with a
-Python union-find. test_scoring_oracle.py checks the streaming kernels in
+Python union-find, and ``average_reconstruct`` averaged a cluster one member
+at a time. test_scoring_oracle.py checks the streaming kernels in
 ``instahide`` against these. Nothing here is imported by the package.
 """
 
@@ -24,9 +25,9 @@ from instahide.attacks import (
     TOP_SCORES,
     AttackReport,
     _window_starts,
-    average_reconstruct,
     pair_threshold,
 )
+from instahide.core import Image
 from instahide.encrypt import EncryptionKey
 from instahide.errors import DimensionMismatchError, ValidationError
 
@@ -160,6 +161,24 @@ def _truth_pair_matrix(keys: list[EncryptionKey], count: int) -> np.ndarray:
         for src in key.sources:
             B[i, col[src]] = 1
     return (B @ B.T) > 0
+
+
+def average_reconstruct(cluster: list) -> Image:
+    """Coordinate-wise mean of a non-empty cluster of same-shape images, with
+    their dims ((1, 1, d) when no member has any)."""
+    if not cluster:
+        raise ValidationError("cannot average an empty cluster")
+    dims = {getattr(x, "dims", None) for x in cluster} - {None}
+    if len(dims) > 1:
+        raise ValidationError("cluster images have mixed dims")
+    acc = np.zeros(np.asarray(cluster[0]).size, dtype=np.float64)
+    for x in cluster:
+        px = np.asarray(x)
+        if px.size != acc.size:
+            raise ValidationError("cluster images have mixed sizes")
+        acc += px.astype(np.float64).reshape(-1)
+    acc /= len(cluster)
+    return Image(acc.astype(np.float32), dims.pop() if dims else (1, 1, acc.size))
 
 
 def pair_detection_attack(

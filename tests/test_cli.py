@@ -7,7 +7,9 @@ from instahide.cli import _parse_dims, leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
 from instahide.core import Dataset, make_gaussian_dataset
 from instahide.errors import ValidationError
+from instahide.publicprep import build_patchset, save_patchset
 from instahide.rng import RngStream
+from instahide.utility import init_model, save_model
 
 
 def run(args, capsys=None):
@@ -324,14 +326,30 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "--out", "{tmp}/c.ihds"],
         ["train", "--epochs", "-2", "--synthetic-n", "4", "--synthetic-dims", "1x4x4",
          "--out", "{tmp}/m.bin"],
+        ["encrypt", "--scheme", "cross", "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p4.ihds",
+         "--epochs", "1", "--out", "{tmp}/o.ihds"],
+        ["challenge", "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p4.ihds", "--epochs", "1",
+         "--out", "{tmp}/c.ihds"],
+        ["train", "--scheme", "cross", "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p4.ihds",
+         "--epochs", "1", "--out", "{tmp}/m.bin"],
+        ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--scheme", "cross",
+         "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p4.ihds"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
-         "challenge-negative-epochs", "train-negative-epochs"],
+         "challenge-negative-epochs", "train-negative-epochs", "encrypt-public-dims",
+         "challenge-public-dims", "train-public-dims", "eval-public-dims"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
                  tmp_path / "d.ihds")
+    # a labelled 3x8x8 private set, 3x4x4 public patches and a model for d = 192
+    save_dataset(make_gaussian_dataset(4, (3, 8, 8), RngStream(16), classes=2),
+                 tmp_path / "p8.ihds")
+    patches = make_gaussian_dataset(8, (3, 4, 4), RngStream(17), normalize=False)
+    save_patchset(build_patchset(patches, (4, 4), 1, RngStream(18), min_keypoints=0),
+                  tmp_path / "p4.ihds")
+    save_model(init_model(2, 192), tmp_path / "m192.ihmd")
     (tmp_path / "x.raw").write_bytes(bytes(4))
     (tmp_path / "y.csv").write_text("5\n")
     (tmp_path / "w.csv").write_text("0.5,x,0.5\n")
@@ -387,3 +405,86 @@ def test_attack_averaging_reconstruction_out_replays(tmp_path, monkeypatch):
     assert read_report(a / "report.json")["results"]["reconstruction_path"] == "rec.ihds"
     rec = load_dataset(a / "rec.ihds")
     assert rec.n == 1 and rec.dims == (3, 4, 4)
+
+
+# every command: argv that runs it in well under a second, and the options its
+# report records (flags the report does not record are left at their defaults)
+COMMANDS = {
+    "import": (["--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--out", "{tmp}/i.ihds"],
+               {"raw", "dims", "labels", "classes"}),
+    "prep-public": (["--in", "{tmp}/d.ihds", "--patch-size", "2x2", "--min-keypoints", "0",
+                     "--out", "{tmp}/p.ihds"], {"seed"}),
+    "encrypt": (["--out", "{tmp}/e.ihds"], {"scheme", "k", "c1", "c2", "epochs", "seed",
+                                             "synthetic_n", "synthetic_dims",
+                                             "synthetic_classes"}),
+    "train": (["--out", "{tmp}/m.ihmd"], {"scheme", "k", "c1", "c2", "epochs", "seed", "lr",
+                                          "synthetic_n", "synthetic_dims", "synthetic_classes"}),
+    "eval": (["--model", "{tmp}/m16.ihmd"], {"scheme", "k", "c1", "c2", "seed", "ensemble",
+                                             "synthetic_n", "synthetic_dims",
+                                             "synthetic_classes"}),
+    "attack pair": ([], {"k", "c1", "epochs", "seed", "delta", "synthetic_n", "synthetic_dims",
+                         "synthetic_classes"}),
+    "attack public-scan": (["--candidates", "20"], {"k", "seed", "delta", "synthetic_dims"}),
+    "attack braverman": (["--candidates", "20"], {"k", "c1", "seed", "synthetic_dims"}),
+    "attack averaging": ([], {"k", "c1", "epochs", "seed", "oracle_p", "m", "synthetic_n",
+                              "synthetic_dims", "synthetic_classes"}),
+    "attack similarity": (["--trials", "2", "--sources", "20", "--source-dims", "1x8x8",
+                           "--patch-dims", "1x4x4"], {"k", "c1", "c2", "seed", "oracle_p", "m"}),
+    "attack grad-match": (["--steps", "5"], {"seed", "synthetic_dims", "synthetic_classes"}),
+    "stats ks-table": (["--out", "{tmp}/t.csv", "--picks", "2", "--encryptions", "60"],
+                       {"scheme", "k", "c1", "c2", "seed", "synthetic_n", "synthetic_dims",
+                        "synthetic_classes"}),
+    "stats concentration": (["--d", "16", "--n", "4"], {"seed", "delta", "trials", "beta", "k"}),
+    "stats theorem-gap": (["--which", "pair", "--d", "16", "--n", "4"],
+                          {"seed", "delta", "trials", "beta", "k"}),
+    "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", "seed", "synthetic_n",
+                                              "synthetic_dims", "synthetic_classes"}),
+}
+# a value for every option that no command or built-in default takes
+CONFIG = {"scheme": "mixup", "k": 3, "c1": 0.6, "c2": 0.25, "epochs": 2, "seed": 5,
+          "delta": 0.02, "beta": 3.0, "trials": 200, "oracle_p": 0.1, "m": 3, "lr": 0.05,
+          "ensemble": 2, "synthetic_n": 6, "synthetic_dims": "1x4x4", "synthetic_classes": 3}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_option_comes_from_its_flag_else_the_config_file(tmp_path, capsys, monkeypatch,
+                                                              command):
+    monkeypatch.delenv("IH_SEED", raising=False)
+    argv, options = COMMANDS[command]
+    save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
+                 tmp_path / "d.ihds")
+    save_model(init_model(3, 16), tmp_path / "m16.ihmd")
+    (tmp_path / "x.raw").write_bytes(bytes(4))
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("".join(f"{key.replace('_', '-')} = {value}\n" for key, value in CONFIG.items()))
+    argv = [*command.split(), *(a.format(tmp=tmp_path) for a in argv)]
+    if command == "import":
+        expected = {"raw": str(tmp_path / "x.raw"), "dims": "1x2x2", "labels": None,
+                    "classes": None}
+    else:
+        argv += ["--config", str(cfg), "--seed", "9"]
+        expected = {**{name: CONFIG[name] for name in options}, "seed": 9}
+    assert main(argv) == 0, capsys.readouterr().err
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == command
+    assert set(report["config"]) == options
+    assert report["config"] == expected
+
+
+@pytest.mark.parametrize(
+    "line, env_seed",
+    [("k = four", None), ("epochs = 1.5", None), ("scheme = bogus", None),
+     ("epoch = 2", None), ("", "abc")],
+    ids=["int-word", "int-fraction", "scheme-choice", "unknown-key", "env-seed"],
+)
+def test_config_values_are_typed_like_flags(tmp_path, capsys, monkeypatch, line, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv("IH_SEED", raising=False)
+    else:
+        monkeypatch.setenv("IH_SEED", env_seed)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["encrypt", "--config", str(cfg), "--synthetic-n", "4", "--synthetic-dims",
+                 "1x4x4", "--out", str(tmp_path / "e.ihds")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
