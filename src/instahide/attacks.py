@@ -16,6 +16,12 @@ attack read a history's key columns (sources, signs) directly.
 Detection thresholds default to the geometric midpoint between the typical
 member score scale and a union-bounded noise ceiling, both computable from the
 runtime parameters (d, k, candidate count, delta).
+
+A pair score is scan_scores' float64 row dot, the same bits whatever the BLAS
+thread count or block size. BLAS only filters: one product per upper-triangle
+row block of CHUNK_BYTES, within (gamma_d(u) + gamma_d(2^-53)) ||x_i|| ||x_j||
+of the row dot (gamma_d(u) = d u / (1 - d u), Higham 2002, 3.1); pairs whose
+bound straddles the threshold or the running top-50 cut are re-scored.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import Coefficients, Dataset, Image, SignMask, float64_blocks, scan_scores
 from .encrypt import EncryptedSamples, EncryptionKeys, apply_mask
 from .errors import (
@@ -155,15 +162,14 @@ def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             label = label[label]
 
 
-def _top_order(scores: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest scores in descending order, ties by
-    index (the head of a stable argsort of -scores), without sorting all."""
-    count = min(count, scores.size)
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    cut = np.partition(scores, scores.size - count)[scores.size - count]
-    keep = np.flatnonzero(scores >= cut)
-    return keep[np.lexsort((keep, -scores[keep]))][:count]
+def _row_dots(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """abs(scan_scores(rows[j:j+1], rows[i])[0]) per index pair, bit for bit, in blocks."""
+    out = np.empty(i.size)
+    step = max(1, core.CHUNK_BYTES // (16 * rows.shape[1]))
+    for s in range(0, i.size, step):
+        a, b = (rows[ix[s : s + step]].astype(np.float64) for ix in (i, j))
+        out[s : s + step] = np.abs(np.einsum("ij,ij->i", a, b))
+    return out
 
 
 def pair_detection_attack(
@@ -176,59 +182,83 @@ def pair_detection_attack(
     """Threshold all pairwise scores and cluster samples by connected
     components; clusters are averaged into reconstructions (the largest one is
     attached to the report). With ground-truth keys the report carries
-    pairwise precision and recall. Pair (i, j) is encoded as id i*m + j."""
+    pairwise precision and recall. Pair (i, j), i < j, has id i*m + j and
+    score |<x_i, x_j>| (see the module docstring); top scores sort by (-score, id)."""
     m = len(history)
     if not m:
         raise ValidationError("pair detection needs a non-empty history")
-    rows = np.asarray(history).astype(np.float64)
+    rows = np.asarray(history).reshape(m, -1)
+    d = rows.shape[1]
     n_pairs = m * (m - 1) // 2
     if threshold is None:
-        threshold = (
-            pair_threshold(rows.shape[1], k, n_pairs, delta) if n_pairs else math.inf
-        )
+        threshold = pair_threshold(d, k, n_pairs, delta) if n_pairs else math.inf
+    if math.isnan(threshold):
+        raise ValidationError("threshold must be a number, got nan")
+    if truth_keys is not None and len(truth_keys) != m:
+        raise ValidationError(f"{len(truth_keys)} keys for {m} samples")
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    if not np.isfinite(norms).all():
+        raise ValidationError("pair detection needs rows of finite norm")
+    if rows.dtype != np.float32 or norms.max() > 1e18:  # float32 partial sums stay finite
+        rows = rows.astype(np.float64, copy=False)
+    # row i's bound against any partner, rounded up by 2; tiny: underflowed products
+    u, tiny = np.finfo(rows.dtype).eps / 2, 2 * d * np.finfo(rows.dtype).smallest_subnormal
+    bound = 2 * sum(d * v / (1 - d * v) for v in (u, 2.0**-53)) * norms.max() * norms + tiny
+    cut = max(threshold, 0.0)  # a threshold <= 0 detects every pair
+    if truth_keys is not None:
+        # incidence[i, c] = 1 iff sample i mixes source c; shared counts are exact in float32
+        _, col = np.unique(truth_keys.sources, return_inverse=True)
+        incidence = np.zeros((m, col.max() + 1), dtype=np.float32)
+        incidence[np.arange(m)[:, None], col.reshape(m, -1)] = 1.0
+    ids, top_ids, top = [], np.zeros(0, dtype=np.int64), np.zeros(0)
+    truth_pairs = tp = lo = 0
+    while lo < m:
+        hi = min(m, lo + max(1, core.CHUNK_BYTES // (8 * (m - lo))))
+        G = np.abs(rows[lo:hi] @ rows[lo:].T)
+        G[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf  # keep i < j
+        r = bound[lo:hi, None]
+        # a floor under the top cut: 50th of the best, each row's best, 50 zeros
+        lows = np.concatenate([np.zeros(TOP_SCORES), top, G.max(axis=1) - r[:, 0]])
+        floor = np.partition(lows, lows.size - TOP_SCORES)[lows.size - TOP_SCORES]
+        det = G >= cut + r
+        near = np.nonzero(((G >= cut - r) & ~det) | (G >= floor - r))
+        exact = _row_dots(rows, near[0] + lo, near[1] + lo)
+        det[near] = exact >= cut
+        if truth_keys is not None:
+            truth = (incidence[lo:hi] @ incidence[lo:].T > 0) & (G > -np.inf)
+            truth_pairs += np.count_nonzero(truth)
+            tp += np.count_nonzero(truth & det)
+        # block entry (r, c) is pair (lo + r, lo + c): id r * m + c + lo * (m + 1)
+        ids.append(np.ravel_multi_index(np.nonzero(det), (m, m)) + lo * (m + 1))
+        top_ids = np.concatenate([top_ids, np.ravel_multi_index(near, (m, m)) + lo * (m + 1)])
+        top = np.concatenate([top, exact])
+        best = np.lexsort((top_ids, -top))[:TOP_SCORES]  # (-score, id): a total order
+        top_ids, top = top_ids[best], top[best]
+        lo = hi
+    ids = np.concatenate(ids)
 
-    gram = rows @ rows.T
-    iu, ju = np.triu_indices(m, k=1)
-    pair_scores = np.abs(gram[iu, ju])
-    detected = pair_scores >= threshold
-
-    label = _components(m, iu[detected], ju[detected])
+    label = _components(m, ids // m, ids % m)
     members = np.argsort(label, kind="stable")
     cuts = np.flatnonzero(np.diff(label[members])) + 1
     clusters = tuple(tuple(c.tolist()) for c in np.split(members, cuts))
     largest = max(clusters, key=len)
     reconstruction = None
     if len(largest) >= 2:
-        dims = getattr(history, "dims", None) or getattr(history[0], "dims", (1, 1, rows.shape[1]))
+        dims = getattr(history, "dims", None) or getattr(history[0], "dims", (1, 1, d))
         mean = _mean_rows(rows, label == label[largest[0]])
         reconstruction = Image(mean.astype(np.float32), dims)
 
-    metrics: dict = {
-        "detected_pairs": float(detected.sum()),
-        "clusters": float(len(clusters)),
-    }
+    metrics: dict = {"detected_pairs": float(ids.size), "clusters": float(len(clusters))}
     if truth_keys is not None:
-        if len(truth_keys) != m:
-            raise ValidationError(f"{len(truth_keys)} keys for {m} samples")
-        # B[i, c] = 1 iff sample i mixes source c; shared counts are exact in float32
-        _, col = np.unique(truth_keys.sources, return_inverse=True)
-        B = np.zeros((m, col.max() + 1), dtype=np.float32)
-        B[np.arange(m)[:, None], col.reshape(m, -1)] = 1.0
-        truth = ((B @ B.T) > 0)[iu, ju]
-        tp = float(np.sum(detected & truth))
-        metrics["truth_pair_rate"] = float(truth.mean()) if n_pairs else None
-        metrics["precision"] = tp / detected.sum() if detected.any() else None
-        metrics["recall"] = tp / truth.sum() if truth.any() else None
+        metrics["truth_pair_rate"] = truth_pairs / n_pairs if n_pairs else None
+        metrics["precision"] = tp / ids.size if ids.size else None
+        metrics["recall"] = tp / truth_pairs if truth_pairs else None
 
-    order = _top_order(pair_scores, TOP_SCORES)
-    scores = tuple(
-        (int(iu[o] * m + ju[o]), float(pair_scores[o])) for o in order
-    )
     return AttackReport(
         attack="pair_detection",
         params={"threshold": float(threshold), "delta": delta, "samples": m, "k": k},
-        scores=scores,
-        decisions=tuple((iu[detected] * m + ju[detected]).tolist()),
+        scores=tuple(zip(top_ids.tolist(), top.tolist())),
+        decisions=tuple(ids.tolist()),
         reconstruction=reconstruction,
         metrics=metrics,
         clusters=clusters,
@@ -279,6 +309,8 @@ def public_scan_attack(
     if threshold is None:
         qn = float(np.linalg.norm(query.astype(np.float64)))
         threshold = scan_threshold(qn, query.size, k, n, delta)
+    if math.isnan(threshold):
+        raise ValidationError("threshold must be a number, got nan")
 
     order = np.lexsort((np.arange(n), -mags))
     flagged = tuple(int(i) for i in np.flatnonzero(mags >= threshold))

@@ -149,6 +149,12 @@ def _scheme_config(opts: dict, scheme: str | None = None) -> SchemeConfig:
     return SchemeConfig(scheme or opts["scheme"], **given)
 
 
+def _plain(opts: dict) -> None:
+    """Drop the options plain mode never reads: a report lists only those that mattered."""
+    for name in (*_SCHEME, "ensemble"):
+        opts.pop(name, None)
+
+
 def _read_input(load, path, *args, **kwargs):
     """load(path, ...); a missing, unreadable or truncated file is bad input (exit 2)."""
     try:
@@ -243,6 +249,7 @@ def cmd_train(args, opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(args, opts, rng)
     model = utility.init_model(private.label_matrix().shape[1], private.d)
     if args.plain:
+        _plain(opts)
         model = utility.train(model, private, opts["epochs"], opts["lr"], rng.child("sgd"))
     else:
         cfg = _scheme_config(opts)
@@ -259,6 +266,7 @@ def cmd_eval(args, opts: dict, rng: RngStream) -> dict:
     model = _read_input(utility.load_model, args.model)
     test = _private_dataset(args, opts, rng)
     if args.mode == "plain":
+        _plain(opts)
         acc = utility.evaluate(model, test, mode="plain")
     else:
         cfg = _scheme_config(opts)

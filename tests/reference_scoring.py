@@ -8,6 +8,11 @@ streamed the pool in row blocks, copied verbatim.
 Python union-find, and ``average_reconstruct`` averaged a cluster one member
 at a time. test_scoring_oracle.py checks the streaming kernels in
 ``instahide`` against these. Nothing here is imported by the package.
+
+One deliberate change from the verbatim copy: ``pair_detection_attack``
+scores pairs with the package's float64 einsum row dot (one
+``instahide.core.scan_scores`` call per row of the full matrix), not a BLAS
+Gram, because that row dot is the pair score's definition.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 
 import numpy as np
 
+from instahide import core
 from instahide.attacks import (
     DEFAULT_DELTA,
     SSIM_K1,
@@ -202,7 +208,7 @@ def pair_detection_attack(
             pair_threshold(rows.shape[1], k, n_pairs, delta) if n_pairs else math.inf
         )
 
-    gram = rows @ rows.T
+    gram = np.stack([core.scan_scores(rows, row) for row in rows])
     iu, ju = np.triu_indices(m, k=1)
     pair_scores = np.abs(gram[iu, ju])
     detected = pair_scores >= threshold

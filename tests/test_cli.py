@@ -334,11 +334,15 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "--epochs", "1", "--out", "{tmp}/m.bin"],
         ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--scheme", "cross",
          "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p4.ihds"],
+        ["attack", "pair", "--threshold", "nan", "--synthetic-n", "4", "--synthetic-dims",
+         "1x4x4", "--epochs", "1"],
+        ["attack", "public-scan", "--candidates", "200", "--threshold", "nan"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
          "challenge-negative-epochs", "train-negative-epochs", "encrypt-public-dims",
-         "challenge-public-dims", "train-public-dims", "eval-public-dims"],
+         "challenge-public-dims", "train-public-dims", "eval-public-dims", "pair-nan-threshold",
+         "public-scan-nan-threshold"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
@@ -419,8 +423,7 @@ COMMANDS = {
                                              "synthetic_classes"}),
     "train": (["--out", "{tmp}/m.ihmd"], {"scheme", "k", "c1", "c2", "epochs", "seed", "lr",
                                           "synthetic_n", "synthetic_dims", "synthetic_classes"}),
-    "eval": (["--model", "{tmp}/m16.ihmd"], {"scheme", "k", "c1", "c2", "seed", "ensemble",
-                                             "synthetic_n", "synthetic_dims",
+    "eval": (["--model", "{tmp}/m16.ihmd"], {"seed", "synthetic_n", "synthetic_dims",
                                              "synthetic_classes"}),
     "attack pair": ([], {"k", "c1", "epochs", "seed", "delta", "synthetic_n", "synthetic_dims",
                          "synthetic_classes"}),
@@ -440,17 +443,28 @@ COMMANDS = {
     "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", "seed", "synthetic_n",
                                               "synthetic_dims", "synthetic_classes"}),
 }
+# eval and train in their other mode (eval runs plain by default, train encrypted);
+# plain mode reads no scheme or ensemble option, so its report leaves them out
+MODES = {
+    "eval --mode encrypted": (["--model", "{tmp}/m16.ihmd", "--mode", "encrypted"],
+                              {"scheme", "k", "c1", "c2", "seed", "ensemble", "synthetic_n",
+                               "synthetic_dims", "synthetic_classes"}),
+    "train --plain": (["--plain", "--out", "{tmp}/m.ihmd"],
+                      {"epochs", "seed", "lr", "synthetic_n", "synthetic_dims",
+                       "synthetic_classes"}),
+}
 # a value for every option that no command or built-in default takes
 CONFIG = {"scheme": "mixup", "k": 3, "c1": 0.6, "c2": 0.25, "epochs": 2, "seed": 5,
           "delta": 0.02, "beta": 3.0, "trials": 200, "oracle_p": 0.1, "m": 3, "lr": 0.05,
           "ensemble": 2, "synthetic_n": 6, "synthetic_dims": "1x4x4", "synthetic_classes": 3}
 
 
-@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("case", [*COMMANDS, *MODES])
 def test_each_option_comes_from_its_flag_else_the_config_file(tmp_path, capsys, monkeypatch,
-                                                              command):
+                                                              case):
     monkeypatch.delenv("IH_SEED", raising=False)
-    argv, options = COMMANDS[command]
+    argv, options = {**COMMANDS, **MODES}[case]
+    command = case.split(" -")[0]
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
                  tmp_path / "d.ihds")
     save_model(init_model(3, 16), tmp_path / "m16.ihmd")

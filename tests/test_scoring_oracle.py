@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ import reference_scoring as ref
 from instahide import core
 from instahide.attacks import (
     _fourth_moment_scores,
-    _top_order,
     pair_detection_attack,
     ssim_pairwise,
 )
@@ -86,17 +86,22 @@ def test_fourth_moment_scores_are_bit_identical_across_chunks(monkeypatch):
 THREAD_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
-from instahide.attacks import _fourth_moment_scores, ssim_pairwise
+from instahide.attacks import _fourth_moment_scores, pair_detection_attack, ssim_pairwise
 from instahide.core import scan_scores
 gen = np.random.default_rng(11)
 pool = gen.standard_normal((1500, 3072)).astype(np.float32)
 q = gen.standard_normal((4, 3072)).astype(np.float32)
 out = {
-    "scan": scan_scores(pool, q[0]),
-    "fourth": _fourth_moment_scores(pool, q[0]),
-    "ssim": ssim_pairwise(q, pool[:400], (3, 32, 32)),
+    "scan": scan_scores(pool, q[0]).tobytes(),
+    "fourth": _fourth_moment_scores(pool, q[0]).tobytes(),
+    "ssim": ssim_pairwise(q, pool[:400], (3, 32, 32)).tobytes(),
 }
-print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in out.items()}))
+# 12 copies of one row tie 66 pairs across the top-50 cut
+history = pool[:600] / np.float32(np.sqrt(3072))
+history[gen.choice(600, 12, replace=False)] = history[0]
+report = pair_detection_attack(history, k=2)
+out["pair"] = json.dumps(report.to_dict(), sort_keys=True).encode()
+print(json.dumps({k: hashlib.sha256(v).hexdigest() for k, v in out.items()}))
 """
 
 
@@ -139,44 +144,125 @@ def assert_same_report(history, **kwargs):
     return new
 
 
-def test_pair_detection_matches_reference_with_zero_detections():
+def zero_detections():
     ds = make_gaussian_dataset(20, (3, 8, 8), RngStream(31), classes=4)
     samples, keys = encrypt_history(ds, SchemeConfig("inside", k=2, c1=0.65), 5, RngStream(32))
-    rep = assert_same_report(samples, truth_keys=keys)
-    assert rep.metrics["detected_pairs"] == 0.0
-    assert len(rep.clusters) == len(samples)
+    return samples, {"truth_keys": keys}
 
 
-def test_pair_detection_matches_reference_with_many_small_clusters():
-    rep = assert_same_report(grouped_history([1, 2, 3, 2, 4, 1, 3, 2, 5, 2]))
-    sizes = sorted(len(c) for c in rep.clusters)
-    assert sizes == [1, 1, 2, 2, 2, 2, 3, 3, 4, 5]
+def many_small_clusters():
+    return grouped_history([1, 2, 3, 2, 4, 1, 3, 2, 5, 2]), {}
 
 
-def test_pair_detection_matches_reference_with_one_large_cluster():
+def one_large_cluster():
     ds = make_gaussian_dataset(12, (3, 8, 8), RngStream(33), classes=4)
     samples, keys = encrypt_history(ds, SchemeConfig("mixup", k=2, c1=0.65), 12, RngStream(34))
-    rep = assert_same_report(samples, truth_keys=keys, k=2)
-    assert len(max(rep.clusters, key=len)) > 0.9 * len(samples)
-    assert rep.reconstruction is not None
+    return samples, {"truth_keys": keys, "k": 2}
 
 
-def test_pair_detection_top_scores_keep_stable_order_across_tied_cutoff():
+def tied_cut():
     # 12 copies of one row tie 66 pairs across the 50-score cut; entries are
     # multiples of 1/8, so every score is exact and the ties are exact
     gen = np.random.default_rng(4)
     same = np.where(gen.random(64) < 0.5, -0.125, 0.125).astype(np.float32)
     others = gen.integers(-1, 2, (8, 64)).astype(np.float32) / 8
     history = [same] * 12 + list(others)
-    history = [history[i] for i in gen.permutation(len(history))]
-    rep = assert_same_report(history, threshold=0.5)
+    return [history[i] for i in gen.permutation(len(history))], {"threshold": 0.5}
+
+
+CASES = [zero_detections, many_small_clusters, one_large_cluster, tied_cut]
+
+
+def test_pair_detection_matches_reference_with_zero_detections():
+    samples, kwargs = zero_detections()
+    rep = assert_same_report(samples, **kwargs)
+    assert rep.metrics["detected_pairs"] == 0.0
+    assert len(rep.clusters) == len(samples)
+
+
+def test_pair_detection_matches_reference_with_many_small_clusters():
+    history, kwargs = many_small_clusters()
+    rep = assert_same_report(history, **kwargs)
+    sizes = sorted(len(c) for c in rep.clusters)
+    assert sizes == [1, 1, 2, 2, 2, 2, 3, 3, 4, 5]
+
+
+def test_pair_detection_matches_reference_with_one_large_cluster():
+    samples, kwargs = one_large_cluster()
+    rep = assert_same_report(samples, **kwargs)
+    assert len(max(rep.clusters, key=len)) > 0.9 * len(samples)
+    assert rep.reconstruction is not None
+
+
+def test_pair_detection_top_scores_keep_stable_order_across_tied_cutoff():
+    history, kwargs = tied_cut()
+    rep = assert_same_report(history, **kwargs)
     assert len(rep.scores) == 50
     assert {s for _, s in rep.scores} == {1.0}
 
 
-def test_top_order_is_the_head_of_a_stable_descending_sort():
+def mixup_history(n, epochs, dims=(3, 32, 32), seed=40):
+    ds = make_gaussian_dataset(n, dims, RngStream(seed), classes=10)
+    return encrypt_history(ds, SchemeConfig("mixup", k=2, c1=0.65), epochs, RngStream(seed + 1))
+
+
+def test_pair_scores_are_the_float64_row_dot_bit_for_bit():
+    samples, keys = mixup_history(10, 30)
+    rows = np.asarray(samples)
+    m = len(samples)
+    rep = pair_detection_attack(samples, truth_keys=keys)
+    assert len(rep.scores) == 50
+    for pair, score in rep.scores:
+        i, j = divmod(pair, m)
+        assert i < j
+        assert score == abs(scan_scores(rows[j : j + 1], rows[i])[0]), pair
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
+def test_pair_report_does_not_depend_on_the_block_size(monkeypatch, case):
+    history, kwargs = case()
+    whole = pair_detection_attack(history, **kwargs)
+    # three rows of the widest block per chunk
+    monkeypatch.setattr(core, "CHUNK_BYTES", 8 * 3 * len(history))
+    small = pair_detection_attack(history, **kwargs)
+    assert small.to_dict() == whole.to_dict()
+    assert small.clusters == whole.clusters
+    assert small.decisions == whole.decisions
+    assert small.reconstruction == whole.reconstruction
+
+
+def test_a_threshold_equal_to_a_pair_score_detects_that_pair():
+    samples, _ = mixup_history(10, 30)
+    rows = np.asarray(samples)
+    m = len(samples)
+    for i, j in [(0, 1), (3, 200), (17, 299)]:
+        score = abs(scan_scores(rows[j : j + 1], rows[i])[0])
+        assert i * m + j in pair_detection_attack(samples, threshold=score).decisions
+        above = np.nextafter(score, np.inf)
+        assert i * m + j not in pair_detection_attack(samples, threshold=above).decisions
+
+
+def test_pair_detection_holds_no_float64_gram():
+    samples, keys = mixup_history(50, 50)
+    m = len(samples)
+    tracemalloc.start()
+    try:
+        pair_detection_attack(samples, truth_keys=keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m
+
+
+def test_pair_top_scores_are_the_head_of_a_stable_descending_sort(monkeypatch):
+    # entries in {-1, 0, 1}/4 make every score exact, with many ties at the cut
     gen = np.random.default_rng(9)
-    for size, count in [(0, 50), (1, 50), (49, 50), (50, 50), (1000, 50), (1000, 1)]:
-        scores = gen.integers(0, 6, size).astype(np.float64)  # many ties at the cut
-        expect = np.argsort(-scores, kind="stable")[:count]
-        assert np.array_equal(_top_order(scores, count), expect)
+    pool = gen.integers(-1, 2, (90, 16)).astype(np.float32) / 4
+    for m in (1, 2, 10, 11, 90):  # 0, 1, 45, 55 and 4005 pairs
+        rows = pool[:m]
+        scores = {i * m + j: abs(float(rows[i] @ rows[j]))
+                  for i in range(m) for j in range(i + 1, m)}
+        expect = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:50]
+        for rows_per_block in (m, 7, 1):
+            monkeypatch.setattr(core, "CHUNK_BYTES", 8 * m * rows_per_block)
+            assert list(pair_detection_attack(rows, threshold=np.inf).scores) == expect
