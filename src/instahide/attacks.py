@@ -190,9 +190,9 @@ def pair_detection_attack(
     rows = np.asarray(history).reshape(m, -1)
     d = rows.shape[1]
     n_pairs = m * (m - 1) // 2
-    if threshold is None:
-        threshold = pair_threshold(d, k, n_pairs, delta) if n_pairs else math.inf
-    if math.isnan(threshold):
+    if threshold is None and n_pairs:  # with no pairs the threshold stays None (null)
+        threshold = pair_threshold(d, k, n_pairs, delta)
+    if threshold is not None and math.isnan(threshold := float(threshold)):
         raise ValidationError("threshold must be a number, got nan")
     if truth_keys is not None and len(truth_keys) != m:
         raise ValidationError(f"{len(truth_keys)} keys for {m} samples")
@@ -204,7 +204,7 @@ def pair_detection_attack(
     # row i's bound against any partner, rounded up by 2; tiny: underflowed products
     u, tiny = np.finfo(rows.dtype).eps / 2, 2 * d * np.finfo(rows.dtype).smallest_subnormal
     bound = 2 * sum(d * v / (1 - d * v) for v in (u, 2.0**-53)) * norms.max() * norms + tiny
-    cut = max(threshold, 0.0)  # a threshold <= 0 detects every pair
+    cut = math.inf if threshold is None else max(threshold, 0.0)  # <= 0 detects every pair
     if truth_keys is not None:
         # incidence[i, c] = 1 iff sample i mixes source c; shared counts are exact in float32
         _, col = np.unique(truth_keys.sources, return_inverse=True)
@@ -256,7 +256,7 @@ def pair_detection_attack(
 
     return AttackReport(
         attack="pair_detection",
-        params={"threshold": float(threshold), "delta": delta, "samples": m, "k": k},
+        params={"threshold": threshold, "delta": delta, "samples": m, "k": k},
         scores=tuple(zip(top_ids.tolist(), top.tolist())),
         decisions=tuple(ids.tolist()),
         reconstruction=reconstruction,

@@ -191,7 +191,7 @@ def _public_patches(args, dims, rng: RngStream, count: int = 1000, cfg=None):
 
 
 def write_report(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         Path(path).write_text(text)
     else:
@@ -621,6 +621,8 @@ def main(argv=None) -> int:
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
         opts = resolve_options(args, command)
+        if not np.isfinite(getattr(args, "threshold", None) or 0.0):  # no JSON report holds it
+            raise ValidationError(f"threshold must be a finite number, got {args.threshold}")
         rng = RngStream(opts["seed"]) if "seed" in opts else None
         results = args.func(args, opts, rng)
         write_report(args.report, {"command": command, "config": opts, "results": results})

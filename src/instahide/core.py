@@ -28,7 +28,7 @@ from .errors import (
     InfeasibleConstraintError,
     ValidationError,
 )
-from .rng import RngStream
+from .rng import Draws, RngStream, Streams
 
 # A normalized image must be zero-sum and unit-norm within this tolerance
 # (scaled by sqrt(d) for the sum, which accumulates float32 rounding).
@@ -362,38 +362,35 @@ def check_feasible(k: int, c1: float, head_pair_min: float = 0.0) -> None:
         )
 
 
-def _draw_lambda(
-    gen: np.random.Generator, k: int, c1: float, head_pair_min: float = 0.0
-) -> np.ndarray:
-    """The rejection loop alone, on an already-open generator, returning the
-    raw float64 vector. Callers validate (k, c1, head_pair_min) first."""
-    if k == 1:
-        return np.ones(1)
-    if c1 * k < 1.0 + 1e-12:
-        # boundary case: the uniform vector is the only admissible point
-        return np.full(k, 1.0 / k)
-
-    drawn = 0
-    batch = 256
-    while drawn < REJECTION_CAP:
-        cand = gen.random((batch, k))
-        drawn += batch
-        lam = cand[0] / cand[0].sum()  # row 0 alone usually decides, with the bytes below
-        if lam.max() <= c1 and (head_pair_min <= 0.0 or lam[0] + lam[1] >= head_pair_min):
-            return lam
-        sums = cand.sum(axis=1)
-        lam = cand[sums > 0] / sums[sums > 0, None]
-        keep = lam.max(axis=1) <= c1
-        if head_pair_min > 0.0:
-            keep &= lam[:, 0] + lam[:, 1] >= head_pair_min
-        hits = np.nonzero(keep)[0]
-        if hits.size:
-            return lam[hits[0]]
-        batch = min(4096, batch * 2)
-    raise InfeasibleConstraintError(
-        f"no admissible coefficients after {REJECTION_CAP} draws "
-        f"(k={k}, c1={c1}, head_pair_min={head_pair_min})"
-    )
+def _draw_lambdas(draws, k: int, c1: float, head_pair_min: float = 0.0) -> np.ndarray:
+    """(m, k): each rng.Draws row's rejection draw, as on its own generator:
+    batches of 256, 512, ..., 4096 ``random((batch, k))`` candidates, the
+    first admissible one kept. A batch is tested in stages on the rows still
+    undecided (candidate 0, 1-7, then 256 at a time); cursors skip the rest."""
+    if c1 * k < 1.0 + 1e-12:  # k = 1 or c1 * k = 1: only the uniform vector is admissible
+        return np.full((draws.m, k), 1.0 / k)
+    lam, rows, drawn, batch = np.empty((draws.m, k)), np.arange(draws.m), 0, 256
+    while rows.size and drawn < REJECTION_CAP:
+        started, edges = rows, [0, 1, 8, *range(256, batch + 1, 256)]
+        for lo, hi in zip(edges, edges[1:]):
+            step, undecided = max(1, (1 << 17) // ((hi - lo) * k)), [rows[:0]]
+            for c in range(0, rows.size, step):
+                sub = rows[c : c + step]
+                cand = draws.random(sub, lo * k, hi * k).reshape(len(sub), hi - lo, k)
+                sums = cand.sum(axis=2)
+                cand /= sums[..., None]
+                keep = (sums > 0) & (cand.max(axis=2) <= c1)
+                keep &= cand[..., 0] + cand[..., 1] >= head_pair_min
+                hit = keep.any(axis=1)
+                lam[sub[hit]] = cand[hit, keep[hit].argmax(axis=1)]
+                undecided.append(sub[~hit])
+            rows = np.concatenate(undecided)
+        draws.advance(started, batch * k)
+        drawn, batch = drawn + batch, min(4096, batch * 2)
+    if rows.size:
+        raise InfeasibleConstraintError(f"no admissible coefficients after {REJECTION_CAP} "
+                                        f"draws (k={k}, c1={c1}, head_pair_min={head_pair_min})")
+    return lam
 
 
 def sample_coefficients(
@@ -416,15 +413,15 @@ def sample_coefficients(
     if head_pair_min > 0.0 and k < 2:
         raise ValidationError("head_pair_min requires k >= 2")
     check_feasible(k, c1, head_pair_min)
-    return Coefficients(_draw_lambda(rng.generator(), k, c1, head_pair_min))
+    draws = Draws(Streams(rng.seed, [rng.stream]))
+    return Coefficients(_draw_lambdas(draws, k, c1, head_pair_min)[0])
 
 
 def sample_sign_mask(d: int, rng: RngStream) -> SignMask:
     """d independent signs, +1 or -1 each with probability 1/2."""
     if int(d) < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
-    bits = rng.generator().integers(0, 2, size=int(d), dtype=np.int8)
-    return SignMask(bits * 2 - 1)
+    return SignMask(Draws(Streams(rng.seed, [rng.stream])).bits(int(d))[0] * 2 - 1)
 
 
 def make_gaussian_dataset(

@@ -12,9 +12,9 @@ contribute to the published label.
 Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes
 the sets' float32 matrices as row blocks (private rows, then public rows;
 nothing is stacked), each output row's own image index, and one
-``rng.Streams`` block of the rows' streams. Each row's generator draws the
-partners, then lambda (``core._draw_lambda``), then the int8 mask; all rows
-are then mixed in k vectorised float64 passes,
+``rng.Streams`` block of the rows' streams. ``rng.Draws`` draws every row's
+partners, then lambda (``core._draw_lambdas``), then the int8 mask, as the
+row's own generator would; all rows are then mixed in k vectorised float64 passes,
 ``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order; each
 pass casts only the rows it gathers), cast to float32 and multiplied by the
 signs. The RNG layout is unchanged from the per-sample code: one stream
@@ -39,12 +39,12 @@ from .core import (
     Image,
     LabelVector,
     SignMask,
-    _draw_lambda,
+    _draw_lambdas,
     _freeze,
     check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
-from .rng import RngStream, Streams
+from .rng import Draws, RngStream, Streams
 
 SCHEMES = ("mixup", "inside", "cross")
 
@@ -143,15 +143,6 @@ def _sources(private: Dataset, cfg: SchemeConfig, publicset=None):
     return S, Y
 
 
-def _pick_partners(gen: np.random.Generator, n: int, i: int, count: int) -> np.ndarray:
-    """``count`` distinct private rows other than i; the same draw as
-    gen.choice(np.delete(np.arange(n), i), count, replace=False)."""
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    j = gen.choice(n - 1, size=count, replace=False)
-    return j + (j >= i)
-
-
 def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Float64 rows sum_j lam[:, j] * S[idx[:, j]], accumulated slot by slot
     from zero as the per-sample code did, so each row matches it bit for bit.
@@ -179,28 +170,22 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
     (m, k-1) array of rows of S), then lambda, then the mask."""
     k, m, d, cross = cfg.k, len(base), S[0].shape[1], cfg.scheme == "cross"
     n_public, masked = sum(len(block) for block in S) - n, cfg.scheme != "mixup"
-    head = cfg.c2 if cross else 0.0
     if partners is None and m and n - 1 < (need := 1 if cross else k - 1):
         raise ValidationError(f"need {need} partners but only {n - 1} other images")
     if partners is None and m and cross and n_public < k - 2:
         raise ValidationError(f"public set has {n_public} patches, need {k - 2}")
-    idx = np.empty((m, k), dtype=np.int64)
+    idx, draws = np.empty((m, k), dtype=np.int64), Draws(streams)
     idx[:, 0] = base
-    lam = np.ones((m, k))
-    bits = np.empty((m, d), dtype=np.int8) if masked else None
-    for r, gen in enumerate(streams.generators() if k > 1 or masked else ()):
-        if partners is not None:
-            idx[r, 1:] = partners[r]
-        elif cross:
-            idx[r, 1] = _pick_partners(gen, n, idx[r, 0], 1)[0]
-            idx[r, 2:] = n + gen.choice(n_public, size=k - 2, replace=False)
-        else:
-            idx[r, 1:] = _pick_partners(gen, n, idx[r, 0], k - 1)
-        lam[r] = _draw_lambda(gen, k, cfg.c1, head)
-        if masked:
-            bits[r] = gen.integers(0, 2, size=d, dtype=np.int8)
+    if partners is not None:
+        idx[:, 1:] = partners
+    else:  # partners among the n - 1 other private rows, then (cross) public rows
+        j = draws.choice(n - 1, 1 if cross else k - 1)
+        idx[:, 1 : j.shape[1] + 1] = j + (j >= idx[:, :1])
+        if cross:
+            idx[:, 2:] = n + draws.choice(n_public, k - 2)
+    lam = _draw_lambdas(draws, k, cfg.c1, cfg.c2 if cross else 0.0)
     pixels = _mix(S, idx, lam).astype(np.float32)
-    signs = None if bits is None else bits * 2 - 1
+    signs = draws.bits(d) * 2 - 1 if masked else None
     if masked:
         pixels *= signs
     labels = None

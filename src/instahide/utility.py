@@ -19,7 +19,7 @@ import numpy as np
 from .core import Dataset, Image
 from .encrypt import SchemeConfig, _encrypt_rows, encrypt_epoch
 from .errors import DimensionMismatchError, FormatError, TruncatedFileError, ValidationError
-from .rng import RngStream, Streams
+from .rng import Draws, RngStream, Streams
 
 MODEL_MAGIC = b"IHMD"
 _MODEL_HEADER = struct.Struct("<4sHI")
@@ -225,15 +225,11 @@ def _encrypted_probs(
         rep = np.repeat(rows_i, ensemble)
         members = Streams(streams.seed, streams.ids[rep]).child(
             "predict", np.tile(np.arange(ensemble), len(rows_i)))
-        partners = np.empty((len(rep), k - 1), dtype=np.int64)
-        for r, gen in enumerate(members.generators() if k > 1 else ()):
-            if cross:
-                first = [gen.integers(0, n_pool)]
-                pub = n_pool + gen.choice(n_public, size=k - 2, replace=False)
-                partners[r] = m + np.concatenate([first, pub])
-            else:
-                partners[r] = m + gen.choice(n_pool, k - 1, replace=False)
-        rows = _encrypt_rows(S, None, m, cfg, rep, members.child("enc"), partners)
+        draws = Draws(members)
+        partners = draws.choice(n_pool, 1 if cross else k - 1)
+        if cross:
+            partners = np.hstack([partners, n_pool + draws.choice(n_public, k - 2)])
+        rows = _encrypt_rows(S, None, m, cfg, rep, members.child("enc"), m + partners)
         Xc = np.abs(rows.pixels) if cfg.scheme != "mixup" else rows.pixels
         Xc = Xc.astype(np.float64)
         # matmul over a stack of column vectors runs forward()'s matrix-vector

@@ -88,6 +88,39 @@ def _sample_coefficients_from(
     )
 
 
+def _draw_lambda(
+    gen: np.random.Generator, k: int, c1: float, head_pair_min: float = 0.0
+) -> np.ndarray:
+    """The package's per-row rejection loop before the block sampler: the
+    reference loop above, with candidate row 0 tested on its own first."""
+    if k == 1:
+        return np.ones(1)
+    if c1 * k < 1.0 + 1e-12:
+        return np.full(k, 1.0 / k)
+
+    drawn = 0
+    batch = 256
+    while drawn < REJECTION_CAP:
+        cand = gen.random((batch, k))
+        drawn += batch
+        lam = cand[0] / cand[0].sum()
+        if lam.max() <= c1 and (head_pair_min <= 0.0 or lam[0] + lam[1] >= head_pair_min):
+            return lam
+        sums = cand.sum(axis=1)
+        lam = cand[sums > 0] / sums[sums > 0, None]
+        keep = lam.max(axis=1) <= c1
+        if head_pair_min > 0.0:
+            keep &= lam[:, 0] + lam[:, 1] >= head_pair_min
+        hits = np.nonzero(keep)[0]
+        if hits.size:
+            return lam[hits[0]]
+        batch = min(4096, batch * 2)
+    raise InfeasibleConstraintError(
+        f"no admissible coefficients after {REJECTION_CAP} draws "
+        f"(k={k}, c1={c1}, head_pair_min={head_pair_min})"
+    )
+
+
 def mix_pixels(images: list[Image], lam: Coefficients) -> np.ndarray:
     if len(images) != lam.k:
         raise ValidationError(f"{len(images)} images for {lam.k} coefficients")

@@ -337,12 +337,15 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["attack", "pair", "--threshold", "nan", "--synthetic-n", "4", "--synthetic-dims",
          "1x4x4", "--epochs", "1"],
         ["attack", "public-scan", "--candidates", "200", "--threshold", "nan"],
+        ["attack", "pair", "--threshold", "inf", "--synthetic-n", "4", "--synthetic-dims",
+         "1x4x4", "--epochs", "1"],
+        ["attack", "public-scan", "--candidates", "200", "--threshold=-inf"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
          "challenge-negative-epochs", "train-negative-epochs", "encrypt-public-dims",
          "challenge-public-dims", "train-public-dims", "eval-public-dims", "pair-nan-threshold",
-         "public-scan-nan-threshold"],
+         "public-scan-nan-threshold", "pair-inf-threshold", "public-scan-inf-threshold"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
@@ -361,6 +364,30 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _strict_json(path):
+    """The report at ``path``, refusing the NaN and Infinity that strict parsers refuse."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "pair", "--k", "1", "--c1", "1", "--synthetic-n", "1"],  # no pairs
+        ["attack", "pair", "--synthetic-n", "4"],
+        ["attack", "public-scan", "--candidates", "50"],
+    ],
+    ids=["pair-no-pairs", "pair", "public-scan"],
+)
+def test_attack_reports_are_strict_json(tmp_path, argv):
+    report = tmp_path / "r.json"
+    argv = [*argv, "--synthetic-dims", "1x4x4", "--report", str(report)]
+    assert main(argv + (["--epochs", "1"] if argv[1] == "pair" else [])) == 0
+    threshold = _strict_json(report)["results"]["params"]["threshold"]
+    assert (threshold is None) == (argv[2:4] == ["--k", "1"])
 
 
 def test_parse_dims_allows_spaces_and_refuses_non_digits():

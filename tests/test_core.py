@@ -10,7 +10,7 @@ from instahide.core import (
     Image,
     LabelVector,
     SignMask,
-    _draw_lambda,
+    _draw_lambdas,
     inner_product,
     make_gaussian_dataset,
     normalize_image,
@@ -25,7 +25,7 @@ from instahide.errors import (
     InfeasibleConstraintError,
     ValidationError,
 )
-from instahide.rng import RngStream
+from instahide.rng import Draws, RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +283,20 @@ LAMBDA_GRID = [  # (k, c1, head_pair_min); the last head of each row is near 2 *
 
 
 def test_draw_lambda_matches_the_reference_sampler_and_stream_position():
-    # _draw_lambda tests the first candidate row on its own before the whole
-    # batch; it must return the reference loop's bytes and leave the stream
-    # where the reference leaves it
+    # the block sampler tests candidate row 0, then rows 1-7, then the rest on
+    # the rows still undecided; every row must get the reference loop's bytes
+    # and its cursor must end where the reference leaves its generator
     first_row = {True: 0, False: 0}
     for k, c1, head in LAMBDA_GRID:
-        for seed in range(12):
-            gen, ref = (RngStream(seed, k).child(str(c1), str(head)).generator() for _ in "ab")
-            peek = RngStream(seed, k).child(str(c1), str(head)).generator().random((1, k))[0]
-            lam = _draw_lambda(gen, k, c1, head)
+        block = RngStream(k).children(str(c1), str(head), ids=np.arange(12))
+        draws = Draws(block)
+        lam = _draw_lambdas(draws, k, c1, head)
+        after = draws.random(np.arange(12), 0, 4)
+        peeks = [gen.random(k) for gen in block.generators()]
+        for seed, (ref, peek) in enumerate(zip(block.generators(), peeks)):
             expect = oracle._sample_coefficients_from(ref, k, c1, head).values
-            assert lam.tobytes() == expect.tobytes(), (k, c1, head, seed)
-            assert gen.random(4).tobytes() == ref.random(4).tobytes(), (k, c1, head, seed)
+            assert lam[seed].tobytes() == expect.tobytes(), (k, c1, head, seed)
+            assert after[seed].tobytes() == ref.random(4).tobytes(), (k, c1, head, seed)
             if c1 * k > 1.0 + 1e-12:
                 p = peek / peek.sum()
                 first_row[bool(p.max() <= c1 and p[0] + p[1] >= head)] += 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from instahide.core import (
     Coefficients,
     Dataset,
-    _draw_lambda,
+    _draw_lambdas,
     Image,
     make_gaussian_dataset,
     one_hot,
@@ -34,7 +34,7 @@ from instahide.errors import (
 )
 from instahide.ihds import load_dataset
 from instahide.publicprep import PatchSet
-from instahide.rng import RngStream
+from instahide.rng import Draws, RngStream
 
 
 def unit_patchset(n: int, dims, rng: RngStream) -> PatchSet:
@@ -373,9 +373,10 @@ def test_closed_form_feasibility_agrees_with_the_sampler():
                         built = True
                     except InfeasibleConstraintError:
                         built = False
-                    gen = RngStream(k, int(c1 * 100)).child(scheme, int(c2 * 100)).generator()
+                    rng = RngStream(k, int(c1 * 100))
+                    draws = Draws(rng.children(scheme, ids=[int(c2 * 100)]))
                     try:
-                        lam = _draw_lambda(gen, k, c1, head)
+                        lam = _draw_lambdas(draws, k, c1, head)[0]
                         found = lam.max() <= c1 + 1e-12 and lam[0] + lam[1] >= head - 1e-12
                     except InfeasibleConstraintError:
                         found = False

@@ -5,8 +5,9 @@ and `prep-public` draw only from the package's RNG streams and mix in
 numpy's own elementwise loops, so their outputs are fixed by the seed on any
 machine with the same numpy. A refactor that keeps the RNG layout keeps these
 digests; a change to the layout must update them on purpose and say so in
-CHANGES.md. Attack
-and train outputs are left out: their float64 reductions go through BLAS and
+CHANGES.md. `train`, encrypted `eval` and `stats ks-table` are pinned on sets
+small enough that their BLAS products give the same bytes at one and two
+OpenBLAS threads; attack outputs are left out, as their float64 reductions
 may differ with the library or the thread count.
 
 On a mismatch, `pytest -vv` shows the digests of the current code in the
@@ -38,6 +39,24 @@ RUNS = {
         "challenge", "--n", "8", "--epochs", "3", "--synthetic-dims", "3x8x8",
         "--out", "challenge.ihds",
     ],
+    "train": [
+        "train", "--in", "private.ihds", "--scheme", "inside", "--k", "4", "--epochs", "3",
+        "--out", "model.ihmd",
+    ],
+    "eval-inside": [
+        "eval", "--model", "model.ihmd", "--mode", "encrypted", "--synthetic-n", "40",
+        "--synthetic-dims", "3x8x8", "--synthetic-classes", "3", "--scheme", "inside",
+        "--ensemble", "3",
+    ],
+    "eval-cross": [
+        "eval", "--model", "model.ihmd", "--mode", "encrypted", "--synthetic-n", "40",
+        "--synthetic-dims", "3x8x8", "--synthetic-classes", "3", "--scheme", "cross",
+        "--public", "patches.ihds", "--ensemble", "3",
+    ],
+    "ks-table": [
+        "stats", "ks-table", "--in", "private.ihds", "--picks", "3", "--encryptions", "60",
+        "--out", "ks.csv",
+    ],
 }
 SYNTHETIC = ["--synthetic-n", "10", "--synthetic-dims", "3x8x8", "--epochs", "3"]
 
@@ -62,6 +81,13 @@ GOLDEN = {
     "prep-public.json": "c5654bf4bb176d863b93491bfacade8bb1feb9ba9af36e624602c68fe11b5c0a",
     "private.ihds": "6858a4b58e2d9ae26dab1966b91bc5447f10ca5246b393f640a22c3402529fe8",
     "public.ihds": "516238bf008db2a916b8a73f404052336de9f9262fb2effb2d65c973f19c0cc3",
+    # train, encrypted eval and the KS table draw keys through the same kernel
+    "eval-cross.json": "95db8bc3574265df339563480500c5c29a2cb0281d4dc9c410b354ae982ba662",
+    "eval-inside.json": "ac65a4a776d03969b7719e17b513ae880915c3b54d0f020edca2281a9fa076f1",
+    "ks-table.json": "b9cb3dcaf2e9c3eacb4d9425aad06394705de504bbf2c124824a9232edc60808",
+    "ks.csv": "80624600cfd624c96e76a2c8651da7286e7032e08220d19290ccdfa714eb942a",
+    "model.ihmd": "5f0b9fc195fddcdbd563a9b63353b1db18a016cc2ebccdc14d8f8a0c00d01c99",
+    "train.json": "c2b08f4574b990f6166c5f9d629ec860ce1759f38a22e5cbd8b0425f2fb4c4f1",
 }
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import reference_encrypt as oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
+from instahide.core import _draw_lambdas
 from instahide.errors import ValidationError
-from instahide.rng import RngStream, Streams, _states
+from instahide.rng import Draws, RngStream, Streams, _states
 
 
 def test_equal_pairs_reproduce_bytes():
@@ -134,19 +136,23 @@ def test_block_generators_draw_the_reference_bytes():
 
 def test_per_row_streams_are_opened_as_blocks(monkeypatch):
     # only per-epoch and per-call streams (perm, sgd, picks, probes) may go
-    # through RngStream.generator; per-row keys come from Streams blocks, so
-    # the count must not grow with the number of rows encrypted
+    # through RngStream.generator; per-row keys are drawn by rng.Draws for a
+    # whole Streams block, so the count must not grow with the number of rows
+    # encrypted, and no row's own generator is opened
     from instahide import encrypt, stats, utility
     from instahide.core import make_gaussian_dataset
 
-    calls = []
-    reference = RngStream.generator
+    calls, rows = [], []
+    reference, per_row = RngStream.generator, Streams.generators
     monkeypatch.setattr(RngStream, "generator", lambda self: calls.append(1) or reference(self))
+    monkeypatch.setattr(Streams, "generators", lambda self: (
+        rows.append(1) or gen for gen in per_row(self)))
 
     def count(run, n):
         ds = make_gaussian_dataset(n, (1, 4, 4), RngStream(n, 1), classes=3)
         calls.clear()
         run(ds, n)
+        assert not rows
         return len(calls)
 
     cfg = encrypt.SchemeConfig("inside", k=3, c1=0.65)
@@ -162,3 +168,95 @@ def test_per_row_streams_are_opened_as_blocks(monkeypatch):
     }
     for name, (run, expect) in runs.items():
         assert count(run, 50) == count(run, 100) == expect, name
+
+
+# Each op as the replica runs it for a whole block, and as one row's own
+# generator runs it in the encryption kernel (reference_encrypt._draw_lambda
+# is the per-row rejection loop the kernel used before the block sampler).
+BLOCK_OPS = {
+    "choice": lambda draws, pop, size: draws.choice(pop, size),
+    "integers": lambda draws, n: draws.choice(n, 1),  # one bounded draw, as integers(0, n)
+    "lambda": lambda draws, k, c1, head: _draw_lambdas(draws, k, c1, head),
+    "bits": lambda draws, d: draws.bits(d),
+    "random": lambda draws, count: _random_then_advance(draws, count),
+}
+ROW_OPS = {
+    "choice": lambda gen, pop, size: gen.choice(pop, size, replace=False),
+    "integers": lambda gen, n: np.array([gen.integers(0, n)]),
+    "lambda": lambda gen, k, c1, head: oracle._draw_lambda(gen, k, c1, head),
+    "bits": lambda gen, d: gen.integers(0, 2, size=d, dtype=np.int8),
+    "random": lambda gen, count: gen.random(count),
+}
+
+
+def _random_then_advance(draws, count):
+    rows = np.arange(draws.m)
+    out = draws.random(rows, 0, count)
+    draws.advance(rows, count)
+    return out
+
+
+def _random_block(rows, seed):
+    gen = np.random.default_rng(seed)
+    ids = gen.integers(0, 2**64, rows, dtype=np.uint64)
+    ids[: len(BOUNDARY)] = BOUNDARY[:rows]
+    return Streams(int(gen.integers(0, 2**64, dtype=np.uint64)), ids)
+
+
+def _assert_block_matches_rows(block, ops):
+    draws, gens = Draws(block), list(block.generators())
+    for op, *args in ops:
+        got = BLOCK_OPS[op](draws, *args)
+        for r, gen in enumerate(gens):
+            expect = ROW_OPS[op](gen, *args)
+            assert got[r].dtype == expect.dtype, (op, args)
+            assert got[r].tobytes() == expect.tobytes(), (op, args, r)
+        assert len(got) == len(gens)
+
+
+KERNEL_SEQUENCES = {
+    # one op list per case; the last op of each checks where the cursors ended
+    # (bits leaves them alone: it is every caller's last draw)
+    "lemire-rejections": [("choice", 2**31 + 1, 3), ("bits", 17)],  # ~1/2 rejected
+    "floyd-collisions": [("choice", 6, 5), ("choice", 3, 3), ("bits", 5)],
+    "odd-half-before-mask": [("integers", 7), ("bits", 5)],
+    "odd-half-before-long-mask": [("choice", 9, 2), ("random", 3), ("bits", 3071)],
+    "even-start-mask": [("integers", 5), ("integers", 5), ("random", 2), ("bits", 17)],
+    "inside-k1": [("choice", 49, 0), ("lambda", 1, 1.0, 0.0), ("bits", 17)],
+    "inside-k2": [("choice", 49, 1), ("lambda", 2, 0.65, 0.0), ("bits", 17)],
+    "inside-k4": [("choice", 49, 3), ("lambda", 4, 0.65, 0.0), ("bits", 192)],
+    "inside-k12": [("choice", 49, 11), ("lambda", 12, 0.12, 0.0), ("bits", 5)],
+    "uniform-c1k1": [("choice", 49, 3), ("lambda", 4, 0.25, 0.0), ("bits", 17)],
+    "cross": [("choice", 49, 1), ("choice", 30, 4), ("lambda", 6, 0.65, 0.3), ("bits", 17)],
+    "cross-head": [("choice", 9, 1), ("choice", 3, 1), ("lambda", 3, 0.4, 0.75), ("bits", 5)],
+    "cross-eval": [("integers", 40), ("choice", 30, 2), ("integers", 3)],
+    "thin-lambda": [("lambda", 6, 0.2, 0.0), ("bits", 17)],
+    "tail-shuffle": [("choice", 10_001, 201), ("integers", 10)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_SEQUENCES))
+def test_block_draws_match_each_rows_generator(case):
+    rows = {"thin-lambda": 400, "inside-k12": 200, "tail-shuffle": 3}.get(case, 60)
+    for seed in range(2):
+        _assert_block_matches_rows(_random_block(rows, seed), KERNEL_SEQUENCES[case])
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_empty_and_one_row_blocks_match(rows):
+    for ops in KERNEL_SEQUENCES.values():
+        _assert_block_matches_rows(_random_block(rows, 7), ops)
+
+
+def test_thin_lambda_rows_are_decided_at_every_stage():
+    # the "thin-lambda" case above must reach each stage of the block
+    # sampler: candidate 0, candidates 1-7, 8-255, and past the first batch
+    k, c1 = 6, 0.2
+    stages = set()
+    for seed in range(2):
+        for gen in _random_block(400, seed).generators():
+            cand = gen.random((256, k))
+            ok = (cand / cand.sum(axis=1, keepdims=True)).max(axis=1) <= c1
+            first = int(np.argmax(ok)) if ok.any() else 256
+            stages.add(0 if first == 0 else 1 if first < 8 else 8 if first < 256 else 256)
+    assert stages == {0, 1, 8, 256}
