@@ -39,7 +39,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .rng import RngStream
+from .rng import Draws, RngStream
 from .utility import LinearSoftmaxModel, softmax_rows
 
 TOP_SCORES = 50
@@ -455,9 +455,10 @@ class SignOracle:
         estimates."""
         if self.p == 0.0:
             return truths
-        gens = self.rng.children("flip", ids=tags).generators()
-        errors = np.stack([gen.random(truths.shape[1]) < self.p for gen in gens])
-        return truths * np.where(errors, np.int8(-1), np.int8(1))
+        draws, flips = Draws(self.rng.children("flip", ids=tags)), np.empty(truths.shape, np.int8)
+        for rows in draws.chunks(np.arange(draws.m), truths.shape[1]):
+            flips[rows] = np.where(draws.random(rows, 0, truths.shape[1]) < self.p, -1, 1)
+        return truths * flips
 
     def recovered_mask(self, truth: SignMask, tag: int = 0) -> SignMask:
         """recovered_masks for one mask."""

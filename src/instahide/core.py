@@ -363,30 +363,27 @@ def check_feasible(k: int, c1: float, head_pair_min: float = 0.0) -> None:
 
 
 def _draw_lambdas(draws, k: int, c1: float, head_pair_min: float = 0.0) -> np.ndarray:
-    """(m, k): each rng.Draws row's rejection draw, as on its own generator:
-    batches of 256, 512, ..., 4096 ``random((batch, k))`` candidates, the
-    first admissible one kept. A batch is tested in stages on the rows still
-    undecided (candidate 0, 1-7, then 256 at a time); cursors skip the rest."""
+    """(m, k): each rng.Draws row's first admissible candidate in its own
+    sequence (k doubles, L1-normalized), its cursor left just after it. Rounds
+    test 1, 8, 16, ... candidates (up to ``draws.chunk`` words) on the rows
+    still undecided, so round sizes change the speed, never the bytes."""
     if c1 * k < 1.0 + 1e-12:  # k = 1 or c1 * k = 1: only the uniform vector is admissible
         return np.full((draws.m, k), 1.0 / k)
-    lam, rows, drawn, batch = np.empty((draws.m, k)), np.arange(draws.m), 0, 256
+    lam, rows, drawn, size = np.empty((draws.m, k)), np.arange(draws.m), 0, 1
     while rows.size and drawn < REJECTION_CAP:
-        started, edges = rows, [0, 1, 8, *range(256, batch + 1, 256)]
-        for lo, hi in zip(edges, edges[1:]):
-            step, undecided = max(1, (1 << 17) // ((hi - lo) * k)), [rows[:0]]
-            for c in range(0, rows.size, step):
-                sub = rows[c : c + step]
-                cand = draws.random(sub, lo * k, hi * k).reshape(len(sub), hi - lo, k)
-                sums = cand.sum(axis=2)
-                cand /= sums[..., None]
-                keep = (sums > 0) & (cand.max(axis=2) <= c1)
-                keep &= cand[..., 0] + cand[..., 1] >= head_pair_min
-                hit = keep.any(axis=1)
-                lam[sub[hit]] = cand[hit, keep[hit].argmax(axis=1)]
-                undecided.append(sub[~hit])
-            rows = np.concatenate(undecided)
-        draws.advance(started, batch * k)
-        drawn, batch = drawn + batch, min(4096, batch * 2)
+        size, undecided = min(size, REJECTION_CAP - drawn), [rows[:0]]
+        for sub in draws.chunks(rows, size * k):
+            cand = draws.random(sub, 0, size * k).reshape(len(sub), size, k)
+            sums = cand.sum(axis=2)
+            cand /= sums[..., None]
+            keep = (sums > 0) & (cand.max(axis=2) <= c1)
+            keep &= cand[..., 0] + cand[..., 1] >= head_pair_min
+            hit, first = keep.any(axis=1), keep.argmax(axis=1)
+            lam[sub[hit]] = cand[hit, first[hit]]
+            draws.advance(sub, np.where(hit, first + 1, size) * k)
+            undecided.append(sub[~hit])
+        rows, drawn = np.concatenate(undecided), drawn + size
+        size = min(max(8, 2 * size), max(1, draws.chunk // k))
     if rows.size:
         raise InfeasibleConstraintError(f"no admissible coefficients after {REJECTION_CAP} "
                                         f"draws (k={k}, c1={c1}, head_pair_min={head_pair_min})")
@@ -435,6 +432,8 @@ def make_gaussian_dataset(
     """Synthetic stand-in for a private image set: i.i.d. N(0, 1/d) pixels,
     optionally mean-centered and unit-normalized, with uniform random one-hot
     labels when ``classes`` is given."""
+    if int(n) < 1:
+        raise ValidationError(f"a synthetic set needs n >= 1 images, got {n}")
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
     gen = rng.generator()

@@ -13,15 +13,15 @@ Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes
 the sets' float32 matrices as row blocks (private rows, then public rows;
 nothing is stacked), each output row's own image index, and one
 ``rng.Streams`` block of the rows' streams. ``rng.Draws`` draws every row's
-partners, then lambda (``core._draw_lambdas``), then the int8 mask, as the
-row's own generator would; all rows are then mixed in k vectorised float64 passes,
-``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order; each
-pass casts only the rows it gathers), cast to float32 and multiplied by the
-signs. The RNG layout is unchanged from the per-sample code: one stream
-``rng.child(epoch, i)`` per sample, drawn as partners -> lambda -> mask, so
-a seed still gives the same bytes. A history is the kernel's columns:
-``encrypt_history`` returns EncryptedSamples and EncryptionKeys blocks, and
-only an integer index into a block builds an EncryptedSample or EncryptionKey.
+partners, then lambda (``core._draw_lambdas``), then the int8 mask, each row
+from its own counter stream; all rows are then mixed in k vectorised float64
+passes, ``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order;
+each pass casts only the rows it gathers), cast to float32 and multiplied by
+the signs. Each sample has one stream ``rng.child(epoch, i)``, drawn as
+partners -> lambda -> mask, so a seed gives the same bytes in any block size.
+A history is the kernel's columns: ``encrypt_history`` returns
+EncryptedSamples and EncryptionKeys blocks, and only an integer index into a
+block builds an EncryptedSample or EncryptionKey.
 """
 
 from __future__ import annotations

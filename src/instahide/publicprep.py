@@ -8,8 +8,9 @@ R = det - 0.06 * trace^2, 3x3 non-maximum suppression, and a threshold of
 0.01 * max(R). This is deterministic and dependency-free, which matters more
 here than matching any particular feature library.
 
-Crops are cut straight from the public set's pixel matrix by ``_crops``, the
-one crop path that random_crop also uses; the filter scores every candidate
+Crops are gathered straight from the public set's pixel matrix by ``_crops``,
+the one crop path that random_crop also uses, at offsets drawn from one
+``rng.Draws`` block of per-source streams; the filter scores every candidate
 in one batch, and the kept crops become the PatchSet's frozen (n, d) matrix.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import Dataset, Image, _row_matrix
 from .errors import ValidationError
-from .rng import RngStream
+from .rng import Draws, RngStream, Streams
 
 HARRIS_K = 0.06
 HARRIS_THRESHOLD_RATIO = 0.01
@@ -69,20 +70,21 @@ class PatchSet:
         return np.array([src for src, _, _ in self.provenance], dtype=np.int64)
 
 
-def _crops(chw: np.ndarray, out_hw: tuple[int, int], count: int, gen: np.random.Generator):
-    """``count`` crops of size (h, w) of one (C, H, W) source, as a
-    (count, C, h, w) array, at offsets (oys, oxs) drawn from ``gen`` uniform
-    over every valid position (independently per crop, so repeats can occur)."""
-    _, H, W = chw.shape
+def _crops(chw: np.ndarray, out_hw: tuple[int, int], count: int, draws: Draws):
+    """``count`` (h, w) crops of each (C, H, W) source of the block ``chw`` as
+    one (sources * count, C, h, w) gather, and their (source, oy, ox) rows; the
+    source's row of ``draws`` picks offsets uniform over every valid position
+    (independently per crop, so repeats can occur)."""
+    _, _, H, W = chw.shape
     h, w = int(out_hw[0]), int(out_hw[1])
     if h < 1 or w < 1 or h > H or w > W:
         raise ValidationError(f"crop {h}x{w} does not fit source {H}x{W}")
     if count < 0:
         raise ValidationError("count must be >= 0")
-    oys = gen.integers(0, H - h + 1, size=count)
-    oxs = gen.integers(0, W - w + 1, size=count)
-    crops = np.array([chw[:, y : y + h, x : x + w] for y, x in zip(oys, oxs)], chw.dtype)
-    return crops.reshape(count, len(chw), h, w), oys, oxs
+    oys, oxs = draws.integers(H - h + 1, count).ravel(), draws.integers(W - w + 1, count).ravel()
+    src = np.repeat(np.arange(len(chw)), count)
+    windows = np.lib.stride_tricks.sliding_window_view(chw, (h, w), axis=(2, 3))
+    return windows[src, :, oys, oxs], np.stack([src, oys, oxs], axis=1)
 
 
 def random_crop(
@@ -90,8 +92,9 @@ def random_crop(
 ) -> list[tuple[Image, tuple[int, int]]]:
     """``count`` crops of size (h, w) at offsets uniform over every valid
     position (independently per crop, so repeats can occur)."""
-    crops, oys, oxs = _crops(source.as_chw(), out_hw, count, rng.generator())
-    return [(Image(p, p.shape), (int(y), int(x))) for p, y, x in zip(crops, oys, oxs)]
+    draws = Draws(Streams(rng.seed, [rng.stream]))
+    crops, prov = _crops(source.as_chw()[None], out_hw, count, draws)
+    return [(Image(p, p.shape), (int(y), int(x))) for p, (_, y, x) in zip(crops, prov)]
 
 
 def _luminance_batch(batch: np.ndarray) -> np.ndarray:
@@ -170,24 +173,17 @@ def build_patchset(
     a cross-dataset scheme cannot run without public patches.
     """
     chw = public.matrix().reshape(public.n, *public.dims)
-    gens = rng.children("crop", ids=np.arange(public.n)).generators()
-    crops, prov = [], []
-    for si, (src, gen) in enumerate(zip(chw, gens)):
-        block, oys, oxs = _crops(src, out_hw, patches_per_image, gen)
-        crops.append(block)
-        prov.extend((si, int(oy), int(ox)) for oy, ox in zip(oys, oxs))
-    if not prov:
+    draws = Draws(rng.children("crop", ids=np.arange(public.n)))
+    crops, prov = _crops(chw, out_hw, patches_per_image, draws)
+    if not len(prov):
         warnings.warn("no crop candidates produced; patch set is empty")
         return PatchSet((), (), (), retention=0.0)
 
-    crops = np.concatenate(crops)
     counts = keypoint_counts(crops)
     kept = np.flatnonzero(counts > min_keypoints) if min_keypoints > 0 else np.arange(len(prov))
     if not kept.size:
         warnings.warn(f"flatness filter removed all {len(prov)} candidate patches")
-    return PatchSet(
-        crops[kept], [prov[i] for i in kept], counts[kept], retention=kept.size / len(prov)
-    )
+    return PatchSet(crops[kept], prov[kept], counts[kept], retention=kept.size / len(prov))
 
 
 def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:

@@ -1,10 +1,13 @@
 """Reference oracle: the per-sample encryption, training and evaluation
-code as it stood before the batched kernel, copied verbatim.
+code as it stood before the batched kernel.
 
 Every function below draws from one generator per sample and builds one
 Image per row; test_kernel_oracle.py checks that the batched paths in
-``instahide`` reproduce these outputs bit for bit. Nothing here is imported
-by the package.
+``instahide`` reproduce these outputs bit for bit. A sample's own key
+(partners, lambda, mask) comes from ``reference_rng.RowStream``, the scalar
+reference of the package's per-row streams; per-call draws (permutations,
+SGD, picks) come from ``RngStream.generator`` as in the package. Nothing
+here is imported by the package.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from instahide.errors import (
     ValidationError,
 )
 from instahide.rng import RngStream
+from reference_rng import RowStream
 from instahide.stats import (
     PROTOCOL_ENCRYPTIONS,
     PROTOCOL_PICKS,
@@ -47,9 +51,9 @@ from instahide.utility import (
 
 
 def _sample_coefficients_from(
-    gen: np.random.Generator, k: int, c1: float, head_pair_min: float = 0.0
+    gen: RowStream, k: int, c1: float, head_pair_min: float = 0.0
 ) -> Coefficients:
-    """Rejection loop on an already-open generator, so a caller can run one
+    """Rejection loop on an already-open stream, so a caller can run one
     stream through several draws in a fixed order."""
     k = int(k)
     if k < 1:
@@ -62,63 +66,29 @@ def _sample_coefficients_from(
         )
     if head_pair_min > 0.0 and k < 2:
         raise ValidationError("head_pair_min requires k >= 2")
-    if k == 1:
-        return Coefficients(np.ones(1))
-    if c1 * k < 1.0 + 1e-12:
-        # boundary case: the uniform vector is the only admissible point
-        return Coefficients(np.full(k, 1.0 / k))
-
-    drawn = 0
-    batch = 256
-    while drawn < REJECTION_CAP:
-        cand = gen.random((batch, k))
-        drawn += batch
-        sums = cand.sum(axis=1)
-        lam = cand[sums > 0] / sums[sums > 0, None]
-        keep = lam.max(axis=1) <= c1
-        if head_pair_min > 0.0:
-            keep &= lam[:, 0] + lam[:, 1] >= head_pair_min
-        hits = np.nonzero(keep)[0]
-        if hits.size:
-            return Coefficients(lam[hits[0]])
-        batch = min(4096, batch * 2)
-    raise InfeasibleConstraintError(
-        f"no admissible coefficients after {REJECTION_CAP} draws "
-        f"(k={k}, c1={c1}, head_pair_min={head_pair_min})"
-    )
+    return Coefficients(_draw_lambda(gen, k, c1, head_pair_min))
 
 
-def _draw_lambda(
-    gen: np.random.Generator, k: int, c1: float, head_pair_min: float = 0.0
-) -> np.ndarray:
-    """The package's per-row rejection loop before the block sampler: the
-    reference loop above, with candidate row 0 tested on its own first."""
-    if k == 1:
-        return np.ones(1)
+def _draw_lambda(gen, k: int, c1: float, head_pair_min: float = 0.0) -> np.ndarray:
+    """The first admissible candidate of the row's stream: k doubles,
+    L1-normalized, with max <= c1 and a first pair >= head_pair_min."""
     if c1 * k < 1.0 + 1e-12:
         return np.full(k, 1.0 / k)
-
-    drawn = 0
-    batch = 256
-    while drawn < REJECTION_CAP:
-        cand = gen.random((batch, k))
-        drawn += batch
-        lam = cand[0] / cand[0].sum()
-        if lam.max() <= c1 and (head_pair_min <= 0.0 or lam[0] + lam[1] >= head_pair_min):
+    for _ in range(REJECTION_CAP):
+        cand = gen.random(k)
+        total = cand.sum()
+        lam = cand / total
+        if total > 0 and lam.max() <= c1 and lam[0] + lam[1] >= head_pair_min:
             return lam
-        sums = cand.sum(axis=1)
-        lam = cand[sums > 0] / sums[sums > 0, None]
-        keep = lam.max(axis=1) <= c1
-        if head_pair_min > 0.0:
-            keep &= lam[:, 0] + lam[:, 1] >= head_pair_min
-        hits = np.nonzero(keep)[0]
-        if hits.size:
-            return lam[hits[0]]
-        batch = min(4096, batch * 2)
     raise InfeasibleConstraintError(
         f"no admissible coefficients after {REJECTION_CAP} draws "
         f"(k={k}, c1={c1}, head_pair_min={head_pair_min})"
     )
+
+
+def _row_stream(rng: RngStream) -> RowStream:
+    """One sample's key stream."""
+    return RowStream(rng.seed, rng.stream)
 
 
 def mix_pixels(images: list[Image], lam: Coefficients) -> np.ndarray:
@@ -163,7 +133,7 @@ def identity_mask(d: int) -> SignMask:
     return SignMask(np.ones(d, dtype=np.int8))
 
 
-def _pick_partners(gen: np.random.Generator, n: int, i: int, count: int) -> list[int]:
+def _pick_partners(gen: RowStream, n: int, i: int, count: int) -> list[int]:
     if count > n - 1:
         raise ValidationError(f"need {count} partners but only {n - 1} other images")
     others = np.delete(np.arange(n), i)
@@ -181,7 +151,7 @@ def instahide_encrypt_inside(
         raise ValidationError("inside-dataset encryption needs labels")
     if not 0 <= i < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
-    gen = rng.generator()
+    gen = _row_stream(rng)
     partners = _pick_partners(gen, private.n, i, int(k) - 1)
     idx = [int(i)] + partners
     lam = _sample_coefficients_from(gen, int(k), c1)
@@ -215,7 +185,7 @@ def instahide_encrypt_cross(
         raise ValidationError(
             f"public set has {len(patches)} patches, need {int(k) - 2}"
         )
-    gen = rng.generator()
+    gen = _row_stream(rng)
     partner = _pick_partners(gen, private.n, i, 1)[0]
     pub_idx = [int(v) for v in gen.choice(len(patches), size=int(k) - 2, replace=False)]
     lam = _sample_coefficients_from(gen, int(k), c1, head_pair_min=c2)
@@ -253,7 +223,7 @@ def encrypt_sample(
     else:  # mixup: same source policy as inside, no mask, c1 optional via cfg
         if private.labels is None:
             raise ValidationError("mixup needs labels")
-        gen = rng.generator()
+        gen = _row_stream(rng)
         idx = [int(i)] + _pick_partners(gen, private.n, i, cfg.k - 1)
         lam = _sample_coefficients_from(gen, cfg.k, cfg.c1)
         images = [private.images[j] for j in idx]
@@ -327,7 +297,7 @@ def encrypt_input(
     """
     if len(others) != cfg.k - 1:
         raise ValidationError(f"need {cfg.k - 1} partner images, got {len(others)}")
-    gen = rng.generator()
+    gen = _row_stream(rng)
     head = cfg.c2 if cfg.scheme == "cross" else 0.0
     lam = _sample_coefficients_from(gen, cfg.k, cfg.c1, head_pair_min=head)
     mixed = mix_pixels([x] + list(others), lam)
@@ -460,7 +430,7 @@ def train_encrypted(
 
 
 def _draw_partners(
-    cfg: SchemeConfig, gen: np.random.Generator, partner_pool, publicset
+    cfg: SchemeConfig, gen: RowStream, partner_pool, publicset
 ) -> list[Image]:
     """Partner images for one inference-time encryption."""
     if cfg.k == 1:
@@ -503,7 +473,7 @@ def predict_encrypted(
     masked = cfg.scheme != "mixup"
     for e in range(int(ensemble)):
         child = rng.child("predict", e)
-        others = _draw_partners(cfg, child.generator(), partner_pool, publicset)
+        others = _draw_partners(cfg, _row_stream(child), partner_pool, publicset)
         enc = encrypt_input(x, others, cfg, child.child("enc"))
         acc += forward(model, canonical_input(enc, masked))
     return acc / ensemble

@@ -340,12 +340,25 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["attack", "pair", "--threshold", "inf", "--synthetic-n", "4", "--synthetic-dims",
          "1x4x4", "--epochs", "1"],
         ["attack", "public-scan", "--candidates", "200", "--threshold=-inf"],
+        ["encrypt", "--synthetic-n", "0", "--synthetic-dims", "1x4x4", "--epochs", "1",
+         "--out", "{tmp}/z.ihds"],
+        ["encrypt", "--scheme", "mixup", "--synthetic-n", "0", "--synthetic-dims", "1x4x4",
+         "--epochs", "1", "--out", "{tmp}/z.ihds"],
+        ["encrypt", "--synthetic-n", "-2", "--synthetic-dims", "1x4x4", "--epochs", "1",
+         "--out", "{tmp}/z.ihds"],
+        ["train", "--synthetic-n", "0", "--synthetic-dims", "1x4x4", "--epochs", "1",
+         "--out", "{tmp}/m.bin"],
+        ["attack", "pair", "--synthetic-n", "0", "--synthetic-dims", "1x4x4", "--epochs", "1"],
+        ["challenge", "--n", "0", "--synthetic-dims", "1x4x4", "--epochs", "1",
+         "--out", "{tmp}/c.ihds"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
          "challenge-negative-epochs", "train-negative-epochs", "encrypt-public-dims",
          "challenge-public-dims", "train-public-dims", "eval-public-dims", "pair-nan-threshold",
-         "public-scan-nan-threshold", "pair-inf-threshold", "public-scan-inf-threshold"],
+         "public-scan-nan-threshold", "pair-inf-threshold", "public-scan-inf-threshold",
+         "encrypt-empty-synthetic", "mixup-empty-synthetic", "encrypt-negative-synthetic",
+         "train-empty-synthetic", "pair-empty-synthetic", "challenge-empty-synthetic"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),

@@ -26,6 +26,7 @@ from instahide.errors import (
     ValidationError,
 )
 from instahide.rng import Draws, RngStream
+from reference_rng import RowStream
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +284,24 @@ LAMBDA_GRID = [  # (k, c1, head_pair_min); the last head of each row is near 2 *
 
 
 def test_draw_lambda_matches_the_reference_sampler_and_stream_position():
-    # the block sampler tests candidate row 0, then rows 1-7, then the rest on
-    # the rows still undecided; every row must get the reference loop's bytes
-    # and its cursor must end where the reference leaves its generator
+    # the block sampler tests rounds of 1, 8, 16, ... candidates on the rows
+    # still undecided; every row must get the reference loop's first admissible
+    # candidate and its cursor must end where the reference leaves its stream
     first_row = {True: 0, False: 0}
     for k, c1, head in LAMBDA_GRID:
         block = RngStream(k).children(str(c1), str(head), ids=np.arange(12))
         draws = Draws(block)
         lam = _draw_lambdas(draws, k, c1, head)
         after = draws.random(np.arange(12), 0, 4)
-        peeks = [gen.random(k) for gen in block.generators()]
-        for seed, (ref, peek) in enumerate(zip(block.generators(), peeks)):
+        for r, stream in enumerate(block.ids.tolist()):
+            ref, peek = RowStream(block.seed, stream), RowStream(block.seed, stream).random(k)
             expect = oracle._sample_coefficients_from(ref, k, c1, head).values
-            assert lam[seed].tobytes() == expect.tobytes(), (k, c1, head, seed)
-            assert after[seed].tobytes() == ref.random(4).tobytes(), (k, c1, head, seed)
+            assert lam[r].tobytes() == expect.tobytes(), (k, c1, head, r)
+            assert after[r].tobytes() == ref.random(4).tobytes(), (k, c1, head, r)
             if c1 * k > 1.0 + 1e-12:
                 p = peek / peek.sum()
                 first_row[bool(p.max() <= c1 and p[0] + p[1] >= head)] += 1
-    assert first_row[True] and first_row[False]  # both the fast path and the fall-through ran
+    assert first_row[True] and first_row[False]  # both the first round and later ones ran
 
 
 def test_infeasible_cap_is_rejected_up_front():

@@ -61,32 +61,32 @@ RUNS = {
 SYNTHETIC = ["--synthetic-n", "10", "--synthetic-dims", "3x8x8", "--epochs", "3"]
 
 GOLDEN = {
-    "challenge.ihds": "57d47219522605c3ca476aaae59247c1cbc3c16ada1ed3f55ec0fe4cbaa3b7b1",
+    "challenge.ihds": "3d062cd2c8398ab22a62792966db65c9f3ff1849b7d071e79875126a227fe57e",
     "challenge.ihds.meta.txt": "354663299d5765e4e2d06bf0e4bc482570828424f806627e35cbf280a06e204c",
     "challenge.json": "86798033748ae7a80583330a9a0bdf395e4b582650d51eeab509b4b0a7a9df8c",
-    "cross.ihds": "3bef0851b765e699c8300f777528cf1cf4c244b6b4d9205e0652a2ece5dd7ea0",
+    "cross.ihds": "6f84ea7583a23f837d63f9f7b820ec48c5c912d1a56ae240e5bbbc57189cbe8c",
     "cross.ihds.meta.txt": "d53d3acefd79d547ce23a8ef68ffe0d1c4bc6c4c6c506d3b5154eb0de465777a",
-    "cross_files.ihds": "193037fdc460099bbf04a63c8b96a553846b8bc260a0c6923a37bc9fcee54a3f",
+    "cross_files.ihds": "5f8809cc61a462cbb248326e53636ad408bcab80f259753418ff082cf49237bc",
     "cross_files.ihds.meta.txt": "07ad56feb2a61f8d8d1004bdc6a04a2b483412b8bf8c841e525caa9e4de2bd08",
     "encrypt-cross-files.json": "5cf75b42db0535ec70b819499f911dc015fb08383fc09a547ece7dc4882629a3",
     "encrypt-cross.json": "6835964080a0f4e7835b63c5e35df464a3cc43118fa43672e90051d64cedd5b9",
     "encrypt-inside.json": "3771182723bb5e5590ecc5a704fc49b9b554a0c01727da8f6776b51d199eaa83",
     "encrypt-mixup.json": "1e155063c0819bbc69e804b4ab9c5c93432aad7e171b7e185a4880ff24bfba46",
-    "inside.ihds": "bd3c09b36d13c2e5d06081fd15a6c8c23e3d2f2727b3ddca2695dc86781241c4",
+    "inside.ihds": "40a3cfc871b49cb352f1cd4b0b45fab8323abcadce1d6cbf0581019e4d3a7b76",
     "inside.ihds.meta.txt": "2df87dc190914a9316f1992261dd569aa41bb8302de0173b6e00fe85a2359534",
-    "mixup.ihds": "dc81ea7c152745404d1b8e560c002d8bf8c3254d9e0210d7bf59a28342fd38e8",
+    "mixup.ihds": "430b93fb3afa6144b30f4735d6b99d2acc3e210a941259fdb4d330aa631ed29e",
     "mixup.ihds.meta.txt": "6b94f851be9b93e077d39285f67120bb8bb1572bbdacb3952d5646838cdabfae",
-    "patches.ihds": "8a8a95fa2aadf862c4b20ee3b97fa1b230e71e519e055116954deb822d9d2968",
-    "patches.ihds.prov.csv": "942886159316272e872a006ceb851b0754d1ec30f1274af2e0e1d5f9e3ed6803",
-    "prep-public.json": "c5654bf4bb176d863b93491bfacade8bb1feb9ba9af36e624602c68fe11b5c0a",
+    "patches.ihds": "5f2ab671ca57ac1ee7e66ea04353ec253d4a069f4664ff693744d2416b7fb263",
+    "patches.ihds.prov.csv": "3b7ca4a34419888847a8c15318523b29d24812e75718ae1a667b566e9442f53f",
+    "prep-public.json": "1f6baaa78a3cba89479f40ab1f339721937a605e7785e0cfb6ad11dc63af3e46",
     "private.ihds": "6858a4b58e2d9ae26dab1966b91bc5447f10ca5246b393f640a22c3402529fe8",
     "public.ihds": "516238bf008db2a916b8a73f404052336de9f9262fb2effb2d65c973f19c0cc3",
     # train, encrypted eval and the KS table draw keys through the same kernel
     "eval-cross.json": "95db8bc3574265df339563480500c5c29a2cb0281d4dc9c410b354ae982ba662",
     "eval-inside.json": "ac65a4a776d03969b7719e17b513ae880915c3b54d0f020edca2281a9fa076f1",
-    "ks-table.json": "b9cb3dcaf2e9c3eacb4d9425aad06394705de504bbf2c124824a9232edc60808",
-    "ks.csv": "80624600cfd624c96e76a2c8651da7286e7032e08220d19290ccdfa714eb942a",
-    "model.ihmd": "5f0b9fc195fddcdbd563a9b63353b1db18a016cc2ebccdc14d8f8a0c00d01c99",
+    "ks-table.json": "9fb6dc776350073c40096c4baed628936eb853950e4910be577abbc9a47d3c40",
+    "ks.csv": "0b68d1629892dbc7c67375eb3fbb4c2d5afb0057c4a5b5c7aaf8b06e9329f925",
+    "model.ihmd": "089c44f72a973b9f87eb54f9137d1a6fa104c177bc4098da4f6abff414df9583",
     "train.json": "c2b08f4574b990f6166c5f9d629ec860ce1759f38a22e5cbd8b0425f2fb4c4f1",
 }
 

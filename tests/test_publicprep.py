@@ -6,13 +6,14 @@ from instahide.core import Image, make_gaussian_dataset
 from instahide.errors import ValidationError
 from instahide.publicprep import (
     PatchSet,
+    _crops,
     build_patchset,
     keypoint_counts,
     load_patchset,
     random_crop,
     save_patchset,
 )
-from instahide.rng import RngStream
+from instahide.rng import Draws, RngStream
 
 
 def keypoint_count(im: Image) -> int:
@@ -40,16 +41,16 @@ def test_random_crop_rejects_oversize():
 
 
 def test_crop_offsets_are_uniform():
-    # 8 valid offsets per axis; chi-square the joint histogram
-    src = Image(
-        RngStream(3).generator().normal(size=3 * 11 * 11).astype(np.float32), (3, 11, 11)
-    )
-    crops = random_crop(src, (4, 4), 6400, RngStream(4))
-    counts = np.zeros((8, 8))
-    for _, (oy, ox) in crops:
-        counts[oy, ox] += 1
-    _, p = scipy.stats.chisquare(counts.ravel())
-    assert p > 0.01
+    # 8 valid offsets per axis; chi-square each source's joint histogram of
+    # 1,280 crops, for 100 sources: the pooled histogram must pass, and so
+    # must a KS test that the per-source p-values are uniform
+    src = RngStream(3).generator().normal(size=(1, 1, 11, 11)).astype(np.float32)
+    draws = Draws(RngStream(4).children("crop", ids=np.arange(100)))
+    _, prov = _crops(np.repeat(src, 100, axis=0), (4, 4), 1280, draws)
+    cells = (prov[:, 1] * 8 + prov[:, 2]).reshape(100, 1280)
+    counts = np.stack([np.bincount(row, minlength=64) for row in cells])
+    assert scipy.stats.chisquare(counts.sum(axis=0)).pvalue > 0.01
+    assert scipy.stats.kstest(scipy.stats.chisquare(counts, axis=1).pvalue, "uniform").pvalue > 0.01
 
 
 def test_keypoints_flat_image_has_none():

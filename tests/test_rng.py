@@ -3,10 +3,11 @@ import pytest
 import reference_encrypt as oracle
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_rng import RowStream
 
 from instahide.core import _draw_lambdas
 from instahide.errors import ValidationError
-from instahide.rng import Draws, RngStream, Streams, _states
+from instahide.rng import Draws, RngStream, Streams
 
 
 def test_equal_pairs_reproduce_bytes():
@@ -82,25 +83,54 @@ def test_child_is_a_pure_function_of_tags(tags):
 
 BOUNDARY = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
+# (seed, stream) -> the row's first four outputs; then, on a fresh block,
+# bits(70) packed, choice(10, 4) and two random doubles, drawn in that order.
+# Frozen: a change here moves every key and every golden digest.
+VECTORS = {
+    (0, 0): (
+        ["238275bc38fcbe91", "f89a2566b5822c54", "47200e1d9780fa44", "e710dc7a64e2470a"],
+        "91befc38bc75822354", [7, 5, 1, 3], ["0x1.4a5cc622eb570p-1", "0x1.56ed4191ea448p-1"],
+    ),
+    (0, 2**32 - 1): (
+        ["41baf7d0c70d9d21", "42cac68b824bd8fa", "b1a67aa9383701e7", "36a21a093e905670"],
+        "219d0dc7d0f7ba41f8", [1, 0, 9, 4], ["0x1.9fb9e183fa6acp-1", "0x1.d0af79958fcb8p-1"],
+    ),
+    (1234, 2**32): (
+        ["ab0aa7129b416a77", "76d1f49e4a63beb6", "14f24888a657de11", "03a28e874865a0bc"],
+        "776a419b12a70aabb4", [0, 7, 3, 5], ["0x1.5c9a4e29e2f7cp-1", "0x1.19fc8ca1a1299p-1"],
+    ),
+    (2**64 - 1, 2**64 - 1): (
+        ["f14a310831123e0a", "673f30f72147ad25", "690df2e16b347af3", "fddf6f778d2c80db"],
+        "0a3e123108314af124", [0, 2, 7, 6], ["0x1.b113b2a2942e0p-6", "0x1.8be51baa80c5fp-1"],
+    ),
+    (20201026, 1): (
+        ["aeee3c3120cdddad", "c833838470bbdbc6", "d87bae6557d4dbe8", "bf23d5a0c091cf29"],
+        "adddcd20313ceeaec4", [5, 4, 3, 7], ["0x1.483eb9d146b16p-2", "0x1.dafd851b3f494p-1"],
+    ),
+}
 
-def _numpy_state(seed, stream):
-    return np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(4, np.uint64)
+
+@pytest.mark.parametrize("seed,stream", sorted(VECTORS))
+def test_draws_match_fixed_vectors(seed, stream):
+    outputs, bits, choice, doubles = VECTORS[seed, stream]
+    draws = Draws(Streams(seed, [stream]))
+    assert [f"{int(v):016x}" for v in draws._outputs([0], 0, 4)[0]] == outputs
+    ref = RowStream(seed, stream)
+    assert [f"{ref.next64():016x}" for _ in range(4)] == outputs
+    draws = Draws(Streams(seed, [stream]))
+    assert np.packbits(draws.bits(70)[0]).tobytes().hex() == bits
+    assert draws.choice(10, 4)[0].tolist() == choice
+    assert [float(v).hex() for v in draws.random([0], 0, 2)[0]] == doubles
 
 
-def test_state_replica_matches_numpy_seed_sequence():
-    # the block path's bytes rest on this replica; a numpy release that
-    # changes SeedSequence fails here first
-    pairs = [(s, t) for s in BOUNDARY for t in BOUNDARY]
-    gen = np.random.default_rng(20201026)
-    pairs += [(int(s), int(t)) for s, t in gen.integers(0, 2**64, (200, 2), np.uint64)]
-    pairs += [(int(s), int(t)) for s, t in gen.integers(0, 2**32, (50, 2), np.uint64)]
-    for seed, stream in pairs:
-        got = _states(seed, np.array([stream], dtype=np.uint64))[0]
-        assert np.array_equal(got, _numpy_state(seed, stream)), (seed, stream)
-    ids = np.array(BOUNDARY * 3, dtype=np.uint64)  # mixed one- and two-word ids in one block
-    for seed in BOUNDARY:
-        expect = np.stack([_numpy_state(seed, int(t)) for t in ids])
-        assert np.array_equal(_states(seed, ids), expect)
+def test_keys_fold_the_seed_and_the_stream():
+    # equal pairs share a stream, swapped or neighbouring pairs do not
+    first = [Draws(Streams(seed, [stream])).random([0], 0, 1)[0, 0]
+             for seed, stream in [(0, 1), (1, 0), (0, 2), (1, 1)]]
+    assert len(set(first)) == 4
+    block = Draws(Streams(5, [3, 3, 4]))
+    out = block.random(np.arange(3), 0, 8)
+    assert np.array_equal(out[0], out[1]) and not np.array_equal(out[0], out[2])
 
 
 def test_block_child_ids_match_per_row_children():
@@ -122,70 +152,80 @@ def test_block_child_ids_match_per_row_children():
         Streams(31, [0]).child()
 
 
-def test_block_generators_draw_the_reference_bytes():
-    streams = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345]
-    for seed in BOUNDARY:
-        block = Streams(seed, streams)
-        got = [g.bytes(64) for g in block.generators()]
-        assert got == [RngStream(seed, s).generator().bytes(64) for s in streams]
-    block = RngStream(1234).children("enc", ids=np.arange(40))
-    for i, g in enumerate(block.generators()):
-        assert g.bytes(64) == RngStream(1234).child("enc", i).generator().bytes(64)
-    assert list(Streams(1, []).generators()) == []
-
-
 def test_per_row_streams_are_opened_as_blocks(monkeypatch):
-    # only per-epoch and per-call streams (perm, sgd, picks, probes) may go
-    # through RngStream.generator; per-row keys are drawn by rng.Draws for a
-    # whole Streams block, so the count must not grow with the number of rows
-    # encrypted, and no row's own generator is opened
-    from instahide import encrypt, stats, utility
+    # only per-epoch and per-call streams (perm, sgd, picks, probes) may open a
+    # numpy generator, through RngStream.generator; per-row keys are drawn by
+    # rng.Draws for a whole Streams block, so the count must not grow with the
+    # number of rows, and no other Generator is built on these paths
+    from instahide import attacks, encrypt, publicprep, stats, utility
     from instahide.core import make_gaussian_dataset
 
-    calls, rows = [], []
-    reference, per_row = RngStream.generator, Streams.generators
-    monkeypatch.setattr(RngStream, "generator", lambda self: calls.append(1) or reference(self))
-    monkeypatch.setattr(Streams, "generators", lambda self: (
-        rows.append(1) or gen for gen in per_row(self)))
+    calls, built, inside = [], [], []
+    reference = RngStream.generator
+
+    def generator(self):
+        calls.append(1)
+        inside.append(1)
+        try:
+            return reference(self)
+        finally:
+            inside.pop()
+
+    def elsewhere(make):  # counts the Generators built outside RngStream.generator
+        def build(*args, **kwargs):
+            built.extend([] if inside else [1])
+            return make(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(RngStream, "generator", generator)
+    for name in ("Generator", "default_rng"):
+        monkeypatch.setattr(np.random, name, elsewhere(getattr(np.random, name)))
 
     def count(run, n):
         ds = make_gaussian_dataset(n, (1, 4, 4), RngStream(n, 1), classes=3)
+        history, keys = encrypt.encrypt_history(ds, cfg, 2, RngStream(n, 2))
         calls.clear()
-        run(ds, n)
-        assert not rows
+        built.clear()
+        run(ds, history, keys)
+        assert not built
         return len(calls)
 
     cfg = encrypt.SchemeConfig("inside", k=3, c1=0.65)
     model = utility.init_model(3, 16)
+    oracle = attacks.SignOracle(0.25, RngStream(5))
     runs = {
-        "history": (lambda ds, n: encrypt.encrypt_history(ds, cfg, 2, RngStream(1)), 2),
-        "train": (lambda ds, n: utility.train_encrypted(model, ds, cfg, 2, 0.1, RngStream(2)), 4),
-        "evaluate": (lambda ds, n: utility.evaluate(
+        "history": (lambda ds, h, k: encrypt.encrypt_history(ds, cfg, 2, RngStream(1)), 2),
+        "train": (lambda ds, h, k: utility.train_encrypted(
+            model, ds, cfg, 2, 0.1, RngStream(2)), 4),
+        "evaluate": (lambda ds, h, k: utility.evaluate(
             model, ds, "encrypted", cfg, RngStream(3), ensemble=3, partner_pool=ds), 0),
-        "protocol": (lambda ds, n: stats.indistinguishability_protocol(
-            ds, cfg, RngStream(4), picks=3, encryptions_per_image=n // 5,
+        "protocol": (lambda ds, h, k: stats.indistinguishability_protocol(
+            ds, cfg, RngStream(4), picks=3, encryptions_per_image=ds.n // 5,
             probe_encryptions=5), 2),
+        "patchset": (lambda ds, h, k: publicprep.build_patchset(
+            ds, (2, 2), 3, RngStream(6), min_keypoints=0), 0),
+        "averaging": (lambda ds, h, k: attacks.averaging_attack(
+            h, k, ds, "strong", oracle, target=1), 0),
     }
     for name, (run, expect) in runs.items():
         assert count(run, 50) == count(run, 100) == expect, name
 
 
-# Each op as the replica runs it for a whole block, and as one row's own
-# generator runs it in the encryption kernel (reference_encrypt._draw_lambda
-# is the per-row rejection loop the kernel used before the block sampler).
+# Each op as the block runs it for all rows, and as the scalar reference runs
+# it for one row (reference_encrypt._draw_lambda is the per-row rejection loop).
 BLOCK_OPS = {
     "choice": lambda draws, pop, size: draws.choice(pop, size),
-    "integers": lambda draws, n: draws.choice(n, 1),  # one bounded draw, as integers(0, n)
+    "integers": lambda draws, high, size: draws.integers(high, size),
     "lambda": lambda draws, k, c1, head: _draw_lambdas(draws, k, c1, head),
     "bits": lambda draws, d: draws.bits(d),
     "random": lambda draws, count: _random_then_advance(draws, count),
 }
 ROW_OPS = {
-    "choice": lambda gen, pop, size: gen.choice(pop, size, replace=False),
-    "integers": lambda gen, n: np.array([gen.integers(0, n)]),
-    "lambda": lambda gen, k, c1, head: oracle._draw_lambda(gen, k, c1, head),
-    "bits": lambda gen, d: gen.integers(0, 2, size=d, dtype=np.int8),
-    "random": lambda gen, count: gen.random(count),
+    "choice": lambda ref, pop, size: np.array(ref.sample(pop, size), np.int64),
+    "integers": lambda ref, high, size: np.array([ref.bounded(high - 1) for _ in range(size)]),
+    "lambda": lambda ref, k, c1, head: oracle._draw_lambda(ref, k, c1, head),
+    "bits": lambda ref, d: np.array(ref.bit_list(d), np.int8),
+    "random": lambda ref, count: ref.random(count),
 }
 
 
@@ -204,39 +244,48 @@ def _random_block(rows, seed):
 
 
 def _assert_block_matches_rows(block, ops):
-    draws, gens = Draws(block), list(block.generators())
+    draws = Draws(block)
+    refs = [RowStream(block.seed, stream) for stream in block.ids.tolist()]
     for op, *args in ops:
         got = BLOCK_OPS[op](draws, *args)
-        for r, gen in enumerate(gens):
-            expect = ROW_OPS[op](gen, *args)
+        assert len(got) == len(refs)
+        for r, ref in enumerate(refs):
+            expect = ROW_OPS[op](ref, *args)
             assert got[r].dtype == expect.dtype, (op, args)
             assert got[r].tobytes() == expect.tobytes(), (op, args, r)
-        assert len(got) == len(gens)
 
 
 KERNEL_SEQUENCES = {
-    # one op list per case; the last op of each checks where the cursors ended
-    # (bits leaves them alone: it is every caller's last draw)
-    "lemire-rejections": [("choice", 2**31 + 1, 3), ("bits", 17)],  # ~1/2 rejected
-    "floyd-collisions": [("choice", 6, 5), ("choice", 3, 3), ("bits", 5)],
-    "odd-half-before-mask": [("integers", 7), ("bits", 5)],
-    "odd-half-before-long-mask": [("choice", 9, 2), ("random", 3), ("bits", 3071)],
-    "even-start-mask": [("integers", 5), ("integers", 5), ("random", 2), ("bits", 17)],
-    "inside-k1": [("choice", 49, 0), ("lambda", 1, 1.0, 0.0), ("bits", 17)],
-    "inside-k2": [("choice", 49, 1), ("lambda", 2, 0.65, 0.0), ("bits", 17)],
-    "inside-k4": [("choice", 49, 3), ("lambda", 4, 0.65, 0.0), ("bits", 192)],
-    "inside-k12": [("choice", 49, 11), ("lambda", 12, 0.12, 0.0), ("bits", 5)],
-    "uniform-c1k1": [("choice", 49, 3), ("lambda", 4, 0.25, 0.0), ("bits", 17)],
-    "cross": [("choice", 49, 1), ("choice", 30, 4), ("lambda", 6, 0.65, 0.3), ("bits", 17)],
-    "cross-head": [("choice", 9, 1), ("choice", 3, 1), ("lambda", 3, 0.4, 0.75), ("bits", 5)],
-    "cross-eval": [("integers", 40), ("choice", 30, 2), ("integers", 3)],
-    "thin-lambda": [("lambda", 6, 0.2, 0.0), ("bits", 17)],
-    "tail-shuffle": [("choice", 10_001, 201), ("integers", 10)],
+    # one op list per case; each ends with a draw that checks where the cursors ended
+    "lemire-rejections": [("choice", 2**31 + 1, 3), ("bits", 17), ("random", 1)],  # ~1/2 rejected
+    "floyd-collisions": [("choice", 6, 5), ("choice", 3, 3), ("bits", 5), ("random", 1)],
+    "odd-half-before-mask": [("integers", 7, 1), ("bits", 5), ("random", 1)],
+    "odd-half-before-long-mask": [("choice", 9, 2), ("random", 3), ("bits", 3071),
+                                  ("random", 1)],
+    "even-start-mask": [("integers", 5, 1), ("integers", 5, 1), ("random", 2), ("bits", 17),
+                        ("random", 1)],
+    "mask-lengths": [("bits", 1), ("bits", 63), ("bits", 64), ("bits", 65), ("bits", 3071),
+                     ("random", 1)],
+    "integer-runs": [("integers", 7, 3), ("integers", 1, 2), ("integers", 2**32, 2),
+                     ("random", 1)],
+    "inside-k1": [("choice", 49, 0), ("lambda", 1, 1.0, 0.0), ("bits", 17), ("random", 1)],
+    "inside-k2": [("choice", 49, 1), ("lambda", 2, 0.65, 0.0), ("bits", 17), ("random", 1)],
+    "inside-k4": [("choice", 49, 3), ("lambda", 4, 0.65, 0.0), ("bits", 192), ("random", 1)],
+    "inside-k12": [("choice", 49, 11), ("lambda", 12, 0.12, 0.0), ("bits", 5), ("random", 1)],
+    "uniform-c1k1": [("choice", 49, 3), ("lambda", 4, 0.25, 0.0), ("bits", 17), ("random", 1)],
+    "cross": [("choice", 49, 1), ("choice", 30, 4), ("lambda", 6, 0.65, 0.3), ("bits", 17),
+              ("random", 1)],
+    "cross-head": [("choice", 9, 1), ("choice", 3, 1), ("lambda", 3, 0.4, 0.75), ("bits", 5),
+                   ("random", 1)],
+    "cross-eval": [("integers", 40, 1), ("choice", 30, 2), ("integers", 3, 1), ("random", 1)],
+    "thin-lambda": [("lambda", 6, 0.2, 0.0), ("bits", 17), ("random", 1)],
+    "tail-shuffle": [("choice", 10_001, 201), ("integers", 10, 1), ("random", 1)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_SEQUENCES))
 def test_block_draws_match_each_rows_generator(case):
+    # each row's generator is the scalar reference of its own stream
     rows = {"thin-lambda": 400, "inside-k12": 200, "tail-shuffle": 3}.get(case, 60)
     for seed in range(2):
         _assert_block_matches_rows(_random_block(rows, seed), KERNEL_SEQUENCES[case])
@@ -249,14 +298,35 @@ def test_empty_and_one_row_blocks_match(rows):
 
 
 def test_thin_lambda_rows_are_decided_at_every_stage():
-    # the "thin-lambda" case above must reach each stage of the block
-    # sampler: candidate 0, candidates 1-7, 8-255, and past the first batch
-    k, c1 = 6, 0.2
-    stages = set()
+    # the "thin-lambda" case above must reach rows decided in each kind of
+    # round of the block sampler: candidate 0, the round of 8, the doubling
+    # rounds up to candidate 256, and past them
+    k, c1, stages = 6, 0.2, set()
     for seed in range(2):
-        for gen in _random_block(400, seed).generators():
-            cand = gen.random((256, k))
-            ok = (cand / cand.sum(axis=1, keepdims=True)).max(axis=1) <= c1
-            first = int(np.argmax(ok)) if ok.any() else 256
-            stages.add(0 if first == 0 else 1 if first < 8 else 8 if first < 256 else 256)
-    assert stages == {0, 1, 8, 256}
+        block = _random_block(400, seed)
+        for stream in block.ids.tolist():
+            ref, cand = RowStream(block.seed, stream), []
+            while not cand or (cand[-1] / cand[-1].sum()).max() > c1:
+                cand.append(ref.random(k))
+            first = len(cand) - 1
+            stages.add(0 if first == 0 else 1 if first < 9 else 9 if first < 257 else 257)
+    assert stages == {0, 1, 9, 257}
+
+
+def _keys(block, chunk, monkeypatch):
+    # partners, lambda and mask as the inside kernel draws them
+    monkeypatch.setattr(Draws, "chunk", chunk)
+    draws = Draws(block)
+    return draws.choice(99, 3), _draw_lambdas(draws, 4, 0.3), draws.bits(3071)
+
+
+def test_rows_do_not_depend_on_the_block(monkeypatch):
+    # c1 = 0.3 at k = 4 leaves rows undecided for several rounds; a chunk of
+    # 24 words caps rounds at 6 candidates and runs one row per temporary
+    big = RngStream(3).children("enc", ids=np.arange(1000))
+    keys = _keys(big, Draws.chunk, monkeypatch)
+    for chunk in (24, 1 << 10):
+        assert all(np.array_equal(a, b) for a, b in zip(keys, _keys(big, chunk, monkeypatch)))
+    for r in (0, 1, 517, 999):
+        one = _keys(Streams(big.seed, big.ids[r : r + 1]), 24, monkeypatch)
+        assert all(a[r].tobytes() == b[0].tobytes() for a, b in zip(keys, one)), r
