@@ -14,11 +14,12 @@ the sets' float32 matrices as row blocks (private rows, then public rows;
 nothing is stacked), each output row's own image index, and one
 ``rng.Streams`` block of the rows' streams. ``rng.Draws`` draws every row's
 partners, then lambda (``core._draw_lambdas``), then the int8 mask, each row
-from its own counter stream; all rows are then mixed in k vectorised float64
-passes, ``acc += lam[:, j] * S[idx[:, j]]`` (mix_pixels' accumulation order;
-each pass casts only the rows it gathers), cast to float32 and multiplied by
-the signs. Each sample has one stream ``rng.child(epoch, i)``, drawn as
-partners -> lambda -> mask, so a seed gives the same bytes in any block size.
+from its own counter stream. ``_mix`` mixes the rows in cache-sized tiles: a
+tile's float64 sum starts at zero, adds ``lam[:, j] * S[idx[:, j]]`` for
+j = 0..k-1 in turn (mix_pixels' order, so the tile size never changes a
+byte) and is cast into the float32 output, which the signs then multiply.
+Each sample has one stream ``rng.child(epoch, i)``, drawn as partners ->
+lambda -> mask, so a seed gives the same bytes in any block size.
 A history is the kernel's columns: ``encrypt_history`` returns
 EncryptedSamples and EncryptionKeys blocks, and only an integer index into a
 block builds an EncryptedSample or EncryptionKey.
@@ -47,6 +48,8 @@ from .errors import DimensionMismatchError, ValidationError
 from .rng import Draws, RngStream, Streams
 
 SCHEMES = ("mixup", "inside", "cross")
+
+_TILE_BYTES = 1 << 18  # per float64 buffer of one _mix tile: 10 rows at d = 3072
 
 
 @dataclass(frozen=True)
@@ -144,22 +147,28 @@ def _sources(private: Dataset, cfg: SchemeConfig, publicset=None):
 
 
 def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Float64 rows sum_j lam[:, j] * S[idx[:, j]], accumulated slot by slot
-    from zero as the per-sample code did, so each row matches it bit for bit.
-    S is a list of row blocks stacked top to bottom. Each slot's rows are
-    gathered into one float64 buffer that every slot reuses; only those rows
-    are cast, and float32 to float64 is exact."""
-    acc = np.zeros((idx.shape[0], S[0].shape[1]))
-    term = np.empty_like(acc)
-    for j in range(idx.shape[1]):
-        lo = 0
-        for block in S:
-            hit = (idx[:, j] >= lo) & (idx[:, j] < lo + len(block))
-            term[hit] = block[idx[hit, j] - lo]
-            lo += len(block)
-        term *= lam[:, j, None]
-        acc += term
-    return acc
+    """Float32 rows sum_j lam[:, j] * S[idx[:, j]], accumulated in float64
+    slot by slot from zero as the per-sample code did, so each row matches it
+    bit for bit. S is a list of row blocks stacked top to bottom; each index
+    is split into (block, row) once. Rows go in tiles whose float64 sum and
+    term buffers fit _TILE_BYTES, each cast into the output as it finishes;
+    float32 to float64 is exact."""
+    starts = np.cumsum([0] + [len(block) for block in S[:-1]])
+    which = np.searchsorted(starts, idx, side="right") - 1
+    local, m, d = idx - starts[which], len(idx), S[0].shape[1]
+    out, step = np.empty((m, d), np.float32), max(1, _TILE_BYTES // (8 * d))
+    acc, term = np.empty((2, min(step, m), d))
+    for lo in range(0, m, step):
+        rows, a, t = slice(lo, lo + step), acc[: m - lo], term[: m - lo]
+        a.fill(0.0)
+        for j in range(idx.shape[1]):
+            for b, block in enumerate(S):
+                hit = which[rows, j] == b
+                t[hit] = block[local[rows, j][hit]]
+            t *= lam[rows, j, None]
+            a += t
+        out[rows] = a
+    return out
 
 
 def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None) -> _Rows:
@@ -184,14 +193,15 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
         if cross:
             idx[:, 2:] = n + draws.choice(n_public, k - 2)
     lam = _draw_lambdas(draws, k, cfg.c1, cfg.c2 if cross else 0.0)
-    pixels = _mix(S, idx, lam).astype(np.float32)
+    pixels = _mix(S, idx, lam)
     signs = draws.bits(d) * 2 - 1 if masked else None
     if masked:
         pixels *= signs
     labels = None
     if Y is not None:  # only private images carry labels
         slots = 2 if cross else k
-        labels = np.clip(_mix(Y, idx[:, :slots], lam[:, :slots]), 0, 1).astype(np.float32)
+        # weights and lambda are >= 0, so clipping float32 matches clipping the float64 sum
+        labels = np.clip(_mix(Y, idx[:, :slots], lam[:, :slots]), 0, 1)
     return _Rows(pixels, labels, idx, lam, signs)
 
 
@@ -263,7 +273,7 @@ def mix_pixels(images: list[Image], lam: Coefficients) -> np.ndarray:
     if len(images) != lam.k:
         raise ValidationError(f"{len(images)} images for {lam.k} coefficients")
     S = [Dataset(images).matrix()]  # refuses mixed dims
-    return _mix(S, np.arange(lam.k)[None], lam.values[None])[0].astype(np.float32)
+    return _mix(S, np.arange(lam.k)[None], lam.values[None])[0]
 
 
 def apply_mask(x, mask: SignMask):

@@ -141,16 +141,25 @@ class Draws:
     def integers(self, high: int, size: int) -> np.ndarray:
         """(m, size) int64: every row's next ``size`` integers in [0, high <= 2**32),
         each by Lemire's multiply-shift on the top 32 bits of an output, redrawn
-        while the low product is under 2**32 mod high; high 1 draws nothing."""
+        while the low product is under 2**32 mod high; high 1 draws nothing.
+        Rows draw ``size`` outputs at once; a row that had one rejected draws its
+        missing count again until it has ``size`` accepted, kept in stream order."""
         out = np.zeros((self.m, size), np.int64)
         excl, threshold = np.uint64(high), np.uint64((1 << 32) % high)
-        for t in range(size if high > 1 else 0):
-            todo = np.arange(self.m)
-            while todo.size:
-                prod = (_splitmix64(self.s[todo]) >> np.uint64(32)) * excl
-                self.s[todo] += np.uint64(_GAMMA)
-                out[todo, t] = prod >> np.uint64(32)
-                todo = todo[(prod & np.uint64(0xFFFFFFFF)) < threshold]
+
+        def draw(rows, count):  # the rows' next count values, and which are accepted
+            prod = (self._outputs(rows, 0, count) >> np.uint64(32)) * excl
+            self.advance(rows, count)
+            return prod >> np.uint64(32), (prod & np.uint64(0xFFFFFFFF)) >= threshold
+
+        for sub in self.chunks(np.arange(self.m if high > 1 else 0), size):
+            out[sub], ok = draw(sub, size)
+            for r in np.flatnonzero(~ok.all(axis=1)):  # rare: a rejected output
+                kept = out[sub[r], ok[r]]
+                while kept.size < size:
+                    v, accepted = draw(sub[r : r + 1], size - kept.size)
+                    kept = np.concatenate([kept, v[accepted].astype(np.int64)])
+                out[sub[r]] = kept
         return out
 
     def choice(self, pop: int, size: int) -> np.ndarray:

@@ -27,19 +27,23 @@ PROTOCOL_ENCRYPTIONS = 400
 PROTOCOL_PROBES = 50
 
 
-def kolmogorov_survival(lam: float) -> float:
+def kolmogorov_survival(lam):
     """Survival function of the Kolmogorov distribution,
     Q(lam) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), truncated at
-    KS_SERIES_TERMS. Returns 1.0 below KS_LAMBDA_FLOOR (includes lam = 0)."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-    if lam < KS_LAMBDA_FLOOR:
-        return 1.0
-    j = np.arange(1, KS_SERIES_TERMS + 1, dtype=np.float64)
-    terms = np.exp(-2.0 * j * j * lam * lam)
-    total = 2.0 * float(np.sum(np.where(j % 2 == 1, terms, -terms)))
-    return min(1.0, max(0.0, total))
+    KS_SERIES_TERMS. Returns 1.0 below KS_LAMBDA_FLOOR (includes lam = 0).
+    A float gives a float; an array gives an array of its shape, each entry
+    summed as a float would be, in row runs whose series fit 1 MiB."""
+    v = np.asarray(lam, dtype=np.float64)
+    bad = v[~(np.isfinite(v) & (v >= 0.0))]
+    if bad.size:
+        raise ValidationError(f"lambda must be finite and >= 0, got {bad[0]}")
+    j, flat, out = np.arange(1.0, KS_SERIES_TERMS + 1), v.reshape(-1), np.ones(v.size)
+    rows, step = np.flatnonzero(flat >= KS_LAMBDA_FLOOR), (1 << 20) // (8 * KS_SERIES_TERMS)
+    for r in np.split(rows, range(step, rows.size, step)):
+        terms = np.exp(-2.0 * j * j * flat[r, None] * flat[r, None])
+        total = 2.0 * (terms * np.where(j % 2 == 1, 1.0, -1.0)).sum(axis=1)
+        out[r] = np.where(total > 0.0, np.minimum(total, 1.0), 0.0)
+    return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -86,8 +90,7 @@ def _singleton_pvalues(values: np.ndarray, pool_sorted: np.ndarray) -> np.ndarra
     hi = np.searchsorted(pool_sorted, values, side="right") / n2
     lo = np.searchsorted(pool_sorted, values, side="left") / n2
     stats = np.maximum(lo, 1.0 - hi)
-    root_ne = math.sqrt(n2 / (1.0 + n2))
-    return np.array([kolmogorov_survival(root_ne * d) for d in stats])
+    return kolmogorov_survival(math.sqrt(n2 / (1.0 + n2)) * stats)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +107,10 @@ def total_variation_rows(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.n
     m = np.asarray(matrix, dtype=np.float64)
     c, h, w = dims
     x = m.reshape(m.shape[0], c, h, w)
-    tv = np.abs(np.diff(x, axis=2)).sum(axis=(1, 2, 3))
-    tv += np.abs(np.diff(x, axis=3)).sum(axis=(1, 2, 3))
+    buf, tv = np.empty(x.size), np.zeros(len(x))
+    for hi, lo in ((x[:, :, 1:], x[:, :, :-1]), (x[..., 1:], x[..., :-1])):
+        diff = np.subtract(hi, lo, out=buf[: hi.size].reshape(hi.shape))
+        tv += np.abs(diff, out=diff).sum(axis=(1, 2, 3))
     return tv
 
 
@@ -220,10 +225,12 @@ def indistinguishability_protocol(
 
     p_all = np.empty((picks, n_stats))
     p_other = np.empty((picks, n_stats))
-    for s in range(n_stats):
-        pool_all = np.sort(stats[:, :, s].reshape(-1))
+    owners = np.repeat(np.arange(picks), encryptions_per_image)
+    for s, col in enumerate(stats.reshape(-1, n_stats).T):
+        order = np.argsort(col, kind="stable")
+        pool_all, owner = col[order], owners[order]
         for r in range(picks):
-            others = np.sort(np.delete(stats[:, :, s], r, axis=0).reshape(-1))
+            others = pool_all[owner != r]  # sorted: the pool without image r's rows
             probe_vals = stats[r, :probe_encryptions, s]
             p_all[r, s] = _singleton_pvalues(probe_vals, pool_all).mean()
             p_other[r, s] = _singleton_pvalues(probe_vals, others).mean()

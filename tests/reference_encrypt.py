@@ -6,11 +6,15 @@ Image per row; test_kernel_oracle.py checks that the batched paths in
 ``instahide`` reproduce these outputs bit for bit. A sample's own key
 (partners, lambda, mask) comes from ``reference_rng.RowStream``, the scalar
 reference of the package's per-row streams; per-call draws (permutations,
-SGD, picks) come from ``RngStream.generator`` as in the package. Nothing
+SGD, picks) come from ``RngStream.generator`` as in the package. The KS
+protocol keeps its scalar forms too: one Kolmogorov series per p-value, the
+``np.diff`` total variation, and an ``np.delete`` + sort Other pool. Nothing
 here is imported by the package.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,14 +35,14 @@ from instahide.errors import (
 from instahide.rng import RngStream
 from reference_rng import RowStream
 from instahide.stats import (
+    KS_LAMBDA_FLOOR,
+    KS_SERIES_TERMS,
     PROTOCOL_ENCRYPTIONS,
     PROTOCOL_PICKS,
     PROTOCOL_PROBES,
     IndistinguishabilityReport,
-    _singleton_pvalues,
     default_probe_locations,
     statistic_labels,
-    statistic_matrix,
 )
 from instahide.utility import (
     DEFAULT_BATCH_SIZE,
@@ -513,6 +517,62 @@ def evaluate(
         )
         hits += int(np.argmax(probs) == truth[i])
     return hits / test.n
+
+
+def kolmogorov_survival(lam: float) -> float:
+    """Survival function of the Kolmogorov distribution,
+    Q(lam) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), truncated at
+    KS_SERIES_TERMS. Returns 1.0 below KS_LAMBDA_FLOOR (includes lam = 0)."""
+    lam = float(lam)
+    if not np.isfinite(lam) or lam < 0.0:
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
+    if lam < KS_LAMBDA_FLOOR:
+        return 1.0
+    j = np.arange(1, KS_SERIES_TERMS + 1, dtype=np.float64)
+    terms = np.exp(-2.0 * j * j * lam * lam)
+    total = 2.0 * float(np.sum(np.where(j % 2 == 1, terms, -terms)))
+    return min(1.0, max(0.0, total))
+
+
+def _singleton_pvalues(values: np.ndarray, pool_sorted: np.ndarray) -> np.ndarray:
+    """p-value of a one-point sample {v} against an empirical pool, for each
+    v in values. Bit-identical to ks_two_sample([v], pool)."""
+    n2 = pool_sorted.size
+    hi = np.searchsorted(pool_sorted, values, side="right") / n2
+    lo = np.searchsorted(pool_sorted, values, side="left") / n2
+    stats = np.maximum(lo, 1.0 - hi)
+    root_ne = math.sqrt(n2 / (1.0 + n2))
+    return np.array([kolmogorov_survival(root_ne * d) for d in stats])
+
+
+def total_variation_rows(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """Anisotropic total variation of each row: sum of absolute vertical plus
+    horizontal neighbor differences, per channel."""
+    m = np.asarray(matrix, dtype=np.float64)
+    c, h, w = dims
+    x = m.reshape(m.shape[0], c, h, w)
+    tv = np.abs(np.diff(x, axis=2)).sum(axis=(1, 2, 3))
+    tv += np.abs(np.diff(x, axis=3)).sum(axis=(1, 2, 3))
+    return tv
+
+
+def statistic_matrix(
+    matrix: np.ndarray, dims: tuple[int, int, int], probes: tuple[int, ...]
+) -> np.ndarray:
+    """(n, 3 + len(probes)) float64 profile matrix for stacked pixel rows."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim == 1:
+        m = m[None]
+    d = dims[0] * dims[1] * dims[2]
+    if m.shape[1] != d:
+        raise ValidationError(f"row length {m.shape[1]} != prod(dims) {d}")
+    probes = tuple(int(p) for p in probes)
+    if any(p < 0 or p >= d for p in probes):
+        raise ValidationError(f"probe locations out of range [0, {d})")
+    cols = [m.mean(axis=1), m.std(axis=1), total_variation_rows(m, dims)]
+    for p in probes:
+        cols.append(m[:, p])
+    return np.stack(cols, axis=1)
 
 
 def indistinguishability_protocol(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instahide import encrypt
 from instahide.core import (
     Coefficients,
     Dataset,
@@ -35,6 +36,7 @@ from instahide.errors import (
 from instahide.ihds import load_dataset
 from instahide.publicprep import PatchSet
 from instahide.rng import Draws, RngStream
+from instahide.utility import _encrypted_probs, init_model
 
 
 def unit_patchset(n: int, dims, rng: RngStream) -> PatchSet:
@@ -78,6 +80,43 @@ def test_mixup_rejects_mismatches():
         Dataset([a, a], [one_hot(0, 2), one_hot(0, 3)])
     with pytest.raises(ValidationError):
         mix_pixels([a], Coefficients([0.5, 0.5]))
+
+
+def test_mix_gathers_every_block_in_every_tile(monkeypatch):
+    # each slot draws rows from all three blocks, so every tile mixes rows of
+    # different blocks; each row must equal the plain float64 slot sum
+    gen = np.random.default_rng(12)
+    S = [gen.normal(size=(n, 7)).astype(np.float32) for n in (5, 1, 11)]
+    idx, lam = gen.integers(0, 17, size=(23, 5)), gen.random((23, 5))
+    want = np.zeros((23, 7))
+    for j in range(5):
+        want += np.concatenate(S)[idx[:, j]].astype(np.float64) * lam[:, j, None]
+    for budget in (8 * 7, 8 * 7 * 4, encrypt._TILE_BYTES):
+        monkeypatch.setattr(encrypt, "_TILE_BYTES", budget)
+        assert encrypt._mix(S, idx, lam).tobytes() == want.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["inside", "cross"])
+def test_tile_size_never_changes_bytes(scheme, monkeypatch):
+    # one-row tiles, 7-row tiles and one tile per block give the same pixels,
+    # labels and encrypted-evaluation probabilities: inside mixes one source
+    # block, cross two, and cross evaluation three (inputs, pool, public set)
+    dims, d = (3, 8, 8), 192
+    private = make_gaussian_dataset(30, dims, RngStream(50), classes=4)
+    public = unit_patchset(40, dims, RngStream(51)) if scheme == "cross" else None
+    test = make_gaussian_dataset(25, dims, RngStream(52), classes=4)
+    cfg, model = SchemeConfig(scheme, k=5, c1=0.65, c2=0.3), init_model(4, d, RngStream(53))
+
+    def outputs():
+        samples, _ = encrypt_history(private, cfg, 2, RngStream(54), public)
+        streams = RngStream(55).children("eval", ids=np.arange(test.n))
+        probs = _encrypted_probs(model, test.matrix(), cfg, streams, 3, private, public)
+        return np.asarray(samples).tobytes(), samples.labels.tobytes(), probs.tobytes()
+
+    want = outputs()
+    for rows in (1, 7, 10_000):
+        monkeypatch.setattr(encrypt, "_TILE_BYTES", 8 * d * rows)
+        assert outputs() == want, rows
 
 
 def test_mixed_norm_tracks_coefficient_norm():

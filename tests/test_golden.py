@@ -10,12 +10,18 @@ small enough that their BLAS products give the same bytes at one and two
 OpenBLAS threads; attack outputs are left out, as their float64 reductions
 may differ with the library or the thread count.
 
+Their reports pin only an accuracy, so encrypted `eval`'s probabilities
+are pinned too: PROBS holds the digest of the float64 matrix that
+`utility._encrypted_probs` returns in each eval run (inside, and cross with
+its three source blocks: the inputs, the partner pool and the public set).
+
 On a mismatch, `pytest -vv` shows the digests of the current code in the
 assertion diff.
 """
 
 import hashlib
 
+from instahide import utility
 from instahide.core import make_gaussian_dataset
 from instahide.cli import main
 from instahide.ihds import save_dataset
@@ -90,6 +96,11 @@ GOLDEN = {
     "train.json": "c2b08f4574b990f6166c5f9d629ec860ce1759f38a22e5cbd8b0425f2fb4c4f1",
 }
 
+PROBS = {
+    "eval-cross": "197a930c370ee88aa9e3d36fe006e280605b7c71231352678bc01a10a8f25fbb",
+    "eval-inside": "e6af84197ceb1792d48b16e749df05e01bf7da9fc4f563b218f6872bead8507a",
+}
+
 
 def _digests(root):
     return {
@@ -100,6 +111,14 @@ def _digests(root):
 
 def test_exported_bytes_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    probs, encrypted_probs = {}, utility._encrypted_probs
+
+    def record(*args, **kwargs):
+        P = encrypted_probs(*args, **kwargs)
+        probs[name] = hashlib.sha256(P.tobytes()).hexdigest()
+        return P
+
+    monkeypatch.setattr(utility, "_encrypted_probs", record)
     rng = RngStream(11)
     save_dataset(make_gaussian_dataset(12, (3, 16, 16), rng.child("public"), normalize=False),
                  "public.ihds")
@@ -109,3 +128,4 @@ def test_exported_bytes_match_golden_digests(tmp_path, monkeypatch):
         extra = SYNTHETIC if argv[0] == "encrypt" and "--in" not in argv else []
         assert main([*argv, *extra, "--seed", "3", "--report", f"{name}.json"]) == 0, name
     assert _digests(tmp_path) == GOLDEN
+    assert probs == PROBS

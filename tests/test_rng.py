@@ -258,6 +258,8 @@ def _assert_block_matches_rows(block, ops):
 KERNEL_SEQUENCES = {
     # one op list per case; each ends with a draw that checks where the cursors ended
     "lemire-rejections": [("choice", 2**31 + 1, 3), ("bits", 17), ("random", 1)],  # ~1/2 rejected
+    "integer-rejections": [("integers", 2**31 + 1, 9), ("integers", 3 * 2**30 + 1, 4),
+                           ("random", 1)],  # ~1/2 and ~1/4 of the outputs rejected
     "floyd-collisions": [("choice", 6, 5), ("choice", 3, 3), ("bits", 5), ("random", 1)],
     "odd-half-before-mask": [("integers", 7, 1), ("bits", 5), ("random", 1)],
     "odd-half-before-long-mask": [("choice", 9, 2), ("random", 3), ("bits", 3071),

@@ -3,6 +3,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
+import reference_encrypt as oracle
+
 from instahide.core import Image, make_gaussian_dataset
 from instahide.encrypt import SchemeConfig
 from instahide.errors import ValidationError
@@ -37,6 +39,25 @@ def test_kolmogorov_survival_matches_reference_series():
     # tiny arguments saturate at 1 (the series is numerically unstable there)
     assert kolmogorov_survival(0.0) == 1.0
     assert kolmogorov_survival(0.04) == 1.0
+
+
+def test_kolmogorov_survival_takes_arrays_bit_for_bit():
+    # the array path sums each entry's series exactly as one scalar call does
+    g = np.random.default_rng(8)
+    grid = np.concatenate([
+        [0.0, 0.05, np.nextafter(0.05, 0.0), np.nextafter(0.05, 1.0), 10.0, 12.5, 30.0],
+        g.random(3000) * 3.0, 10.0 + g.random(200) * 30.0,
+    ])
+    want = np.array([oracle.kolmogorov_survival(v) for v in grid])
+    got = kolmogorov_survival(grid)
+    assert got.tobytes() == want.tobytes()
+    assert kolmogorov_survival(grid.reshape(3, -1)).tobytes() == want.tobytes()
+    assert all(kolmogorov_survival(v) == w for v, w in zip(grid[:50], want))
+    assert type(kolmogorov_survival(0.7)) is float
+    assert kolmogorov_survival(np.array([])).shape == (0,)
+    for bad in ([0.3, np.nan], [[1.0, -0.1]], [np.inf], np.nan, -1.0):
+        with pytest.raises(ValidationError):
+            kolmogorov_survival(np.array(bad))
 
 
 def test_ks_statistic_matches_scipy():
@@ -103,11 +124,14 @@ def test_ks_uniform_matches_scipy_statistic():
 def test_singleton_pvalues_equal_two_sample_on_one_point():
     g = np.random.default_rng(6)
     pool = np.sort(g.normal(size=400))
-    values = g.normal(size=25)
+    values = np.concatenate([g.normal(size=25), pool[::40]])  # pool points themselves too
     ps = _singleton_pvalues(values, pool)
     for v, p in zip(values, ps):
         _, ref = ks_two_sample([v], pool)
-        assert p == pytest.approx(ref, abs=1e-12)
+        assert p == ref
+    assert _singleton_pvalues(values, pool[:1]).tolist() == [
+        ks_two_sample([v], pool[:1])[1] for v in values
+    ]
 
 
 # ---------------------------------------------------------------------------
