@@ -794,6 +794,8 @@ def gradient_matching_attack(
         raise ValidationError(
             f"gradient shapes {gW.shape}, {gb.shape} do not fit the model"
         )
+    if steps < 0 or not (math.isfinite(lr) and lr > 0):
+        raise ValidationError(f"need steps >= 0 and a finite lr > 0, got {steps} and {lr}")
     gen = rng.generator()
     x = gen.standard_normal(model.d) / math.sqrt(model.d)
     y = gen.standard_normal(model.classes) / math.sqrt(model.classes)

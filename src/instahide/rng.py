@@ -30,13 +30,22 @@ from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's state increment
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the same constants as np.uint64, so that array arithmetic converts none of them
+_GAMMA_U, _M1_U, _M2_U, _S30, _S27, _S31 = map(np.uint64, (_GAMMA, _M1, _M2, 30, 27, 31))
 
 
 def _splitmix64(x):
-    # splitmix64 step and finalizer, exact on Python ints and on (wrapping) uint64 arrays
+    # splitmix64 step and finalizer: wrapping on uint64 arrays, exact on Python ints
+    # (masked, as numpy uint64 scalars would warn on overflow)
+    if isinstance(x, np.ndarray):
+        x = x + _GAMMA_U
+        x = (x ^ (x >> _S30)) * _M1_U
+        x = (x ^ (x >> _S27)) * _M2_U
+        return x ^ (x >> _S31)
     x = (x + _GAMMA) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _M1) & _MASK64
+    x = ((x ^ (x >> 27)) * _M2) & _MASK64
     return x ^ (x >> 31)
 
 
@@ -128,11 +137,11 @@ class Draws:
 
     def _outputs(self, rows, lo: int, hi: int) -> np.ndarray:
         """(len(rows), hi - lo) uint64: outputs lo..hi-1 past the rows' cursors."""
-        return _splitmix64(self.s[rows, None] + np.arange(lo, hi, dtype=np.uint64) * _GAMMA)
+        return _splitmix64(self.s[rows, None] + np.arange(lo, hi, dtype=np.uint64) * _GAMMA_U)
 
     def advance(self, rows, t) -> None:
         """Move the rows' cursors on by t outputs, a count or one count per row."""
-        self.s[rows] += np.asarray(t, dtype=np.uint64) * np.uint64(_GAMMA)
+        self.s[rows] += np.asarray(t, dtype=np.uint64) * _GAMMA_U
 
     def random(self, rows, lo: int, hi: int) -> np.ndarray:
         """(len(rows), hi - lo) doubles in [0, 1): outputs lo..hi-1's top 53 bits."""

@@ -506,6 +506,15 @@ def test_gradient_matching_diverges_with_huge_lr():
     assert len(err.value.trajectory) >= 1
 
 
+@pytest.mark.parametrize("steps, lr", [(-3, 0.05), (5, 0.0), (5, -1.0), (5, np.nan), (5, np.inf)])
+def test_gradient_matching_refuses_negative_steps_and_bad_lr(steps, lr):
+    model = init_model(3, 16, RngStream(46), scale=0.5)
+    victim = Image(RngStream(47).generator().normal(size=16).astype(np.float32), (1, 4, 4))
+    _, grads = loss_and_gradient(model, victim, one_hot(0, 3))
+    with pytest.raises(ValidationError):
+        gradient_matching_attack(grads, model, RngStream(48), steps=steps, lr=lr)
+
+
 def test_gradient_matching_shape_validation():
     model = init_model(3, 8)
     with pytest.raises(ValidationError):

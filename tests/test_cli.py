@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from instahide import cli
 from instahide.cli import _parse_dims, leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
 from instahide.core import Dataset, make_gaussian_dataset
@@ -351,6 +353,13 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["attack", "pair", "--synthetic-n", "0", "--synthetic-dims", "1x4x4", "--epochs", "1"],
         ["challenge", "--n", "0", "--synthetic-dims", "1x4x4", "--epochs", "1",
          "--out", "{tmp}/c.ihds"],
+        ["attack", "grad-match", "--steps", "-3", "--synthetic-dims", "1x4x4"],
+        ["attack", "grad-match", "--lr", "0", "--steps", "5", "--synthetic-dims", "1x4x4"],
+        ["attack", "grad-match", "--lr=-1", "--steps", "5", "--synthetic-dims", "1x4x4"],
+        ["attack", "grad-match", "--lr", "nan", "--steps", "5", "--synthetic-dims", "1x4x4"],
+        ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "weak", "--in", "{tmp}/p8.ihds"],
+        ["attack", "averaging", "--mode", "encrypted", "--k", "2", "--synthetic-n", "4",
+         "--synthetic-dims", "1x4x4", "--epochs", "1"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
@@ -358,7 +367,9 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "challenge-public-dims", "train-public-dims", "eval-public-dims", "pair-nan-threshold",
          "public-scan-nan-threshold", "pair-inf-threshold", "public-scan-inf-threshold",
          "encrypt-empty-synthetic", "mixup-empty-synthetic", "encrypt-negative-synthetic",
-         "train-empty-synthetic", "pair-empty-synthetic", "challenge-empty-synthetic"],
+         "train-empty-synthetic", "pair-empty-synthetic", "challenge-empty-synthetic",
+         "grad-match-negative-steps", "grad-match-zero-lr", "grad-match-negative-lr",
+         "grad-match-nan-lr", "eval-averaging-mode", "averaging-eval-mode"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
@@ -451,85 +462,172 @@ def test_attack_averaging_reconstruction_out_replays(tmp_path, monkeypatch):
     assert rec.n == 1 and rec.dims == (3, 4, 4)
 
 
-# every command: argv that runs it in well under a second, and the options its
-# report records (flags the report does not record are left at their defaults)
+SCHEME = ("scheme", "k", "c1", "c2")
+SYNTHETIC = ("synthetic_n", "synthetic_dims", "synthetic_classes")
+# every command: argv that runs it in well under a second, the options its
+# report takes from CONFIG, and the rest of its report's config, which comes
+# from its flags or its defaults
 COMMANDS = {
-    "import": (["--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--out", "{tmp}/i.ihds"],
-               {"raw", "dims", "labels", "classes"}),
+    "import": (["--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--out", "{tmp}/i.ihds"], set(),
+               {"raw": "{tmp}/x.raw", "dims": "1x2x2", "labels": None, "classes": None,
+                "out": "{tmp}/i.ihds"}),
     "prep-public": (["--in", "{tmp}/d.ihds", "--patch-size", "2x2", "--min-keypoints", "0",
-                     "--out", "{tmp}/p.ihds"], {"seed"}),
-    "encrypt": (["--out", "{tmp}/e.ihds"], {"scheme", "k", "c1", "c2", "epochs", "seed",
-                                             "synthetic_n", "synthetic_dims",
-                                             "synthetic_classes"}),
-    "train": (["--out", "{tmp}/m.ihmd"], {"scheme", "k", "c1", "c2", "epochs", "seed", "lr",
-                                          "synthetic_n", "synthetic_dims", "synthetic_classes"}),
-    "eval": (["--model", "{tmp}/m16.ihmd"], {"seed", "synthetic_n", "synthetic_dims",
-                                             "synthetic_classes"}),
-    "attack pair": ([], {"k", "c1", "epochs", "seed", "delta", "synthetic_n", "synthetic_dims",
-                         "synthetic_classes"}),
-    "attack public-scan": (["--candidates", "20"], {"k", "seed", "delta", "synthetic_dims"}),
-    "attack braverman": (["--candidates", "20"], {"k", "c1", "seed", "synthetic_dims"}),
-    "attack averaging": ([], {"k", "c1", "epochs", "seed", "oracle_p", "m", "synthetic_n",
-                              "synthetic_dims", "synthetic_classes"}),
+                     "--out", "{tmp}/p.ihds"], {"per_image"},
+                    {"in": "{tmp}/d.ihds", "out": "{tmp}/p.ihds", "patch_size": "2x2",
+                     "min_keypoints": 0}),
+    "encrypt": (["--out", "{tmp}/e.ihds"], {*SCHEME, "epochs", *SYNTHETIC},
+                {"in": None, "public": None, "out": "{tmp}/e.ihds"}),
+    "train": (["--out", "{tmp}/m.ihmd"], {*SCHEME, "epochs", "lr", *SYNTHETIC},
+              {"in": None, "public": None, "plain": False, "out": "{tmp}/m.ihmd"}),
+    "eval": (["--model", "{tmp}/m16.ihmd"], {*SYNTHETIC},
+             {"model": "{tmp}/m16.ihmd", "in": None, "mode": "plain"}),
+    "attack pair": ([], {"k", "c1", "epochs", "delta", *SYNTHETIC},
+                    {"in": None, "threshold": None, "reconstruction_out": None}),
+    "attack public-scan": (["--candidates", "20"], {"k", "delta", "synthetic_dims"},
+                           {"public": None, "candidates": 20, "threshold": None}),
+    "attack braverman": (["--candidates", "20"], {"k", "c1", "synthetic_dims"},
+                         {"public": None, "candidates": 20}),
+    "attack averaging": ([], {"k", "c1", "epochs", "oracle_p", "m", "target", *SYNTHETIC},
+                         {"in": None, "mode": "strong", "reconstruction_out": None}),
     "attack similarity": (["--trials", "2", "--sources", "20", "--source-dims", "1x8x8",
-                           "--patch-dims", "1x4x4"], {"k", "c1", "c2", "seed", "oracle_p", "m"}),
-    "attack grad-match": (["--steps", "5"], {"seed", "synthetic_dims", "synthetic_classes"}),
+                           "--patch-dims", "1x4x4"], {"k", "c1", "c2", "oracle_p", "m"},
+                          {"trials": 2, "sources": 20, "source_dims": "1x8x8",
+                           "patch_dims": "1x4x4"}),
+    "attack grad-match": (["--steps", "5"], {"lr", "synthetic_dims", "synthetic_classes"},
+                          {"steps": 5, "reconstruction_out": None}),
     "stats ks-table": (["--out", "{tmp}/t.csv", "--picks", "2", "--encryptions", "60"],
-                       {"scheme", "k", "c1", "c2", "seed", "synthetic_n", "synthetic_dims",
-                        "synthetic_classes"}),
-    "stats concentration": (["--d", "16", "--n", "4"], {"seed", "delta", "trials", "beta", "k"}),
+                       {*SCHEME, *SYNTHETIC},
+                       {"in": None, "public": None, "out": "{tmp}/t.csv", "picks": 2,
+                        "encryptions": 60}),
+    "stats concentration": (["--d", "16", "--n", "4"], {"delta", "trials", "beta", "k"},
+                            {"d": 16, "n": 4}),
     "stats theorem-gap": (["--which", "pair", "--d", "16", "--n", "4"],
-                          {"seed", "delta", "trials", "beta", "k"}),
-    "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", "seed", "synthetic_n",
-                                              "synthetic_dims", "synthetic_classes"}),
+                          {"delta", "trials", "beta", "k"}, {"which": "pair", "d": 16, "n": 4}),
+    "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", *SYNTHETIC},
+                  {"in": None, "public": None, "out": "{tmp}/c.ihds"}),
 }
 # eval and train in their other mode (eval runs plain by default, train encrypted);
-# plain mode reads no scheme or ensemble option, so its report leaves them out
+# plain mode reads no scheme, ensemble or public option, so its report leaves them out
 MODES = {
     "eval --mode encrypted": (["--model", "{tmp}/m16.ihmd", "--mode", "encrypted"],
-                              {"scheme", "k", "c1", "c2", "seed", "ensemble", "synthetic_n",
-                               "synthetic_dims", "synthetic_classes"}),
-    "train --plain": (["--plain", "--out", "{tmp}/m.ihmd"],
-                      {"epochs", "seed", "lr", "synthetic_n", "synthetic_dims",
-                       "synthetic_classes"}),
+                              {*SCHEME, "ensemble", *SYNTHETIC},
+                              {"model": "{tmp}/m16.ihmd", "in": None, "public": None,
+                               "mode": "encrypted"}),
+    "train --plain": (["--plain", "--out", "{tmp}/m.ihmd"], {"epochs", "lr", *SYNTHETIC},
+                      {"in": None, "plain": True, "out": "{tmp}/m.ihmd"}),
 }
 # a value for every option that no command or built-in default takes
 CONFIG = {"scheme": "mixup", "k": 3, "c1": 0.6, "c2": 0.25, "epochs": 2, "seed": 5,
-          "delta": 0.02, "beta": 3.0, "trials": 200, "oracle_p": 0.1, "m": 3, "lr": 0.05,
-          "ensemble": 2, "synthetic_n": 6, "synthetic_dims": "1x4x4", "synthetic_classes": 3}
+          "delta": 0.02, "beta": 3.0, "trials": 200, "oracle_p": 0.1, "m": 3, "lr": 0.07,
+          "ensemble": 2, "synthetic_n": 6, "synthetic_dims": "1x4x4", "synthetic_classes": 3,
+          "per_image": 2, "target": 1}
+
+
+def _write_inputs(root):
+    """The input files that the COMMANDS and MODES argv name."""
+    save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
+                 root / "d.ihds")
+    save_model(init_model(3, 16), root / "m16.ihmd")
+    (root / "x.raw").write_bytes(bytes(4))
 
 
 @pytest.mark.parametrize("case", [*COMMANDS, *MODES])
 def test_each_option_comes_from_its_flag_else_the_config_file(tmp_path, capsys, monkeypatch,
                                                               case):
     monkeypatch.delenv("IH_SEED", raising=False)
-    argv, options = {**COMMANDS, **MODES}[case]
+    argv, from_config, rest = {**COMMANDS, **MODES}[case]
     command = case.split(" -")[0]
-    save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
-                 tmp_path / "d.ihds")
-    save_model(init_model(3, 16), tmp_path / "m16.ihmd")
-    (tmp_path / "x.raw").write_bytes(bytes(4))
+    _write_inputs(tmp_path)
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("".join(f"{key.replace('_', '-')} = {value}\n" for key, value in CONFIG.items()))
     argv = [*command.split(), *(a.format(tmp=tmp_path) for a in argv)]
-    if command == "import":
-        expected = {"raw": str(tmp_path / "x.raw"), "dims": "1x2x2", "labels": None,
-                    "classes": None}
-    else:
+    expected = {name: CONFIG[name] for name in from_config}
+    expected.update({name: v.format(tmp=tmp_path) if isinstance(v, str) else v
+                     for name, v in rest.items()})
+    if command != "import":  # import takes neither --config nor --seed
         argv += ["--config", str(cfg), "--seed", "9"]
-        expected = {**{name: CONFIG[name] for name in options}, "seed": 9}
+        expected["seed"] = 9
     assert main(argv) == 0, capsys.readouterr().err
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == command
-    assert set(report["config"]) == options
+    assert set(report["config"]) == set(expected)
     assert report["config"] == expected
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("case", [case for case in [*COMMANDS, *MODES] if case != "import"])
+def test_every_report_replays_from_its_config(tmp_path, monkeypatch, case):
+    # a report's non-null config, written as a config file, is the whole run:
+    # replayed in a fresh directory with the same inputs, it writes the same bytes
+    monkeypatch.delenv("IH_SEED", raising=False)
+    command = case.split(" -")[0].split()
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    for root in (run, replay):
+        root.mkdir()
+        _write_inputs(root)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG.items()))
+    monkeypatch.chdir(run)
+    argv = [a.format(tmp=".") for a in {**COMMANDS, **MODES}[case][0]]
+    assert main([*command, *argv, "--config", str(cfg), "--seed", "9",
+                 "--report", "report.json"]) == 0
+    config = read_report(run / "report.json")["config"]
+    monkeypatch.chdir(replay)
+    (replay / "replay.cfg").write_text(
+        "".join(f"{key} = {value}\n" for key, value in config.items() if value is not None)
+    )
+    assert main([*command, "--config", "replay.cfg", "--report", "report.json"]) == 0
+    (replay / "replay.cfg").unlink()
+    assert _files(replay) == _files(run)
+
+
+def test_command_table_declares_every_flag():
+    read = set()
+    for command, (handler, _, _) in cli.COMMANDS.items():
+        names = [name for name, _, _ in cli.command_flags(command)]
+        assert len(set(names)) == len(names) and set(names) <= set(cli.OPTIONS), command
+        assert set(cli.COMMAND_DEFAULTS.get(command, {})) <= set(names), command
+        read.update(names)
+    assert read == set(cli.OPTIONS)  # no option is left unregistered
+    assert set(cli.COMMAND_DEFAULTS) <= set(cli.COMMANDS)
+    handlers = {handler for handler, _, _ in cli.COMMANDS.values()}
+    assert handlers == {name for name, obj in vars(cli).items()
+                        if name.startswith("cmd_") and inspect.isfunction(obj)}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert "--report" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["stats", "theorem-gap", "--d", "16", "--n", "4"], "--which"),
+        (["encrypt", "--synthetic-n", "4"], "--out"),
+        (["prep-public", "--out", "p.ihds"], "--in"),
+        (["eval"], "--model"),
+        (["import", "--dims", "1x2x2", "--out", "i.ihds"], "--raw"),
+        (["import", "--raw", "x.raw"], "--dims, --out"),
+    ],
+    ids=["which", "out", "in", "model", "raw", "dims-and-out"],
+)
+def test_a_missing_required_option_exits_2_and_names_its_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: missing required option {flag} (flag or config)\n"
 
 
 @pytest.mark.parametrize(
     "line, env_seed",
     [("k = four", None), ("epochs = 1.5", None), ("scheme = bogus", None),
-     ("epoch = 2", None), ("", "abc")],
-    ids=["int-word", "int-fraction", "scheme-choice", "unknown-key", "env-seed"],
+     ("epoch = 2", None), ("", "abc"), ("plain = yes", None)],
+    ids=["int-word", "int-fraction", "scheme-choice", "unknown-key", "env-seed", "bool-word"],
 )
 def test_config_values_are_typed_like_flags(tmp_path, capsys, monkeypatch, line, env_seed):
     if env_seed is None:

@@ -69,31 +69,31 @@ SYNTHETIC = ["--synthetic-n", "10", "--synthetic-dims", "3x8x8", "--epochs", "3"
 GOLDEN = {
     "challenge.ihds": "3d062cd2c8398ab22a62792966db65c9f3ff1849b7d071e79875126a227fe57e",
     "challenge.ihds.meta.txt": "354663299d5765e4e2d06bf0e4bc482570828424f806627e35cbf280a06e204c",
-    "challenge.json": "86798033748ae7a80583330a9a0bdf395e4b582650d51eeab509b4b0a7a9df8c",
+    "challenge.json": "f493564b039326a65b7b28d4bbed9ebba1076b3fbb311ab344bcc3ec2455d996",
     "cross.ihds": "6f84ea7583a23f837d63f9f7b820ec48c5c912d1a56ae240e5bbbc57189cbe8c",
     "cross.ihds.meta.txt": "d53d3acefd79d547ce23a8ef68ffe0d1c4bc6c4c6c506d3b5154eb0de465777a",
     "cross_files.ihds": "5f8809cc61a462cbb248326e53636ad408bcab80f259753418ff082cf49237bc",
     "cross_files.ihds.meta.txt": "07ad56feb2a61f8d8d1004bdc6a04a2b483412b8bf8c841e525caa9e4de2bd08",
-    "encrypt-cross-files.json": "5cf75b42db0535ec70b819499f911dc015fb08383fc09a547ece7dc4882629a3",
-    "encrypt-cross.json": "6835964080a0f4e7835b63c5e35df464a3cc43118fa43672e90051d64cedd5b9",
-    "encrypt-inside.json": "3771182723bb5e5590ecc5a704fc49b9b554a0c01727da8f6776b51d199eaa83",
-    "encrypt-mixup.json": "1e155063c0819bbc69e804b4ab9c5c93432aad7e171b7e185a4880ff24bfba46",
+    "encrypt-cross-files.json": "c31c19f7db2864e766d2d18f0309b05bad89b51b1793c9c01633efe5f14b4692",
+    "encrypt-cross.json": "2802c19dd169bc394bfbc59a99ddf6347f9dd0fa3dd563bff8e36686d251b683",
+    "encrypt-inside.json": "af7b86f31a0a3aa463a026fd438a8f8e2f4ff6aa79cbf640011cb4d41dd03eff",
+    "encrypt-mixup.json": "34619ce22c24e39ab8c40d73270472776b971bc25bd4f1fbdb33e22747e02e25",
     "inside.ihds": "40a3cfc871b49cb352f1cd4b0b45fab8323abcadce1d6cbf0581019e4d3a7b76",
     "inside.ihds.meta.txt": "2df87dc190914a9316f1992261dd569aa41bb8302de0173b6e00fe85a2359534",
     "mixup.ihds": "430b93fb3afa6144b30f4735d6b99d2acc3e210a941259fdb4d330aa631ed29e",
     "mixup.ihds.meta.txt": "6b94f851be9b93e077d39285f67120bb8bb1572bbdacb3952d5646838cdabfae",
     "patches.ihds": "5f2ab671ca57ac1ee7e66ea04353ec253d4a069f4664ff693744d2416b7fb263",
     "patches.ihds.prov.csv": "3b7ca4a34419888847a8c15318523b29d24812e75718ae1a667b566e9442f53f",
-    "prep-public.json": "1f6baaa78a3cba89479f40ab1f339721937a605e7785e0cfb6ad11dc63af3e46",
+    "prep-public.json": "2da5384b38600a72ce58046ae250b994be4019325470e7d7643ec6809fa6f564",
     "private.ihds": "6858a4b58e2d9ae26dab1966b91bc5447f10ca5246b393f640a22c3402529fe8",
     "public.ihds": "516238bf008db2a916b8a73f404052336de9f9262fb2effb2d65c973f19c0cc3",
     # train, encrypted eval and the KS table draw keys through the same kernel
-    "eval-cross.json": "95db8bc3574265df339563480500c5c29a2cb0281d4dc9c410b354ae982ba662",
-    "eval-inside.json": "ac65a4a776d03969b7719e17b513ae880915c3b54d0f020edca2281a9fa076f1",
-    "ks-table.json": "9fb6dc776350073c40096c4baed628936eb853950e4910be577abbc9a47d3c40",
+    "eval-cross.json": "acc2fafd5d1b3ec7e002bda6f67a9543e819bc7049ea8ac48d8fdc3c0897855b",
+    "eval-inside.json": "739253adfb534d4bee916251d7bb7552c8e3311f59170fc653905c0cfb5634da",
+    "ks-table.json": "e60b5637fe278c0e8d875bf2269f5ad3afbc9e590ad7364bc1f019a52e23bee6",
     "ks.csv": "0b68d1629892dbc7c67375eb3fbb4c2d5afb0057c4a5b5c7aaf8b06e9329f925",
     "model.ihmd": "089c44f72a973b9f87eb54f9137d1a6fa104c177bc4098da4f6abff414df9583",
-    "train.json": "c2b08f4574b990f6166c5f9d629ec860ce1759f38a22e5cbd8b0425f2fb4c4f1",
+    "train.json": "8faa36be7183a269ddb87510221c6495bbf3ec9f1563e14429dcd1244139a53b",
 }
 
 PROBS = {
