@@ -36,8 +36,8 @@ import numpy as np
 from . import attacks, publicprep, stats, utility
 from .core import Dataset, Image, make_gaussian_dataset
 from .encrypt import SCHEMES, SchemeConfig, encrypt_history, encrypt_sample, export_challenge
-from .errors import ValidationError
-from .ihds import import_raw, load_dataset, payload_rows, save_dataset
+from .errors import TruncatedFileError, ValidationError
+from .ihds import _HEADER, import_raw, load_dataset, save_dataset
 from .rng import RngStream
 
 
@@ -235,9 +235,9 @@ def _scheme_config(opts: dict, scheme: str | None = None) -> SchemeConfig:
     return SchemeConfig(scheme or opts["scheme"], **given)
 
 
-def _plain(opts: dict) -> None:
-    """Drop the options plain mode never reads: a report lists only those that mattered."""
-    for name in (*_SCHEME.split(), "ensemble", "public"):
+def _drop(opts: dict, names: str) -> None:
+    """Drop options the run never read: a report lists only those that mattered."""
+    for name in names.split():
         opts.pop(name, None)
 
 
@@ -251,8 +251,10 @@ def _read_input(load, path, *args, **kwargs):
 
 
 def _private_dataset(opts: dict, rng: RngStream) -> Dataset:
-    """The dataset behind --in, or a labelled synthetic Gaussian stand-in."""
+    """The dataset behind --in (the synthetic options, unread, leave the
+    report), or a labelled synthetic Gaussian stand-in."""
     if opts["in"]:
+        _drop(opts, _SYNTHETIC)
         return _read_input(load_dataset, opts["in"])
     return make_gaussian_dataset(
         opts["synthetic_n"],
@@ -265,8 +267,10 @@ def _private_dataset(opts: dict, rng: RngStream) -> Dataset:
 
 def _public_patches(opts: dict, dims, rng: RngStream, count: int = 1000, cfg=None):
     """PatchSet from --public, or synthetic textured patches of the same dims;
-    None when ``cfg`` is given and is not the cross scheme."""
+    None when ``cfg`` is given and is not the cross scheme (then --public,
+    unread, leaves the report)."""
     if cfg is not None and cfg.scheme != "cross":
+        _drop(opts, "public")
         return None
     if opts["public"]:
         return _read_input(publicprep.load_patchset, opts["public"])
@@ -333,7 +337,7 @@ def cmd_train(opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(opts, rng)
     model = utility.init_model(private.label_matrix().shape[1], private.d)
     if opts["plain"]:
-        _plain(opts)
+        _drop(opts, f"{_SCHEME} ensemble public")
         model = utility.train(model, private, opts["epochs"], opts["lr"], rng.child("sgd"))
     else:
         cfg = _scheme_config(opts)
@@ -350,7 +354,7 @@ def cmd_eval(opts: dict, rng: RngStream) -> dict:
     model = _read_input(utility.load_model, opts["model"])
     test = _private_dataset(opts, rng)
     if opts["mode"] == "plain":
-        _plain(opts)
+        _drop(opts, f"{_SCHEME} ensemble public")
         acc = utility.evaluate(model, test, mode="plain")
     else:  # evaluate refuses a mode other than encrypted
         cfg = _scheme_config(opts)
@@ -512,10 +516,22 @@ def cmd_stats_theorem_gap(opts: dict, rng: RngStream) -> dict:
 
 def leakage_guard(path: str | Path, private: Dataset) -> None:
     """Raise if any private image is, byte for byte, a row of the IHDS file at
-    ``path``. The rows read back from disk go into a set: O(total bytes)."""
-    rows = set(payload_rows(Path(path).read_bytes()))
-    for i, row in enumerate(private.matrix().astype("<f4")):
-        if row.tobytes() in rows:
+    ``path``. The file is read back from disk and its image payload viewed as
+    ``<u4`` words, one row per image; a row's uint64 word sum picks the
+    candidates (equal rows have equal sums), and each is confirmed on its full
+    bytes. Bit patterns are compared, so +0.0 and -0.0 differ."""
+    raw = Path(path).read_bytes()
+    _, _, _, count, c, h, w, _ = _HEADER.unpack_from(raw)
+    d, end = c * h * w, _HEADER.size + 4 * count * c * h * w
+    if len(raw) < end:
+        raise TruncatedFileError(f"file is {len(raw)} bytes, payload needs {end}")
+    if private.d != d:  # no private row can be a row of this file
+        return
+    written = np.frombuffer(raw, "<u4", count * d, _HEADER.size).reshape(count, d)
+    own = np.ascontiguousarray(private.matrix(), "<f4").view("<u4")
+    sums, own_sums = (rows.sum(axis=1, dtype=np.uint64) for rows in (written, own))
+    for i in np.flatnonzero(np.isin(own_sums, sums)):
+        if (written[sums == own_sums[i]] == own[i]).all(axis=1).any():
             raise RuntimeError(
                 f"leakage guard: private image {i} appears verbatim in the output"
             )

@@ -363,13 +363,11 @@ def export_challenge(samples, path: str | Path, meta: dict) -> tuple[Path, Path]
     """Write a challenge release: the encrypted samples as IHDS plus a
     key=value sidecar of public parameters. Keys and originals never touch
     this path. ``samples`` is an EncryptedSamples block."""
-    from .ihds import arrays_to_bytes
+    from .ihds import write_arrays
 
     if not len(samples):
         raise ValidationError("challenge export needs at least one sample")
-    path = Path(path)
-    path.write_bytes(arrays_to_bytes(np.asarray(samples).reshape(-1, *samples.dims),
-                                     samples.labels))
+    path = write_arrays(path, np.asarray(samples).reshape(-1, *samples.dims), samples.labels)
     sidecar = path.with_suffix(path.suffix + ".meta.txt")
     lines = [f"{k}={meta[k]}" for k in sorted(meta)]
     sidecar.write_text("\n".join(lines) + "\n")

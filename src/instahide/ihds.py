@@ -14,10 +14,14 @@ Layout (all integers little-endian):
     20      -     image payload: count * channels*height*width float32 LE
     -       -     label payload: count * classes float32 LE (only if bit0 set)
 
-Writers refuse non-finite payloads; readers reject bad magic, version, or
-inconsistent sizes (FormatError) and files shorter than their declared
-payload (TruncatedFileError). Identical datasets serialize to identical
-bytes, so files can be compared directly.
+Writers refuse non-finite payloads, and ``write_arrays`` (behind
+save_dataset and the challenge exporter) checks everything before it opens
+the file, then streams the header and each payload array's buffer without
+joining them; arrays_to_bytes/dataset_to_bytes give the same bytes in
+memory. Readers reject bad magic, version, or inconsistent sizes
+(FormatError) and files shorter than their declared payload
+(TruncatedFileError). Identical datasets serialize to identical bytes, so
+files can be compared directly.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ FLAG_LABELS = 1 << 0
 FLAG_NORMALIZED = 1 << 1
 
 
-def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -> bytes:
-    """Serialize (n, C, H, W) float32 pixels and optional (n, classes)
-    labels; raises ValidationError before writing anything inconsistent."""
+def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
+    """The header and the contiguous ``<f4`` payload arrays of (n, C, H, W)
+    pixels and optional (n, classes) labels, after every check."""
     n, c, h, w = pixels.shape
     for dim, name in ((c, "channels"), (h, "height"), (w, "width")):
         if not 1 <= dim <= 0xFFFF:
@@ -66,24 +70,34 @@ def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -
         if not np.all(np.isfinite(labels)):
             raise ValidationError("refusing to write non-finite labels")
         parts.append(np.ascontiguousarray(labels, dtype="<f4"))
-    return b"".join(parts)
+    return parts
+
+
+def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -> bytes:
+    """Serialize (n, C, H, W) float32 pixels and optional (n, classes)
+    labels; raises ValidationError before writing anything inconsistent."""
+    return b"".join(_parts(pixels, labels, normalized))
+
+
+def write_arrays(path: str | Path, pixels: np.ndarray, labels=None,
+                 normalized: bool = False) -> Path:
+    """Write arrays_to_bytes' bytes to ``path``, streaming the header and then
+    each payload array's buffer; every check runs before the file is opened."""
+    path, parts = Path(path), _parts(pixels, labels, normalized)
+    with open(path, "wb") as fh:
+        fh.writelines(memoryview(part) for part in parts)
+    return path
+
+
+def _dataset_arrays(ds: Dataset) -> tuple:
+    labels = None if ds.classes is None else ds.label_matrix()
+    return ds.matrix().reshape(ds.n, *ds.dims), labels, ds.n > 0 and ds.normalized
 
 
 def dataset_to_bytes(ds: Dataset) -> bytes:
     """Serialize a dataset; raises ValidationError before writing anything
     inconsistent."""
-    labels = None if ds.classes is None else ds.label_matrix()
-    pixels = ds.matrix().reshape(ds.n, *ds.dims)
-    return arrays_to_bytes(pixels, labels, ds.n > 0 and ds.normalized)
-
-
-def payload_rows(raw: bytes) -> list[memoryview]:
-    """The image payload of an IHDS file as one read-only slice per image."""
-    _, _, _, count, c, h, w, _ = _HEADER.unpack_from(raw, 0)
-    step, end = 4 * c * h * w, _HEADER.size + count * 4 * c * h * w
-    if len(raw) < end:
-        raise TruncatedFileError(f"file is {len(raw)} bytes, payload needs {end}")
-    return [memoryview(raw)[off : off + step] for off in range(_HEADER.size, end, step)]
+    return arrays_to_bytes(*_dataset_arrays(ds))
 
 
 def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
@@ -122,9 +136,8 @@ def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_bytes(dataset_to_bytes(ds))
-    return path
+    """Write dataset_to_bytes' bytes to ``path`` without joining them."""
+    return write_arrays(path, *_dataset_arrays(ds))
 
 
 def load_dataset(path: str | Path) -> Dataset:

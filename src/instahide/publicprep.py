@@ -11,7 +11,12 @@ here than matching any particular feature library.
 Crops are gathered straight from the public set's pixel matrix by ``_crops``,
 the one crop path that random_crop also uses, at offsets drawn from one
 ``rng.Draws`` block of per-source streams; the filter scores every candidate
-in one batch, and the kept crops become the PatchSet's frozen (n, d) matrix.
+in one call, and the kept crops become the PatchSet's frozen (n, d) matrix.
+Every filter step is per image, so the call runs in row chunks of about
+_CHUNK_BYTES per float64 buffer: one reflect-padded buffer serves the Sobel
+and box inputs and holds R inside its -inf border, each box sum overwrites a
+gradient buffer it has freed, and the counts are those of the whole-batch
+np.pad form, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .rng import Draws, RngStream, Streams
 HARRIS_K = 0.06
 HARRIS_THRESHOLD_RATIO = 0.01
 DEFAULT_MIN_KEYPOINTS = 40
+_CHUNK_BYTES = 1 << 18  # per float64 padded buffer of one Harris chunk: 28 crops at 32x32
 
 
 class PatchSet:
@@ -106,14 +112,29 @@ def _luminance_batch(batch: np.ndarray) -> np.ndarray:
     return batch.mean(axis=1)
 
 
-def _conv3_batch(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # explicit 3x3 correlation over reflect-padded (N, H+2, W+2) arrays
-    out = np.zeros((padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2))
+def _reflect_edges(padded: np.ndarray) -> np.ndarray:
+    """Fill the one-pixel border of (N, H+2, W+2) ``padded`` from its
+    interior, as np.pad's "reflect" mode does."""
+    padded[:, 0, 1:-1], padded[:, -1, 1:-1] = padded[:, 2, 1:-1], padded[:, -3, 1:-1]
+    padded[:, :, 0], padded[:, :, -1] = padded[:, :, 2], padded[:, :, -3]
+    return padded
+
+
+def _conv3_batch(padded: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp=None):
+    """3x3 correlation of reflect-padded (N, H+2, W+2) ``padded`` into
+    (N, H, W) ``out``: from 0.0, tap by tap in row-major order. A +-1 tap adds
+    or subtracts its view; any other is one product in ``tmp``, then one add."""
+    h, w = out.shape[1:]
+    out.fill(0.0)
     for dy in range(3):
         for dx in range(3):
-            t = taps[dy, dx]
-            if t != 0.0:
-                out += t * padded[:, dy : dy + out.shape[1], dx : dx + out.shape[2]]
+            t, view = taps[dy, dx], padded[:, dy : dy + h, dx : dx + w]
+            if t == 1.0:
+                out += view
+            elif t == -1.0:
+                out -= view
+            elif t != 0.0:
+                out += np.multiply(t, view, out=tmp)
     return out
 
 
@@ -123,39 +144,44 @@ _BOX3 = np.ones((3, 3))
 
 
 def keypoint_counts(batch: np.ndarray) -> np.ndarray:
-    """Harris keypoint count for each (C, H, W) image in a batch."""
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ValidationError(f"expected (N, C, H, W), got shape {arr.shape}")
-    n, _, h, w = arr.shape
-    if h < 3 or w < 3:
-        return np.zeros(n, dtype=np.int64)
-    grey = _luminance_batch(arr)
-    padded = np.pad(grey, ((0, 0), (1, 1), (1, 1)), mode="reflect")
-    gx = _conv3_batch(padded, _SOBEL_X)
-    gy = _conv3_batch(padded, _SOBEL_Y)
-
-    def box(img):
-        return _conv3_batch(np.pad(img, ((0, 0), (1, 1), (1, 1)), mode="reflect"), _BOX3)
-
-    sxx, syy, sxy = box(gx * gx), box(gy * gy), box(gx * gy)
-    resp = sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
-
+    """Harris keypoint count for each (C, H, W) image in a batch, taken in row
+    chunks that reuse one set of buffers (see the module docstring)."""
+    batch = np.asarray(batch)
+    if batch.ndim != 4:
+        raise ValidationError(f"expected (N, C, H, W), got shape {batch.shape}")
+    n, c, h, w = batch.shape
     counts = np.zeros(n, dtype=np.int64)
-    peak = resp.max(axis=(1, 2))
-    active = peak > 0
-    if not np.any(active):
+    if h < 3 or w < 3:
         return counts
-    padded_r = np.pad(resp, ((0, 0), (1, 1), (1, 1)), mode="constant", constant_values=-np.inf)
-    is_max = np.ones_like(resp, dtype=bool)
-    for dy in range(3):
-        for dx in range(3):
-            if dy == 1 and dx == 1:
-                continue
-            is_max &= resp > padded_r[:, dy : dy + h, dx : dx + w]
-    strong = resp >= HARRIS_THRESHOLD_RATIO * peak[:, None, None]
-    hits = is_max & strong & (resp > 0)
-    counts[active] = hits[active].sum(axis=(1, 2))
+    rows = max(1, _CHUNK_BYTES // (8 * (h + 2) * (w + 2)))
+    padded = np.empty((rows, h + 2, w + 2))
+    gxs, gys, tmps = np.empty((3, rows, h, w))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        pad, inner, gx, gy, tmp = padded[:m], padded[:m, 1:-1, 1:-1], gxs[:m], gys[:m], tmps[:m]
+        inner[...] = _luminance_batch(batch[start : start + m].astype(np.float64))
+        _conv3_batch(_reflect_edges(pad), _SOBEL_X, gx, tmp)
+        _conv3_batch(pad, _SOBEL_Y, gy, tmp)
+        # box sums of gx*gy, gx*gx and gy*gy, each into a buffer it frees
+        for a, b, out in ((gx, gy, tmp), (gx, gx, gx), (gy, gy, gy)):
+            np.multiply(a, b, out=inner)
+            _conv3_batch(_reflect_edges(pad), _BOX3, out)
+        sxy, sxx, syy = tmp, gx, gy
+        # R = sxx*syy - sxy*sxy - k*(sxx+syy)**2, inside a -inf border for the
+        # 3x3 non-maximum suppression
+        resp = np.square(np.add(sxx, syy, out=inner), out=inner)
+        resp *= HARRIS_K
+        sxx *= syy
+        sxx -= np.square(sxy, out=sxy)
+        np.subtract(sxx, resp, out=resp)
+        pad[:, [0, -1]], pad[:, :, [0, -1]] = -np.inf, -np.inf
+        is_max = resp > 0.0
+        for dy in range(3):
+            for dx in range(3):
+                if dy != 1 or dx != 1:
+                    is_max &= resp > pad[:, dy : dy + h, dx : dx + w]
+        is_max &= resp >= HARRIS_THRESHOLD_RATIO * resp.max(axis=(1, 2))[:, None, None]
+        counts[start : start + m] = is_max.sum(axis=(1, 2))
     return counts
 
 

@@ -8,7 +8,7 @@ from instahide import cli
 from instahide.cli import _parse_dims, leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
 from instahide.core import Dataset, make_gaussian_dataset
-from instahide.errors import ValidationError
+from instahide.errors import TruncatedFileError, ValidationError
 from instahide.publicprep import build_patchset, save_patchset
 from instahide.rng import RngStream
 from instahide.utility import init_model, save_model
@@ -254,6 +254,53 @@ def test_leakage_guard_trips_on_a_verbatim_private_row(tmp_path):
     leakage_guard(tmp_path / "clean.ihds", private)
 
 
+def _guarded(tmp_path, rows, private):
+    """leakage_guard over an IHDS file of float32 ``rows`` shaped like ``private``."""
+    pixels = np.asarray(rows, np.float32).reshape(-1, *private.dims)
+    save_dataset(Dataset(pixels), tmp_path / "out.ihds")
+    leakage_guard(tmp_path / "out.ihds", private)
+
+
+@pytest.mark.parametrize("where", [0, 9])
+def test_leakage_guard_trips_at_the_first_and_last_row(tmp_path, where):
+    private = make_gaussian_dataset(4, (1, 3, 3), RngStream(20))
+    rows = make_gaussian_dataset(10, (1, 3, 3), RngStream(21)).matrix().copy()
+    rows[where] = private.matrix()[2]
+    with pytest.raises(RuntimeError, match="private image 2 appears verbatim"):
+        _guarded(tmp_path, rows, private)
+
+
+def test_leakage_guard_names_the_lowest_leaking_private_image(tmp_path):
+    private = make_gaussian_dataset(6, (1, 3, 3), RngStream(22))
+    rows = make_gaussian_dataset(8, (1, 3, 3), RngStream(23)).matrix().copy()
+    rows[[1, 4, 6]] = private.matrix()[[5, 3, 4]]
+    with pytest.raises(RuntimeError, match="private image 3 appears verbatim"):
+        _guarded(tmp_path, rows, private)
+
+
+def test_leakage_guard_compares_bits_not_sums_or_values(tmp_path):
+    private = Dataset(np.array([[1.0, 2.0, 0.0, -0.0]], np.float32), dims=(1, 2, 2))
+    words = private.matrix().view("<u4")
+    # the same uint64 word sum as the private row: one word moved to another
+    same_sum = words.copy()
+    same_sum[0, :2] = words[0, 0] - 5, words[0, 1] + 5
+    assert same_sum.sum(dtype=np.uint64) == words.sum(dtype=np.uint64)
+    # equal as floats, but +0.0 and -0.0 swapped
+    signed = np.array([[1.0, 2.0, -0.0, 0.0]], np.float32)
+    _guarded(tmp_path, np.concatenate([same_sum.view("<f4"), signed]), private)
+    with pytest.raises(RuntimeError, match="private image 0"):
+        _guarded(tmp_path, np.concatenate([signed, private.matrix()]), private)
+
+
+def test_leakage_guard_refuses_a_truncated_output(tmp_path):
+    private = make_gaussian_dataset(3, (1, 3, 3), RngStream(24))
+    save_dataset(make_gaussian_dataset(5, (1, 3, 3), RngStream(25)), tmp_path / "out.ihds")
+    raw = (tmp_path / "out.ihds").read_bytes()
+    (tmp_path / "out.ihds").write_bytes(raw[:-4])
+    with pytest.raises(TruncatedFileError):
+        leakage_guard(tmp_path / "out.ihds", private)
+
+
 @pytest.mark.parametrize("command", ["encrypt", "challenge"])
 def test_missing_or_truncated_input_exits_2(tmp_path, capsys, command):
     good = tmp_path / "d.ihds"
@@ -466,7 +513,8 @@ SCHEME = ("scheme", "k", "c1", "c2")
 SYNTHETIC = ("synthetic_n", "synthetic_dims", "synthetic_classes")
 # every command: argv that runs it in well under a second, the options its
 # report takes from CONFIG, and the rest of its report's config, which comes
-# from its flags or its defaults
+# from its flags or its defaults (CONFIG's scheme is mixup, which reads no
+# --public, so the reports of encrypt, train, eval and ks-table leave it out)
 COMMANDS = {
     "import": (["--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--out", "{tmp}/i.ihds"], set(),
                {"raw": "{tmp}/x.raw", "dims": "1x2x2", "labels": None, "classes": None,
@@ -476,9 +524,9 @@ COMMANDS = {
                     {"in": "{tmp}/d.ihds", "out": "{tmp}/p.ihds", "patch_size": "2x2",
                      "min_keypoints": 0}),
     "encrypt": (["--out", "{tmp}/e.ihds"], {*SCHEME, "epochs", *SYNTHETIC},
-                {"in": None, "public": None, "out": "{tmp}/e.ihds"}),
+                {"in": None, "out": "{tmp}/e.ihds"}),
     "train": (["--out", "{tmp}/m.ihmd"], {*SCHEME, "epochs", "lr", *SYNTHETIC},
-              {"in": None, "public": None, "plain": False, "out": "{tmp}/m.ihmd"}),
+              {"in": None, "plain": False, "out": "{tmp}/m.ihmd"}),
     "eval": (["--model", "{tmp}/m16.ihmd"], {*SYNTHETIC},
              {"model": "{tmp}/m16.ihmd", "in": None, "mode": "plain"}),
     "attack pair": ([], {"k", "c1", "epochs", "delta", *SYNTHETIC},
@@ -497,7 +545,7 @@ COMMANDS = {
                           {"steps": 5, "reconstruction_out": None}),
     "stats ks-table": (["--out", "{tmp}/t.csv", "--picks", "2", "--encryptions", "60"],
                        {*SCHEME, *SYNTHETIC},
-                       {"in": None, "public": None, "out": "{tmp}/t.csv", "picks": 2,
+                       {"in": None, "out": "{tmp}/t.csv", "picks": 2,
                         "encryptions": 60}),
     "stats concentration": (["--d", "16", "--n", "4"], {"delta", "trials", "beta", "k"},
                             {"d": 16, "n": 4}),
@@ -511,8 +559,7 @@ COMMANDS = {
 MODES = {
     "eval --mode encrypted": (["--model", "{tmp}/m16.ihmd", "--mode", "encrypted"],
                               {*SCHEME, "ensemble", *SYNTHETIC},
-                              {"model": "{tmp}/m16.ihmd", "in": None, "public": None,
-                               "mode": "encrypted"}),
+                              {"model": "{tmp}/m16.ihmd", "in": None, "mode": "encrypted"}),
     "train --plain": (["--plain", "--out", "{tmp}/m.ihmd"], {"epochs", "lr", *SYNTHETIC},
                       {"in": None, "plain": True, "out": "{tmp}/m.ihmd"}),
 }

@@ -74,10 +74,10 @@ GOLDEN = {
     "cross.ihds.meta.txt": "d53d3acefd79d547ce23a8ef68ffe0d1c4bc6c4c6c506d3b5154eb0de465777a",
     "cross_files.ihds": "5f8809cc61a462cbb248326e53636ad408bcab80f259753418ff082cf49237bc",
     "cross_files.ihds.meta.txt": "07ad56feb2a61f8d8d1004bdc6a04a2b483412b8bf8c841e525caa9e4de2bd08",
-    "encrypt-cross-files.json": "c31c19f7db2864e766d2d18f0309b05bad89b51b1793c9c01633efe5f14b4692",
+    "encrypt-cross-files.json": "8343bd75ccd26d7b1ebbb2f6aa1a193742a1d90de62c80d2e2f502f6a3a7a0ff",
     "encrypt-cross.json": "2802c19dd169bc394bfbc59a99ddf6347f9dd0fa3dd563bff8e36686d251b683",
-    "encrypt-inside.json": "af7b86f31a0a3aa463a026fd438a8f8e2f4ff6aa79cbf640011cb4d41dd03eff",
-    "encrypt-mixup.json": "34619ce22c24e39ab8c40d73270472776b971bc25bd4f1fbdb33e22747e02e25",
+    "encrypt-inside.json": "8deeb866242c88ff25f2af6c7907de33ead528cee0d2e0ad8b22a81146ed746f",
+    "encrypt-mixup.json": "197405353c91956e4905c4a76160222e8c740c1dcf9d27572a0d056bd74c5a09",
     "inside.ihds": "40a3cfc871b49cb352f1cd4b0b45fab8323abcadce1d6cbf0581019e4d3a7b76",
     "inside.ihds.meta.txt": "2df87dc190914a9316f1992261dd569aa41bb8302de0173b6e00fe85a2359534",
     "mixup.ihds": "430b93fb3afa6144b30f4735d6b99d2acc3e210a941259fdb4d330aa631ed29e",
@@ -89,11 +89,11 @@ GOLDEN = {
     "public.ihds": "516238bf008db2a916b8a73f404052336de9f9262fb2effb2d65c973f19c0cc3",
     # train, encrypted eval and the KS table draw keys through the same kernel
     "eval-cross.json": "acc2fafd5d1b3ec7e002bda6f67a9543e819bc7049ea8ac48d8fdc3c0897855b",
-    "eval-inside.json": "739253adfb534d4bee916251d7bb7552c8e3311f59170fc653905c0cfb5634da",
-    "ks-table.json": "e60b5637fe278c0e8d875bf2269f5ad3afbc9e590ad7364bc1f019a52e23bee6",
+    "eval-inside.json": "961c49c63599be4f919fa14dc078dfe34a4873b1d1bc2138f7db8956bb6178fd",
+    "ks-table.json": "4ef630df176909883a9970b54027c46bc7060d4484fce22c87e6564ffc073b24",
     "ks.csv": "0b68d1629892dbc7c67375eb3fbb4c2d5afb0057c4a5b5c7aaf8b06e9329f925",
     "model.ihmd": "089c44f72a973b9f87eb54f9137d1a6fa104c177bc4098da4f6abff414df9583",
-    "train.json": "8faa36be7183a269ddb87510221c6495bbf3ec9f1563e14429dcd1244139a53b",
+    "train.json": "08e7d425695f0112d96b873c8b7bd1e74b625f44ab2703ff2abc4631e761a377",
 }
 
 PROBS = {

@@ -10,6 +10,7 @@ from instahide.ihds import (
     import_raw,
     load_dataset,
     save_dataset,
+    write_arrays,
 )
 from instahide.rng import RngStream
 
@@ -67,6 +68,34 @@ def test_trailing_bytes_rejected():
     blob = dataset_to_bytes(make_gaussian_dataset(2, (1, 2, 2), RngStream(0)))
     with pytest.raises(FormatError):
         dataset_from_bytes(blob + b"\x00")
+
+
+@pytest.mark.parametrize("kind", ["labelled", "unlabelled", "normalized", "empty"])
+def test_save_dataset_writes_the_in_memory_bytes(tmp_path, kind):
+    ds = {
+        "labelled": make_gaussian_dataset(7, (3, 5, 4), RngStream(1), classes=6,
+                                          normalize=False),
+        "unlabelled": make_gaussian_dataset(3, (1, 4, 4), RngStream(2), normalize=False),
+        "normalized": make_gaussian_dataset(4, (2, 3, 3), RngStream(3), classes=2),
+        "empty": Dataset((), dims=(3, 2, 2)),
+    }[kind]
+    path = save_dataset(ds, tmp_path / "ds.ihds")
+    assert path.read_bytes() == dataset_to_bytes(ds)
+    assert load_dataset(path) == ds
+
+
+@pytest.mark.parametrize("poison", ["pixels", "labels"])
+def test_nonfinite_payload_touches_no_file(tmp_path, poison):
+    # the writer checks everything before it opens (and truncates) the target
+    pixels, labels = np.ones((2, 1, 2, 2), np.float32), np.ones((2, 3), np.float32)
+    {"pixels": pixels, "labels": labels}[poison][1, 0] = np.nan
+    with pytest.raises(ValidationError):
+        write_arrays(tmp_path / "new.ihds", pixels, labels)
+    assert not (tmp_path / "new.ihds").exists()
+    (tmp_path / "old.ihds").write_bytes(b"kept")
+    with pytest.raises(ValidationError):
+        write_arrays(tmp_path / "old.ihds", pixels, labels)
+    assert (tmp_path / "old.ihds").read_bytes() == b"kept"
 
 
 def test_nonfinite_payload_refused():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from instahide import publicprep
 from instahide.core import Image, make_gaussian_dataset
 from instahide.errors import ValidationError
 from instahide.publicprep import (
@@ -90,6 +91,79 @@ def test_keypoint_counts_batch_matches_singleton():
     counts = keypoint_counts(batch)
     singles = [keypoint_count(im) for im in ds.images]
     assert counts.tolist() == singles
+
+
+def reference_count(chw: np.ndarray) -> int:
+    """One (C, H, W) image's Harris count, written as directly as possible:
+    np.pad copies and a fresh product per correlation tap."""
+    x = chw.astype(np.float64)
+    h, w = x.shape[1:]
+    if h < 3 or w < 3:
+        return 0
+    grey = 0.299 * x[0] + 0.587 * x[1] + 0.114 * x[2] if len(x) == 3 else x.mean(axis=0)
+
+    def corr(img, taps):
+        padded, out = np.pad(img, 1, mode="reflect"), np.zeros((h, w))
+        for dy in range(3):
+            for dx in range(3):
+                if taps[dy][dx] != 0.0:
+                    out += taps[dy][dx] * padded[dy : dy + h, dx : dx + w]
+        return out
+
+    sobel = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+    gx, gy = corr(grey, sobel), corr(grey, sobel.T)
+    sxx, syy, sxy = (corr(a * b, np.ones((3, 3))) for a, b in ((gx, gx), (gy, gy), (gx, gy)))
+    resp = sxx * syy - sxy * sxy - 0.06 * (sxx + syy) ** 2
+    peak = resp.max()
+    if not peak > 0:
+        return 0
+    padded = np.pad(resp, 1, constant_values=-np.inf)
+    hits = (resp > 0) & (resp >= 0.01 * peak)
+    for dy in range(3):
+        for dx in range(3):
+            if (dy, dx) != (1, 1):
+                hits &= resp > padded[dy : dy + h, dx : dx + w]
+    return int(hits.sum())
+
+
+def harris_batches():
+    g = np.random.default_rng(30)
+    noisy = g.normal(size=(40, 3, 12, 12)).astype(np.float32)
+    noisy[::5] = 0.25  # flat rows inside a textured batch
+    return {
+        "random": g.normal(size=(150, 3, 16, 16)).astype(np.float32),  # 2 default chunks
+        "some flat": noisy,
+        "flat": np.full((7, 3, 8, 8), 0.5, np.float32),
+        "negative zero": np.full((7, 3, 8, 8), -0.0, np.float32),
+        "3x3": g.normal(size=(20, 3, 3, 3)).astype(np.float32),
+        "7x9": g.normal(size=(20, 3, 7, 9)).astype(np.float32),
+        "1 channel": g.normal(size=(20, 1, 10, 6)).astype(np.float32),
+        "2 channels": g.normal(size=(20, 2, 6, 10)).astype(np.float32),
+        "float64": g.normal(size=(5, 3, 9, 9)),
+        "empty": np.zeros((0, 3, 8, 8), np.float32),
+    }
+
+
+@pytest.mark.parametrize("kind", list(harris_batches()))
+def test_keypoint_counts_match_the_per_image_reference(kind):
+    batch = harris_batches()[kind]
+    counts = keypoint_counts(batch)
+    assert counts.dtype == np.int64 and counts.shape == (len(batch),)
+    assert counts.tolist() == [reference_count(im) for im in batch]
+    if kind == "random":
+        assert counts.min() > 0  # the filter found keypoints to count
+
+
+@pytest.mark.parametrize("kind", list(harris_batches()))
+def test_chunk_size_never_changes_counts(kind, monkeypatch):
+    # one-image chunks, chunks that leave a short tail (3 and 7 rows over 20,
+    # 40 and 150), and one chunk for the whole batch give the same counts
+    batch = harris_batches()[kind]
+    want = keypoint_counts(batch)
+    h, w = batch.shape[2:]
+    for rows in (1, 3, 7, 10_000):
+        monkeypatch.setattr(publicprep, "_CHUNK_BYTES", 8 * (h + 2) * (w + 2) * rows)
+        assert np.array_equal(keypoint_counts(batch), want), rows
 
 
 def test_build_patchset_keeps_textured_patches():
