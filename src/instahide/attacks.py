@@ -780,10 +780,10 @@ def gradient_matching_attack(
     lr: float = 0.05,
     victim=None,
     fd_probes: int = 10,
-    exit_tol: float = 1e-16,
 ) -> AttackReport:
     """Recover the training input behind an observed (W, b) gradient by
-    descending D(x, y) = ||g(x, y) - g_hat||^2 from random (x, y).
+    descending D(x, y) = ||g(x, y) - g_hat||^2 from random (x, y), stopping
+    early once D <= 1e-16.
 
     The analytic descent direction is verified against central finite
     differences at the starting point (relative tolerance 1e-4); a non-finite
@@ -813,7 +813,7 @@ def gradient_matching_attack(
                 f"matching objective became non-finite at step {step}",
                 trajectory=tuple(trajectory),
             )
-        if objective <= exit_tol:
+        if objective <= 1e-16:
             break
         x = x - lr * grad_x
         y = y - lr * grad_y

@@ -36,8 +36,8 @@ import numpy as np
 from . import attacks, publicprep, stats, utility
 from .core import Dataset, Image, make_gaussian_dataset
 from .encrypt import SCHEMES, SchemeConfig, encrypt_history, encrypt_sample, export_challenge
-from .errors import TruncatedFileError, ValidationError
-from .ihds import _HEADER, import_raw, load_dataset, save_dataset
+from .errors import ValidationError
+from .ihds import import_raw, load_dataset, read_arrays, save_dataset
 from .rng import RngStream
 
 
@@ -520,14 +520,10 @@ def leakage_guard(path: str | Path, private: Dataset) -> None:
     ``<u4`` words, one row per image; a row's uint64 word sum picks the
     candidates (equal rows have equal sums), and each is confirmed on its full
     bytes. Bit patterns are compared, so +0.0 and -0.0 differ."""
-    raw = Path(path).read_bytes()
-    _, _, _, count, c, h, w, _ = _HEADER.unpack_from(raw)
-    d, end = c * h * w, _HEADER.size + 4 * count * c * h * w
-    if len(raw) < end:
-        raise TruncatedFileError(f"file is {len(raw)} bytes, payload needs {end}")
-    if private.d != d:  # no private row can be a row of this file
+    pixels, _, _ = read_arrays(path)
+    if np.prod(pixels.shape[1:]) != private.d:  # no private row can be a row of this file
         return
-    written = np.frombuffer(raw, "<u4", count * d, _HEADER.size).reshape(count, d)
+    written = pixels.reshape(len(pixels), private.d).view("<u4")
     own = np.ascontiguousarray(private.matrix(), "<f4").view("<u4")
     sums, own_sums = (rows.sum(axis=1, dtype=np.uint64) for rows in (written, own))
     for i in np.flatnonzero(np.isin(own_sums, sums)):

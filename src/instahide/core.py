@@ -47,6 +47,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` over blocks of leading-axis rows of about
+    1 MiB, so no bool array of x's size is made; empty arrays pass."""
+    step = max(1, (1 << 20) // max(1, x[:1].nbytes))
+    return all(np.isfinite(x[lo : lo + step]).all() for lo in range(0, len(x), step))
+
+
 @dataclass(frozen=True, eq=False)
 class Image:
     """A float32 pixel vector plus its (channels, height, width) geometry."""
@@ -141,7 +148,7 @@ def _row_matrix(rows, dims=None, normalized: bool = False):
     # copy what the caller can still write to; share the rest (IHDS reads)
     px = (np.array if rows.flags.writeable else np.ascontiguousarray)(rows, np.float32)
     px = px.reshape(len(rows), d)
-    if not np.isfinite(px).all():
+    if not _all_finite(px):
         raise ValidationError("pixels must be finite")
     if normalized and px.size:
         s = px.sum(axis=1, dtype=np.float64)
@@ -170,7 +177,7 @@ def _label_matrix(labels, n: int, classes=None) -> np.ndarray:
         raise ValidationError(f"declared classes {classes} != label width {w.shape[1]}")
     if len(w) and w.shape[1] == 0:
         raise ValidationError("label vector must have at least one class")
-    if not np.isfinite(w).all():
+    if not _all_finite(w):
         raise ValidationError("label weights must be finite")
     if w.size and (w.min() < -1e-6 or w.max() > 1.0 + 1e-6):
         raise ValidationError(f"label weights outside [0, 1]: {w.min()}..{w.max()}")

@@ -10,14 +10,16 @@ private coefficients summing to at least c2, and only the private images
 contribute to the published label.
 
 Every scheme runs through one batched kernel, ``_encrypt_rows``. It takes
-the sets' float32 matrices as row blocks (private rows, then public rows;
-nothing is stacked), each output row's own image index, and one
+the sets' float32 matrices as row blocks (``_sources``: private rows, then
+public rows; nothing is stacked), each output row's own image index, and one
 ``rng.Streams`` block of the rows' streams. ``rng.Draws`` draws every row's
-partners, then lambda (``core._draw_lambdas``), then the int8 mask, each row
-from its own counter stream. ``_mix`` mixes the rows in cache-sized tiles: a
-tile's float64 sum starts at zero, adds ``lam[:, j] * S[idx[:, j]]`` for
-j = 0..k-1 in turn (mix_pixels' order, so the tile size never changes a
-byte) and is cast into the float32 output, which the signs then multiply.
+partners (``_partners``, which encrypted inference also calls, so both
+refuse the same sets), then lambda (``core._draw_lambdas``), then the int8
+mask, each row from its own counter stream. ``_mix`` mixes the rows in
+cache-sized tiles: a tile's float64 sum starts at zero, adds
+``lam[:, j] * S[idx[:, j]]`` for j = 0..k-1 in turn (mix_pixels' order, so
+the tile size never changes a byte) and is cast into the float32 output,
+which the signs then multiply.
 Each sample has one stream ``rng.child(epoch, i)``, drawn as partners ->
 lambda -> mask, so a seed gives the same bytes in any block size.
 A history is the kernel's columns: ``encrypt_history`` returns
@@ -130,11 +132,11 @@ class _Rows(NamedTuple):
     signs: np.ndarray | None
 
 
-def _sources(private: Dataset, cfg: SchemeConfig, publicset=None):
-    """The source blocks (the private matrix, then, for the cross scheme, the
-    public set's) and the private label block, float32 as the sets store
-    them; the kernel gathers and casts only the rows it mixes."""
-    S, Y = [private.matrix()], [private.label_matrix()]  # raises when unlabelled
+def _sources(private, cfg: SchemeConfig, publicset=None) -> list:
+    """The source blocks: the private matrix, then, for the cross scheme, the
+    public set's, float32 as the sets store them (the kernel gathers and
+    casts only the rows it mixes). ``private`` is a Dataset or PatchSet."""
+    S = [private.matrix()]
     if cfg.scheme == "cross":
         if publicset is None:
             raise ValidationError("cross-dataset encryption needs a public set")
@@ -143,7 +145,23 @@ def _sources(private: Dataset, cfg: SchemeConfig, publicset=None):
                 f"public patch dims {publicset.dims} != private image dims {private.dims}"
             )
         S.append(publicset.matrix())
-    return S, Y
+    return S
+
+
+def _partners(draws: Draws, cfg: SchemeConfig, n: int, n_public: int, own=None) -> np.ndarray:
+    """Each draws row's k-1 partners among n private rows, then n_public public
+    rows: distinct private rows (one for cross, else k-1; not the row's ``own``
+    image when given), then k-2 public rows for cross. Refuses too few rows."""
+    k, cross = cfg.k, cfg.scheme == "cross"
+    pool, need = max(0, n - (own is not None)), 1 if cross else k - 1
+    if pool < need or cross and n_public < k - 2:
+        public = f" and {k - 2} public patches from {n_public}" if cross else ""
+        raise ValidationError(f"k={k} {cfg.scheme} encryption draws {need} private partners "
+                              f"from {pool} images{public}")
+    j = draws.choice(pool, need)
+    if own is not None:
+        j += j >= own[:, None]
+    return np.hstack([j, n + draws.choice(n_public, k - 2)]) if cross else j
 
 
 def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -178,24 +196,14 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
     of the Streams block its partners (unless ``partners`` gives them as an
     (m, k-1) array of rows of S), then lambda, then the mask."""
     k, m, d, cross = cfg.k, len(base), S[0].shape[1], cfg.scheme == "cross"
-    n_public, masked = sum(len(block) for block in S) - n, cfg.scheme != "mixup"
-    if partners is None and m and n - 1 < (need := 1 if cross else k - 1):
-        raise ValidationError(f"need {need} partners but only {n - 1} other images")
-    if partners is None and m and cross and n_public < k - 2:
-        raise ValidationError(f"public set has {n_public} patches, need {k - 2}")
     idx, draws = np.empty((m, k), dtype=np.int64), Draws(streams)
     idx[:, 0] = base
-    if partners is not None:
-        idx[:, 1:] = partners
-    else:  # partners among the n - 1 other private rows, then (cross) public rows
-        j = draws.choice(n - 1, 1 if cross else k - 1)
-        idx[:, 1 : j.shape[1] + 1] = j + (j >= idx[:, :1])
-        if cross:
-            idx[:, 2:] = n + draws.choice(n_public, k - 2)
+    idx[:, 1:] = partners if partners is not None else _partners(
+        draws, cfg, n, sum(len(block) for block in S) - n, idx[:, 0])
     lam = _draw_lambdas(draws, k, cfg.c1, cfg.c2 if cross else 0.0)
     pixels = _mix(S, idx, lam)
-    signs = draws.bits(d) * 2 - 1 if masked else None
-    if masked:
+    signs = draws.bits(d) * 2 - 1 if cfg.scheme != "mixup" else None
+    if signs is not None:
         pixels *= signs
     labels = None
     if Y is not None:  # only private images carry labels
@@ -298,7 +306,7 @@ def encrypt_sample(
     stays cheap on a large pool."""
     if not 0 <= int(i) < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
-    S, Y = _sources(private, cfg, publicset)
+    S, Y = _sources(private, cfg, publicset), [private.label_matrix()]
     rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
     samples, keys = _blocks(rows, private, np.array([epoch]), np.array([sample_id]))
     return samples[0], keys[0]
@@ -310,7 +318,7 @@ def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, public
     columns. The sample id of private image i in epoch t is t * n + i."""
     if not len(epochs):
         raise ValidationError("need at least one epoch")
-    S, Y = _sources(private, cfg, publicset)
+    S, Y = _sources(private, cfg, publicset), [private.label_matrix()]
     n, m, cols = private.n, len(epochs) * private.n, None
     for e, t in enumerate(epochs):
         rows = _encrypt_rows(S, Y, n, cfg, range(n), rng.children(t, ids=np.arange(n)))

@@ -18,10 +18,11 @@ Writers refuse non-finite payloads, and ``write_arrays`` (behind
 save_dataset and the challenge exporter) checks everything before it opens
 the file, then streams the header and each payload array's buffer without
 joining them; arrays_to_bytes/dataset_to_bytes give the same bytes in
-memory. Readers reject bad magic, version, or inconsistent sizes
-(FormatError) and files shorter than their declared payload
-(TruncatedFileError). Identical datasets serialize to identical bytes, so
-files can be compared directly.
+memory. The readers, read_arrays and dataset_from_bytes, share one parser:
+it views the bytes without copying and rejects bad magic, version, or
+inconsistent sizes (FormatError) and files shorter than their declared
+payload (TruncatedFileError). Identical datasets serialize to identical
+bytes, so files can be compared directly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _all_finite
 from .errors import FormatError, TruncatedFileError, ValidationError
 
 MAGIC = b"IHDS"
@@ -60,14 +61,14 @@ def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
         classes = labels.shape[1]
         if not 0 <= classes <= 0xFFFF:
             raise ValidationError(f"classes={classes} does not fit the header")
-    if not np.all(np.isfinite(pixels)):
+    if not _all_finite(pixels):
         raise ValidationError("refusing to write non-finite pixels")
     parts = [
         _HEADER.pack(MAGIC, VERSION, flags, n, c, h, w, classes),
         np.ascontiguousarray(pixels, dtype="<f4"),
     ]
     if labels is not None:
-        if not np.all(np.isfinite(labels)):
+        if not _all_finite(labels):
             raise ValidationError("refusing to write non-finite labels")
         parts.append(np.ascontiguousarray(labels, dtype="<f4"))
     return parts
@@ -100,7 +101,9 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
     return arrays_to_bytes(*_dataset_arrays(ds))
 
 
-def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
+def _from_bytes(raw: bytes) -> tuple:
+    """(pixels (count, C, H, W), labels (count, classes) or None, normalized),
+    read-only ``<f4`` views of ``raw``, after every header and size check."""
     if len(raw) < _HEADER.size:
         raise TruncatedFileError(f"file is {len(raw)} bytes, header needs {_HEADER.size}")
     magic, version, flags, count, c, h, w, classes = _HEADER.unpack_from(raw, 0)
@@ -111,7 +114,6 @@ def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
     if min(c, h, w) < 1:
         raise FormatError(f"non-positive dims ({c}, {h}, {w})")
     has_labels = bool(flags & FLAG_LABELS)
-    normalized = bool(flags & FLAG_NORMALIZED)
     if has_labels and classes < 1 and count > 0:
         raise FormatError("label flag set but classes is 0")
 
@@ -122,17 +124,22 @@ def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
     if len(raw) > need:
         raise FormatError(f"{len(raw) - need} trailing bytes after payload")
 
-    # read-only views of ``raw``, which the Dataset shares instead of copying
-    pixels = np.frombuffer(raw, dtype="<f4", count=count * d, offset=_HEADER.size)
+    pixels = np.frombuffer(raw, "<f4", count * d, _HEADER.size).reshape(count, c, h, w)
     labels = None
     if has_labels:
         off = _HEADER.size + 4 * count * d
-        labels = np.frombuffer(raw, dtype="<f4", count=count * classes, offset=off)
-        labels = labels.reshape(count, classes)
-    return Dataset(
-        pixels.reshape(count, d), labels, dims=(c, h, w),
-        classes=classes if has_labels else None, name=name, normalized=normalized,
-    )
+        labels = np.frombuffer(raw, "<f4", count * classes, off).reshape(count, classes)
+    return pixels, labels, bool(flags & FLAG_NORMALIZED)
+
+
+def read_arrays(path: str | Path) -> tuple:
+    """write_arrays' inverse: the file's (pixels, labels or None, normalized)."""
+    return _from_bytes(Path(path).read_bytes())
+
+
+def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
+    pixels, labels, normalized = _from_bytes(raw)
+    return Dataset(pixels, labels, name=name, normalized=normalized)
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> Path:

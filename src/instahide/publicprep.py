@@ -46,8 +46,9 @@ class PatchSet:
 
     def __init__(self, patches, provenance, keypoints, retention: float = 1.0):
         self._pixels, self._dims, _ = _row_matrix(patches)
-        self.provenance = tuple((int(a), int(b), int(c)) for a, b, c in provenance)
-        self.keypoints = tuple(int(v) for v in keypoints)
+        prov = np.asarray(provenance, np.int64).reshape(len(provenance), 3)  # refuses other widths
+        self.provenance = tuple(map(tuple, prov.tolist()))
+        self.keypoints = tuple(np.asarray(keypoints, np.int64).tolist())
         self.retention = retention
         if not len(self._pixels) == len(self.provenance) == len(self.keypoints):
             raise ValidationError("patches, provenance, and keypoints must align")
@@ -214,32 +215,24 @@ def build_patchset(
 
 def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
     """IHDS file of the patches plus a provenance CSV sidecar."""
-    from .ihds import save_dataset
+    from .ihds import write_arrays
 
     if not len(ps):
         raise ValidationError("refusing to save an empty patch set")
-    path = Path(path)
-    save_dataset(Dataset(ps.matrix(), dims=ps.dims, name="patches"), path)
+    path = write_arrays(path, ps.matrix().reshape(len(ps), *ps.dims))
     sidecar = path.with_suffix(path.suffix + ".prov.csv")
     with open(sidecar, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_index", "offset_y", "offset_x", "keypoints"])
-        for (src, oy, ox), kp in zip(ps.provenance, ps.keypoints):
-            writer.writerow([src, oy, ox, kp])
+        writer.writerows([*prov, kp] for prov, kp in zip(ps.provenance, ps.keypoints))
     return path, sidecar
 
 
 def load_patchset(path: str | Path) -> PatchSet:
-    from .ihds import load_dataset
+    from .ihds import read_arrays
 
     path = Path(path)
-    ds = load_dataset(path)
+    pixels, _, _ = read_arrays(path)
     sidecar = path.with_suffix(path.suffix + ".prov.csv")
-    prov, kps = [], []
-    with open(sidecar, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            prov.append((int(row[0]), int(row[1]), int(row[2])))
-            kps.append(int(row[3]))
-    return PatchSet(ds.matrix().reshape(ds.n, *ds.dims), prov, kps)
+    rows = np.loadtxt(sidecar, np.int64, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
+    return PatchSet(pixels, rows[:, :3], rows[:, 3])

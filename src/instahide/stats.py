@@ -25,6 +25,7 @@ KS_LAMBDA_FLOOR = 0.05
 PROTOCOL_PICKS = 10
 PROTOCOL_ENCRYPTIONS = 400
 PROTOCOL_PROBES = 50
+_PROBE_COUNT = 4  # pixel locations whose values are statistics (loc1..loc4)
 
 
 def kolmogorov_survival(lam):
@@ -185,7 +186,6 @@ def indistinguishability_protocol(
     picks: int = PROTOCOL_PICKS,
     encryptions_per_image: int = PROTOCOL_ENCRYPTIONS,
     probe_encryptions: int = PROTOCOL_PROBES,
-    probe_count: int = 4,
     publicset=None,
 ) -> IndistinguishabilityReport:
     """Can an attacker tell which image an encryption came from by looking at
@@ -208,12 +208,12 @@ def indistinguishability_protocol(
         raise ValidationError("need at least 2 images to form an Other pool")
 
     chosen = rng.child("picks").generator().choice(private.n, size=picks, replace=False)
-    probes = default_probe_locations(private.d, rng.child("probes"), probe_count)
-    labels = statistic_labels(probe_count)
+    probes = default_probe_locations(private.d, rng.child("probes"), _PROBE_COUNT)
+    labels = statistic_labels(_PROBE_COUNT)
 
     n_stats = len(labels)
     stats = np.empty((picks, encryptions_per_image, n_stats))
-    S, _ = _sources(private, cfg, publicset)
+    S = _sources(private, cfg, publicset)
     for r, idx in enumerate(chosen):
         # 100 encryptions at a time bounds the float64 buffers; the statistics
         # are per row, so the chunking does not change them
@@ -390,18 +390,16 @@ def check_inner_product_concentration(
 def check_bernstein_tail(
     cfg: ConcentrationCheckConfig,
     rng: RngStream,
-    terms: int = 256,
-    magnitude: float = 1.0,
     t_multipliers: tuple[float, ...] = (1.0, 2.0, 3.0),
 ) -> dict:
     """Sums of independent bounded zero-mean variables obey
 
         Pr[sum X_i > t] <= exp(-(t^2/2) / (sum E[X_i^2] + M*t/3)),
 
-    checked with X_i uniform on [-M, M] at t = multiplier * std(sum).
+    checked with 256 terms X_i uniform on [-M, M], M = 1, at
+    t = multiplier * std(sum).
     """
-    if terms < 1 or magnitude <= 0.0:
-        raise ValidationError("need terms >= 1 and magnitude > 0")
+    terms, magnitude = 256, 1.0
     gen = rng.generator()
     sums = gen.uniform(-magnitude, magnitude, size=(cfg.trials, terms)).sum(axis=1)
     var_sum = terms * magnitude**2 / 3.0

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, Image
-from .encrypt import SchemeConfig, _encrypt_rows, encrypt_epoch
+from .encrypt import SchemeConfig, _encrypt_rows, _partners, _sources, encrypt_epoch
 from .errors import DimensionMismatchError, FormatError, TruncatedFileError, ValidationError
 from .rng import Draws, RngStream, Streams
 
@@ -121,16 +121,14 @@ def train(
     epochs: int,
     lr: float,
     rng: RngStream,
-    momentum: float = DEFAULT_MOMENTUM,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    weight_decay: float = DEFAULT_WEIGHT_DECAY,
 ) -> LinearSoftmaxModel:
-    """Minibatch SGD with momentum and L2 weight decay on W, over a labelled
+    """Minibatch SGD (DEFAULT_BATCH_SIZE rows per step) with DEFAULT_MOMENTUM
+    momentum and DEFAULT_WEIGHT_DECAY L2 weight decay on W, over a labelled
     Dataset or an (X, Y) pair of pixel and label matrices. Input model is
     left untouched; a trained copy is returned. Deterministic given the rng.
     """
-    if epochs < 0 or lr <= 0 or batch_size < 1:
-        raise ValidationError("need epochs >= 0, lr > 0, batch_size >= 1")
+    if epochs < 0 or lr <= 0:
+        raise ValidationError("need epochs >= 0 and lr > 0")
     if isinstance(samples, Dataset):
         samples = (samples.matrix(), samples.label_matrix())  # raises when unlabelled
     if len(samples) != 2:
@@ -151,15 +149,15 @@ def train(
     n = X.shape[0]
     for _ in range(int(epochs)):
         order = gen.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
+        for lo in range(0, n, DEFAULT_BATCH_SIZE):
+            idx = order[lo : lo + DEFAULT_BATCH_SIZE]
             Xb, Yb = X[idx], Y[idx]
             P = softmax_rows(Xb @ W.T + b)
             R = Yb.sum(axis=1, keepdims=True) * P - Yb
-            gW = R.T @ Xb / idx.size + weight_decay * W
+            gW = R.T @ Xb / idx.size + DEFAULT_WEIGHT_DECAY * W
             gb = R.mean(axis=0)
-            vW = momentum * vW - lr * gW
-            vb = momentum * vb - lr * gb
+            vW = DEFAULT_MOMENTUM * vW - lr * gW
+            vb = DEFAULT_MOMENTUM * vb - lr * gb
             W += vW
             b += vb
     return LinearSoftmaxModel(W, b)
@@ -173,7 +171,6 @@ def train_encrypted(
     lr: float,
     rng: RngStream,
     publicset=None,
-    **train_kwargs,
 ) -> LinearSoftmaxModel:
     """Re-encrypt the private set with fresh keys every epoch and take one SGD
     pass over each encryption batch, in published order.
@@ -190,7 +187,7 @@ def train_encrypted(
         samples, _ = encrypt_epoch(private, cfg, epoch, rng.child("enc"), publicset)
         X = np.abs(samples) if cfg.scheme != "mixup" else np.asarray(samples)
         sgd = rng.child("sgd", epoch)
-        out = train(out, (X, samples.labels), 1, lr, sgd, **train_kwargs)
+        out = train(out, (X, samples.labels), 1, lr, sgd)
     return out
 
 
@@ -198,26 +195,19 @@ def _encrypted_probs(
     model: LinearSoftmaxModel, X, cfg: SchemeConfig, streams, ensemble, pool, publicset
 ) -> np.ndarray:
     """predict_encrypted for every row of X at once; row i of the Streams
-    block ``streams`` is row i's rng. Member e of row i draws its partners
-    (none at k=1) from streams[i].child("predict", e): for the cross scheme
-    one ``pool`` image, then k-2 public patches, else k-1 distinct pool
-    images. Its child "enc" draws lambda and the mask."""
+    block ``streams`` is row i's rng. The sources are X, then encrypt._sources
+    of ``pool`` and ``publicset``. Member e of row i draws its partners from
+    streams[i].child("predict", e) with encrypt._partners (the pool may hold
+    x itself), and lambda and the mask from that stream's child "enc"."""
     if ensemble < 1:
         raise ValidationError(f"ensemble must be >= 1, got {ensemble}")
     m, d = X.shape
     if d != model.d:
         raise ValidationError(f"input length {d} != model d {model.d}")
-    k, cross = cfg.k, cfg.scheme == "cross"
-    n_pool = len(pool.matrix()) if k > 1 and pool is not None else 0
-    n_public = len(publicset.matrix()) if cross and publicset is not None else 0
-    if k > 1 and n_pool == 0:
-        raise ValidationError(f"k={k} inference encryption needs a partner pool")
-    if cross and n_public < k - 2:
-        raise ValidationError("cross inference encryption needs k-2 public patches")
-    S = [X] + [s.matrix() for s, n in ((pool, n_pool), (publicset, n_public)) if n]
-    for part in S[1:]:
-        if part.shape[1] != d:
-            raise DimensionMismatchError(f"partner rows have length {part.shape[1]}, inputs {d}")
+    S = [X] if pool is None else [X, *_sources(pool, cfg, publicset)]
+    if S[-1].shape[1] != d:
+        raise DimensionMismatchError(f"partner rows have length {S[-1].shape[1]}, inputs {d}")
+    n_pool, n_public = sum(map(len, S[1:2])), sum(map(len, S[2:]))
     block = max(1, (1 << 19) // (ensemble * d))  # ~4 MB float64 buffers per call
     probs = np.empty((m, model.classes))
     for lo in range(0, m, block):
@@ -225,10 +215,7 @@ def _encrypted_probs(
         rep = np.repeat(rows_i, ensemble)
         members = Streams(streams.seed, streams.ids[rep]).child(
             "predict", np.tile(np.arange(ensemble), len(rows_i)))
-        draws = Draws(members)
-        partners = draws.choice(n_pool, 1 if cross else k - 1)
-        if cross:
-            partners = np.hstack([partners, n_pool + draws.choice(n_public, k - 2)])
+        partners = _partners(Draws(members), cfg, n_pool, n_public)
         rows = _encrypt_rows(S, None, m, cfg, rep, members.child("enc"), m + partners)
         Xc = np.abs(rows.pixels) if cfg.scheme != "mixup" else rows.pixels
         Xc = Xc.astype(np.float64)

@@ -407,6 +407,10 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "weak", "--in", "{tmp}/p8.ihds"],
         ["attack", "averaging", "--mode", "encrypted", "--k", "2", "--synthetic-n", "4",
          "--synthetic-dims", "1x4x4", "--epochs", "1"],
+        ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--synthetic-n", "2",
+         "--synthetic-dims", "3x8x8", "--k", "4"],
+        ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--scheme", "cross",
+         "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p416.ihds"],
     ],
     ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
@@ -416,7 +420,8 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "encrypt-empty-synthetic", "mixup-empty-synthetic", "encrypt-negative-synthetic",
          "train-empty-synthetic", "pair-empty-synthetic", "challenge-empty-synthetic",
          "grad-match-negative-steps", "grad-match-zero-lr", "grad-match-negative-lr",
-         "grad-match-nan-lr", "eval-averaging-mode", "averaging-eval-mode"],
+         "grad-match-nan-lr", "eval-averaging-mode", "averaging-eval-mode",
+         "eval-small-pool", "eval-public-shape"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
@@ -427,6 +432,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     patches = make_gaussian_dataset(8, (3, 4, 4), RngStream(17), normalize=False)
     save_patchset(build_patchset(patches, (4, 4), 1, RngStream(18), min_keypoints=0),
                   tmp_path / "p4.ihds")
+    # 3x4x16 patches: the private set's d = 192, other dims
+    wide = make_gaussian_dataset(8, (3, 4, 16), RngStream(19), normalize=False)
+    save_patchset(build_patchset(wide, (4, 16), 1, RngStream(18), min_keypoints=0),
+                  tmp_path / "p416.ihds")
     save_model(init_model(2, 192), tmp_path / "m192.ihmd")
     (tmp_path / "x.raw").write_bytes(bytes(4))
     (tmp_path / "y.csv").write_text("5\n")

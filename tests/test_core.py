@@ -10,6 +10,7 @@ from instahide.core import (
     Image,
     LabelVector,
     SignMask,
+    _all_finite,
     _draw_lambdas,
     inner_product,
     make_gaussian_dataset,
@@ -122,6 +123,25 @@ def test_dataset_copies_writable_arrays_and_shares_read_only_ones():
     assert pixels.flags.writeable and ds.matrix()[0, 0] == 1.0
     frozen = np.frombuffer(np.ones((2, 4), np.float32).tobytes(), np.float32).reshape(2, 4)
     assert np.shares_memory(Dataset(frozen, dims=(1, 2, 2)).matrix(), frozen)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 150, -1])
+def test_finiteness_is_checked_in_every_block(value, row):
+    # 300 rows of 1,024 float32 span several of _all_finite's 1 MiB blocks
+    pixels, labels = np.zeros((300, 1024), np.float32), np.zeros((300, 1024), np.float32)
+    assert _all_finite(pixels) and _all_finite(pixels[:0]) and _all_finite(np.zeros((0, 0)))
+    Dataset(pixels, labels, dims=(1, 32, 32))
+    for poisoned in (pixels, labels):
+        poisoned[row, 7] = value
+        assert not _all_finite(poisoned)
+        with pytest.raises(ValidationError, match="finite"):
+            Dataset(pixels, labels, dims=(1, 32, 32))
+        poisoned[row, 7] = 0.0
+    with pytest.raises(ValidationError, match="finite"):
+        Image(np.full(4, value), (1, 2, 2))
+    with pytest.raises(ValidationError, match="finite"):
+        LabelVector(np.array([0.5, value]))
 
 
 def test_dataset_validates_the_whole_matrix_once():

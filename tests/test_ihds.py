@@ -9,6 +9,7 @@ from instahide.ihds import (
     dataset_to_bytes,
     import_raw,
     load_dataset,
+    read_arrays,
     save_dataset,
     write_arrays,
 )
@@ -105,6 +106,41 @@ def test_nonfinite_payload_refused():
         arrays_to_bytes(pixels)
     with pytest.raises(ValidationError):
         arrays_to_bytes(np.ones((1, 1, 2, 2), np.float32), np.array([[np.nan]], np.float32))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, -1])
+def test_writer_refuses_nonfinite_first_and_last_rows(value, row):
+    # 300 rows of 1,024 float32 span several blocks of the finiteness check
+    pixels, labels = np.zeros((300, 1, 32, 32), np.float32), np.zeros((300, 1024), np.float32)
+    arrays_to_bytes(pixels, labels)
+    for poisoned in (pixels, labels):
+        poisoned[row, 0] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            arrays_to_bytes(pixels, labels)
+        poisoned[row, 0] = 0.0
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_read_arrays_inverts_write_arrays(tmp_path, labelled):
+    pixels = RngStream(6).generator().standard_normal((3, 2, 3, 4), dtype=np.float32)
+    labels = np.eye(3, dtype=np.float32) if labelled else None
+    path = write_arrays(tmp_path / "a.ihds", pixels, labels, normalized=True)
+    got_pixels, got_labels, normalized = read_arrays(path)
+    assert got_pixels.dtype == np.dtype("<f4") and got_pixels.shape == pixels.shape
+    assert got_pixels.tobytes() == pixels.tobytes() and normalized
+    assert not got_pixels.flags.writeable
+    assert (got_labels is None) if labels is None else got_labels.tobytes() == labels.tobytes()
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4])
+    with pytest.raises(TruncatedFileError):
+        read_arrays(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError):
+        read_arrays(path)
+    path.write_bytes(b"IHDX" + raw[4:])
+    with pytest.raises(FormatError, match="magic"):
+        read_arrays(path)
 
 
 def test_file_roundtrip(tmp_path):

@@ -240,6 +240,36 @@ def test_load_rejects_mismatched_sidecar(tmp_path):
         load_patchset(data_path)
 
 
+def test_load_patchset_checks_the_pixels_once(tmp_path, monkeypatch):
+    from instahide import core
+
+    ps = build_patchset(make_gaussian_dataset(4, (3, 16, 16), RngStream(13), normalize=False),
+                        (8, 8), 1, RngStream(14), min_keypoints=0)
+    data_path, _ = save_patchset(ps, tmp_path / "p.ihds")
+    calls, check = [], core._row_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(core, "_row_matrix", counted)
+    monkeypatch.setattr(publicprep, "_row_matrix", counted)
+    back = load_patchset(data_path)
+    assert len(calls) == 1 and not back.matrix().flags.writeable
+    assert back.matrix().tobytes() == ps.matrix().tobytes()
+    raw = bytearray(data_path.read_bytes())
+    raw[-4:] = np.float32(np.nan).tobytes()  # the last pixel of the last patch
+    data_path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="finite"):
+        load_patchset(data_path)
+
+
+def test_one_patch_roundtrip(tmp_path):
+    ps = PatchSet(np.ones((1, 3, 4, 4), np.float32), [(2, 3, 1)], [41])
+    back = load_patchset(save_patchset(ps, tmp_path / "one.ihds")[0])
+    assert (back.provenance, back.keypoints, back.dims) == (((2, 3, 1),), (41,), (3, 4, 4))
+
+
 def test_patchset_is_one_frozen_matrix_with_cached_views():
     src = make_gaussian_dataset(6, (3, 16, 16), RngStream(13), normalize=False)
     ps = build_patchset(src, (8, 8), 2, RngStream(14), min_keypoints=0)

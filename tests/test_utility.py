@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from instahide.core import Dataset, Image, LabelVector, make_gaussian_dataset, one_hot
-from instahide.encrypt import SchemeConfig, encrypt_epoch
+from instahide.publicprep import PatchSet
+from instahide.encrypt import SchemeConfig, encrypt_epoch, encrypt_history
 from instahide.errors import FormatError, TruncatedFileError, ValidationError
 from instahide.rng import RngStream
 from instahide.utility import (
@@ -216,6 +217,43 @@ def test_predict_encrypted_returns_probability_vector():
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValidationError):
         predict_encrypted(m, ds.images[0], cfg, RngStream(21), ensemble=0)
+
+
+def _patches(count, dims, seed):
+    pixels = RngStream(seed).generator().random((count, *dims), dtype=np.float32)
+    return PatchSet(pixels, [(i, 0, 0) for i in range(count)], [0] * count)
+
+
+@pytest.mark.parametrize(
+    "scheme, k, n, public",
+    [
+        ("inside", 4, 2, None),  # a pool smaller than k - 1
+        ("cross", 4, 4, (6, (3, 4, 16))),  # equal d, other dims
+        ("cross", 4, 4, None),
+        ("cross", 5, 4, (2, (3, 8, 8))),  # fewer than k - 2 patches
+    ],
+    ids=["small-pool", "public-dims", "no-public", "few-patches"],
+)
+def test_encrypted_inference_refuses_what_training_refuses(scheme, k, n, public):
+    ds = make_gaussian_dataset(n, (3, 8, 8), RngStream(30), classes=2)
+    cfg, rng = SchemeConfig(scheme, k=k, c1=0.65, c2=0.3), RngStream(31)
+    publicset = None if public is None else _patches(*public, seed=32)
+    model = init_model(2, ds.d)
+    with pytest.raises(ValidationError):
+        encrypt_history(ds, cfg, 1, rng, publicset)
+    with pytest.raises(ValidationError):
+        predict_encrypted(model, ds.images[0], cfg, rng, partner_pool=ds, publicset=publicset)
+    with pytest.raises(ValidationError):
+        evaluate(model, ds, "encrypted", cfg, rng, partner_pool=ds, publicset=publicset)
+
+
+def test_encrypted_inference_takes_an_unlabelled_pool():
+    ds = blocky_dataset(25, n=8)
+    pool = Dataset(ds.matrix(), dims=ds.dims)  # no labels
+    m, cfg = init_model(4, ds.d, RngStream(26), scale=0.1), SchemeConfig("inside", k=3)
+    p = predict_encrypted(m, ds.images[0], cfg, RngStream(27), ensemble=3, partner_pool=pool)
+    q = predict_encrypted(m, ds.images[0], cfg, RngStream(27), ensemble=3, partner_pool=ds)
+    assert p.tobytes() == q.tobytes()
 
 
 def test_evaluate_chance_level_for_random_model():
