@@ -18,6 +18,8 @@ value its option's type refuses, or an unknown key, is invalid input.
 RngStream(seed), call the handler with them, and write one JSON report whose
 ``config`` holds every option the command read, paths included. Its non-null
 entries, as a config file, replay the run to byte-identical artifacts.
+A command publishes its output files and report only when it exits 0; until
+then each is staged as ``<name>.<pid>.tmp``, which a killed run can leave.
 Exit codes: 0 success, 2 invalid input or configuration, 1 runtime failure.
 """
 
@@ -28,6 +30,7 @@ import json
 import os
 import sys
 from collections import ChainMap
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,7 +40,7 @@ from . import attacks, publicprep, stats, utility
 from .core import Dataset, Image, make_gaussian_dataset
 from .encrypt import SCHEMES, SchemeConfig, encrypt_history, encrypt_sample, export_challenge
 from .errors import ValidationError
-from .ihds import import_raw, load_dataset, read_arrays, save_dataset
+from .ihds import import_raw, load_dataset, output, publishing, read_arrays, read_file, save_dataset
 from .rng import RngStream
 
 
@@ -185,7 +188,7 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in read_file(path, text=True).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -242,7 +245,7 @@ def _drop(opts: dict, names: str) -> None:
 
 
 def _read_input(load, path, *args, **kwargs):
-    """load(path, ...); a missing, unreadable or truncated file is bad input (exit 2)."""
+    """load(path, ...); an unreadable, truncated or unparsable file is bad input (exit 2)."""
     try:
         return load(path, *args, **kwargs)
     except OSError as exc:
@@ -279,11 +282,8 @@ def _public_patches(opts: dict, dims, rng: RngStream, count: int = 1000, cfg=Non
 
 
 def write_report(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with output(path, "w") if path else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +516,9 @@ def cmd_stats_theorem_gap(opts: dict, rng: RngStream) -> dict:
 
 def leakage_guard(path: str | Path, private: Dataset) -> None:
     """Raise if any private image is, byte for byte, a row of the IHDS file at
-    ``path``. The file is read back from disk and its image payload viewed as
-    ``<u4`` words, one row per image; a row's uint64 word sum picks the
-    candidates (equal rows have equal sums), and each is confirmed on its full
-    bytes. Bit patterns are compared, so +0.0 and -0.0 differ."""
+    ``path``, read from disk (from its staged file, inside a publishing block).
+    Rows are viewed as ``<u4`` words; a row's uint64 word sum picks candidates
+    that are confirmed on their full bits, so +0.0 and -0.0 differ."""
     pixels, _, _ = read_arrays(path)
     if np.prod(pixels.shape[1:]) != private.d:  # no private row can be a row of this file
         return
@@ -585,8 +584,9 @@ def main(argv=None) -> int:
         if not np.isfinite(opts.get("threshold") or 0.0):  # no JSON report holds it
             raise ValidationError(f"threshold must be a finite number, got {opts['threshold']}")
         rng = RngStream(opts["seed"]) if "seed" in opts else None
-        results = args.func(opts, rng)
-        write_report(args.report, {"command": command, "config": opts, "results": results})
+        with publishing():  # a failed command publishes none of its outputs
+            results = args.func(opts, rng)
+            write_report(args.report, {"command": command, "config": opts, "results": results})
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,7 @@ from .core import (
     check_feasible,
 )
 from .errors import DimensionMismatchError, ValidationError
+from .ihds import output, write_arrays
 from .rng import Draws, RngStream, Streams
 
 SCHEMES = ("mixup", "inside", "cross")
@@ -371,12 +372,10 @@ def export_challenge(samples, path: str | Path, meta: dict) -> tuple[Path, Path]
     """Write a challenge release: the encrypted samples as IHDS plus a
     key=value sidecar of public parameters. Keys and originals never touch
     this path. ``samples`` is an EncryptedSamples block."""
-    from .ihds import write_arrays
-
     if not len(samples):
         raise ValidationError("challenge export needs at least one sample")
-    path = write_arrays(path, np.asarray(samples).reshape(-1, *samples.dims), samples.labels)
-    sidecar = path.with_suffix(path.suffix + ".meta.txt")
-    lines = [f"{k}={meta[k]}" for k in sorted(meta)]
-    sidecar.write_text("\n".join(lines) + "\n")
+    sidecar = Path(f"{path}.meta.txt")
+    with output(sidecar, "w") as fh:  # its block publishes both files or neither
+        path = write_arrays(path, np.asarray(samples).reshape(-1, *samples.dims), samples.labels)
+        fh.writelines(f"{k}={meta[k]}\n" for k in sorted(meta))
     return path, sidecar

@@ -1,4 +1,4 @@
-"""IHDS, the package's binary dataset container.
+"""IHDS, the package's binary dataset container, and its one file layer.
 
 Layout (all integers little-endian):
 
@@ -14,21 +14,30 @@ Layout (all integers little-endian):
     20      -     image payload: count * channels*height*width float32 LE
     -       -     label payload: count * classes float32 LE (only if bit0 set)
 
-Writers refuse non-finite payloads, and ``write_arrays`` (behind
-save_dataset and the challenge exporter) checks everything before it opens
-the file, then streams the header and each payload array's buffer without
-joining them; arrays_to_bytes/dataset_to_bytes give the same bytes in
-memory. The readers, read_arrays and dataset_from_bytes, share one parser:
-it views the bytes without copying and rejects bad magic, version, or
-inconsistent sizes (FormatError) and files shorter than their declared
-payload (TruncatedFileError). Identical datasets serialize to identical
-bytes, so files can be compared directly.
+Writers refuse non-finite payloads; ``write_arrays`` checks everything, then
+streams the header and each payload buffer (arrays_to_bytes joins them, and
+identical datasets give identical bytes). The readers share one parser: it
+views the bytes and rejects bad magic, version or sizes (FormatError) and
+short files (TruncatedFileError).
+
+Only this module touches files. ``output`` stages a write as
+``<name>.<pid>.tmp`` beside its target; the outermost ``publishing()`` block
+moves every staged file into place with ``os.replace`` when it exits
+cleanly, and a block that raises unlinks what it staged, so a failed command
+publishes nothing (outside a block each ``output`` is its own). ``read_file``
+fills one read-only ``uint8`` array by ``readinto`` (shared by
+``_row_matrix``) and reads a staged path from its staged file, so the
+leakage guard checks the bytes about to be published. A memory map could
+fault with SIGBUS on a file truncated in place. Blocks are per process.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,60 @@ _HEADER = struct.Struct("<4sHHIHHHH")
 
 FLAG_LABELS = 1 << 0
 FLAG_NORMALIZED = 1 << 1
+
+_staged: dict[str, str] = {}  # target -> its staged file, for the open blocks
+_depth = 0  # open publishing() blocks
+
+
+@contextmanager
+def publishing():
+    """Publish the files staged inside the block when the outermost block
+    exits cleanly; on an exception, unlink the ones this block staged."""
+    global _depth
+    mark, _depth = len(_staged), _depth + 1
+    try:
+        yield
+        for target in list(_staged) if _depth == 1 else ():  # the outermost block publishes
+            os.replace(_staged[target], target)
+            del _staged[target]
+    except BaseException:
+        for target in list(_staged)[mark:]:
+            Path(_staged.pop(target)).unlink(missing_ok=True)
+        raise
+    finally:
+        _depth -= 1
+
+
+@contextmanager
+def output(path: str | Path, mode: str = "wb"):
+    """The open handle of ``path``'s staged file (``mode`` "wb" or "w", UTF-8)."""
+    target = os.path.abspath(path)
+    with publishing():
+        try:
+            if os.path.isdir(target):  # os.replace could not publish onto it
+                raise IsADirectoryError(errno.EISDIR, "Is a directory")
+            fh = open(f"{target}.{os.getpid()}.tmp", mode,
+                      **({} if "b" in mode else {"encoding": "utf-8", "newline": ""}))
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {path}: {exc.strerror}") from exc
+        _staged.pop(target, None)  # a rewrite belongs to the innermost block
+        _staged[target] = fh.name
+        with fh:
+            yield fh
+
+
+def read_file(path: str | Path, text: bool = False):
+    """The bytes of ``path`` (or of its staged file) as a read-only uint8
+    array, or with ``text`` its UTF-8 text; bytes that do not decode are an
+    OSError naming the file."""
+    with open(_staged.get(os.path.abspath(path), path), "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        buf = buf[: fh.readinto(buf)]  # short if the file shrank since fstat
+    buf.flags.writeable = False
+    try:
+        return str(buf, "utf-8") if text else buf
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason})", str(path)) from None
 
 
 def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
@@ -75,8 +138,7 @@ def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
 
 
 def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -> bytes:
-    """Serialize (n, C, H, W) float32 pixels and optional (n, classes)
-    labels; raises ValidationError before writing anything inconsistent."""
+    """(n, C, H, W) float32 pixels and optional (n, classes) labels as IHDS bytes."""
     return b"".join(_parts(pixels, labels, normalized))
 
 
@@ -84,10 +146,10 @@ def write_arrays(path: str | Path, pixels: np.ndarray, labels=None,
                  normalized: bool = False) -> Path:
     """Write arrays_to_bytes' bytes to ``path``, streaming the header and then
     each payload array's buffer; every check runs before the file is opened."""
-    path, parts = Path(path), _parts(pixels, labels, normalized)
-    with open(path, "wb") as fh:
+    parts = _parts(pixels, labels, normalized)
+    with output(path) as fh:
         fh.writelines(memoryview(part) for part in parts)
-    return path
+    return Path(path)
 
 
 def _dataset_arrays(ds: Dataset) -> tuple:
@@ -96,12 +158,11 @@ def _dataset_arrays(ds: Dataset) -> tuple:
 
 
 def dataset_to_bytes(ds: Dataset) -> bytes:
-    """Serialize a dataset; raises ValidationError before writing anything
-    inconsistent."""
+    """A dataset as IHDS bytes."""
     return arrays_to_bytes(*_dataset_arrays(ds))
 
 
-def _from_bytes(raw: bytes) -> tuple:
+def _from_bytes(raw) -> tuple:
     """(pixels (count, C, H, W), labels (count, classes) or None, normalized),
     read-only ``<f4`` views of ``raw``, after every header and size check."""
     if len(raw) < _HEADER.size:
@@ -134,7 +195,7 @@ def _from_bytes(raw: bytes) -> tuple:
 
 def read_arrays(path: str | Path) -> tuple:
     """write_arrays' inverse: the file's (pixels, labels or None, normalized)."""
-    return _from_bytes(Path(path).read_bytes())
+    return _from_bytes(read_file(path))
 
 
 def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
@@ -148,8 +209,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    return dataset_from_bytes(path.read_bytes(), name=path.stem)
+    return dataset_from_bytes(read_file(path), name=Path(path).stem)
 
 
 def import_raw(
@@ -169,34 +229,29 @@ def import_raw(
     """
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
-    raw = Path(raw_path).read_bytes()
+    raw = read_file(raw_path)
     if d == 0 or len(raw) % d != 0:
         raise FormatError(f"raw size {len(raw)} is not a multiple of d={d}")
-    count = len(raw) // d
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, d).astype(np.float32) / 255.0
+    pixels = raw.reshape(-1, d).astype(np.float32) / 255.0
 
     labels = None
     if labels_path is not None:
         rows = []
-        with open(labels_path, newline="") as fh:
-            for rec in csv.reader(fh):
-                rec = [v for v in rec if v.strip() != ""]
-                if len(rec) == 1:
-                    if classes is None:
-                        raise ValidationError(
-                            "class-index labels need an explicit class count"
-                        )
-                    text = rec[0].strip()
-                    if not text.isdecimal() or int(text) >= classes:
-                        raise ValidationError(
-                            f"class index {text!r} is not an integer in [0, {classes})"
-                        )
-                    rows.append(np.eye(classes, dtype=np.float32)[int(text)])
-                elif rec:
-                    try:
-                        rows.append(np.array([float(v) for v in rec], np.float32))
-                    except ValueError:
-                        raise ValidationError(f"label row {rec} is not all numbers") from None
+        for rec in csv.reader(read_file(labels_path, text=True).splitlines()):
+            rec = [v for v in rec if v.strip() != ""]
+            if len(rec) == 1:
+                if classes is None:
+                    raise ValidationError("class-index labels need an explicit class count")
+                text = rec[0].strip()
+                if not text.isdecimal() or int(text) >= classes:
+                    raise ValidationError(f"class index {text!r} is not an integer in "
+                                          f"[0, {classes})")
+                rows.append(np.eye(classes, dtype=np.float32)[int(text)])
+            elif rec:
+                try:
+                    rows.append(np.array([float(v) for v in rec], np.float32))
+                except ValueError:
+                    raise ValidationError(f"label row {rec} is not all numbers") from None
         if len({r.size for r in rows}) > 1:
             raise ValidationError("labels have mixed class counts")
         labels = np.array(rows) if rows else np.zeros((0, classes or 0), np.float32)

@@ -22,6 +22,7 @@ np.pad form, bit for bit.
 from __future__ import annotations
 
 import csv
+import errno
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +31,7 @@ import numpy as np
 
 from .core import Dataset, Image, _row_matrix
 from .errors import ValidationError
+from .ihds import output, read_arrays, read_file, write_arrays
 from .rng import Draws, RngStream, Streams
 
 HARRIS_K = 0.06
@@ -215,13 +217,11 @@ def build_patchset(
 
 def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
     """IHDS file of the patches plus a provenance CSV sidecar."""
-    from .ihds import write_arrays
-
     if not len(ps):
         raise ValidationError("refusing to save an empty patch set")
-    path = write_arrays(path, ps.matrix().reshape(len(ps), *ps.dims))
-    sidecar = path.with_suffix(path.suffix + ".prov.csv")
-    with open(sidecar, "w", newline="") as fh:
+    sidecar = Path(f"{path}.prov.csv")
+    with output(sidecar, "w") as fh:  # its block publishes both files or neither
+        path = write_arrays(path, ps.matrix().reshape(len(ps), *ps.dims))
         writer = csv.writer(fh)
         writer.writerow(["source_index", "offset_y", "offset_x", "keypoints"])
         writer.writerows([*prov, kp] for prov, kp in zip(ps.provenance, ps.keypoints))
@@ -229,10 +229,12 @@ def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_patchset(path: str | Path) -> PatchSet:
-    from .ihds import read_arrays
-
-    path = Path(path)
+    """save_patchset's inverse; a bad sidecar cell is an OSError naming it."""
     pixels, _, _ = read_arrays(path)
-    sidecar = path.with_suffix(path.suffix + ".prov.csv")
-    rows = np.loadtxt(sidecar, np.int64, delimiter=",", skiprows=1, ndmin=2, usecols=range(4))
+    sidecar = f"{path}.prov.csv"
+    try:
+        rows = np.loadtxt(read_file(sidecar, text=True).splitlines(), np.int64, delimiter=",",
+                          skiprows=1, ndmin=2, usecols=range(4))
+    except ValueError as exc:
+        raise OSError(errno.EINVAL, f"bad provenance row ({exc})", sidecar) from None
     return PatchSet(pixels, rows[:, :3], rows[:, 3])

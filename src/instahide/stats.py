@@ -8,13 +8,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import Dataset
 from .encrypt import SchemeConfig, _encrypt_rows, _sources
 from .errors import ValidationError
+from .ihds import output
 from .rng import RngStream
 
 # Kolmogorov survival series: 100 terms are ample for lambda >= 0.05; below
@@ -166,17 +166,12 @@ class IndistinguishabilityReport:
 
     def to_csv(self, path) -> None:
         """One row per image; per statistic a paired All/Other column."""
-        with open(Path(path), "w", newline="") as fh:
+        with output(path, "w") as fh:
             writer = csv.writer(fh)
-            header = ["image"]
-            for name in self.labels:
-                header += [f"{name}_all", f"{name}_other"]
-            writer.writerow(header)
+            writer.writerow(["image", *(f"{n}_{v}" for n in self.labels for v in ("all", "other"))])
             for r, idx in enumerate(self.image_indices):
-                row: list = [f"x{idx}"]
-                for s in range(len(self.labels)):
-                    row += [f"{self.p_all[r, s]:.6f}", f"{self.p_other[r, s]:.6f}"]
-                writer.writerow(row)
+                cells = np.stack([self.p_all[r], self.p_other[r]], axis=1).ravel()
+                writer.writerow([f"x{idx}", *(f"{p:.6f}" for p in cells)])
 
 
 def indistinguishability_protocol(

@@ -19,6 +19,7 @@ import numpy as np
 from .core import Dataset, Image
 from .encrypt import SchemeConfig, _encrypt_rows, _partners, _sources, encrypt_epoch
 from .errors import DimensionMismatchError, FormatError, TruncatedFileError, ValidationError
+from .ihds import output, read_file
 from .rng import Draws, RngStream, Streams
 
 MODEL_MAGIC = b"IHMD"
@@ -308,8 +309,9 @@ def model_from_bytes(blob: bytes) -> LinearSoftmaxModel:
 
 
 def save_model(model: LinearSoftmaxModel, path: str | Path) -> None:
-    Path(path).write_bytes(model_to_bytes(model))
+    with output(path) as fh:
+        fh.write(model_to_bytes(model))
 
 
 def load_model(path: str | Path) -> LinearSoftmaxModel:
-    return model_from_bytes(Path(path).read_bytes())
+    return model_from_bytes(read_file(path))

@@ -696,3 +696,86 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys, monkeypatch, line,
                  "1x4x4", "--out", str(tmp_path / "e.ihds")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _files(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_bytes(b"k = 3\n\xff\xfe = 1\n")
+    code = main(["stats", "concentration", "--d", "8", "--n", "4", "--trials", "10",
+                 "--config", str(cfg)])
+    assert code == 2
+    assert f"error: cannot read input file {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_labels_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "x.raw").write_bytes(bytes(8))
+    labels = tmp_path / "y.csv"
+    labels.write_bytes(b"0\n\xe9\n")
+    code = main(["import", "--raw", str(tmp_path / "x.raw"), "--dims", "1x2x2",
+                 "--labels", str(labels), "--classes", "3", "--out", str(tmp_path / "i.ihds")])
+    assert code == 2
+    assert f"error: cannot read input file {labels}: not UTF-8 text" in capsys.readouterr().err
+    assert _files(tmp_path) == ["x.raw", "y.csv"]
+
+
+def test_non_integer_provenance_cell_exits_2(tmp_path, capsys):
+    patches = make_gaussian_dataset(4, (1, 4, 4), RngStream(30), normalize=False)
+    _, sidecar = save_patchset(build_patchset(patches, (4, 4), 1, RngStream(31),
+                                              min_keypoints=0), tmp_path / "p.ihds")
+    lines = sidecar.read_text().splitlines()
+    lines[2] = "1,0,x,7"
+    sidecar.write_text("\n".join(lines) + "\n")
+    code = main(["attack", "public-scan", "--public", str(tmp_path / "p.ihds"), "--k", "2",
+                 "--synthetic-dims", "1x4x4"])
+    assert code == 2
+    assert f"error: cannot read input file {sidecar}: bad provenance row" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "out, report",
+    [("nodir/o.ihds", "r.json"), ("o.ihds", "nodir/r.json"), ("d", "r.json"), ("o.ihds", "d")],
+    ids=["out-in-missing-dir", "report-in-missing-dir", "out-is-a-dir", "report-is-a-dir"],
+)
+def test_unopenable_output_exits_2_and_writes_nothing(tmp_path, capsys, out, report):
+    (tmp_path / "d").mkdir()
+    code = main(["encrypt", "--synthetic-n", "4", "--synthetic-dims", "1x4x4", "--epochs", "1",
+                 "--out", str(tmp_path / out), "--report", str(tmp_path / report)])
+    assert code == 2
+    assert "error: cannot write output file" in capsys.readouterr().err
+    assert _files(tmp_path) == ["d"] and _files(tmp_path / "d") == []
+
+
+def test_tripped_guard_keeps_the_earlier_release(tmp_path, monkeypatch):
+    out, meta = tmp_path / "c.ihds", tmp_path / "c.ihds.meta.txt"
+    argv = ["challenge", "--n", "6", "--synthetic-dims", "1x4x4", "--out", str(out)]
+    assert main(argv + ["--epochs", "1"]) == 0
+    before = out.read_bytes(), meta.read_bytes()
+    export = cli._export
+
+    def leaky(opts, rng, private, cfg, publicset):
+        results = export(opts, rng, private, cfg, publicset)  # stages a clean release
+        save_dataset(private, opts["out"])  # then overwrites it with the private set
+        return results
+
+    monkeypatch.setattr(cli, "_export", leaky)
+    assert main(argv + ["--epochs", "2", "--report", str(tmp_path / "r.json")]) == 1
+    assert (out.read_bytes(), meta.read_bytes()) == before
+    assert _files(tmp_path) == ["c.ihds", "c.ihds.meta.txt"]
+
+
+def test_encrypt_in_place_matches_two_paths(tmp_path):
+    data = make_gaussian_dataset(5, (1, 4, 4), RngStream(32), classes=3)
+    for name in ("same.ihds", "in.ihds"):
+        save_dataset(data, tmp_path / name)
+    run = ["encrypt", "--epochs", "2", "--seed", "4", "--in"]
+    assert main(run + [str(tmp_path / "same.ihds"), "--out", str(tmp_path / "same.ihds")]) == 0
+    assert main(run + [str(tmp_path / "in.ihds"), "--out", str(tmp_path / "out.ihds")]) == 0
+    for suffix in ("", ".meta.txt"):
+        assert ((tmp_path / f"same.ihds{suffix}").read_bytes()
+                == (tmp_path / f"out.ihds{suffix}").read_bytes())
+    assert not list(tmp_path.glob("*.tmp"))

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from instahide import ihds
 from instahide.core import Dataset, make_gaussian_dataset, one_hot
 from instahide.errors import FormatError, TruncatedFileError, ValidationError
 from instahide.ihds import (
@@ -9,7 +13,10 @@ from instahide.ihds import (
     dataset_to_bytes,
     import_raw,
     load_dataset,
+    output,
+    publishing,
     read_arrays,
+    read_file,
     save_dataset,
     write_arrays,
 )
@@ -214,3 +221,101 @@ def test_import_raw_rejects_malformed_weight_rows(tmp_path, row, classes):
     lp.write_text("0.25,0.25,0.5\n")
     ds = import_raw(rp, (2, 2, 2), labels_path=lp, classes=classes)
     assert ds.label_matrix().tolist() == [[0.25, 0.25, 0.5]]
+
+
+def test_a_block_publishes_on_success_and_nothing_on_error(tmp_path):
+    a, b = tmp_path / "a.bin", tmp_path / "b.txt"
+    a.write_bytes(b"old")
+    with publishing():
+        with output(a) as fh:
+            fh.write(b"new")
+        with output(b, "w") as fh:
+            fh.write("text\n")
+        assert a.read_bytes() == b"old" and not b.exists()  # staged, not yet published
+        assert bytes(read_file(a)) == b"new"  # a staged path reads as its staged file
+    assert a.read_bytes() == b"new" and b.read_text() == "text\n"
+    with pytest.raises(KeyError):
+        with publishing():
+            with output(a) as fh:
+                fh.write(b"lost")
+            raise KeyError("fails after the write")
+    assert a.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.txt"]
+
+
+def test_an_inner_block_that_fails_discards_only_its_own_files(tmp_path):
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    with publishing():
+        with output(a) as fh:
+            fh.write(b"kept")
+        with pytest.raises(KeyError):
+            with output(b) as fh:
+                fh.write(b"half")
+                raise KeyError("fails mid-write")
+    assert a.read_bytes() == b"kept" and not b.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+
+def test_an_output_in_a_missing_directory_is_invalid_input(tmp_path):
+    with pytest.raises(ValidationError, match="cannot write output file"):
+        save_dataset(make_gaussian_dataset(2, (1, 2, 2), RngStream(0)), tmp_path / "no" / "d.ihds")
+    assert not list(tmp_path.iterdir())
+
+
+def test_read_file_gives_a_frozen_buffer_and_names_undecodable_text(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"\xffabc")
+    buf = read_file(path)
+    assert buf.dtype == np.uint8 and not buf.flags.writeable and bytes(buf) == b"\xffabc"
+    with pytest.raises(OSError, match="not UTF-8 text") as exc:
+        read_file(path, text=True)
+    assert exc.value.filename == str(path)
+    ds = make_gaussian_dataset(3, (1, 2, 2), RngStream(0))
+    save_dataset(ds, tmp_path / "d.ihds")
+    assert not load_dataset(tmp_path / "d.ihds").matrix().flags.writeable
+
+
+# what a module would call or import to reach a file without ihds.output and
+# ihds.read_file; os is imported for os.environ, so only calls into it count
+_FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text", "tofile"}
+_NUMPY_FILE_CALLS = {"fromfile", "load", "memmap", "save", "savetxt", "savez"}
+_TEXT_PARSERS = {"loadtxt", "genfromtxt"}  # allowed on the lines of a read_file text
+_FILE_MODULES = {"io", "mmap", "shutil", "tempfile"}
+
+
+def _parses_lines(call: ast.Call) -> bool:
+    """Whether ``call``'s first argument is ``<text>.splitlines()``."""
+    arg = call.args[0] if call.args else None
+    return isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "splitlines"
+
+
+def _file_access(tree: ast.AST):
+    """(line, what) for each call or import in ``tree`` that could touch a file path."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            yield from ((node.lineno, n) for n in names if (n or "").split(".")[0] in _FILE_MODULES)
+        elif isinstance(node, ast.Call):
+            func = root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            module = getattr(root, "id", None) if root is not func else None
+            if (name in _FILE_CALLS or module in {"os", *_FILE_MODULES}
+                    or module == "np" and name in _NUMPY_FILE_CALLS
+                    or name in _TEXT_PARSERS and not _parses_lines(node)):
+                yield node.lineno, ast.unparse(func)
+
+
+def test_only_ihds_touches_file_paths():
+    package = Path(ihds.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "ihds.py":
+            tree = ast.parse(path.read_text())
+            found += [f"{path.name}:{line} {what}" for line, what in _file_access(tree)]
+    assert found == []
+    # the scan sees what it bans
+    probe = ("from mmap import mmap\nopen(p)\nP(p).write_text(t)\nos.replace(a, b)\n"
+             "np.save(p, a)\nnp.loadtxt(p)\nnp.loadtxt(text.splitlines())\nload(p)\n")
+    assert [line for line, _ in _file_access(ast.parse(probe))] == [1, 2, 3, 4, 5, 6]
