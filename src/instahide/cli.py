@@ -16,10 +16,11 @@ can supply them. Config-file values and IH_SEED are typed like flags: a
 value its option's type refuses, or an unknown key, is invalid input.
 ``main`` runs every command the same way: resolve the options, open
 RngStream(seed), call the handler with them, and write one JSON report whose
-``config`` holds every option the command read, paths included. Its non-null
-entries, as a config file, replay the run to byte-identical artifacts.
-A command publishes its output files and report only when it exits 0; until
-then each is staged as ``<name>.<pid>.tmp``, which a killed run can leave.
+``config`` holds exactly the options the run read (``Options.read``), paths
+included. Its non-null entries, as a config file, replay the run to
+byte-identical artifacts. A command publishes its output files and report,
+and prints a report without ``--report``, only when it exits 0; until then
+each file is staged as ``<name>.<pid>.tmp``, which a killed run can leave.
 Exit codes: 0 success, 2 invalid input or configuration, 1 runtime failure.
 """
 
@@ -30,7 +31,6 @@ import json
 import os
 import sys
 from collections import ChainMap
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -200,7 +200,19 @@ def _load_config_file(path: str | None) -> dict:
     return out
 
 
-def resolve_options(given: dict, command: str) -> dict:
+class Options(dict):
+    """A command's resolved options; ``read`` keeps each one a lookup returned."""
+
+    def __init__(self, values: dict):
+        super().__init__(values)
+        self.read = {}
+
+    def __getitem__(self, name: str):
+        self.read[name] = value = super().__getitem__(name)
+        return value
+
+
+def resolve_options(given: dict, command: str) -> Options:
     """The value of every option ``command`` reads: IH_SEED (for the seed) >
     flag > config file > COMMAND_DEFAULTS > OPTIONS default. ``given`` holds
     the parsed flags, None where absent; a required option left unset is
@@ -216,11 +228,11 @@ def resolve_options(given: dict, command: str) -> dict:
         COMMAND_DEFAULTS.get(command, {}),
         {name: opt.default for name, opt in OPTIONS.items()},
     )
-    opts = {name: layers[name] for name, _, _ in flags}
-    missing = [flag for name, flag, required in flags if required and opts[name] is None]
+    values = {name: layers[name] for name, _, _ in flags}
+    missing = [flag for name, flag, required in flags if required and values[name] is None]
     if missing:
         raise ValidationError(f"missing required option {', '.join(missing)} (flag or config)")
-    return opts
+    return Options(values)
 
 
 def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
@@ -238,12 +250,6 @@ def _scheme_config(opts: dict, scheme: str | None = None) -> SchemeConfig:
     return SchemeConfig(scheme or opts["scheme"], **given)
 
 
-def _drop(opts: dict, names: str) -> None:
-    """Drop options the run never read: a report lists only those that mattered."""
-    for name in names.split():
-        opts.pop(name, None)
-
-
 def _read_input(load, path, *args, **kwargs):
     """load(path, ...); an unreadable, truncated or unparsable file is bad input (exit 2)."""
     try:
@@ -254,36 +260,27 @@ def _read_input(load, path, *args, **kwargs):
 
 
 def _private_dataset(opts: dict, rng: RngStream) -> Dataset:
-    """The dataset behind --in (the synthetic options, unread, leave the
-    report), or a labelled synthetic Gaussian stand-in."""
+    """The dataset behind --in, or a labelled synthetic Gaussian stand-in."""
     if opts["in"]:
-        _drop(opts, _SYNTHETIC)
         return _read_input(load_dataset, opts["in"])
     return make_gaussian_dataset(
         opts["synthetic_n"],
         _parse_dims(opts["synthetic_dims"]),
         rng.child("synthetic"),
         classes=opts["synthetic_classes"],
-        name="synthetic",
     )
 
 
 def _public_patches(opts: dict, dims, rng: RngStream, count: int = 1000, cfg=None):
     """PatchSet from --public, or synthetic textured patches of the same dims;
-    None when ``cfg`` is given and is not the cross scheme (then --public,
-    unread, leaves the report)."""
+    None, without reading --public, when ``cfg`` is given and is not the cross
+    scheme."""
     if cfg is not None and cfg.scheme != "cross":
-        _drop(opts, "public")
         return None
     if opts["public"]:
         return _read_input(publicprep.load_patchset, opts["public"])
     sources = make_gaussian_dataset(count, dims, rng.child("public"), normalize=False)
     return publicprep.build_patchset(sources, dims[1:], 1, rng.child("crop"), min_keypoints=0)
-
-
-def write_report(path: str | None, payload: dict) -> None:
-    with output(path, "w") if path else nullcontext(sys.stdout) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +291,7 @@ def write_report(path: str | None, payload: dict) -> None:
 def cmd_import(opts: dict, rng: None) -> dict:
     ds = _read_input(
         import_raw, opts["raw"], _parse_dims(opts["dims"]), labels_path=opts["labels"],
-        classes=opts["classes"], name=Path(opts["out"]).stem,
+        classes=opts["classes"],
     )
     save_dataset(ds, opts["out"])
     return {"images": ds.n, "out": opts["out"]}
@@ -337,7 +334,6 @@ def cmd_train(opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(opts, rng)
     model = utility.init_model(private.label_matrix().shape[1], private.d)
     if opts["plain"]:
-        _drop(opts, f"{_SCHEME} ensemble public")
         model = utility.train(model, private, opts["epochs"], opts["lr"], rng.child("sgd"))
     else:
         cfg = _scheme_config(opts)
@@ -354,7 +350,6 @@ def cmd_eval(opts: dict, rng: RngStream) -> dict:
     model = _read_input(utility.load_model, opts["model"])
     test = _private_dataset(opts, rng)
     if opts["mode"] == "plain":
-        _drop(opts, f"{_SCHEME} ensemble public")
         acc = utility.evaluate(model, test, mode="plain")
     else:  # evaluate refuses a mode other than encrypted
         cfg = _scheme_config(opts)
@@ -369,9 +364,9 @@ def cmd_eval(opts: dict, rng: RngStream) -> dict:
 def _attack_results(opts: dict, report, **extra) -> dict:
     """The attack report's results plus ``extra``; the reconstruction goes to
     --reconstruction-out when the command has one."""
-    path = opts.get("reconstruction_out")
+    path = opts["reconstruction_out"] if "reconstruction_out" in opts else None
     if path and report.reconstruction is not None:
-        save_dataset(Dataset((report.reconstruction,), name="reconstruction"), path)
+        save_dataset(Dataset((report.reconstruction,)), path)
     return {**report.to_dict(path), **extra}
 
 
@@ -467,9 +462,8 @@ def cmd_attack_similarity(opts: dict, rng: RngStream) -> dict:
 def cmd_attack_grad_match(opts: dict, rng: RngStream) -> dict:
     dims = _parse_dims(opts["synthetic_dims"])
     classes = opts["synthetic_classes"]
-    d = dims[0] * dims[1] * dims[2]
-    model = utility.init_model(classes, d, rng.child("model"), scale=0.01)
     victim_ds = make_gaussian_dataset(1, dims, rng.child("victim"), classes=classes)
+    model = utility.init_model(classes, victim_ds.d, rng.child("model"), scale=0.01)
     victim, label = Image(victim_ds.matrix()[0], dims), victim_ds.label_matrix()[0]
     _, grads = utility.loss_and_gradient(model, victim, label)
     report = attacks.gradient_matching_attack(
@@ -581,12 +575,19 @@ def main(argv=None) -> int:
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
         opts = resolve_options(vars(args), command)
-        if not np.isfinite(opts.get("threshold") or 0.0):  # no JSON report holds it
-            raise ValidationError(f"threshold must be a finite number, got {opts['threshold']}")
+        threshold = opts["threshold"] if "threshold" in opts else None
+        if not np.isfinite(threshold or 0.0):  # no JSON report holds it
+            raise ValidationError(f"threshold must be a finite number, got {threshold}")
         rng = RngStream(opts["seed"]) if "seed" in opts else None
         with publishing():  # a failed command publishes none of its outputs
             results = args.func(opts, rng)
-            write_report(args.report, {"command": command, "config": opts, "results": results})
+            report = {"command": command, "config": opts.read, "results": results}
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            if args.report:
+                with output(args.report, "w") as fh:
+                    fh.write(text)
+        if not args.report:  # printed only once the outputs are in place
+            sys.stdout.write(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -434,13 +434,14 @@ def make_gaussian_dataset(
     rng: RngStream,
     classes: int | None = None,
     normalize: bool = True,
-    name: str = "",
 ) -> Dataset:
     """Synthetic stand-in for a private image set: i.i.d. N(0, 1/d) pixels,
     optionally mean-centered and unit-normalized, with uniform random one-hot
     labels when ``classes`` is given."""
     if int(n) < 1:
         raise ValidationError(f"a synthetic set needs n >= 1 images, got {n}")
+    if classes is not None and classes < 1:
+        raise ValidationError(f"a labelled synthetic set needs classes >= 1, got {classes}")
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
     gen = rng.generator()
@@ -450,4 +451,4 @@ def make_gaussian_dataset(
     labels = None
     if classes is not None:
         labels = np.eye(classes, dtype=np.float32)[gen.integers(0, classes, size=n)]
-    return Dataset(pixels, labels, dims=dims, name=name, normalized=normalize)
+    return Dataset(pixels, labels, dims=dims, normalized=normalize)

@@ -299,17 +299,16 @@ def identity_mask(d: int) -> SignMask:
 
 
 def encrypt_sample(
-    private: Dataset, i: int, cfg: SchemeConfig, rng: RngStream, publicset=None,
-    epoch: int = 0, sample_id: int = 0,
+    private: Dataset, i: int, cfg: SchemeConfig, rng: RngStream, publicset=None
 ) -> tuple[EncryptedSample, EncryptionKey]:
-    """Encrypt one private image under any scheme. The sets' matrices are
-    used as stored and only the k source rows it mixes are cast, so this
-    stays cheap on a large pool."""
+    """Encrypt one private image under any scheme, as epoch 0's sample 0. The
+    sets' matrices are used as stored and only the k source rows it mixes are
+    cast, so this stays cheap on a large pool."""
     if not 0 <= int(i) < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
     S, Y = _sources(private, cfg, publicset), [private.label_matrix()]
     rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
-    samples, keys = _blocks(rows, private, np.array([epoch]), np.array([sample_id]))
+    samples, keys = _blocks(rows, private, np.zeros(1, np.int64), np.zeros(1, np.int64))
     return samples[0], keys[0]
 
 

@@ -198,9 +198,9 @@ def read_arrays(path: str | Path) -> tuple:
     return _from_bytes(read_file(path))
 
 
-def dataset_from_bytes(raw: bytes, name: str = "") -> Dataset:
+def dataset_from_bytes(raw: bytes) -> Dataset:
     pixels, labels, normalized = _from_bytes(raw)
-    return Dataset(pixels, labels, name=name, normalized=normalized)
+    return Dataset(pixels, labels, normalized=normalized)
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> Path:
@@ -209,7 +209,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    return dataset_from_bytes(read_file(path), name=Path(path).stem)
+    return dataset_from_bytes(read_file(path))
 
 
 def import_raw(
@@ -217,7 +217,6 @@ def import_raw(
     dims: tuple[int, int, int],
     labels_path: str | Path | None = None,
     classes: int | None = None,
-    name: str = "",
 ) -> Dataset:
     """Build a Dataset from raw u8 RGB tensors plus an optional label CSV.
 
@@ -255,4 +254,4 @@ def import_raw(
         if len({r.size for r in rows}) > 1:
             raise ValidationError("labels have mixed class counts")
         labels = np.array(rows) if rows else np.zeros((0, classes or 0), np.float32)
-    return Dataset(pixels, labels, dims=dims, classes=classes, name=name)
+    return Dataset(pixels, labels, dims=dims, classes=classes)

@@ -1,6 +1,8 @@
 """Statistical validators: a two-sample Kolmogorov-Smirnov engine, the
 encryption-indistinguishability protocol, and Monte Carlo checks of the
-concentration bounds behind the mixing schemes' security analysis.
+concentration bounds behind the mixing schemes' security analysis. Those
+checks draw Gaussian pixels of variance 1/d (the chi-square tail has df = d),
+and ``ks_uniform`` tests against the uniform distribution on [0, 1].
 """
 
 from __future__ import annotations
@@ -68,16 +70,13 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return stat, kolmogorov_survival(math.sqrt(ne) * stat)
 
 
-def ks_uniform(values, lo: float = 0.0, hi: float = 1.0) -> tuple[float, float]:
-    """One-sample KS against the uniform distribution on [lo, hi]."""
-    v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
-    if v.size == 0:
+def ks_uniform(values) -> tuple[float, float]:
+    """One-sample KS against the uniform distribution on [0, 1]."""
+    u = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
+    if u.size == 0:
         raise ValidationError("sample must be non-empty")
-    if not hi > lo:
-        raise ValidationError(f"need hi > lo, got [{lo}, {hi}]")
-    u = (v - lo) / (hi - lo)
-    if u.min() < 0.0 or u.max() > 1.0:
-        raise ValidationError("values fall outside [lo, hi]")
+    if u[0] < 0.0 or u[-1] > 1.0:
+        raise ValidationError("values fall outside [0, 1]")
     n = u.size
     grid = np.arange(n, dtype=np.float64)
     stat = float(max(np.max((grid + 1.0) / n - u), np.max(u - grid / n)))
@@ -241,13 +240,12 @@ def indistinguishability_protocol(
 
 @dataclass(frozen=True)
 class ConcentrationCheckConfig:
-    """Common knobs for the Monte Carlo validators. ``sigma2`` is the
-    per-pixel Gaussian variance; None means 1/d."""
+    """Common knobs for the Monte Carlo validators, whose Gaussian pixels
+    have variance 1/d (``pixel_variance``)."""
 
     d: int = 3072
     n: int = 1000
     k: int = 4
-    sigma2: float | None = None
     delta: float = 0.01
     trials: int = 1000
     beta: float = 2.0
@@ -261,12 +259,10 @@ class ConcentrationCheckConfig:
             raise ValidationError(f"trials must be >= 100, got {self.trials}")
         if not self.beta > 1.0:
             raise ValidationError(f"beta must exceed 1, got {self.beta}")
-        if self.sigma2 is not None and not self.sigma2 >= 0.0:
-            raise ValidationError(f"sigma2 must be >= 0, got {self.sigma2}")
 
     @property
     def pixel_variance(self) -> float:
-        return float(self.sigma2) if self.sigma2 is not None else 1.0 / self.d
+        return 1.0 / self.d
 
     def params(self) -> dict:
         return {**asdict(self), "sigma2": self.pixel_variance}
@@ -282,10 +278,9 @@ def check_chi_square_tail(
     cfg: ConcentrationCheckConfig,
     rng: RngStream,
     t_values: tuple[float, ...] = (1.0, 2.0, 4.0),
-    df: int | None = None,
 ) -> dict:
     """Squared norms of Gaussian vectors concentrate: with X = ||g||^2 for
-    g ~ N(0, sigma^2 I_df),
+    g ~ N(0, s2 I_df), df = d and s2 = 1/d,
 
         Pr[X - df*s2 >= (2*sqrt(df*t) + 2t)*s2] <= exp(-t)
         Pr[df*s2 - X >= 2*sqrt(df*t)*s2]        <= exp(-t)
@@ -293,10 +288,7 @@ def check_chi_square_tail(
     Both tails are measured empirically and must sit within 3 standard errors
     of their bound.
     """
-    df = int(df) if df is not None else cfg.d
-    if df < 1:
-        raise ValidationError(f"degrees of freedom must be >= 1, got {df}")
-    s2 = cfg.pixel_variance
+    df, s2 = cfg.d, cfg.pixel_variance
     gen = rng.generator()
     sums = np.empty(cfg.trials)
     chunk = max(1, 16_000_000 // df)
@@ -339,20 +331,16 @@ def check_chi_square_tail(
 def check_inner_product_concentration(
     cfg: ConcentrationCheckConfig,
     rng: RngStream,
-    sigma1: float | None = None,
-    sigma2: float | None = None,
 ) -> dict:
-    """|<u, e>| for independent Gaussian vectors stays below
-    1e4 * s1 * s2 * sqrt(d) * log^2(d/delta) except with probability delta.
+    """|<u, e>| for independent Gaussian vectors with per-pixel scales
+    s1 = s2 = sqrt(1/d) stays below 1e4 * s1 * s2 * sqrt(d) * log^2(d/delta)
+    except with probability delta.
 
     The 1e4 constant is deliberately loose, so besides the pass/fail the
     report carries the measured constant: the empirical (1-delta)-quantile
     divided by s1 * s2 * sqrt(d) * log^2(d/delta).
     """
-    s1 = float(sigma1) if sigma1 is not None else math.sqrt(cfg.pixel_variance)
-    s2 = float(sigma2) if sigma2 is not None else math.sqrt(cfg.pixel_variance)
-    if s1 < 0.0 or s2 < 0.0:
-        raise ValidationError("sigma scales must be >= 0")
+    s1 = s2 = math.sqrt(cfg.pixel_variance)
     gen = rng.generator()
     ips = np.empty(cfg.trials)
     chunk = max(1, 8_000_000 // cfg.d)
@@ -365,9 +353,7 @@ def check_inner_product_concentration(
     bound = 1e4 * scale
     abs_ips = np.abs(ips)
     quantile = float(np.quantile(abs_ips, 1.0 - cfg.delta))
-    violation_rate = float(np.mean(abs_ips >= bound)) if bound > 0 else float(
-        np.mean(abs_ips > 0)
-    )
+    violation_rate = float(np.mean(abs_ips >= bound))  # bound > 0: d / delta > 1
     return {
         "check": "inner_product_concentration",
         "params": cfg.params(),
@@ -375,7 +361,7 @@ def check_inner_product_concentration(
         "sigma2": s2,
         "bound": bound,
         "quantile": quantile,
-        "measured_constant": quantile / scale if scale > 0 else 0.0,
+        "measured_constant": quantile / scale,
         "violation_rate": violation_rate,
         "violation_ok": _three_sigma_ok(violation_rate, cfg.delta, cfg.trials),
         "passes": bool(quantile <= bound),

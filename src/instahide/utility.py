@@ -33,19 +33,22 @@ DEFAULT_ENSEMBLE = 10
 
 @dataclass
 class LinearSoftmaxModel:
-    """Logits = W x + b, probabilities by softmax. Weights live in float64;
-    checkpoints store float32."""
+    """Logits = W x + b over at least 2 classes, probabilities by softmax.
+    Weights live in float64; checkpoints store float32."""
 
     W: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.W = np.ascontiguousarray(self.W, dtype=np.float64)
-        self.b = np.ascontiguousarray(self.b, dtype=np.float64).reshape(-1)
+        with np.errstate(invalid="ignore"):  # a signalling NaN is refused below
+            self.W = np.ascontiguousarray(self.W, dtype=np.float64)
+            self.b = np.ascontiguousarray(self.b, dtype=np.float64).reshape(-1)
         if self.W.ndim != 2 or self.W.shape[0] != self.b.size:
             raise ValidationError(
                 f"W shape {self.W.shape} incompatible with b length {self.b.size}"
             )
+        if self.classes < 2 or self.d < 1:
+            raise ValidationError(f"need classes >= 2 and d >= 1, got {self.classes}, {self.d}")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
             raise ValidationError("model weights must be finite")
 
@@ -65,8 +68,6 @@ def init_model(
     classes: int, d: int, rng: RngStream | None = None, scale: float = 0.01
 ) -> LinearSoftmaxModel:
     """Zero model, or N(0, scale^2) entries when an rng is given."""
-    if classes < 2 or d < 1:
-        raise ValidationError(f"need classes >= 2 and d >= 1, got {classes}, {d}")
     if rng is None:
         return LinearSoftmaxModel(np.zeros((classes, d)), np.zeros(classes))
     gen = rng.generator()
@@ -258,13 +259,16 @@ def evaluate(
     partner_pool=None,
     publicset=None,
 ) -> float:
-    """Top-1 accuracy against the argmax of the true label vectors. In
-    encrypted mode image i is predicted as predict_encrypted would with
-    rng.child("eval", i)."""
+    """Top-1 accuracy against the argmax of the true label vectors, which
+    must be as many as the model's classes. In encrypted mode image i is
+    predicted as predict_encrypted would with rng.child("eval", i)."""
     if mode not in ("plain", "encrypted"):
         raise ValidationError(f"mode must be plain or encrypted, got {mode!r}")
     if test.classes is None or test.n == 0:
         raise ValidationError("evaluation needs a labelled, non-empty dataset")
+    if (test.d, test.classes) != (model.d, model.classes):
+        raise DimensionMismatchError(f"a model of d={model.d} and {model.classes} classes "
+                                     f"cannot score d={test.d} and {test.classes} classes")
     truth = np.argmax(test.label_matrix(), axis=1)
     if mode == "plain":
         P = softmax_rows(test.matrix().astype(np.float64) @ model.W.T + model.b)

@@ -11,7 +11,7 @@ from instahide.core import Dataset, make_gaussian_dataset
 from instahide.errors import TruncatedFileError, ValidationError
 from instahide.publicprep import build_patchset, save_patchset
 from instahide.rng import RngStream
-from instahide.utility import init_model, save_model
+from instahide.utility import init_model, model_to_bytes, save_model
 
 
 def run(args, capsys=None):
@@ -779,3 +779,52 @@ def test_encrypt_in_place_matches_two_paths(tmp_path):
         assert ((tmp_path / f"same.ihds{suffix}").read_bytes()
                 == (tmp_path / f"out.ihds{suffix}").read_bytes())
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_report_prints_only_after_the_outputs_are_published(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(f"cannot move {src} to {dst}")
+
+    monkeypatch.setattr("os.replace", refuse)
+    code = main(["encrypt", "--scheme", "mixup", "--k", "2", "--synthetic-n", "4",
+                 "--synthetic-dims", "1x4x4", "--epochs", "1", "--out", str(tmp_path / "e.ihds")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "runtime error: cannot move" in captured.err
+
+
+SMALL = ["--synthetic-n", "4", "--synthetic-dims", "1x4x4", "--synthetic-classes", "3"]
+
+
+def _eval_exit(capsys, model_path, *argv):
+    """Exit codes of eval in plain and in encrypted mode, and the last error;
+    ``argv`` may repeat a SMALL flag, and argparse keeps its last value."""
+    codes = [main(["eval", "--model", str(model_path), *SMALL, *argv, "--mode", mode,
+                   "--scheme", "mixup", "--k", "2", "--ensemble", "1"])
+             for mode in ("plain", "encrypted")]
+    return codes, capsys.readouterr().err
+
+
+def test_eval_refuses_a_model_of_another_d_in_both_modes(tmp_path, capsys):
+    save_model(init_model(3, 16), tmp_path / "m16.ihmd")
+    codes, err = _eval_exit(capsys, tmp_path / "m16.ihmd", "--synthetic-dims", "1x4x8")
+    assert codes == [2, 2]
+    assert "a model of d=16 and 3 classes cannot score d=32 and 3 classes" in err
+
+
+def test_eval_refuses_a_model_of_other_classes_in_both_modes(tmp_path, capsys):
+    save_model(init_model(3, 16), tmp_path / "m16.ihmd")
+    codes, err = _eval_exit(capsys, tmp_path / "m16.ihmd", "--synthetic-classes", "5")
+    assert codes == [2, 2]
+    assert "cannot score d=16 and 5 classes" in err
+
+
+@pytest.mark.parametrize("classes", [0, 1])
+def test_eval_refuses_a_checkpoint_of_fewer_than_2_classes(tmp_path, capsys, classes):
+    blob = bytearray(model_to_bytes(init_model(2, 16)))
+    blob[4:6] = classes.to_bytes(2, "little")  # the header's class count
+    path = tmp_path / "m.ihmd"
+    path.write_bytes(bytes(blob[: len(blob) - 4 * 17 * (2 - classes)]))
+    codes, err = _eval_exit(capsys, path)
+    assert codes == [2, 2]
+    assert f"need classes >= 2 and d >= 1, got {classes}, 16" in err

@@ -69,8 +69,8 @@ def test_kernel_matches_oracle(scheme, k, d, seed):
         assert_same_sample(g, w)
         assert_same_key(gk, wk)
 
-    g, gk = encrypt.encrypt_sample(private, 3, cfg, rng.child("one"), pub, 4, 9)
-    w, wk = oracle.encrypt_sample(private, 3, cfg, rng.child("one"), pub, 4, 9)
+    g, gk = encrypt.encrypt_sample(private, 3, cfg, rng.child("one"), pub)
+    w, wk = oracle.encrypt_sample(private, 3, cfg, rng.child("one"), pub)
     assert_same_sample(g, w)
     assert_same_key(gk, wk)
 

@@ -260,7 +260,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ConcentrationCheckConfig(beta=1.0)
     assert ConcentrationCheckConfig(d=100).pixel_variance == pytest.approx(0.01)
-    assert ConcentrationCheckConfig(d=100, sigma2=2.0).pixel_variance == 2.0
 
 
 def test_chi_square_tail_bound_holds():
@@ -274,8 +273,8 @@ def test_chi_square_tail_bound_holds():
 
 
 def test_chi_square_small_df():
-    cfg = ConcentrationCheckConfig(d=512, n=100, k=4, trials=4000)
-    rep = check_chi_square_tail(cfg, RngStream(41), t_values=(1,), df=1)
+    cfg = ConcentrationCheckConfig(d=1, n=100, k=4, trials=4000)
+    rep = check_chi_square_tail(cfg, RngStream(41), t_values=(1,))
     assert rep["df"] == 1 and rep["passes"] is True
 
 
@@ -285,8 +284,6 @@ def test_inner_product_concentration():
     assert rep["passes"] is True
     assert rep["quantile"] <= rep["bound"]
     assert rep["measured_constant"] < 1.0  # the reference constant is loose
-    zero = check_inner_product_concentration(cfg, RngStream(43), sigma1=0.0)
-    assert zero["quantile"] == 0.0
 
 
 def test_inner_product_tiny_dimension_still_bounded():
