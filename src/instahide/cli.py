@@ -236,10 +236,10 @@ def resolve_options(given: dict, command: str) -> Options:
 
 
 def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
-    """Unsigned ints separated by 'x' (or ','), one per letter of ``shape``."""
+    """Positive ints separated by 'x' (or ','), one per letter of ``shape``."""
     parts = [p.strip() for p in text.replace(",", "x").split("x") if p]
-    if len(parts) != len(shape.split("x")) or not all(p.isdecimal() for p in parts):
-        raise ValidationError(f"dims must be {shape}, got {text!r}")
+    if len(parts) != len(shape.split("x")) or not all(p.isdecimal() and int(p) for p in parts):
+        raise ValidationError(f"dims must be {shape} of positive ints, got {text!r}")
     return tuple(int(p) for p in parts)
 
 

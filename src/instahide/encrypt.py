@@ -52,7 +52,7 @@ from .rng import Draws, RngStream, Streams
 
 SCHEMES = ("mixup", "inside", "cross")
 
-_TILE_BYTES = 1 << 18  # per float64 buffer of one _mix tile: 10 rows at d = 3072
+_TILE_BYTES = 1 << 18  # per float64 buffer of a _mix tile or stats block: 10 rows at d = 3072
 
 
 @dataclass(frozen=True)

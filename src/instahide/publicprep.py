@@ -229,12 +229,18 @@ def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_patchset(path: str | Path) -> PatchSet:
-    """save_patchset's inverse; a bad sidecar cell is an OSError naming it."""
+    """save_patchset's inverse; a bad sidecar cell, non-ASCII text (on which
+    numpy's loadtxt can crash) or no rows is an OSError naming the sidecar."""
     pixels, _, _ = read_arrays(path)
     sidecar = f"{path}.prov.csv"
+    text = read_file(sidecar, text=True)
     try:
-        rows = np.loadtxt(read_file(sidecar, text=True).splitlines(), np.int64, delimiter=",",
-                          skiprows=1, ndmin=2, usecols=range(4))
-    except ValueError as exc:
+        if not text.isascii():
+            raise ValueError("non-ASCII text")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file without rows
+            rows = np.loadtxt(text.splitlines(), np.int64, delimiter=",", skiprows=1, ndmin=2,
+                              usecols=range(4))
+    except (ValueError, UserWarning) as exc:
         raise OSError(errno.EINVAL, f"bad provenance row ({exc})", sidecar) from None
     return PatchSet(pixels, rows[:, :3], rows[:, 3])

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import Dataset
-from .encrypt import SchemeConfig, _encrypt_rows, _sources
+from .encrypt import _TILE_BYTES, SchemeConfig, _encrypt_rows, _sources
 from .errors import ValidationError
 from .ihds import output
 from .rng import RngStream
@@ -101,36 +101,38 @@ def statistic_labels(probe_count: int) -> tuple[str, ...]:
     return ("mean", "std", "tv") + tuple(f"loc{i + 1}" for i in range(probe_count))
 
 
-def total_variation_rows(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """Anisotropic total variation of each row: sum of absolute vertical plus
-    horizontal neighbor differences, per channel."""
-    m = np.asarray(matrix, dtype=np.float64)
-    c, h, w = dims
-    x = m.reshape(m.shape[0], c, h, w)
-    buf, tv = np.empty(x.size), np.zeros(len(x))
-    for hi, lo in ((x[:, :, 1:], x[:, :, :-1]), (x[..., 1:], x[..., :-1])):
-        diff = np.subtract(hi, lo, out=buf[: hi.size].reshape(hi.shape))
-        tv += np.abs(diff, out=diff).sum(axis=(1, 2, 3))
-    return tv
-
-
 def statistic_matrix(
     matrix: np.ndarray, dims: tuple[int, int, int], probes: tuple[int, ...]
 ) -> np.ndarray:
-    """(n, 3 + len(probes)) float64 profile matrix for stacked pixel rows."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[None]
-    d = dims[0] * dims[1] * dims[2]
+    """(n, 3 + len(probes)) float64 rows of mean, std, anisotropic total
+    variation (absolute vertical plus horizontal neighbor differences, per
+    channel) and probe pixels. Rows are cast in blocks whose float64 buffers
+    fit _TILE_BYTES; one mean serves both columns, reduced as np.mean and
+    np.std reduce, so no block size changes a bit."""
+    m = np.atleast_2d(matrix)
+    c, h, w = dims
+    d = c * h * w
     if m.shape[1] != d:
         raise ValidationError(f"row length {m.shape[1]} != prod(dims) {d}")
-    probes = tuple(int(p) for p in probes)
+    probes = [int(p) for p in probes]
     if any(p < 0 or p >= d for p in probes):
         raise ValidationError(f"probe locations out of range [0, {d})")
-    cols = [m.mean(axis=1), m.std(axis=1), total_variation_rows(m, dims)]
-    for p in probes:
-        cols.append(m[:, p])
-    return np.stack(cols, axis=1)
+    n, step = len(m), max(1, _TILE_BYTES // (8 * d))
+    out, (buf, work) = np.empty((n, 3 + len(probes))), np.empty((2, min(step, n), d))
+    for lo in range(0, n, step):
+        x, t, cols = buf[: n - lo], work[: n - lo], out[lo : lo + step]
+        np.copyto(x, m[lo : lo + step])
+        mean = np.add.reduce(x, axis=1, keepdims=True) / d
+        dev = np.subtract(x, mean, out=t)
+        cols[:, 0] = mean[:, 0]
+        cols[:, 1] = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev), axis=1) / d)
+        img = x.reshape(len(x), c, h, w)
+        cols[:, 2] = 0.0
+        for a, b in ((img[:, :, 1:], img[:, :, :-1]), (img[..., 1:], img[..., :-1])):
+            diff = np.subtract(a, b, out=t.reshape(-1)[: a.size].reshape(a.shape))
+            cols[:, 2] += np.abs(diff, out=diff).sum(axis=(1, 2, 3))
+        cols[:, 3:] = x[:, probes]
+    return out
 
 
 def default_probe_locations(d: int, rng: RngStream, count: int = 4) -> tuple[int, ...]:
@@ -193,11 +195,9 @@ def indistinguishability_protocol(
     """
     if picks > private.n:
         raise ValidationError(f"cannot pick {picks} images from {private.n}")
-    if probe_encryptions > encryptions_per_image:
-        raise ValidationError(
-            f"{probe_encryptions} probes need at least that many encryptions, "
-            f"got {encryptions_per_image}"
-        )
+    if not 1 <= probe_encryptions <= encryptions_per_image:
+        raise ValidationError(f"probe encryptions must be in [1, {encryptions_per_image}] "
+                              f"(the encryptions per image), got {probe_encryptions}")
     if picks < 2:
         raise ValidationError("need at least 2 images to form an Other pool")
 
@@ -209,8 +209,8 @@ def indistinguishability_protocol(
     stats = np.empty((picks, encryptions_per_image, n_stats))
     S = _sources(private, cfg, publicset)
     for r, idx in enumerate(chosen):
-        # 100 encryptions at a time bounds the float64 buffers; the statistics
-        # are per row, so the chunking does not change them
+        # 100 encryptions at a time bounds the float32 pixels; the statistics are
+        # per row, so neither this size nor statistic_matrix's blocks change them
         for lo in range(0, encryptions_per_image, 100):
             js = range(lo, min(lo + 100, encryptions_per_image))
             streams = rng.children("enc", r, ids=js)

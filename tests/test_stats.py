@@ -1,13 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_encrypt as oracle
 
+from instahide import stats
 from instahide.core import Image, make_gaussian_dataset
 from instahide.encrypt import SchemeConfig
 from instahide.errors import ValidationError
+from instahide.publicprep import PatchSet
 from instahide.rng import RngStream
 from instahide.stats import (
     ConcentrationCheckConfig,
@@ -23,7 +29,6 @@ from instahide.stats import (
     ks_uniform,
     statistic_labels,
     statistic_matrix,
-    total_variation_rows,
 )
 
 
@@ -152,7 +157,7 @@ def test_statistic_profile_hand_cases():
 
 def test_total_variation_checkerboard_oracle():
     cb = ((np.indices((4, 4)).sum(0) % 2) * 2 - 1).astype(np.float64)
-    tv = total_variation_rows(cb.reshape(1, -1), (1, 4, 4))
+    tv = statistic_matrix(cb.reshape(1, -1), (1, 4, 4), ())[:, 2]
     assert tv.tolist() == [48.0]  # 24 adjacent pairs, |difference| 2 each
 
 
@@ -163,6 +168,35 @@ def test_statistic_matrix_layout():
     assert statistic_labels(3) == ("mean", "std", "tv", "loc1", "loc2", "loc3")
     row = statistic_matrix(np.asarray(ds.images[2]), (3, 4, 4), probes=(1, 9, 30))
     assert np.array_equal(m[2], row[0])
+
+
+@st.composite
+def profile_cases(draw):
+    """(rows, dims, probes, block rows): n of 1, whole blocks, or blocks plus
+    a tail; rows of finite float32 values or constant rows, with +-0.0 and
+    magnitudes near the float32 limit."""
+    dims = draw(st.sampled_from([(1, 1, 6), (2, 1, 5), (1, 5, 1), (3, 4, 1), (1, 2, 2),
+                                 (3, 4, 5)]))
+    d, block = int(np.prod(dims)), draw(st.integers(2, 5))
+    n = draw(st.sampled_from([1, block * draw(st.integers(1, 3)),
+                              block * draw(st.integers(1, 3)) + draw(st.integers(1, block - 1))]))
+    value = st.one_of(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 3.4e38, -3.4e38]))
+    constant = st.builds(lambda v: [v] * d, value)
+    rows = draw(st.lists(st.one_of(constant, st.lists(value, min_size=d, max_size=d)),
+                         min_size=n, max_size=n))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    probes = tuple(draw(st.lists(st.integers(0, d - 1), max_size=4, unique=True)))
+    return np.array(rows, np.float32).astype(dtype), dims, probes, block
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=profile_cases())
+def test_statistic_matrix_matches_reference_bit_for_bit(case):
+    rows, dims, probes, block = case
+    want = oracle.statistic_matrix(rows, dims, probes)
+    with mock.patch.object(stats, "_TILE_BYTES", 8 * rows.shape[1] * block):
+        assert statistic_matrix(rows, dims, probes).tobytes() == want.tobytes()
 
 
 def test_probe_locations_are_sorted_distinct_and_seeded():
@@ -232,6 +266,44 @@ def test_protocol_validates_picks():
         indistinguishability_protocol(
             ds, cfg, RngStream(36), picks=2, encryptions_per_image=30
         )  # fewer encryptions than probes
+
+
+@pytest.mark.parametrize("probes", [0, -1])
+def test_protocol_refuses_fewer_than_one_probe(probes):
+    # 0 probes averaged an empty slice into NaN p-values (with a warning), and
+    # -1 used all encryptions but the last as probes
+    ds = make_gaussian_dataset(3, (1, 4, 4), RngStream(35), classes=2)
+    cfg = SchemeConfig("inside", k=2, c1=0.65)
+    with pytest.raises(ValidationError, match="probe encryptions must be in"):
+        indistinguishability_protocol(
+            ds, cfg, RngStream(36), picks=2, encryptions_per_image=60, probe_encryptions=probes
+        )
+
+
+@pytest.mark.parametrize("scheme", ["inside", "cross"])
+def test_statistic_block_size_never_changes_pvalues(scheme, monkeypatch):
+    # one-row, 7-row and 10,000-row blocks give the same statistics and
+    # p-values; 130 encryptions per image come as a 100-row and a 30-row
+    # call, so 7-row blocks end in a tail in both
+    dims, d = (3, 4, 4), 48
+    private = make_gaussian_dataset(6, dims, RngStream(60), classes=3)
+    pub = make_gaussian_dataset(8, dims, RngStream(61), normalize=False)
+    public = PatchSet(pub.images, [(i, 0, 0) for i in range(8)], [100] * 8)
+    cfg = SchemeConfig(scheme, k=4, c1=0.65, c2=0.3)
+    rows = np.random.default_rng(62).standard_normal((23, d)).astype(np.float32)
+
+    def outputs():
+        rep = indistinguishability_protocol(
+            private, cfg, RngStream(63), picks=3, encryptions_per_image=130,
+            probe_encryptions=20, publicset=public if scheme == "cross" else None,
+        )
+        table = statistic_matrix(rows, dims, (0, 7, 47))
+        return table.tobytes(), rep.p_all.tobytes(), rep.p_other.tobytes()
+
+    want = outputs()
+    for block in (1, 7, 10_000):
+        monkeypatch.setattr(stats, "_TILE_BYTES", 8 * d * block)
+        assert outputs() == want, block
 
 
 def test_protocol_csv_layout(tmp_path):
