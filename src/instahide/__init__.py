@@ -23,7 +23,6 @@ from .attacks import (
     gradient_matching_attack,
     pair_detection_attack,
     public_scan_attack,
-    recover_private_residual,
     similarity_search_attack,
     ssim,
     ssim_pairwise,
@@ -61,7 +60,6 @@ from .errors import (
     DivergenceError,
     FormatError,
     InfeasibleConstraintError,
-    RankDeficiencyError,
     TruncatedFileError,
     ValidationError,
 )

@@ -32,13 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import Coefficients, Dataset, Image, SignMask, float64_blocks, scan_scores
+from .core import Dataset, Image, SignMask, float64_blocks, scan_scores
 from .encrypt import EncryptedSamples, EncryptionKeys, apply_mask
-from .errors import (
-    DivergenceError,
-    RankDeficiencyError,
-    ValidationError,
-)
+from .errors import DivergenceError, ValidationError
 from .rng import Draws, RngStream
 from .utility import LinearSoftmaxModel, softmax_rows
 
@@ -336,37 +332,6 @@ def public_scan_attack(
     )
 
 
-def recover_private_residual(
-    xtilde, members: list, lam_estimate: Coefficients | np.ndarray | None = None
-) -> Image:
-    """Strip identified public members out of a mix: returns
-    xtilde - sum_j lam_j * z_j, the private contribution up to scale.
-
-    Coefficients default to the least-squares fit of the query on the member
-    matrix; a rank-deficient member set cannot be fit and raises."""
-    if not members:
-        raise ValidationError("need at least one member to subtract")
-    query = np.asarray(xtilde, dtype=np.float64).reshape(-1)
-    A = np.stack([np.asarray(z) for z in members]).astype(np.float64)
-    if A.shape[1] != query.size:
-        raise ValidationError(f"member length {A.shape[1]} != query length {query.size}")
-    if lam_estimate is None:
-        coeffs, _, rank, _ = np.linalg.lstsq(A.T, query, rcond=None)
-        if rank < A.shape[0]:
-            raise RankDeficiencyError(
-                f"member matrix rank {rank} < {A.shape[0]}: coefficients not identifiable"
-            )
-    else:
-        coeffs = np.asarray(
-            lam_estimate.values if isinstance(lam_estimate, Coefficients) else lam_estimate,
-            dtype=np.float64,
-        ).reshape(-1)
-        if coeffs.size != A.shape[0]:
-            raise ValidationError(f"{coeffs.size} coefficients for {A.shape[0]} members")
-    residual = query - coeffs @ A
-    return Image(residual.astype(np.float32), getattr(xtilde, "dims", (1, 1, query.size)))
-
-
 # ---------------------------------------------------------------------------
 # fourth-moment ranking
 
@@ -627,7 +592,7 @@ def similarity_search_attack(
     if not 0 <= m <= n:
         raise ValidationError(f"m must be in [0, {n}], got {m}")
     estimate = demask_with_oracle(xtilde, truth_mask, oracle, tag)
-    sims = np.zeros(0)  # an empty candidate set (which may have no dims) ranks nothing
+    sims = np.zeros(0)  # an empty candidate set ranks nothing
     if n:
         # SSIM windows need the image geometry: a raw query takes the candidates'
         dims = estimate.dims

@@ -272,15 +272,14 @@ def _private_dataset(opts: dict, rng: RngStream) -> Dataset:
 
 
 def _public_patches(opts: dict, dims, rng: RngStream, count: int = 1000, cfg=None):
-    """PatchSet from --public, or synthetic textured patches of the same dims;
+    """PatchSet from --public, or a synthetic Gaussian pool of the same dims;
     None, without reading --public, when ``cfg`` is given and is not the cross
     scheme."""
     if cfg is not None and cfg.scheme != "cross":
         return None
     if opts["public"]:
         return _read_input(publicprep.load_patchset, opts["public"])
-    sources = make_gaussian_dataset(count, dims, rng.child("public"), normalize=False)
-    return publicprep.build_patchset(sources, dims[1:], 1, rng.child("crop"), min_keypoints=0)
+    return make_gaussian_dataset(count, dims, rng.child("public"), normalize=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ sign masks, normalization, and the rejection samplers the encryption schemes
 are built on.
 
 Conventions: pixel payloads are float32 vectors of length d = channels *
-height * width (channel-major). A Dataset (like publicprep.PatchSet) holds
-its rows as one frozen float32 (n, d) matrix, checked once when built, and
-makes Image and LabelVector views of its rows only when asked for them.
+height * width (channel-major). A Dataset (publicprep.PatchSet is one, an
+unlabelled set with provenance columns) holds its rows as one frozen float32
+(n, d) matrix, checked once when built, and makes Image and LabelVector views
+of its rows only when asked for them; an empty set carries its dims too.
 Every package object that holds numbers implements ``__array__``, so
 ``np.asarray(x)`` gives an Image's or EncryptedSample's pixel row, a
 LabelVector's weights, or a set's (n, d) matrix. All statistics and
@@ -117,12 +118,12 @@ def one_hot(label: int, classes: int) -> LabelVector:
 
 
 def _row_matrix(rows, dims=None, normalized: bool = False):
-    """The frozen float32 (n, d) matrix that Image, Dataset and PatchSet store,
-    its dims (None for an empty set that declares none) and normalized flag,
-    from Images (normalized iff all are), an (n, C, H, W) array, or an (n, d)
-    array and ``dims``. Writable arrays are copied, read-only ones shared.
-    Every row is checked at once: finite and, if normalized, zero-sum and
-    unit-norm within NORMALIZED_ATOL."""
+    """The frozen float32 (n, d) matrix that Image and Dataset store, its dims
+    and normalized flag, from Images (normalized iff all are), an (n, C, H, W)
+    array, or an (n, d) array and ``dims``; an empty sequence of Images needs
+    ``dims``. Writable arrays are copied, read-only ones shared. Every row is
+    checked at once: finite and, if normalized, zero-sum and unit-norm within
+    NORMALIZED_ATOL."""
     if dims is not None:
         dims = tuple(map(int, dims))
         if len(dims) != 3 or min(dims) < 1:
@@ -130,8 +131,9 @@ def _row_matrix(rows, dims=None, normalized: bool = False):
     if not isinstance(rows, np.ndarray):
         rows = tuple(rows)
         if not rows:
-            d = 0 if dims is None else dims[0] * dims[1] * dims[2]
-            return _freeze(np.zeros((0, d), np.float32)), dims, normalized
+            if dims is None:
+                raise ValidationError("an empty set must declare its dims")
+            return _freeze(np.zeros((0, np.prod(dims)), np.float32)), dims, normalized
         if any(im.dims != rows[0].dims for im in rows):
             raise DimensionMismatchError("images have mixed dims")
         normalized = all(im.normalized for im in rows)
@@ -197,14 +199,15 @@ class Dataset:
     def __init__(self, images, labels=None, dims=None, classes=None, name: str = "",
                  normalized: bool = False):
         self._pixels, self.dims, self.normalized = _row_matrix(images, dims, normalized)
-        if self.dims is None:
-            raise ValidationError("an empty dataset must declare dims")
         self._labels = None if labels is None else _label_matrix(labels, self.n, classes)
         self.classes = None if labels is None else self._labels.shape[1]
         self.name = name
 
     @property
     def n(self) -> int:
+        return len(self._pixels)
+
+    def __len__(self) -> int:
         return len(self._pixels)
 
     @property

@@ -196,11 +196,12 @@ def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None)
     the private label blocks, or None to skip labels. Row r draws from row r
     of the Streams block its partners (unless ``partners`` gives them as an
     (m, k-1) array of rows of S), then lambda, then the mask."""
-    k, m, d, cross = cfg.k, len(base), S[0].shape[1], cfg.scheme == "cross"
-    idx, draws = np.empty((m, k), dtype=np.int64), Draws(streams)
-    idx[:, 0] = base
-    idx[:, 1:] = partners if partners is not None else _partners(
-        draws, cfg, n, sum(len(block) for block in S) - n, idx[:, 0])
+    k, d, cross = cfg.k, S[0].shape[1], cfg.scheme == "cross"
+    base, draws = np.asarray(base, np.int64), Draws(streams)
+    if partners is None:  # refuses a k too large for the pool before any (m, k) array
+        partners = _partners(draws, cfg, n, sum(len(block) for block in S) - n, base)
+    idx = np.empty((len(base), k), np.int64)
+    idx[:, 0], idx[:, 1:] = base, partners
     lam = _draw_lambdas(draws, k, cfg.c1, cfg.c2 if cross else 0.0)
     pixels = _mix(S, idx, lam)
     signs = draws.bits(d) * 2 - 1 if cfg.scheme != "mixup" else None

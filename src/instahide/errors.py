@@ -25,10 +25,6 @@ class DimensionMismatchError(ValidationError):
     """Operands have incompatible dimensions."""
 
 
-class RankDeficiencyError(ValidationError):
-    """A least-squares system does not have full column rank."""
-
-
 class DivergenceError(RuntimeError):
     """An iterative procedure produced non-finite values.
 

@@ -235,8 +235,12 @@ def import_raw(
 
     labels = None
     if labels_path is not None:
+        try:  # an unclosed quote can join rows into a cell over csv's size limit
+            records = list(csv.reader(read_file(labels_path, text=True).splitlines()))
+        except csv.Error as exc:
+            raise OSError(errno.EINVAL, f"bad label CSV ({exc})", str(labels_path)) from None
         rows = []
-        for rec in csv.reader(read_file(labels_path, text=True).splitlines()):
+        for rec in records:
             rec = [v for v in rec if v.strip() != ""]
             if len(rec) == 1:
                 if classes is None:

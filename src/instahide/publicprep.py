@@ -11,7 +11,8 @@ here than matching any particular feature library.
 Crops are gathered straight from the public set's pixel matrix by ``_crops``,
 the one crop path that random_crop also uses, at offsets drawn from one
 ``rng.Draws`` block of per-source streams; the filter scores every candidate
-in one call, and the kept crops become the PatchSet's frozen (n, d) matrix.
+in one call, and the kept crops become a PatchSet: a Dataset whose rows also
+carry their provenance and keypoint counts (an empty one keeps the crop dims).
 Every filter step is per image, so the call runs in row chunks of about
 _CHUNK_BYTES per float64 buffer: one reflect-padded buffer serves the Sobel
 and box inputs and holds R inside its -inf border, each box sum overwrites a
@@ -24,12 +25,11 @@ from __future__ import annotations
 import csv
 import errno
 import warnings
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image, _row_matrix
+from .core import Dataset, Image
 from .errors import ValidationError
 from .ihds import output, read_arrays, read_file, write_arrays
 from .rng import Draws, RngStream, Streams
@@ -40,40 +40,27 @@ DEFAULT_MIN_KEYPOINTS = 40
 _CHUNK_BYTES = 1 << 18  # per float64 padded buffer of one Harris chunk: 28 crops at 32x32
 
 
-class PatchSet:
-    """Crops that survived the flatness filter, held as one frozen float32
-    (n, d) matrix, with provenance (source image index and crop offset) and
-    per-patch keypoint counts. ``patches`` is a sequence of Images or an
-    (n, C, H, W) array (see core._row_matrix)."""
+class PatchSet(Dataset):
+    """Crops that survived the flatness filter: an unlabelled Dataset whose
+    rows carry provenance (source image index and crop offset) and keypoint
+    counts. ``patches`` is a sequence of Images or an (n, C, H, W) array (see
+    core._row_matrix), so an empty set is a (0, C, H, W) array."""
 
     def __init__(self, patches, provenance, keypoints, retention: float = 1.0):
-        self._pixels, self._dims, _ = _row_matrix(patches)
+        super().__init__(patches)
         prov = np.asarray(provenance, np.int64).reshape(len(provenance), 3)  # refuses other widths
         self.provenance = tuple(map(tuple, prov.tolist()))
         self.keypoints = tuple(np.asarray(keypoints, np.int64).tolist())
         self.retention = retention
-        if not len(self._pixels) == len(self.provenance) == len(self.keypoints):
+        if not self.n == len(self.provenance) == len(self.keypoints):
             raise ValidationError("patches, provenance, and keypoints must align")
 
-    def __len__(self) -> int:
-        return len(self._pixels)
-
     @property
-    def dims(self):
-        if self._dims is None:
-            raise ValidationError("empty patch set has no dims")
-        return self._dims
-
-    @cached_property
     def patches(self) -> tuple[Image, ...]:
-        """Image views of the rows, built on first use."""
-        return tuple(Image(row, self._dims) for row in self._pixels)
+        """Image views of the rows: ``images``."""
+        return self.images
 
-    def matrix(self) -> np.ndarray:
-        """The (n, d) float32 patch matrix, shared and read-only."""
-        return self._pixels
-
-    __array__ = Dataset.__array__  # np.asarray gives the matrix
+    matrix = Dataset.matrix  # a binding of its own, which perfbench traces
 
     def source_ids(self) -> np.ndarray:
         return np.array([src for src, _, _ in self.provenance], dtype=np.int64)
@@ -206,7 +193,7 @@ def build_patchset(
     crops, prov = _crops(chw, out_hw, patches_per_image, draws)
     if not len(prov):
         warnings.warn("no crop candidates produced; patch set is empty")
-        return PatchSet((), (), (), retention=0.0)
+        return PatchSet(crops, prov, (), retention=0.0)
 
     counts = keypoint_counts(crops)
     kept = np.flatnonzero(counts > min_keypoints) if min_keypoints > 0 else np.arange(len(prov))

@@ -17,7 +17,6 @@ from instahide.attacks import (
     pair_detection_attack,
     pair_threshold,
     public_scan_attack,
-    recover_private_residual,
     scan_threshold,
     similarity_search_attack,
     ssim,
@@ -33,7 +32,7 @@ from instahide.core import (
     sample_sign_mask,
 )
 from instahide.encrypt import SchemeConfig, apply_mask, encrypt_history, encrypt_sample
-from instahide.errors import DivergenceError, RankDeficiencyError, ValidationError
+from instahide.errors import DivergenceError, ValidationError
 from instahide.publicprep import PatchSet
 from instahide.rng import RngStream
 from instahide.utility import init_model, loss_and_gradient
@@ -183,37 +182,6 @@ def test_scan_scores_are_descending_by_magnitude():
     mags = [abs(s) for _, s in report.scores]
     assert mags == sorted(mags, reverse=True)
     assert report.scores[0][0] == 3
-
-
-# ---------------------------------------------------------------------------
-# residual recovery
-
-
-def test_residual_recovery_with_known_coefficients():
-    gen = RngStream(9).generator()
-    priv = gen.normal(size=512)
-    z = unit_rows(2, 512, 10)
-    mix = (0.5 * priv + 0.3 * z[0] + 0.2 * z[1]).astype(np.float32)
-    out = recover_private_residual(
-        Image(mix, (1, 1, 512)), [z[0], z[1]], lam_estimate=np.array([0.3, 0.2])
-    )
-    assert np.allclose(out.pixels, mix - (0.3 * z[0] + 0.2 * z[1]).astype(np.float64), atol=1e-6)
-
-
-def test_residual_recovery_least_squares_fit():
-    z = unit_rows(3, 256, 11)
-    mix = Image((0.5 * z[0] + 0.3 * z[1] + 0.2 * z[2]).astype(np.float32), (1, 1, 256))
-    out = recover_private_residual(mix, [z[0], z[1], z[2]])
-    assert np.linalg.norm(out.pixels) < 1e-3  # pure-public mix leaves ~nothing
-
-
-def test_residual_recovery_rank_deficient():
-    z = unit_rows(1, 64, 12)[0]
-    mix = Image(z.astype(np.float32), (1, 1, 64))
-    with pytest.raises(RankDeficiencyError):
-        recover_private_residual(mix, [z, z])
-    with pytest.raises(ValidationError):
-        recover_private_residual(mix, [])
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +348,13 @@ def test_similarity_search_validation():
 
 
 def test_similarity_search_on_an_empty_patch_set_ranks_nothing():
-    # build_patchset returns a dimless empty set when every crop is filtered out
+    # build_patchset returns an empty set when every crop is filtered out
     px = RngStream(30).generator().random(16).astype(np.float32)
     mask = sample_sign_mask(16, RngStream(31))
+    empty = PatchSet(np.zeros((0, 1, 4, 4), np.float32), (), ())
     for query in (px, Image(px, (1, 4, 4))):
         report = similarity_search_attack(
-            query, PatchSet((), (), ()), SignOracle(0.0), mask, m=0, truth_patches={0}
+            query, empty, SignOracle(0.0), mask, m=0, truth_patches={0}
         )
         assert report.decisions == () and report.metrics["hit"] == 0.0
 
@@ -557,14 +526,12 @@ def test_attacks_give_equal_results_for_every_input_kind():
     pool = make_gaussian_dataset(40, dims, rng.child("pool"), classes=2)
     sample, key = encrypt_sample(pool, 5, SchemeConfig("inside", k=4, c1=0.65), rng.child("e"))
     truth = {j for _, j in key.sources}
-    members = [pool.images[j] for _, j in key.sources[1:]]
     other = pool.images[9]
 
     results = [
         (
             report_fields(public_scan_attack(x, pool, 4, truth_members=truth)),
             report_fields(braverman_attack(x, pool, truth_members=truth)),
-            recover_private_residual(x, members).pixels.tobytes(),
             correlation(x, other),
             correlation(other, x),
             report_fields(similarity_search_attack(x, pool, SignOracle(0.1, rng), key.mask, 5,
@@ -595,6 +562,4 @@ def test_results_keep_the_dims_of_encrypted_samples():
     for h, want in ((history, dims), ([s.xtilde for s in history], dims),
                     ([np.array(s.xtilde.pixels) for s in history], (1, 1, 192))):
         assert pair_detection_attack(h, k=2).reconstruction.dims == want
-    z = ds.images[1]
-    assert recover_private_residual(history[0], [z], lam_estimate=[0.5]).dims == dims
     assert demask_with_oracle(history[0], sample_sign_mask(192, rng), SignOracle(0.0)).dims == dims

@@ -828,3 +828,13 @@ def test_eval_refuses_a_checkpoint_of_fewer_than_2_classes(tmp_path, capsys, cla
     codes, err = _eval_exit(capsys, path)
     assert codes == [2, 2]
     assert f"need classes >= 2 and d >= 1, got {classes}, 16" in err
+
+
+def test_a_k_beyond_the_pool_exits_2_before_allocating_its_index(tmp_path, capsys):
+    # the (m, k) index array was allocated before k was checked against the
+    # pool, so this k exited 1 with "Unable to allocate 29.1 TiB"
+    code = main(["encrypt", "--synthetic-n", "4", "--synthetic-dims", "1x4x4", "--epochs", "1",
+                 "--k", "1000000000000", "--out", str(tmp_path / "k.ihds")])
+    assert code == 2
+    assert "draws 999999999999 private partners from 3 images" in capsys.readouterr().err
+    assert _files(tmp_path) == []

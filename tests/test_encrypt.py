@@ -249,7 +249,7 @@ def test_cross_requires_k_at_least_3_and_patches():
     pub = unit_patchset(5, (1, 2, 2), RngStream(1))
     with pytest.raises(ValidationError):
         encrypt_sample(ds, 0, SchemeConfig("cross", 2, 0.65, 0.3), RngStream(2), pub)
-    empty = PatchSet((), (), (), 0.0)
+    empty = PatchSet(np.zeros((0, 1, 2, 2), np.float32), (), (), 0.0)
     with pytest.raises(ValidationError):
         encrypt_sample(ds, 0, SchemeConfig("cross", 4, 0.65, 0.3), RngStream(2), empty)
 

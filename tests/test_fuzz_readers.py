@@ -1,13 +1,15 @@
 """Reader fuzzing: a valid IHMD checkpoint (read by ``eval --model``), IHDS
 dataset (read by ``encrypt --in``), ``.prov.csv`` provenance sidecar (read by
-a cross ``encrypt --public``) and ``key = value`` config file (read by
-``encrypt --config``), truncated, extended, with bytes flipped or, in the
-text files, with a cell or value replaced, make their command exit 0 or 2,
-never 1 and never with a traceback. Examples are derandomized, so every run
-tries the same files; drop ``derandomize`` and raise ``max_examples`` for a
-longer search. Options that set a run's size (``--epochs``, ``--synthetic-n``)
-are flags, which win over the config file, and each text file ends on a
-value whose growth is harmless, so no mutation makes a run long."""
+a cross ``encrypt --public``), ``key = value`` config file (read by
+``encrypt --config``), raw u8 image file and label CSV (read by ``import
+--raw`` and ``import --labels``), truncated, extended, with bytes flipped
+or, in the text files, with a cell or value replaced, make their command
+exit 0 or 2, never 1 and never with a traceback. Examples are derandomized,
+so every run tries the same files; drop ``derandomize`` and raise
+``max_examples`` for a longer search. Options that set a run's size
+(``--epochs``, ``--synthetic-n``) are flags, which win over the config file,
+and each text file ends on a value whose growth is harmless, so no mutation
+makes a run long."""
 
 import contextlib
 import io
@@ -47,6 +49,9 @@ synthetic_classes = 3
 seed = 7
 """
 _ENCRYPT = ["encrypt", "--synthetic-n", "4", "--epochs", "1", "--out", "{out}"]
+RAW = bytes(range(0, 256, 4))  # four 1x4x4 images
+LABELS = b"0\n2\n0.5,0.25,0.25\n1\n"  # class indices and a weight row, 3 classes
+_IMPORT = ["import", "--dims", "1x4x4", "--out", "{out}"]
 
 # reader -> (a valid file, the argv of the command that reads it from {path},
 # the files written beside it in {root})
@@ -62,8 +67,11 @@ READERS = {
                   "--synthetic-dims", "1x4x4", "--synthetic-classes", "3"],
                  {"input": PATCHES}),
     "config": (CONFIG, [*_ENCRYPT, "--config", "{path}"], {}),
+    "raw": (RAW, [*_IMPORT, "--raw", "{path}"], {}),
+    "labels": (LABELS, [*_IMPORT, "--raw", "{root}/input", "--labels", "{path}", "--classes", "3"],
+               {"input": RAW}),
 }
-TEXT = ("prov.csv", "config")
+TEXT = ("prov.csv", "config", "labels")
 
 
 def _flip(blob: bytes, flips) -> bytes:
@@ -153,3 +161,11 @@ def test_a_config_with_a_zero_dimension_exits_2(tmp_path):
     # array to reduction"): found by a 3,000-example random run
     code, err = run_reader("config", CONFIG.replace(b"1x4x4", b"1x0x4"), tmp_path)
     assert code == 2 and "positive ints" in err
+
+
+def test_a_label_csv_with_an_unclosed_quote_exits_2(tmp_path):
+    # the quote joins every later row into one cell, and csv refuses a cell over
+    # 131,072 characters; that exited 1 ("field larger than field limit")
+    blob = LABELS.replace(b"2", b'"2', 1) + b"1\n" * 140_000
+    code, err = run_reader("labels", blob, tmp_path)
+    assert code == 2 and "bad label CSV" in err and "input.labels" in err

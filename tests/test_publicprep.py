@@ -253,7 +253,6 @@ def test_load_patchset_checks_the_pixels_once(tmp_path, monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(core, "_row_matrix", counted)
-    monkeypatch.setattr(publicprep, "_row_matrix", counted)
     back = load_patchset(data_path)
     assert len(calls) == 1 and not back.matrix().flags.writeable
     assert back.matrix().tobytes() == ps.matrix().tobytes()
@@ -289,3 +288,26 @@ def test_build_patchset_crops_match_random_crop():
         crops = random_crop(image, (5, 4), 3, RngStream(16).child("crop", si))
         assert [p for p, _ in crops] == list(ps.patches[3 * si : 3 * si + 3])
         assert [(si, *off) for _, off in crops] == list(ps.provenance[3 * si : 3 * si + 3])
+
+
+def test_a_patch_set_is_an_unlabelled_dataset():
+    from instahide.core import Dataset
+
+    src = make_gaussian_dataset(4, (3, 12, 12), RngStream(17), normalize=False)
+    ps = build_patchset(src, (6, 5), 2, RngStream(18), min_keypoints=0)
+    assert isinstance(ps, Dataset) and ps.classes is None
+    assert len(ps) == ps.n == 8 and ps.dims == (3, 6, 5)
+    assert ps.patches is ps.images
+
+
+def test_an_empty_patch_set_carries_the_crop_dims():
+    src = make_gaussian_dataset(4, (3, 12, 12), RngStream(19), normalize=False)
+    with pytest.warns(UserWarning, match="no crop candidates"):
+        ps = build_patchset(src, (6, 5), 0, RngStream(20))
+    assert isinstance(ps, PatchSet) and len(ps) == 0 and ps.retention == 0.0
+    assert ps.dims == (3, 6, 5) and ps.matrix().shape == (0, 90)
+
+
+def test_an_empty_patch_set_without_dims_is_refused_when_built():
+    with pytest.raises(ValidationError, match="dims"):
+        PatchSet((), (), ())
