@@ -119,8 +119,9 @@ def noise_ceiling(query_norm: float, d: int, candidates: int, delta: float) -> f
     """Union-bounded score magnitude for a candidate independent of the query:
     a centered inner product against a unit-norm candidate has standard
     deviation about query_norm/sqrt(d)."""
-    if d < 1 or candidates < 1 or not 0.0 < delta < 1.0:
-        raise ValidationError("need d >= 1, candidates >= 1, delta in (0, 1)")
+    if d < 1 or candidates < 1 or not 0.0 < delta < 1.0 or math.isinf(2 * candidates / delta):
+        raise ValidationError("need d >= 1, candidates >= 1, delta in (0, 1) with "
+                              "2*candidates/delta finite")
     return query_norm * math.sqrt(2.0 * math.log(2.0 * candidates / delta) / d)
 
 
@@ -510,11 +511,11 @@ def ssim_pairwise(
     """(na, nb) matrix of mean local structural similarity over 8x8 windows
     with stride 4 (window statistics are population moments).
 
-    The dynamic range defaults to the joint peak-to-peak of both batches,
-    falling back to 1.0 when everything is constant. Both axes are cut into
-    blocks at the window edges, so a window's moments and cross term are
-    sums over its blocks (cross terms: one batched matmul per pair of row
-    blocks); the formula runs one window at a time."""
+    The dynamic range defaults to the joint peak-to-peak of the non-empty
+    batches, falling back to 1.0 when everything is constant or empty. Both
+    axes are cut into blocks at the window edges, so a window's moments and
+    cross term are sums over its blocks (cross terms: one batched matmul per
+    pair of row blocks); the formula runs one window at a time."""
     A = np.atleast_2d(np.asarray(a_rows))
     B = np.atleast_2d(np.asarray(b_rows))
     c, h, w = dims
@@ -522,8 +523,9 @@ def ssim_pairwise(
     if A.shape[1] != d or B.shape[1] != d:
         raise ValidationError(f"rows must have length {d}")
     if dynamic_range is None:
-        lo = min(float(A.min()), float(B.min()))
-        hi = max(float(A.max()), float(B.max()))
+        batches = [X for X in (A, B) if X.size]
+        lo = min((float(X.min()) for X in batches), default=0.0)
+        hi = max((float(X.max()) for X in batches), default=0.0)
         dynamic_range = hi - lo if hi > lo else 1.0
     if dynamic_range <= 0.0:
         raise ValidationError(f"dynamic range must be positive, got {dynamic_range}")
@@ -592,13 +594,11 @@ def similarity_search_attack(
     if not 0 <= m <= n:
         raise ValidationError(f"m must be in [0, {n}], got {m}")
     estimate = demask_with_oracle(xtilde, truth_mask, oracle, tag)
-    sims = np.zeros(0)  # an empty candidate set ranks nothing
-    if n:
-        # SSIM windows need the image geometry: a raw query takes the candidates'
-        dims = estimate.dims
-        if not hasattr(xtilde, "dims") and hasattr(publicset, "dims"):
-            dims = publicset.dims
-        sims = ssim_pairwise(estimate.pixels, patches, dims)[0]
+    # SSIM windows need the image geometry: a raw query takes the candidates'
+    dims = estimate.dims
+    if not hasattr(xtilde, "dims") and hasattr(publicset, "dims"):
+        dims = publicset.dims
+    sims = ssim_pairwise(estimate.pixels, patches, dims)[0]
     order = np.lexsort((np.arange(n), -sims))
     top = order[:m]
 

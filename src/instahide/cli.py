@@ -512,7 +512,7 @@ def leakage_guard(path: str | Path, private: Dataset) -> None:
     ``path``, read from disk (from its staged file, inside a publishing block).
     Rows are viewed as ``<u4`` words; a row's uint64 word sum picks candidates
     that are confirmed on their full bits, so +0.0 and -0.0 differ."""
-    pixels, _, _ = read_arrays(path)
+    pixels, _ = read_arrays(path)
     if np.prod(pixels.shape[1:]) != private.d:  # no private row can be a row of this file
         return
     written = pixels.reshape(len(pixels), private.d).view("<u4")

@@ -31,10 +31,6 @@ from .errors import (
 )
 from .rng import Draws, RngStream, Streams
 
-# A normalized image must be zero-sum and unit-norm within this tolerance
-# (scaled by sqrt(d) for the sum, which accumulates float32 rounding).
-NORMALIZED_ATOL = 1e-5
-
 # sample_coefficients gives up after this many rejected candidates.
 REJECTION_CAP = 1_000_000
 
@@ -61,10 +57,9 @@ class Image:
 
     pixels: np.ndarray
     dims: tuple[int, int, int]
-    normalized: bool = False
 
     def __post_init__(self):
-        px, dims, _ = _row_matrix(np.reshape(self.pixels, (1, -1)), self.dims, self.normalized)
+        px, dims = _row_matrix(np.reshape(self.pixels, (1, -1)), self.dims)
         object.__setattr__(self, "pixels", px[0])
         object.__setattr__(self, "dims", dims)
 
@@ -82,11 +77,7 @@ class Image:
     def __eq__(self, other):
         if not isinstance(other, Image):
             return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.normalized == other.normalized
-            and self.pixels.tobytes() == other.pixels.tobytes()
-        )
+        return self.dims == other.dims and self.pixels.tobytes() == other.pixels.tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +108,11 @@ def one_hot(label: int, classes: int) -> LabelVector:
     return LabelVector(np.eye(classes, dtype=np.float32)[label])
 
 
-def _row_matrix(rows, dims=None, normalized: bool = False):
-    """The frozen float32 (n, d) matrix that Image and Dataset store, its dims
-    and normalized flag, from Images (normalized iff all are), an (n, C, H, W)
-    array, or an (n, d) array and ``dims``; an empty sequence of Images needs
-    ``dims``. Writable arrays are copied, read-only ones shared. Every row is
-    checked at once: finite and, if normalized, zero-sum and unit-norm within
-    NORMALIZED_ATOL."""
+def _row_matrix(rows, dims=None):
+    """The frozen float32 (n, d) matrix that Image and Dataset store and its
+    dims, from Images, an (n, C, H, W) array, or an (n, d) array and ``dims``;
+    an empty sequence of Images needs ``dims``. Writable arrays are copied,
+    read-only ones shared. Every row is checked at once to be finite."""
     if dims is not None:
         dims = tuple(map(int, dims))
         if len(dims) != 3 or min(dims) < 1:
@@ -133,10 +122,9 @@ def _row_matrix(rows, dims=None, normalized: bool = False):
         if not rows:
             if dims is None:
                 raise ValidationError("an empty set must declare its dims")
-            return _freeze(np.zeros((0, np.prod(dims)), np.float32)), dims, normalized
+            return _freeze(np.zeros((0, np.prod(dims)), np.float32)), dims
         if any(im.dims != rows[0].dims for im in rows):
             raise DimensionMismatchError("images have mixed dims")
-        normalized = all(im.normalized for im in rows)
         rows = _freeze(np.stack([im.as_chw() for im in rows]))
     if rows.ndim == 4:
         if dims is not None and dims != rows.shape[1:]:
@@ -152,14 +140,7 @@ def _row_matrix(rows, dims=None, normalized: bool = False):
     px = px.reshape(len(rows), d)
     if not _all_finite(px):
         raise ValidationError("pixels must be finite")
-    if normalized and px.size:
-        s = px.sum(axis=1, dtype=np.float64)
-        norm = np.sqrt(np.einsum("ij,ij->i", px, px, dtype=np.float64))
-        bad = (np.abs(s) > NORMALIZED_ATOL * np.sqrt(d)) | (np.abs(norm - 1.0) > NORMALIZED_ATOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(f"normalized flag set but sum={s[i]:.3g}, norm={norm[i]:.6g}")
-    return _freeze(px), dims, normalized
+    return _freeze(px), dims
 
 
 def _label_matrix(labels, n: int, classes=None) -> np.ndarray:
@@ -192,13 +173,11 @@ class Dataset:
     matrix; ``classes`` is None exactly when there are no labels.
 
     ``images`` is a sequence of Images or a pixel array (see _row_matrix),
-    ``labels`` a sequence of LabelVectors or an (n, classes) array, and
-    ``normalized`` flags the rows of an array (Images carry their own flag).
+    ``labels`` a sequence of LabelVectors or an (n, classes) array.
     """
 
-    def __init__(self, images, labels=None, dims=None, classes=None, name: str = "",
-                 normalized: bool = False):
-        self._pixels, self.dims, self.normalized = _row_matrix(images, dims, normalized)
+    def __init__(self, images, labels=None, dims=None, classes=None, name: str = ""):
+        self._pixels, self.dims = _row_matrix(images, dims)
         self._labels = None if labels is None else _label_matrix(labels, self.n, classes)
         self.classes = None if labels is None else self._labels.shape[1]
         self.name = name
@@ -217,7 +196,7 @@ class Dataset:
     @cached_property
     def images(self) -> tuple[Image, ...]:
         """Image views of the rows, built on first use."""
-        return tuple(Image(row, self.dims, self.normalized) for row in self._pixels)
+        return tuple(Image(row, self.dims) for row in self._pixels)
 
     @cached_property
     def labels(self) -> tuple[LabelVector, ...] | None:
@@ -241,8 +220,7 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            (self.dims, self.classes, self.normalized)
-            == (other.dims, other.classes, other.normalized)
+            (self.dims, self.classes) == (other.dims, other.classes)
             and self._pixels.tobytes() == other._pixels.tobytes()
             and (self.classes is None or self._labels.tobytes() == other._labels.tobytes())
         )
@@ -320,7 +298,7 @@ def normalize_image(x: Image) -> Image:
     Raises DegenerateInputError for constant images, whose normalization is
     undefined.
     """
-    return Image(_normalize_rows(x.pixels[None])[0], x.dims, normalized=True)
+    return Image(_normalize_rows(x.pixels[None])[0], x.dims)
 
 
 def inner_product(a, b) -> float:
@@ -454,4 +432,4 @@ def make_gaussian_dataset(
     labels = None
     if classes is not None:
         labels = np.eye(classes, dtype=np.float32)[gen.integers(0, classes, size=n)]
-    return Dataset(pixels, labels, dims=dims, normalized=normalize)
+    return Dataset(pixels, labels, dims=dims)

@@ -22,9 +22,10 @@ the tile size never changes a byte) and is cast into the float32 output,
 which the signs then multiply.
 Each sample has one stream ``rng.child(epoch, i)``, drawn as partners ->
 lambda -> mask, so a seed gives the same bytes in any block size.
-A history is the kernel's columns: ``encrypt_history`` returns
-EncryptedSamples and EncryptionKeys blocks, and only an integer index into a
-block builds an EncryptedSample or EncryptionKey.
+A history is one kernel call's columns, its rows each epoch's images in
+that epoch's order: ``encrypt_history`` returns EncryptedSamples and
+EncryptionKeys blocks, and only an integer index into a block builds an
+EncryptedSample or EncryptionKey.
 """
 
 from __future__ import annotations
@@ -190,22 +191,24 @@ def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _encrypt_rows(S, Y, n: int, cfg: SchemeConfig, base, streams, partners=None) -> _Rows:
+def _encrypt_rows(S, Y, cfg: SchemeConfig, base, streams, partners=None) -> _Rows:
     """Encrypt one row per entry of ``base``, the row of S holding its own
-    image. S is a list of row blocks, n private rows then the public rows; Y
-    the private label blocks, or None to skip labels. Row r draws from row r
+    image. S is a list of row blocks, the private rows then the public rows;
+    Y the private label blocks, or None to skip labels. Row r draws from row r
     of the Streams block its partners (unless ``partners`` gives them as an
     (m, k-1) array of rows of S), then lambda, then the mask."""
     k, d, cross = cfg.k, S[0].shape[1], cfg.scheme == "cross"
     base, draws = np.asarray(base, np.int64), Draws(streams)
     if partners is None:  # refuses a k too large for the pool before any (m, k) array
-        partners = _partners(draws, cfg, n, sum(len(block) for block in S) - n, base)
+        partners = _partners(draws, cfg, len(S[0]), sum(map(len, S[1:])), base)
     idx = np.empty((len(base), k), np.int64)
     idx[:, 0], idx[:, 1:] = base, partners
     lam = _draw_lambdas(draws, k, cfg.c1, cfg.c2 if cross else 0.0)
     pixels = _mix(S, idx, lam)
-    signs = draws.bits(d) * 2 - 1 if cfg.scheme != "mixup" else None
-    if signs is not None:
+    signs = draws.bits(d) if cfg.scheme != "mixup" else None
+    if signs is not None:  # 0/1 to -1/+1 in place: no second (m, d) int8 array
+        signs *= 2
+        signs -= 1
         pixels *= signs
     labels = None
     if Y is not None:  # only private images carry labels
@@ -308,30 +311,22 @@ def encrypt_sample(
     if not 0 <= int(i) < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
     S, Y = _sources(private, cfg, publicset), [private.label_matrix()]
-    rows = _encrypt_rows(S, Y, private.n, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
+    rows = _encrypt_rows(S, Y, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
     samples, keys = _blocks(rows, private, np.zeros(1, np.int64), np.zeros(1, np.int64))
     return samples[0], keys[0]
 
 
 def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, publicset):
-    """Samples and keys of the given epochs, each mixed on its own (no
-    (n * T, d) float64 buffer) and permuted straight into the preallocated
-    columns. The sample id of private image i in epoch t is t * n + i."""
+    """Samples and keys of the given epochs from one kernel call, whose rows
+    are each epoch's images in that epoch's random order; row r, image i of
+    epoch t, draws from ``rng.child(t, i)`` and has sample id t * n + i."""
     if not len(epochs):
         raise ValidationError("need at least one epoch")
-    S, Y = _sources(private, cfg, publicset), [private.label_matrix()]
-    n, m, cols = private.n, len(epochs) * private.n, None
-    for e, t in enumerate(epochs):
-        rows = _encrypt_rows(S, Y, n, cfg, range(n), rng.children(t, ids=np.arange(n)))
-        perm = rng.child(t, "perm").generator().permutation(n)
-        if cols is None:
-            cols = _Rows(*(None if c is None else np.empty((m, *c.shape[1:]), c.dtype)
-                           for c in rows))
-        for col, part in zip(cols, rows):
-            if col is not None:  # "clip" writes to out without a buffered copy
-                np.take(part, perm, axis=0, out=col[e * n : (e + 1) * n], mode="clip")
+    S, Y, n = _sources(private, cfg, publicset), [private.label_matrix()], private.n
+    base = np.concatenate([rng.child(t, "perm").generator().permutation(n) for t in epochs])
     epochs = np.repeat(np.asarray(epochs, dtype=np.int64), n)
-    return _blocks(cols, private, epochs, epochs * n + cols.sources[:, 0])
+    rows = _encrypt_rows(S, Y, cfg, base, rng.children(epochs, ids=base))
+    return _blocks(rows, private, epochs, epochs * n + base)
 
 
 def encrypt_epoch(
@@ -363,7 +358,7 @@ def encrypt_input(
     if len(others) != cfg.k - 1:
         raise ValidationError(f"need {cfg.k - 1} partner images, got {len(others)}")
     S = [Dataset([x, *others]).matrix()]  # refuses mixed dims
-    rows = _encrypt_rows(S, None, 1, cfg, [0], Streams(rng.seed, [rng.stream]),
+    rows = _encrypt_rows(S, None, cfg, [0], Streams(rng.seed, [rng.stream]),
                          partners=np.arange(1, cfg.k)[None])
     return Image(rows.pixels[0], x.dims)
 

@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     offset  size  field
     0       4     magic "IHDS"
     4       2     version (u16, currently 1)
-    6       2     flags   (u16; bit0 = labels present, bit1 = images normalized)
+    6       2     flags   (u16; bit0 = labels present; bits 1-15 reserved,
+                           written 0 and ignored on read)
     8       4     count   (u32, number of images)
     12      2     channels (u16)
     14      2     height   (u16)
@@ -50,7 +51,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIHHHH")
 
 FLAG_LABELS = 1 << 0
-FLAG_NORMALIZED = 1 << 1
 
 _staged: dict[str, str] = {}  # target -> its staged file, for the open blocks
 _depth = 0  # open publishing() blocks
@@ -83,6 +83,8 @@ def output(path: str | Path, mode: str = "wb"):
         try:
             if os.path.isdir(target):  # os.replace could not publish onto it
                 raise IsADirectoryError(errno.EISDIR, "Is a directory")
+            if "\0" in target:  # open() raises ValueError on it
+                raise OSError(errno.EINVAL, "embedded null byte")
             fh = open(f"{target}.{os.getpid()}.tmp", mode,
                       **({} if "b" in mode else {"encoding": "utf-8", "newline": ""}))
         except OSError as exc:
@@ -96,7 +98,9 @@ def output(path: str | Path, mode: str = "wb"):
 def read_file(path: str | Path, text: bool = False):
     """The bytes of ``path`` (or of its staged file) as a read-only uint8
     array, or with ``text`` its UTF-8 text; bytes that do not decode are an
-    OSError naming the file."""
+    OSError naming the file, and so is a path holding a NUL byte."""
+    if "\0" in str(path):  # open() raises ValueError on it
+        raise OSError(errno.EINVAL, "embedded null byte", str(path))
     with open(_staged.get(os.path.abspath(path), path), "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
         buf = buf[: fh.readinto(buf)]  # short if the file shrank since fstat
@@ -107,7 +111,7 @@ def read_file(path: str | Path, text: bool = False):
         raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason})", str(path)) from None
 
 
-def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
+def _parts(pixels: np.ndarray, labels=None) -> list:
     """The header and the contiguous ``<f4`` payload arrays of (n, C, H, W)
     pixels and optional (n, classes) labels, after every check."""
     n, c, h, w = pixels.shape
@@ -117,11 +121,9 @@ def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
     if n > 0xFFFFFFFF:
         raise ValidationError("too many images for a u32 count")
 
-    flags = FLAG_NORMALIZED if normalized else 0
-    classes = 0
+    flags = classes = 0
     if labels is not None:
-        flags |= FLAG_LABELS
-        classes = labels.shape[1]
+        flags, classes = FLAG_LABELS, labels.shape[1]
         if not 0 <= classes <= 0xFFFF:
             raise ValidationError(f"classes={classes} does not fit the header")
     if not _all_finite(pixels):
@@ -137,16 +139,15 @@ def _parts(pixels: np.ndarray, labels=None, normalized: bool = False) -> list:
     return parts
 
 
-def arrays_to_bytes(pixels: np.ndarray, labels=None, normalized: bool = False) -> bytes:
+def arrays_to_bytes(pixels: np.ndarray, labels=None) -> bytes:
     """(n, C, H, W) float32 pixels and optional (n, classes) labels as IHDS bytes."""
-    return b"".join(_parts(pixels, labels, normalized))
+    return b"".join(_parts(pixels, labels))
 
 
-def write_arrays(path: str | Path, pixels: np.ndarray, labels=None,
-                 normalized: bool = False) -> Path:
+def write_arrays(path: str | Path, pixels: np.ndarray, labels=None) -> Path:
     """Write arrays_to_bytes' bytes to ``path``, streaming the header and then
     each payload array's buffer; every check runs before the file is opened."""
-    parts = _parts(pixels, labels, normalized)
+    parts = _parts(pixels, labels)
     with output(path) as fh:
         fh.writelines(memoryview(part) for part in parts)
     return Path(path)
@@ -154,7 +155,7 @@ def write_arrays(path: str | Path, pixels: np.ndarray, labels=None,
 
 def _dataset_arrays(ds: Dataset) -> tuple:
     labels = None if ds.classes is None else ds.label_matrix()
-    return ds.matrix().reshape(ds.n, *ds.dims), labels, ds.n > 0 and ds.normalized
+    return ds.matrix().reshape(ds.n, *ds.dims), labels
 
 
 def dataset_to_bytes(ds: Dataset) -> bytes:
@@ -163,8 +164,8 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
 
 
 def _from_bytes(raw) -> tuple:
-    """(pixels (count, C, H, W), labels (count, classes) or None, normalized),
-    read-only ``<f4`` views of ``raw``, after every header and size check."""
+    """(pixels (count, C, H, W), labels (count, classes) or None), read-only
+    ``<f4`` views of ``raw``, after every header and size check."""
     if len(raw) < _HEADER.size:
         raise TruncatedFileError(f"file is {len(raw)} bytes, header needs {_HEADER.size}")
     magic, version, flags, count, c, h, w, classes = _HEADER.unpack_from(raw, 0)
@@ -190,17 +191,16 @@ def _from_bytes(raw) -> tuple:
     if has_labels:
         off = _HEADER.size + 4 * count * d
         labels = np.frombuffer(raw, "<f4", count * classes, off).reshape(count, classes)
-    return pixels, labels, bool(flags & FLAG_NORMALIZED)
+    return pixels, labels
 
 
 def read_arrays(path: str | Path) -> tuple:
-    """write_arrays' inverse: the file's (pixels, labels or None, normalized)."""
+    """write_arrays' inverse: the file's (pixels, labels or None)."""
     return _from_bytes(read_file(path))
 
 
 def dataset_from_bytes(raw: bytes) -> Dataset:
-    pixels, labels, normalized = _from_bytes(raw)
-    return Dataset(pixels, labels, normalized=normalized)
+    return Dataset(*_from_bytes(raw))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> Path:

@@ -218,7 +218,7 @@ def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
 def load_patchset(path: str | Path) -> PatchSet:
     """save_patchset's inverse; a bad sidecar cell, non-ASCII text (on which
     numpy's loadtxt can crash) or no rows is an OSError naming the sidecar."""
-    pixels, _, _ = read_arrays(path)
+    pixels, _ = read_arrays(path)
     sidecar = f"{path}.prov.csv"
     text = read_file(sidecar, text=True)
     try:

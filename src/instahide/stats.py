@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -214,7 +215,7 @@ def indistinguishability_protocol(
         for lo in range(0, encryptions_per_image, 100):
             js = range(lo, min(lo + 100, encryptions_per_image))
             streams = rng.children("enc", r, ids=js)
-            pixels = _encrypt_rows(S, None, private.n, cfg, [idx] * len(js), streams).pixels
+            pixels = _encrypt_rows(S, None, cfg, [idx] * len(js), streams).pixels
             stats[r, js] = statistic_matrix(pixels, private.dims, probes)
 
     p_all = np.empty((picks, n_stats))
@@ -253,12 +254,14 @@ class ConcentrationCheckConfig:
     def __post_init__(self):
         if self.d < 1 or self.n < 1 or self.k < 1:
             raise ValidationError("d, n, k must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
+        # n*d/delta must be a finite float (an int-float comparison is exact)
+        if not 0.0 < self.delta < 1.0 or self.n * self.d > self.delta * sys.float_info.max:
+            raise ValidationError("delta must be in (0, 1) with n*d/delta finite, "
+                                  f"got {self.delta}")
         if self.trials < 100:
             raise ValidationError(f"trials must be >= 100, got {self.trials}")
-        if not self.beta > 1.0:
-            raise ValidationError(f"beta must exceed 1, got {self.beta}")
+        if not 1.0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and exceed 1, got {self.beta}")
 
     @property
     def pixel_variance(self) -> float:

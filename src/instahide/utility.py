@@ -149,19 +149,20 @@ def train(
     vb = np.zeros_like(b)
     gen = rng.generator()
     n = X.shape[0]
-    for _ in range(int(epochs)):
-        order = gen.permutation(n)
-        for lo in range(0, n, DEFAULT_BATCH_SIZE):
-            idx = order[lo : lo + DEFAULT_BATCH_SIZE]
-            Xb, Yb = X[idx], Y[idx]
-            P = softmax_rows(Xb @ W.T + b)
-            R = Yb.sum(axis=1, keepdims=True) * P - Yb
-            gW = R.T @ Xb / idx.size + DEFAULT_WEIGHT_DECAY * W
-            gb = R.mean(axis=0)
-            vW = DEFAULT_MOMENTUM * vW - lr * gW
-            vb = DEFAULT_MOMENTUM * vb - lr * gb
-            W += vW
-            b += vb
+    with np.errstate(over="ignore", invalid="ignore"):  # the model refuses diverged weights
+        for _ in range(int(epochs)):
+            order = gen.permutation(n)
+            for lo in range(0, n, DEFAULT_BATCH_SIZE):
+                idx = order[lo : lo + DEFAULT_BATCH_SIZE]
+                Xb, Yb = X[idx], Y[idx]
+                P = softmax_rows(Xb @ W.T + b)
+                R = Yb.sum(axis=1, keepdims=True) * P - Yb
+                gW = R.T @ Xb / idx.size + DEFAULT_WEIGHT_DECAY * W
+                gb = R.mean(axis=0)
+                vW = DEFAULT_MOMENTUM * vW - lr * gW
+                vb = DEFAULT_MOMENTUM * vb - lr * gb
+                W += vW
+                b += vb
     return LinearSoftmaxModel(W, b)
 
 
@@ -218,7 +219,7 @@ def _encrypted_probs(
         members = Streams(streams.seed, streams.ids[rep]).child(
             "predict", np.tile(np.arange(ensemble), len(rows_i)))
         partners = _partners(Draws(members), cfg, n_pool, n_public)
-        rows = _encrypt_rows(S, None, m, cfg, rep, members.child("enc"), m + partners)
+        rows = _encrypt_rows(S, None, cfg, rep, members.child("enc"), m + partners)
         Xc = np.abs(rows.pixels) if cfg.scheme != "mixup" else rows.pixels
         Xc = Xc.astype(np.float64)
         # matmul over a stack of column vectors runs forward()'s matrix-vector
@@ -290,8 +291,11 @@ def model_to_bytes(model: LinearSoftmaxModel) -> bytes:
     if model.classes > 0xFFFF or model.d > 0xFFFFFFFF:
         raise ValidationError("model too large for the checkpoint header")
     header = _MODEL_HEADER.pack(MODEL_MAGIC, model.classes, model.d)
-    body = model.W.astype("<f4").tobytes() + model.b.astype("<f4").tobytes()
-    return header + body
+    with np.errstate(over="ignore"):  # a weight beyond float32 casts to inf, refused below
+        body = np.concatenate([model.W.ravel(), model.b]).astype("<f4")
+    if not np.isfinite(body).all():
+        raise ValidationError("model weights overflow the float32 checkpoint")
+    return header + body.tobytes()
 
 
 def model_from_bytes(blob: bytes) -> LinearSoftmaxModel:

@@ -124,7 +124,7 @@ def apply_mask(x, mask: SignMask):
     if isinstance(x, Image):
         if x.d != mask.d:
             raise DimensionMismatchError(f"mask length {mask.d} != image length {x.d}")
-        return Image(x.pixels * mask.signs, x.dims, normalized=False)
+        return Image(x.pixels * mask.signs, x.dims)
     arr = np.asarray(x)
     if arr.shape[-1] != mask.d:
         raise DimensionMismatchError(

@@ -310,6 +310,14 @@ def test_ssim_pairwise_matches_singleton_grid():
             assert grid[i, j] == pytest.approx(single, abs=1e-9)
 
 
+def test_ssim_pairwise_of_an_empty_batch_is_an_empty_matrix():
+    # the default dynamic range took the min of an empty batch and raised
+    rows, dims = RngStream(27).generator().random((2, 16)).astype(np.float32), (1, 4, 4)
+    assert ssim_pairwise(rows[:1], rows[:0], dims).shape == (1, 0)
+    assert ssim_pairwise(rows[:0], rows, dims).shape == (0, 2)
+    assert ssim_pairwise(rows[:0], rows[:0], dims).shape == (0, 0)
+
+
 def test_ssim_validation():
     a = Image(np.ones(16, np.float32), (1, 4, 4))
     b = Image(np.ones(16, np.float32), (1, 2, 8))

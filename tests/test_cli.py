@@ -750,6 +750,18 @@ def test_unopenable_output_exits_2_and_writes_nothing(tmp_path, capsys, out, rep
     assert _files(tmp_path) == ["d"] and _files(tmp_path / "d") == []
 
 
+def test_an_output_path_with_a_null_byte_exits_2_and_writes_nothing(tmp_path, capsys):
+    # open() raises ValueError, not OSError, on a path holding a NUL byte, so an
+    # output path read from a config file exited 1 ("embedded null byte")
+    (tmp_path / "c.cfg").write_text(f"out = {tmp_path}/o\x00.ihds\n", encoding="utf-8")
+    code = main(["encrypt", "--synthetic-n", "4", "--synthetic-dims", "1x4x4", "--epochs", "1",
+                 "--config", str(tmp_path / "c.cfg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write output file" in err and "embedded null byte" in err
+    assert _files(tmp_path) == ["c.cfg"]
+
+
 def test_tripped_guard_keeps_the_earlier_release(tmp_path, monkeypatch):
     out, meta = tmp_path / "c.ihds", tmp_path / "c.ihds.meta.txt"
     argv = ["challenge", "--n", "6", "--synthetic-dims", "1x4x4", "--out", str(out)]
@@ -837,4 +849,44 @@ def test_a_k_beyond_the_pool_exits_2_before_allocating_its_index(tmp_path, capsy
                  "--k", "1000000000000", "--out", str(tmp_path / "k.ihds")])
     assert code == 2
     assert "draws 999999999999 private partners from 3 images" in capsys.readouterr().err
+    assert _files(tmp_path) == []
+
+
+SMALL_STATS = ["--d", "16", "--n", "8", "--trials", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["stats", "concentration", *SMALL_STATS, "--beta", "inf"],
+                     "beta must be finite", id="concentration-infinite-beta"),
+        pytest.param(["stats", "theorem-gap", "--which", "pair", *SMALL_STATS, "--beta", "1e400"],
+                     "beta must be finite", id="theorem-gap-overflowing-beta"),
+        pytest.param(["stats", "concentration", *SMALL_STATS, "--delta", "1e-320"],
+                     "n*d/delta finite", id="concentration-delta-overflows-log"),
+        pytest.param(["stats", "theorem-gap", "--which", "scan", *SMALL_STATS, "--delta", "1e-320"],
+                     "n*d/delta finite", id="theorem-gap-scan-delta-overflows-log"),
+        pytest.param(["attack", "pair", "--synthetic-n", "6", "--synthetic-dims", "1x4x4",
+                      "--epochs", "2", "--delta", "1e-320"], "2*candidates/delta finite",
+                     id="attack-pair-delta-overflows-ceiling"),
+        pytest.param(["attack", "public-scan", "--candidates", "20", "--synthetic-dims", "1x4x4",
+                      "--delta", "1e-320"], "2*candidates/delta finite",
+                     id="attack-public-scan-delta-overflows-ceiling"),
+        pytest.param(["train", "--plain", "--synthetic-n", "6", "--synthetic-dims", "1x4x4",
+                      "--lr", "1e308", "--out", "{tmp}/m.ihmd"], "model weights must be finite",
+                     id="train-plain-diverging-lr"),
+        pytest.param(["train", "--plain", "--synthetic-n", "6", "--synthetic-dims", "1x4x4",
+                      "--lr", "1e20", "--epochs", "3", "--out", "{tmp}/m.ihmd"],
+                     "model weights overflow the float32 checkpoint",
+                     id="train-plain-weights-beyond-float32"),
+    ],
+)
+def test_an_overflowing_option_exits_2(tmp_path, capsys, argv, message):
+    # each of these overflowed to inf and exited 1 (a report that is not JSON,
+    # or numpy's overflow warning), or with the scan's delta exited 0 on an
+    # infinite log term; weights beyond float32 were written to the checkpoint
+    # as inf, which eval then refused
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert _files(tmp_path) == []

@@ -50,11 +50,6 @@ def test_image_pixels_are_frozen():
         im.pixels[0] = 1.0
 
 
-def test_image_normalized_flag_is_checked():
-    with pytest.raises(ValidationError):
-        Image(np.ones(4, np.float32), (1, 2, 2), normalized=True)
-
-
 def test_image_equality_is_bitwise():
     a = Image(np.array([1, 2, 3, 4], np.float32), (1, 2, 2))
     b = Image(np.array([1, 2, 3, 4], np.float32), (1, 2, 2))
@@ -109,11 +104,10 @@ def test_dataset_from_images_equals_dataset_from_matrix():
         ds = make_gaussian_dataset(6, (3, 4, 4), RngStream(2), classes=3, normalize=normalize)
         from_objects = Dataset(ds.images, ds.labels)
         from_matrix = Dataset(
-            ds.matrix(), ds.label_matrix(), dims=ds.dims, normalized=normalize
+            ds.matrix(), ds.label_matrix(), dims=ds.dims
         )
         assert from_objects == from_matrix == ds
         assert from_objects.images == ds.images and from_matrix.labels == ds.labels
-        assert from_objects.normalized is normalize
 
 
 def test_dataset_copies_writable_arrays_and_shares_read_only_ones():
@@ -151,8 +145,6 @@ def test_dataset_validates_the_whole_matrix_once():
         Dataset(bad, dims=(1, 2, 2))
     with pytest.raises(DimensionMismatchError):
         Dataset(np.zeros((3, 5), np.float32), dims=(1, 2, 2))
-    with pytest.raises(ValidationError, match="normalized"):
-        Dataset(np.ones((3, 4), np.float32), dims=(1, 2, 2), normalized=True)
     with pytest.raises(ValidationError):
         Dataset(np.zeros((2, 4), np.float32), np.full((2, 3), 1.5), dims=(1, 2, 2))
     with pytest.raises(ValidationError):
@@ -212,7 +204,6 @@ def test_normalize_two_pixel_oracle():
     out = normalize_image(im)
     r = 1.0 / np.sqrt(2.0)
     assert np.allclose(out.pixels, [r, -r], atol=1e-7)
-    assert out.normalized
 
 
 def test_normalize_properties():
@@ -348,7 +339,4 @@ def test_make_gaussian_dataset_contract():
     ds = make_gaussian_dataset(6, (3, 4, 4), RngStream(8), classes=3)
     assert ds.n == 6 and ds.dims == (3, 4, 4) and ds.classes == 3
     for im in ds.images:
-        assert im.normalized
         assert abs(float(np.linalg.norm(im.pixels)) - 1.0) < 1e-5
-    raw = make_gaussian_dataset(6, (3, 4, 4), RngStream(8), normalize=False)
-    assert not raw.images[0].normalized

@@ -4,15 +4,17 @@ a cross ``encrypt --public``), ``key = value`` config file (read by
 ``encrypt --config``), raw u8 image file and label CSV (read by ``import
 --raw`` and ``import --labels``), truncated, extended, with bytes flipped
 or, in the text files, with a cell or value replaced, make their command
-exit 0 or 2, never 1 and never with a traceback. Examples are derandomized,
-so every run tries the same files; drop ``derandomize`` and raise
-``max_examples`` for a longer search. Options that set a run's size
-(``--epochs``, ``--synthetic-n``) are flags, which win over the config file,
-and each text file ends on a value whose growth is harmless, so no mutation
-makes a run long."""
+exit 0 or 2, never 1 and never with a traceback, and a run that exits 0
+replays from its report's config to the same report and outputs. Examples
+are derandomized, so every run tries the same files; drop ``derandomize``
+and raise ``max_examples`` for a longer search. Options that set a run's
+size (``--epochs``, ``--synthetic-n``) are flags, which win over the config
+file, and each text file ends on a value whose growth is harmless, so no
+mutation makes a run long."""
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -103,17 +105,52 @@ def mutations(blob: bytes, text: bool = False):
     return st.one_of(*kinds)
 
 
-def run_reader(reader: str, blob: bytes, root) -> tuple[int, str]:
-    """The exit code and stderr of the reader's command on ``blob``."""
+def _write_inputs(reader: str, blob: bytes, root) -> list[str]:
+    """Write ``blob`` and the files beside it into ``root``; the argv that reads them."""
     path, out = root / f"input.{reader}", root / "out.ihds"
     path.write_bytes(blob)
     for name, beside in READERS[reader][2].items():
         (root / name).write_bytes(beside)
-    argv = [a.format(path=path, out=out, root=root) for a in READERS[reader][1]]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    return [a.format(path=path, out=out, root=root) for a in READERS[reader][1]]
+
+
+def _main(argv) -> tuple[int, str, str]:
+    """main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_reader(reader: str, blob: bytes, root) -> tuple[int, str]:
+    """The exit code and stderr of the reader's command on ``blob``."""
+    code, _, err = _main(_write_inputs(reader, blob, root))
+    return code, err
+
+
+def _outputs(root, inputs) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.name not in inputs}
+
+
+def assert_replays(root, report: str, inputs) -> None:
+    """Run a printed report's command again from its non-null config, as a
+    config file (import takes none, so as flags), in place of the first run:
+    it must print the same report and write the same outputs, byte for byte."""
+    outputs = _outputs(root, inputs)
+    for name in outputs:
+        (root / name).unlink()
+    parsed = json.loads(report)
+    command = parsed["command"].split()
+    values = {key: value for key, value in parsed["config"].items() if value is not None}
+    if command == ["import"]:
+        args = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    else:
+        (root / "replay.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in values.items()), encoding="utf-8")
+        args = ["--config", str(root / "replay.cfg")]
+    code, replayed, err = _main([*command, *args])
+    assert (code, replayed) == (0, report), err
+    assert _outputs(root, {*inputs, "replay.cfg"}) == outputs
 
 
 @pytest.mark.parametrize("reader", list(READERS))
@@ -126,9 +163,14 @@ def test_the_valid_file_reads(tmp_path, reader):
 @given(data=st.data())
 def test_a_damaged_file_exits_0_or_2(tmp_path_factory, reader, data):
     blob = data.draw(mutations(READERS[reader][0], reader in TEXT), label="file")
-    code, err = run_reader(reader, blob, tmp_path_factory.mktemp(reader))
+    root = tmp_path_factory.mktemp(reader)
+    argv = _write_inputs(reader, blob, root)
+    inputs = {p.name for p in root.iterdir()}
+    code, report, err = _main(argv)
     assert code in (0, 2), err
     assert "Traceback" not in err
+    if code == 0:
+        assert_replays(root, report, inputs)
 
 
 def test_a_checkpoint_weight_that_is_a_signalling_nan_exits_2(tmp_path):
@@ -169,3 +211,10 @@ def test_a_label_csv_with_an_unclosed_quote_exits_2(tmp_path):
     blob = LABELS.replace(b"2", b'"2', 1) + b"1\n" * 140_000
     code, err = run_reader("labels", blob, tmp_path)
     assert code == 2 and "bad label CSV" in err and "input.labels" in err
+
+
+def test_a_config_path_with_a_null_byte_exits_2(tmp_path):
+    # open() raises ValueError, not OSError, on a path holding a NUL byte, so an
+    # input path read from a config file exited 1 ("embedded null byte")
+    code, err = run_reader("config", CONFIG + b"in = a\x00b\n", tmp_path)
+    assert code == 2 and "cannot read input file" in err and "embedded null byte" in err

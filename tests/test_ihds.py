@@ -43,11 +43,15 @@ def test_roundtrip_without_labels():
     assert back.labels is None and back == ds
 
 
-def test_normalized_flag_survives():
-    norm = make_gaussian_dataset(2, (1, 3, 3), RngStream(3))
-    raw = make_gaussian_dataset(2, (1, 3, 3), RngStream(3), normalize=False)
-    assert roundtrip(norm).images[0].normalized
-    assert not roundtrip(raw).images[0].normalized
+def test_reserved_flag_bits_are_ignored_on_read_and_written_clear():
+    # files written before bit 1 was reserved set it for normalized pixels
+    ds = make_gaussian_dataset(2, (1, 3, 3), RngStream(3), classes=2)
+    blob = bytearray(dataset_to_bytes(ds))
+    assert blob[6] == ihds.FLAG_LABELS
+    blob[6] |= 1 << 1
+    back = dataset_from_bytes(bytes(blob))
+    assert back == ds
+    assert dataset_to_bytes(back)[6] == ihds.FLAG_LABELS
 
 
 def test_zero_image_dataset():
@@ -132,10 +136,10 @@ def test_writer_refuses_nonfinite_first_and_last_rows(value, row):
 def test_read_arrays_inverts_write_arrays(tmp_path, labelled):
     pixels = RngStream(6).generator().standard_normal((3, 2, 3, 4), dtype=np.float32)
     labels = np.eye(3, dtype=np.float32) if labelled else None
-    path = write_arrays(tmp_path / "a.ihds", pixels, labels, normalized=True)
-    got_pixels, got_labels, normalized = read_arrays(path)
+    path = write_arrays(tmp_path / "a.ihds", pixels, labels)
+    got_pixels, got_labels = read_arrays(path)
     assert got_pixels.dtype == np.dtype("<f4") and got_pixels.shape == pixels.shape
-    assert got_pixels.tobytes() == pixels.tobytes() and normalized
+    assert got_pixels.tobytes() == pixels.tobytes()
     assert not got_pixels.flags.writeable
     assert (got_labels is None) if labels is None else got_labels.tobytes() == labels.tobytes()
     raw = path.read_bytes()
