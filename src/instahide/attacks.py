@@ -10,8 +10,9 @@ inverts a training gradient of the linear softmax model.
 Every attack reads its samples and candidates through ``np.asarray``, so an
 EncryptedSample, an Image and a raw pixel array are interchangeable inputs,
 as are a history's EncryptedSamples block and a list of them; results carry
-the input's (C, H, W) dims when it has them. Ground truth and the averaging
-attack read a history's key columns (sources, signs) directly.
+the input's (C, H, W) dims when it has them. The similarity search answers
+a (q, d) block of queries in one demask and one SSIM pass. Ground truth and
+the averaging attack read a history's key columns (sources, signs) directly.
 
 Detection thresholds default to the geometric midpoint between the typical
 member score scale and a union-bounded noise ceiling, both computable from the
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import core
 from .core import Dataset, Image, SignMask, float64_blocks, scan_scores
-from .encrypt import EncryptedSamples, EncryptionKeys, apply_mask
-from .errors import DivergenceError, ValidationError
+from .encrypt import EncryptedSamples, EncryptionKeys
+from .errors import DimensionMismatchError, DivergenceError, ValidationError
 from .rng import Draws, RngStream
 from .utility import LinearSoftmaxModel, softmax_rows
 
@@ -426,17 +427,22 @@ class SignOracle:
             flips[rows] = np.where(draws.random(rows, 0, truths.shape[1]) < self.p, -1, 1)
         return truths * flips
 
-    def recovered_mask(self, truth: SignMask, tag: int = 0) -> SignMask:
-        """recovered_masks for one mask."""
-        return SignMask(self.recovered_masks(truth.signs[None], [tag])[0])
+    def demask(self, X, signs: np.ndarray, tags) -> np.ndarray:
+        """Float32 (q, d) rows X times recovered_masks(signs, tags), in one
+        multiply; non-finite rows and mismatched or non-sign masks are refused."""
+        X, signs = np.asarray(X, np.float32), np.asarray(signs)
+        if X.shape != signs.shape:
+            raise DimensionMismatchError(f"masks {signs.shape} do not fit pixels {X.shape}")
+        if not (core._all_finite(X) and (np.abs(signs) == 1).all()):
+            raise ValidationError("pixels must be finite and mask entries +1 or -1")
+        return X * self.recovered_masks(signs.astype(np.int8, copy=False), tags)
 
 
 def demask_with_oracle(xtilde, truth_mask: SignMask, oracle: SignOracle, tag=0) -> Image:
     """Undo a sign mask as well as the oracle can: applies the oracle's mask
     estimate, leaving a p-fraction of coordinates still sign-flipped."""
-    px = np.asarray(xtilde).reshape(-1)
-    demasked = apply_mask(px, oracle.recovered_mask(truth_mask, tag))
-    return Image(demasked, getattr(xtilde, "dims", (1, 1, px.size)))
+    px = oracle.demask(np.asarray(xtilde).reshape(1, -1), truth_mask.signs[None], [tag])[0]
+    return Image(px, getattr(xtilde, "dims", (1, 1, px.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,31 +512,33 @@ def ssim_pairwise(
     a_rows: np.ndarray,
     b_rows: np.ndarray,
     dims: tuple[int, int, int],
-    dynamic_range: float | None = None,
+    dynamic_range: float | np.ndarray | None = None,
 ) -> np.ndarray:
     """(na, nb) matrix of mean local structural similarity over 8x8 windows
     with stride 4 (window statistics are population moments).
 
-    The dynamic range defaults to the joint peak-to-peak of the non-empty
-    batches, falling back to 1.0 when everything is constant or empty. Both
-    axes are cut into blocks at the window edges, so a window's moments and
-    cross term are sums over its blocks (cross terms: one batched matmul per
-    pair of row blocks); the formula runs one window at a time."""
+    The dynamic range, positive and finite, is a scalar or one value per row
+    of ``a_rows`` (c1 and c2 per row). It defaults to the joint peak-to-peak
+    of the non-empty batches, falling back to 1.0 when everything is constant
+    or empty. Both axes are cut into blocks at the window edges, so a window's
+    moments and cross term are sums over its blocks (cross terms: one batched
+    matmul per pair of row blocks); the formula runs one window at a time."""
     A = np.atleast_2d(np.asarray(a_rows))
     B = np.atleast_2d(np.asarray(b_rows))
     c, h, w = dims
     d = c * h * w
     if A.shape[1] != d or B.shape[1] != d:
         raise ValidationError(f"rows must have length {d}")
-    if dynamic_range is None:
-        batches = [X for X in (A, B) if X.size]
-        lo = min((float(X.min()) for X in batches), default=0.0)
-        hi = max((float(X.max()) for X in batches), default=0.0)
+    if dynamic_range is None:  # empty batches give lo = inf, hi = -inf
+        lo = min(float(A.min(initial=np.inf)), float(B.min(initial=np.inf)))
+        hi = max(float(A.max(initial=-np.inf)), float(B.max(initial=-np.inf)))
         dynamic_range = hi - lo if hi > lo else 1.0
-    if dynamic_range <= 0.0:
-        raise ValidationError(f"dynamic range must be positive, got {dynamic_range}")
-    c1 = (SSIM_K1 * dynamic_range) ** 2
-    c2 = (SSIM_K2 * dynamic_range) ** 2
+    r = np.asarray(dynamic_range, np.float64)
+    if r.shape not in ((), (len(A),)) or not (np.isfinite(r) & (r > 0.0)).all():
+        raise ValidationError(f"dynamic range must be positive and finite, got {dynamic_range}")
+    # Python's float power, as a scalar range always had: numpy's square can differ by an ulp
+    c1, c2 = (np.array([(k * v) ** 2 for v in np.broadcast_to(r, len(A)).tolist()])
+              for k in (SSIM_K1, SSIM_K2))
 
     (ey, ry), (ex, rx) = _axis_blocks(h), _axis_blocks(w)
     npix = min(SSIM_WINDOW, h) * min(SSIM_WINDOW, w)
@@ -540,7 +548,8 @@ def ssim_pairwise(
         a = _blocks(a, dims, ey, ex)
         mu_a, var_a = _window_moments(a, ry, rx, npix)
         # SSIM = (2 mu_a mu_b + c1)(2 cov + c2) / ((pa + mu_b^2)(va + var_b))
-        mu2_a, pa, va = 2.0 * mu_a, mu_a * mu_a + c1, var_a + c2
+        c1a, c2a = c1[rows_a], c2[rows_a]
+        mu2_a, pa, va = 2.0 * mu_a, mu_a * mu_a + c1a, var_a + c2a
         # b's chunk also bounds the (blocks, rows of a, rows of b) cross terms
         for rows_b, b in float64_blocks(B, max(8 * d, 8 * blocks * a.shape[3])):
             b = _blocks(b, dims, ey, ex)
@@ -553,8 +562,8 @@ def ssim_pairwise(
                 m2 = np.multiply.outer(mu2_a[wi], mu_b[wi])  # 2 mu_a mu_b
                 s *= 2.0 / npix
                 s -= m2
-                s += c2  # 2 cov + c2
-                m2 += c1
+                s += c2a[:, None]  # 2 cov + c2
+                m2 += c1a[:, None]
                 m2 *= s
                 den = np.add.outer(pa[wi], pb[wi])
                 den *= np.add.outer(va[wi], var_b[wi])
@@ -574,55 +583,57 @@ def ssim(a: Image, b: Image, dynamic_range: float | None = None) -> float:
     return float(ssim_pairwise(a.pixels, b.pixels, a.dims, dynamic_range)[0, 0])
 
 
-def similarity_search_attack(
-    xtilde,
-    publicset,
-    oracle: SignOracle,
-    truth_mask: SignMask,
-    m: int,
-    truth_sources: set[int] | frozenset[int] | None = None,
-    truth_patches: set[int] | frozenset[int] | None = None,
-    tag=0,
-) -> AttackReport:
+def similarity_search_attack(xtilde, publicset, oracle: SignOracle, truth_mask, m: int,
+                             truth_sources=None, truth_patches=None, tag=0):
     """Demask through the oracle, rank the public patches by SSIM, and report
-    whether any true mixing source shows up in the top m. Truth can be given
-    as patch indices or, when the patch set carries provenance, as source
-    image ids (robust to the attacker cropping differently than the
-    encryptor)."""
+    whether any true mixing source shows up in the top m. Truth is patch
+    indices or, when the patch set carries provenance, source image ids
+    (robust to the attacker cropping differently than the encryptor).
+
+    One query (EncryptedSample, Image or 1-D row) with a SignMask, an int tag
+    and truth sets gives one report; a (q, d) block (EncryptedSamples or an
+    array) with (q, d) signs, q tags and q sets per truth gives a list of q.
+    The block is demasked in one multiply and ranked in one ssim_pairwise
+    call, query t at its own default range (its row joined with the pool, in
+    float64). A block of one has a one-query call's bits; in a larger block
+    the cross term's matmul sums in another order, so a score can move in the
+    last ulp."""
     patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     n = patches.shape[0]
     if not 0 <= m <= n:
         raise ValidationError(f"m must be in [0, {n}], got {m}")
-    estimate = demask_with_oracle(xtilde, truth_mask, oracle, tag)
+    X = np.asarray(xtilde)
+    if single := X.ndim != 2:
+        X, truth_mask, tag = X.reshape(1, -1), truth_mask.signs[None], [tag]
+        truth_sources, truth_patches = [truth_sources], [truth_patches]
+    q = len(X)
+    sources, members = ([v] * q if v is None else list(v) for v in (truth_sources, truth_patches))
+    if np.shape(tag) != (q,) or len(sources) != q or len(members) != q:
+        raise ValidationError(f"{q} queries need {q} tags and {q} sets per truth")
+    ids = publicset.source_ids() if hasattr(publicset, "source_ids") else None
+    if ids is None and any(s is not None for s in sources):
+        raise ValidationError("source-id truth needs a patch set with provenance")
+    estimate = oracle.demask(X, truth_mask, tag)
     # SSIM windows need the image geometry: a raw query takes the candidates'
-    dims = estimate.dims
-    if not hasattr(xtilde, "dims") and hasattr(publicset, "dims"):
-        dims = publicset.dims
-    sims = ssim_pairwise(estimate.pixels, patches, dims)[0]
-    order = np.lexsort((np.arange(n), -sims))
-    top = order[:m]
+    dims = getattr(xtilde, "dims", None) or getattr(publicset, "dims", None) or (1, 1, X.shape[1])
+    lo = np.minimum(estimate.min(axis=1), patches.min(initial=np.inf), dtype=np.float64)
+    hi = np.maximum(estimate.max(axis=1), patches.max(initial=-np.inf), dtype=np.float64)
+    sims = ssim_pairwise(estimate, patches, dims, np.where(hi > lo, hi - lo, 1.0))
+    order = np.argsort(-sims, axis=1, kind="stable")  # by (-score, index)
 
-    metrics: dict = {}
-    if truth_sources is not None or truth_patches is not None:
-        hit = False
-        if truth_patches is not None:
-            hit |= bool(set(int(i) for i in top) & set(int(t) for t in truth_patches))
-        if truth_sources is not None:
-            if not hasattr(publicset, "source_ids"):
-                raise ValidationError("source-id truth needs a patch set with provenance")
-            ids = publicset.source_ids()
-            hit |= bool(
-                set(int(ids[i]) for i in top) & set(int(t) for t in truth_sources)
-            )
-        metrics["hit"] = 1.0 if hit else 0.0
-    scores = tuple((int(i), float(sims[i])) for i in order[:TOP_SCORES])
-    return AttackReport(
-        attack="similarity_search",
-        params={"m": m, "oracle_p": oracle.p, "candidates": n},
-        scores=scores,
-        decisions=tuple(int(i) for i in top),
-        metrics=metrics,
-    )
+    reports = []
+    for t, top in enumerate(order[:, :m]):
+        hit = set(top.tolist()) & set(map(int, members[t] or ()))
+        if sources[t] is not None:
+            hit |= set(ids[top].tolist()) & set(map(int, sources[t]))
+        reports.append(AttackReport(
+            attack="similarity_search",
+            params={"m": m, "oracle_p": oracle.p, "candidates": n},
+            scores=tuple((int(i), float(sims[t, i])) for i in order[t, :TOP_SCORES]),
+            decisions=tuple(top.tolist()),
+            metrics={} if sources[t] is None and members[t] is None else {"hit": float(bool(hit))},
+        ))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +680,7 @@ def averaging_attack(
     pixels, dims = np.asarray(history)[rows], history.dims
     # Mixup keys carry no signs: their masks are all +1
     truth = np.ones(pixels.shape, np.int8) if keys.signs is None else keys.signs[rows]
-    demasked = pixels * oracle.recovered_masks(truth, history.ids[rows])
+    demasked = oracle.demask(pixels, truth, history.ids[rows])
 
     if mode == "strong":
         recon = Image(_mean_rows(demasked).astype(np.float32), dims)
@@ -752,7 +763,7 @@ def gradient_matching_attack(
 
     The analytic descent direction is verified against central finite
     differences at the starting point (relative tolerance 1e-4); a non-finite
-    objective aborts with the trajectory attached to the error."""
+    objective or an x beyond float32 aborts with the trajectory attached."""
     gW = np.asarray(observed_gradient[0], dtype=np.float64)
     gb = np.asarray(observed_gradient[1], dtype=np.float64).reshape(-1)
     if gW.shape != (model.classes, model.d) or gb.size != model.classes:
@@ -768,25 +779,24 @@ def gradient_matching_attack(
     if fd_probes > 0:
         _verify_matching_gradient(model, x, y, gW, gb, gen, fd_probes)
 
-    trajectory = []
-    steps_run = 0
-    for step in range(int(steps)):
-        objective, grad_x, grad_y = _matching_objective(model, x, y, gW, gb)
-        trajectory.append(objective)
-        if not np.isfinite(objective):
-            raise DivergenceError(
-                f"matching objective became non-finite at step {step}",
-                trajectory=tuple(trajectory),
-            )
-        if objective <= 1e-16:
+    trajectory, step = [], 0
+    while True:  # the pass after the last step scores the final (x, y)
+        final, grad_x, grad_y = _matching_objective(model, x, y, gW, gb)
+        if not (np.isfinite(final) and np.abs(x).max() <= np.finfo(np.float32).max):
+            raise DivergenceError(f"matching descent diverged at step {step}: objective "
+                                  f"{final:.3g}, max |x| {np.abs(x).max():.3g}",
+                                  trajectory=(*trajectory, final))
+        if step == steps:
             break
-        x = x - lr * grad_x
-        y = y - lr * grad_y
-        steps_run = step + 1
+        trajectory.append(final)
+        if final <= 1e-16:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):  # the next pass reports a divergence
+            x, y = x - lr * grad_x, y - lr * grad_y
+        step += 1
 
-    final, _, _ = _matching_objective(model, x, y, gW, gb)
     recovered = Image(x.astype(np.float32), getattr(victim, "dims", (1, 1, model.d)))
-    metrics: dict = {"final_objective": final, "steps_run": float(steps_run)}
+    metrics: dict = {"final_objective": final, "steps_run": float(step)}
     if victim is not None:
         metrics["corr_to_victim"] = correlation(recovered, victim)
     return AttackReport(

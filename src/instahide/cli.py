@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import attacks, publicprep, stats, utility
+from . import attacks, encrypt, publicprep, stats, utility
 from .core import Dataset, Image, make_gaussian_dataset
 from .encrypt import SCHEMES, SchemeConfig, encrypt_history, encrypt_sample, export_challenge
 from .errors import ValidationError
@@ -422,39 +422,27 @@ def cmd_attack_similarity(opts: dict, rng: RngStream) -> dict:
     trials = opts["trials"]
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    source_dims = _parse_dims(opts["source_dims"])
-    patch_dims = _parse_dims(opts["patch_dims"])
-
-    sources = make_gaussian_dataset(
-        opts["sources"], source_dims, rng.child("sources"), normalize=False
+    source_dims, patch_dims = _parse_dims(opts["source_dims"]), _parse_dims(opts["patch_dims"])
+    sources = make_gaussian_dataset(opts["sources"], source_dims, rng.child("sources"),
+                                    normalize=False)
+    enc_patches, attacker_patches = (
+        publicprep.build_patchset(sources, patch_dims[1:], 1, rng.child(tag), min_keypoints=0)
+        for tag in ("crop-enc", "crop-att")
     )
-    enc_patches = publicprep.build_patchset(
-        sources, patch_dims[1:], 1, rng.child("crop-enc"), min_keypoints=0
-    )
-    attacker_patches = publicprep.build_patchset(
-        sources, patch_dims[1:], 1, rng.child("crop-att"), min_keypoints=0
-    )
-    # labels only satisfy the encryptor: the attack never reads them
-    private = make_gaussian_dataset(
-        max(2, trials), patch_dims, rng.child("private"), classes=10, normalize=False,
-    )
+    n = max(2, trials)  # a cross mix takes a second private image
+    private = make_gaussian_dataset(n, patch_dims, rng.child("private"), normalize=False)
     cfg = _scheme_config(opts, "cross")
     oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
-    hits = 0
-    for t in range(trials):
-        sample, key = encrypt_sample(
-            private, t % private.n, cfg, rng.child("enc", t), publicset=enc_patches
-        )
-        truth_sources = {
-            int(enc_patches.provenance[idx][0])
-            for tag, idx in key.sources
-            if tag == "public"
-        }
-        rep = attacks.similarity_search_attack(
-            sample, attacker_patches, oracle, key.mask, opts["m"],
-            truth_sources=truth_sources, tag=t,
-        )
-        hits += int(rep.metrics["hit"])
+    # trial t encrypts private image t (n > t) under rng.child("enc", t): one kernel call
+    t, ids = np.arange(trials), enc_patches.source_ids()
+    S = encrypt._sources(private, cfg, enc_patches)
+    rows = encrypt._encrypt_rows(S, None, cfg, t, rng.children("enc", ids=t))
+    # source row j >= n is public patch j - n; the truth is the images it was cropped from
+    truth = [set(ids[j[j >= n] - n].tolist()) for j in rows.sources]
+    reports = attacks.similarity_search_attack(
+        rows.pixels, attacker_patches, oracle, rows.signs, opts["m"], truth_sources=truth, tag=t
+    )
+    hits = sum(int(rep.metrics["hit"]) for rep in reports)
     return {"trials": trials, "hits": hits, "hit_rate": hits / trials, "m": opts["m"]}
 
 

@@ -421,8 +421,8 @@ def make_gaussian_dataset(
     labels when ``classes`` is given."""
     if int(n) < 1:
         raise ValidationError(f"a synthetic set needs n >= 1 images, got {n}")
-    if classes is not None and classes < 1:
-        raise ValidationError(f"a labelled synthetic set needs classes >= 1, got {classes}")
+    if classes is not None and not 1 <= classes <= 0xFFFF:  # IHDS's u16 class field
+        raise ValidationError(f"a labelled set needs 1 <= classes <= 65535, got {classes}")
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
     gen = rng.generator()
@@ -431,5 +431,5 @@ def make_gaussian_dataset(
         pixels = _normalize_rows(pixels)
     labels = None
     if classes is not None:
-        labels = np.eye(classes, dtype=np.float32)[gen.integers(0, classes, size=n)]
+        labels = gen.integers(0, classes, size=n)[:, None] == np.arange(classes)  # one-hot rows
     return Dataset(pixels, labels, dims=dims)

@@ -226,6 +226,8 @@ def import_raw(
     must be given) or a full weight vector with one float per class (as
     many as ``classes`` when it is given).
     """
+    if classes is not None and classes > 0xFFFF:
+        raise ValidationError(f"classes={classes} does not fit the header (at most 65535)")
     dims = tuple(int(v) for v in dims)
     d = dims[0] * dims[1] * dims[2]
     raw = read_file(raw_path)
@@ -249,7 +251,7 @@ def import_raw(
                 if not text.isdecimal() or int(text) >= classes:
                     raise ValidationError(f"class index {text!r} is not an integer in "
                                           f"[0, {classes})")
-                rows.append(np.eye(classes, dtype=np.float32)[int(text)])
+                rows.append(np.arange(classes) == int(text))  # one-hot
             elif rec:
                 try:
                     rows.append(np.array([float(v) for v in rec], np.float32))

@@ -484,9 +484,8 @@ def check_theorem_gap(
                 for row in range(b):
                     pool = gen.standard_normal((n - k, d)) * sigma
                     outsider[row] = np.abs(pool @ xt[row])
-            gap_ok[done : done + b] = member_scores.min(axis=1) >= beta * outsider.max(
-                axis=1
-            )
+            with np.errstate(over="ignore"):  # a product overflowing to inf fails the gap
+                gap_ok[done : done + b] = member_scores.min(axis=1) >= beta * outsider.max(axis=1)
             worst_outsider = max(worst_outsider, float(outsider.max()))
             done += b
         implied = worst_outsider / (k * sigma**2 * math.sqrt(d) * log_term)

@@ -31,9 +31,15 @@ from instahide.core import (
     one_hot,
     sample_sign_mask,
 )
-from instahide.encrypt import SchemeConfig, apply_mask, encrypt_history, encrypt_sample
-from instahide.errors import DivergenceError, ValidationError
-from instahide.publicprep import PatchSet
+from instahide.encrypt import (
+    SchemeConfig,
+    apply_mask,
+    encrypt_epoch,
+    encrypt_history,
+    encrypt_sample,
+)
+from instahide.errors import DimensionMismatchError, DivergenceError, ValidationError
+from instahide.publicprep import PatchSet, build_patchset
 from instahide.rng import RngStream
 from instahide.utility import init_model, loss_and_gradient
 
@@ -239,7 +245,7 @@ def test_truth_members_outside_the_candidates_are_refused(truth):
 def test_sign_oracle_perfect_and_bounds():
     truth = sample_sign_mask(100, RngStream(17))
     oracle = SignOracle(p=0.0)
-    assert np.array_equal(oracle.recovered_mask(truth).signs, truth.signs)
+    assert np.array_equal(oracle.recovered_masks(truth.signs[None], [0])[0], truth.signs)
     with pytest.raises(ValidationError):
         SignOracle(p=0.6)
     with pytest.raises(ValidationError):
@@ -249,11 +255,10 @@ def test_sign_oracle_perfect_and_bounds():
 def test_sign_oracle_flip_rate_and_tags():
     truth = sample_sign_mask(20000, RngStream(18))
     oracle = SignOracle(p=0.25, rng=RngStream(19))
-    est = oracle.recovered_mask(truth, tag=0)
-    flip_rate = np.mean(est.signs != truth.signs)
+    est, other = oracle.recovered_masks(np.stack([truth.signs] * 2), [0, 1])
+    flip_rate = np.mean(est != truth.signs)
     assert flip_rate == pytest.approx(0.25, abs=0.02)
-    other = oracle.recovered_mask(truth, tag=1)
-    assert not np.array_equal(est.signs, other.signs)
+    assert not np.array_equal(est, other)
 
 
 def test_demask_with_perfect_oracle_inverts_mask():
@@ -318,6 +323,27 @@ def test_ssim_pairwise_of_an_empty_batch_is_an_empty_matrix():
     assert ssim_pairwise(rows[:0], rows[:0], dims).shape == (0, 0)
 
 
+def test_ssim_pairwise_takes_one_dynamic_range_per_row():
+    gen = RngStream(33).generator()
+    A, B = gen.random((4, 192)).astype(np.float32), gen.random((7, 192)).astype(np.float32)
+    dims = (3, 8, 8)
+    for r in (1.0, 0.37, 2.5e3):
+        full = ssim_pairwise(A, B, dims, np.full(len(A), r))
+        assert full.tobytes() == ssim_pairwise(A, B, dims, r).tobytes()
+    ranges = np.array([0.5, 1.0, 2.0, 4.0])
+    per_row = ssim_pairwise(A, B, dims, ranges)
+    for i, r in enumerate(ranges):
+        alone = ssim_pairwise(A[i], B, dims, r)[0]
+        np.testing.assert_allclose(per_row[i], alone, rtol=0, atol=1e-15)
+    # a nan range passed the old "<= 0" check and made every score nan
+    for bad in (0.0, -1.0, np.nan, np.inf, [1.0, np.nan, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                [1.0, 1.0], np.ones((4, 1))):
+        with pytest.raises(ValidationError, match="dynamic range"):
+            ssim_pairwise(A, B, dims, bad)
+    with pytest.raises(ValidationError, match="dynamic range"):
+        ssim_pairwise(A[:0], B, dims, np.nan)  # refused with no rows to score
+
+
 def test_ssim_validation():
     a = Image(np.ones(16, np.float32), (1, 4, 4))
     b = Image(np.ones(16, np.float32), (1, 2, 8))
@@ -365,6 +391,65 @@ def test_similarity_search_on_an_empty_patch_set_ranks_nothing():
             query, empty, SignOracle(0.0), mask, m=0, truth_patches={0}
         )
         assert report.decisions == () and report.metrics["hit"] == 0.0
+
+
+def cross_block(q=6, seed=41):
+    """q cross encryptions mixing a 300-patch 3x16x16 pool with provenance:
+    the samples and keys blocks, the pool, and each row's true patches and
+    source images."""
+    rng = RngStream(seed)
+    sources = make_gaussian_dataset(300, (3, 24, 24), rng.child("s"), normalize=False)
+    pool = build_patchset(sources, (16, 16), 1, rng.child("crop"), min_keypoints=0)
+    private = make_gaussian_dataset(q, (3, 16, 16), rng.child("p"), classes=2)
+    cfg = SchemeConfig("cross", k=5, c1=0.65, c2=0.3)
+    samples, keys = encrypt_epoch(private, cfg, 0, rng.child("e"), publicset=pool)
+    patches = [{j - q for j in row if j >= q} for row in keys.sources.tolist()]
+    ids = pool.source_ids()
+    return samples, keys, pool, patches, [{int(ids[j]) for j in p} for p in patches]
+
+
+def test_a_block_of_queries_matches_one_query_at_a_time():
+    samples, keys, pool, patches, sources = cross_block()
+    oracle = SignOracle(0.4, RngStream(42))
+    block = similarity_search_attack(samples, pool, oracle, keys.signs, 10,
+                                     truth_sources=sources, truth_patches=patches, tag=samples.ids)
+    assert len(block) == len(samples)
+    for t, rep in enumerate(block):
+        args = (pool, oracle, keys[t].mask, 10)
+        one = similarity_search_attack(samples[t], *args, truth_sources=sources[t],
+                                       truth_patches=patches[t], tag=int(samples.ids[t]))
+        assert (rep.params, rep.decisions, rep.metrics) == (one.params, one.decisions, one.metrics)
+        assert [i for i, _ in rep.scores] == [i for i, _ in one.scores]
+        np.testing.assert_allclose([v for _, v in rep.scores], [v for _, v in one.scores],
+                                   rtol=0, atol=1e-15)
+        # a block of one is the one-query call, bit for bit
+        [alone] = similarity_search_attack(
+            samples[t : t + 1], pool, oracle, keys.signs[t : t + 1], 10,
+            truth_sources=[sources[t]], truth_patches=[patches[t]], tag=samples.ids[t : t + 1])
+        assert report_fields(alone) == report_fields(one)
+    hits = [rep.metrics["hit"] for rep in block]
+    assert 0.0 in hits and 1.0 in hits
+
+
+def test_a_block_of_queries_is_checked_like_one_query():
+    samples, keys, pool, patches, _ = cross_block(q=3)
+    oracle = SignOracle(0.1, RngStream(43))
+    with pytest.raises(ValidationError, match="3 queries need 3 tags"):
+        similarity_search_attack(samples, pool, oracle, keys.signs, 5, tag=[0, 1])
+    with pytest.raises(ValidationError, match="3 queries need 3 tags"):
+        similarity_search_attack(samples, pool, oracle, keys.signs, 5, truth_patches=patches[:2],
+                                 tag=samples.ids)
+    with pytest.raises(DimensionMismatchError):
+        similarity_search_attack(samples, pool, oracle, keys.signs[:2], 5, tag=samples.ids)
+    with pytest.raises(ValidationError, match=r"mask entries \+1 or -1"):
+        similarity_search_attack(samples, pool, oracle, keys.signs * 0.5, 5, tag=samples.ids)
+    bad = np.array(samples)
+    bad[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        similarity_search_attack(bad, pool, oracle, keys.signs, 5, tag=samples.ids)
+    with pytest.raises(ValidationError, match="provenance"):
+        similarity_search_attack(samples, pool.matrix(), oracle, keys.signs, 5,
+                                 truth_sources=[{0}] * 3, tag=samples.ids)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from instahide import cli
+from instahide.attacks import SignOracle, similarity_search_attack
 from instahide.cli import _parse_dims, leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
 from instahide.core import Dataset, make_gaussian_dataset
+from instahide.encrypt import SchemeConfig, encrypt_sample
 from instahide.errors import TruncatedFileError, ValidationError
 from instahide.publicprep import build_patchset, save_patchset
 from instahide.rng import RngStream
@@ -853,6 +855,7 @@ def test_a_k_beyond_the_pool_exits_2_before_allocating_its_index(tmp_path, capsy
 
 
 SMALL_STATS = ["--d", "16", "--n", "8", "--trials", "100"]
+TINY = ["--synthetic-n", "6", "--synthetic-dims", "1x4x4", "--epochs", "2"]
 
 
 @pytest.mark.parametrize(
@@ -879,6 +882,19 @@ SMALL_STATS = ["--d", "16", "--n", "8", "--trials", "100"]
                       "--lr", "1e20", "--epochs", "3", "--out", "{tmp}/m.ihmd"],
                      "model weights overflow the float32 checkpoint",
                      id="train-plain-weights-beyond-float32"),
+        # a synthetic set's one-hot labels came from a classes x classes
+        # identity: exit 1, "array is too big"
+        *(pytest.param([*argv, "--synthetic-classes", "2147483648"],
+                       "needs 1 <= classes <= 65535", id=f"{name}-huge-classes")
+          for name, argv in (("encrypt", ["encrypt", *TINY, "--out", "{tmp}/o.ihds"]),
+                             ("train", ["train", *TINY, "--out", "{tmp}/m.ihmd"]),
+                             ("attack-pair", ["attack", "pair", *TINY]),
+                             ("attack-averaging", ["attack", "averaging", *TINY]))),
+        pytest.param(["encrypt", *TINY, "--out", "{tmp}/o.ihds", "--synthetic-classes", "65536"],
+                     "needs 1 <= classes <= 65535", id="encrypt-classes-beyond-u16"),
+        pytest.param(["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels",
+                      "{tmp}/y.csv", "--classes", "2147483648", "--out", "{tmp}/i.ihds"],
+                     "classes=2147483648 does not fit the header", id="import-huge-classes"),
     ],
 )
 def test_an_overflowing_option_exits_2(tmp_path, capsys, argv, message):
@@ -890,3 +906,114 @@ def test_an_overflowing_option_exits_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert _files(tmp_path) == []
+
+
+def test_import_refuses_a_huge_class_count_before_it_allocates(tmp_path, capsys):
+    # a class-index row built its one-hot from a classes x classes identity,
+    # so this one-row CSV exited 1 with "array is too big"
+    (tmp_path / "x.raw").write_bytes(bytes(4))
+    (tmp_path / "y.csv").write_text("0\n")
+    code = main(["import", "--raw", str(tmp_path / "x.raw"), "--dims", "1x2x2", "--labels",
+                 str(tmp_path / "y.csv"), "--classes", "2147483648",
+                 "--out", str(tmp_path / "i.ihds")])
+    assert code == 2
+    assert "classes=2147483648 does not fit the header" in capsys.readouterr().err
+    assert not (tmp_path / "i.ihds").exists()
+
+
+@pytest.mark.parametrize("lr, message", [
+    # the descent update leaked numpy's "overflow encountered in multiply"
+    ("1e308", "matching descent diverged at step 1: objective nan"),
+    # x left float32's range in the last update: the reconstruction's cast
+    # leaked "overflow encountered in cast"
+    ("2", "matching descent diverged at step 5: objective"),
+], ids=["overflowing-update", "beyond-float32-after-the-last-step"])
+def test_a_diverging_grad_match_exits_1_with_its_divergence_error(capsys, lr, message):
+    # a leaked warning is the failure under the test filter; the divergence
+    # itself is a runtime error that carries its trajectory
+    code = main(["attack", "grad-match", "--lr", lr, "--synthetic-dims", "1x4x4", "--steps", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "overflow" not in err
+
+
+def test_theorem_gap_with_an_overflowing_beta_product_fails_the_gap(capsys):
+    # beta * the outsider maximum overflowed to inf with a RuntimeWarning
+    code = main(["stats", "theorem-gap", "--which", "scan", "--beta", "1e308", "--d", "16",
+                 "--n", "50", "--trials", "100"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    results = json.loads(out.out)["results"]
+    assert results["pass_fraction"] == 0.0 and results["precondition_ok"] is False
+
+
+def _similarity_trial_by_trial(argv, seed):
+    """Each trial's report from the loop the command ran before it encrypted its
+    trials in one kernel call: encrypt_sample under rng.child("enc", t), then a
+    one-query search."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    rng, trials, m = RngStream(seed), int(opts["--trials"]), int(opts["--m"])
+    patch_dims = _parse_dims(opts["--patch-dims"])
+    sources = make_gaussian_dataset(int(opts["--sources"]), _parse_dims(opts["--source-dims"]),
+                                    rng.child("sources"), normalize=False)
+    enc, att = (build_patchset(sources, patch_dims[1:], 1, rng.child(tag), min_keypoints=0)
+                for tag in ("crop-enc", "crop-att"))
+    private = make_gaussian_dataset(max(2, trials), patch_dims, rng.child("private"), classes=10,
+                                    normalize=False)
+    cfg = SchemeConfig("cross", int(opts["--k"]), float(opts["--c1"]), float(opts["--c2"]))
+    oracle = SignOracle(float(opts["--oracle-p"]), rng.child("oracle"))
+    reports = []
+    for t in range(trials):
+        sample, key = encrypt_sample(private, t % private.n, cfg, rng.child("enc", t),
+                                     publicset=enc)
+        truth = {int(enc.provenance[idx][0]) for tag, idx in key.sources if tag == "public"}
+        reports.append(similarity_search_attack(sample, att, oracle, key.mask, m,
+                                                truth_sources=truth, tag=t))
+    return reports
+
+
+@pytest.mark.parametrize("argv, seed", [
+    # the replay table's run: CONFIG under the command's own flags
+    (["--trials", "2", "--sources", "20", "--source-dims", "1x8x8", "--patch-dims", "1x4x4",
+      "--k", "3", "--c1", "0.6", "--c2", "0.25", "--oracle-p", "0.1", "--m", "3"], 9),
+    # nine trials on 3-channel patches (the command makes max(2, trials)
+    # private images, so trials never outnumber them)
+    (["--trials", "9", "--sources", "60", "--source-dims", "3x12x12", "--patch-dims", "3x8x8",
+      "--k", "4", "--c1", "0.65", "--c2", "0.3", "--oracle-p", "0.3", "--m", "4"], 3),
+], ids=["replay-config", "nine-trials"])
+def test_attack_similarity_matches_the_trial_by_trial_loop(monkeypatch, capsys, argv, seed):
+    searched = []
+
+    def search(*args, **kwargs):
+        searched.append(similarity_search_attack(*args, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(cli.attacks, "similarity_search_attack", search)
+    assert main(["attack", "similarity", *argv, "--seed", str(seed)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    [batch] = searched
+    expect = _similarity_trial_by_trial(argv, seed)
+    assert [r.decisions for r in batch] == [r.decisions for r in expect]
+    assert [r.metrics for r in batch] == [r.metrics for r in expect]
+    for got, want in zip(batch, expect):
+        np.testing.assert_allclose([v for _, v in got.scores], [v for _, v in want.scores],
+                                   rtol=0, atol=1e-15)
+    hits = sum(int(r.metrics["hit"]) for r in expect)
+    assert results == {"trials": len(expect), "hits": hits, "hit_rate": hits / len(expect),
+                       "m": int(argv[-1])}
+
+
+def test_attack_similarity_encrypts_in_one_kernel_call_and_ranks_in_one_ssim_pass(monkeypatch,
+                                                                                  capsys):
+    # its default 50 trials on a 150-image source set: the loop made 50 of each
+    calls = {"_encrypt_rows": 0, "ssim_pairwise": 0}
+    for module, name in ((cli.encrypt, "_encrypt_rows"), (cli.attacks, "ssim_pairwise")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["attack", "similarity", "--sources", "150"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["trials"] == 50
+    assert calls == {"_encrypt_rows": 1, "ssim_pairwise": 1}
