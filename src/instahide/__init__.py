@@ -33,7 +33,6 @@ from .core import (
     Image,
     LabelVector,
     SignMask,
-    inner_product,
     make_gaussian_dataset,
     normalize_image,
     one_hot,
@@ -63,7 +62,7 @@ from .errors import (
     TruncatedFileError,
     ValidationError,
 )
-from .ihds import dataset_from_bytes, dataset_to_bytes, import_raw, load_dataset, save_dataset
+from .ihds import import_raw, load_dataset, save_dataset
 from .publicprep import PatchSet, build_patchset, load_patchset, save_patchset
 from .rng import RngStream
 from .stats import (
@@ -75,7 +74,6 @@ from .stats import (
     check_theorem_gap,
     indistinguishability_protocol,
     kolmogorov_survival,
-    ks_two_sample,
     ks_uniform,
 )
 from .utility import (

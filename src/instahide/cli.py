@@ -302,9 +302,14 @@ def cmd_prep_public(opts: dict, rng: RngStream) -> dict:
         source, _parse_dims(opts["patch_size"], "HxW"), opts["per_image"], rng.child("crop"),
         min_keypoints=opts["min_keypoints"],
     )
+    candidates = source.n * opts["per_image"]
+    if not len(ps):  # a cross scheme cannot run without public patches
+        why = (f"none of the {candidates} candidate crops has more than {opts['min_keypoints']}"
+               " keypoints" if candidates else "--per-image 0 or an empty --in gives no crops")
+        raise ValidationError(f"no patch kept: {why}")
     publicprep.save_patchset(ps, opts["out"])
     return {
-        "candidates": source.n * opts["per_image"],
+        "candidates": candidates,
         "kept": len(ps),
         "retention": ps.retention,
         "out": opts["out"],
@@ -425,8 +430,9 @@ def cmd_attack_similarity(opts: dict, rng: RngStream) -> dict:
     source_dims, patch_dims = _parse_dims(opts["source_dims"]), _parse_dims(opts["patch_dims"])
     sources = make_gaussian_dataset(opts["sources"], source_dims, rng.child("sources"),
                                     normalize=False)
+    # one unscored crop of each source per side, so patch i is cut from source i
     enc_patches, attacker_patches = (
-        publicprep.build_patchset(sources, patch_dims[1:], 1, rng.child(tag), min_keypoints=0)
+        Dataset(publicprep._candidates(sources, patch_dims[1:], 1, rng.child(tag))[0])
         for tag in ("crop-enc", "crop-att")
     )
     n = max(2, trials)  # a cross mix takes a second private image
@@ -434,13 +440,13 @@ def cmd_attack_similarity(opts: dict, rng: RngStream) -> dict:
     cfg = _scheme_config(opts, "cross")
     oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
     # trial t encrypts private image t (n > t) under rng.child("enc", t): one kernel call
-    t, ids = np.arange(trials), enc_patches.source_ids()
+    t = np.arange(trials)
     S = encrypt._sources(private, cfg, enc_patches)
     rows = encrypt._encrypt_rows(S, None, cfg, t, rng.children("enc", ids=t))
-    # source row j >= n is public patch j - n; the truth is the images it was cropped from
-    truth = [set(ids[j[j >= n] - n].tolist()) for j in rows.sources]
+    # source row j >= n is public patch j - n, so source image j - n
+    truth = [set((j[j >= n] - n).tolist()) for j in rows.sources]
     reports = attacks.similarity_search_attack(
-        rows.pixels, attacker_patches, oracle, rows.signs, opts["m"], truth_sources=truth, tag=t
+        rows.pixels, attacker_patches, oracle, rows.signs, opts["m"], truth_patches=truth, tag=t
     )
     hits = sum(int(rep.metrics["hit"]) for rep in reports)
     return {"trials": trials, "hits": hits, "hit_rate": hits / trials, "m": opts["m"]}

@@ -105,7 +105,16 @@ class LabelVector:
 
 
 def one_hot(label: int, classes: int) -> LabelVector:
-    return LabelVector(np.eye(classes, dtype=np.float32)[label])
+    if not (0 <= label < classes and label == int(label)):
+        raise ValidationError(f"label {label} is not a class index in [0, {classes})")
+    return LabelVector(np.arange(classes) == label)
+
+
+def _dims(dims) -> tuple[int, int, int]:
+    dims = tuple(map(int, dims))
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValidationError(f"dims must be three positive ints, got {dims}")
+    return dims
 
 
 def _row_matrix(rows, dims=None):
@@ -113,10 +122,7 @@ def _row_matrix(rows, dims=None):
     dims, from Images, an (n, C, H, W) array, or an (n, d) array and ``dims``;
     an empty sequence of Images needs ``dims``. Writable arrays are copied,
     read-only ones shared. Every row is checked at once to be finite."""
-    if dims is not None:
-        dims = tuple(map(int, dims))
-        if len(dims) != 3 or min(dims) < 1:
-            raise ValidationError(f"dims must be three positive ints, got {dims}")
+    dims = None if dims is None else _dims(dims)
     if not isinstance(rows, np.ndarray):
         rows = tuple(rows)
         if not rows:
@@ -301,12 +307,6 @@ def normalize_image(x: Image) -> Image:
     return Image(_normalize_rows(x.pixels[None])[0], x.dims)
 
 
-def inner_product(a, b) -> float:
-    """Float64 inner product of two equal-length pixel vectors: the one-row
-    scan_scores of ``a`` against ``b``."""
-    return float(scan_scores(np.asarray(a).reshape(1, -1), b)[0])
-
-
 def float64_blocks(matrix: np.ndarray, row_bytes: int):
     """Yield ``(rows, block)`` over consecutive row blocks of ``matrix``: a
     slice and a float64 copy of those rows, as many as fit CHUNK_BYTES at
@@ -423,7 +423,7 @@ def make_gaussian_dataset(
         raise ValidationError(f"a synthetic set needs n >= 1 images, got {n}")
     if classes is not None and not 1 <= classes <= 0xFFFF:  # IHDS's u16 class field
         raise ValidationError(f"a labelled set needs 1 <= classes <= 65535, got {classes}")
-    dims = tuple(int(v) for v in dims)
+    dims = _dims(dims)
     d = dims[0] * dims[1] * dims[2]
     gen = rng.generator()
     pixels = gen.standard_normal((n, d), dtype=np.float32) / np.sqrt(d, dtype=np.float32)

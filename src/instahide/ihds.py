@@ -16,10 +16,10 @@ Layout (all integers little-endian):
     -       -     label payload: count * classes float32 LE (only if bit0 set)
 
 Writers refuse non-finite payloads; ``write_arrays`` checks everything, then
-streams the header and each payload buffer (arrays_to_bytes joins them, and
-identical datasets give identical bytes). The readers share one parser: it
-views the bytes and rejects bad magic, version or sizes (FormatError) and
-short files (TruncatedFileError).
+streams the header and each payload buffer, so identical datasets give
+identical files. The readers share one parser: it views the bytes and
+rejects bad magic, version or sizes (FormatError) and short files
+(TruncatedFileError).
 
 Only this module touches files. ``output`` stages a write as
 ``<name>.<pid>.tmp`` beside its target; the outermost ``publishing()`` block
@@ -139,28 +139,14 @@ def _parts(pixels: np.ndarray, labels=None) -> list:
     return parts
 
 
-def arrays_to_bytes(pixels: np.ndarray, labels=None) -> bytes:
-    """(n, C, H, W) float32 pixels and optional (n, classes) labels as IHDS bytes."""
-    return b"".join(_parts(pixels, labels))
-
-
 def write_arrays(path: str | Path, pixels: np.ndarray, labels=None) -> Path:
-    """Write arrays_to_bytes' bytes to ``path``, streaming the header and then
-    each payload array's buffer; every check runs before the file is opened."""
+    """Write (n, C, H, W) float32 pixels and optional (n, classes) labels to
+    ``path`` as IHDS, streaming the header and then each payload array's
+    buffer; every check runs before the file is opened."""
     parts = _parts(pixels, labels)
     with output(path) as fh:
         fh.writelines(memoryview(part) for part in parts)
     return Path(path)
-
-
-def _dataset_arrays(ds: Dataset) -> tuple:
-    labels = None if ds.classes is None else ds.label_matrix()
-    return ds.matrix().reshape(ds.n, *ds.dims), labels
-
-
-def dataset_to_bytes(ds: Dataset) -> bytes:
-    """A dataset as IHDS bytes."""
-    return arrays_to_bytes(*_dataset_arrays(ds))
 
 
 def _from_bytes(raw) -> tuple:
@@ -199,17 +185,14 @@ def read_arrays(path: str | Path) -> tuple:
     return _from_bytes(read_file(path))
 
 
-def dataset_from_bytes(raw: bytes) -> Dataset:
-    return Dataset(*_from_bytes(raw))
-
-
 def save_dataset(ds: Dataset, path: str | Path) -> Path:
-    """Write dataset_to_bytes' bytes to ``path`` without joining them."""
-    return write_arrays(path, *_dataset_arrays(ds))
+    """write_arrays of the dataset's pixels and, when it has them, labels."""
+    labels = None if ds.classes is None else ds.label_matrix()
+    return write_arrays(path, ds.matrix().reshape(ds.n, *ds.dims), labels)
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    return dataset_from_bytes(read_file(path))
+    return Dataset(*_from_bytes(read_file(path)))
 
 
 def import_raw(

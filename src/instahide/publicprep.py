@@ -175,6 +175,13 @@ def keypoint_counts(batch: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _candidates(public: Dataset, out_hw: tuple[int, int], per_image: int, rng: RngStream):
+    """build_patchset's unscored crops of ``public`` and their provenance rows:
+    ``_crops`` with one rng.child("crop", i) stream per public image i."""
+    chw = public.matrix().reshape(public.n, *public.dims)
+    return _crops(chw, out_hw, per_image, Draws(rng.children("crop", ids=np.arange(public.n))))
+
+
 def build_patchset(
     public: Dataset,
     out_hw: tuple[int, int],
@@ -184,22 +191,11 @@ def build_patchset(
 ) -> PatchSet:
     """Crop every public image ``patches_per_image`` times and keep crops with
     strictly more than ``min_keypoints`` keypoints (0 disables the filter).
-
-    ``retention`` records the surviving fraction; an empty result warns, since
-    a cross-dataset scheme cannot run without public patches.
-    """
-    chw = public.matrix().reshape(public.n, *public.dims)
-    draws = Draws(rng.children("crop", ids=np.arange(public.n)))
-    crops, prov = _crops(chw, out_hw, patches_per_image, draws)
-    if not len(prov):
-        warnings.warn("no crop candidates produced; patch set is empty")
-        return PatchSet(crops, prov, (), retention=0.0)
-
+    ``retention`` records the surviving fraction, 0.0 for an empty result."""
+    crops, prov = _candidates(public, out_hw, patches_per_image, rng)
     counts = keypoint_counts(crops)
     kept = np.flatnonzero(counts > min_keypoints) if min_keypoints > 0 else np.arange(len(prov))
-    if not kept.size:
-        warnings.warn(f"flatness filter removed all {len(prov)} candidate patches")
-    return PatchSet(crops[kept], prov[kept], counts[kept], retention=kept.size / len(prov))
+    return PatchSet(crops[kept], prov[kept], counts[kept], retention=kept.size / max(1, len(prov)))
 
 
 def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:

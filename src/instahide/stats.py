@@ -1,8 +1,8 @@
-"""Statistical validators: a two-sample Kolmogorov-Smirnov engine, the
+"""Statistical validators: Kolmogorov-Smirnov p-values (a sample against the
+uniform distribution on [0, 1], one point against a pooled sample), the
 encryption-indistinguishability protocol, and Monte Carlo checks of the
 concentration bounds behind the mixing schemes' security analysis. Those
-checks draw Gaussian pixels of variance 1/d (the chi-square tail has df = d),
-and ``ks_uniform`` tests against the uniform distribution on [0, 1].
+checks draw Gaussian pixels of variance 1/d (the chi-square tail has df = d).
 """
 
 from __future__ import annotations
@@ -50,27 +50,6 @@ def kolmogorov_survival(lam):
     return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
-def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sample KS statistic (sup CDF distance) and asymptotic p-value with
-    effective size n_e = n1*n2/(n1+n2).
-
-    Sizes >= 5 keep the asymptotic p-value meaningful; smaller samples down to
-    a single point are accepted because the indistinguishability protocol
-    tests one encryption's statistic against a pooled population.
-    """
-    av = np.sort(np.asarray(a, dtype=np.float64).reshape(-1))
-    bv = np.sort(np.asarray(b, dtype=np.float64).reshape(-1))
-    n1, n2 = av.size, bv.size
-    if n1 == 0 or n2 == 0:
-        raise ValidationError("both samples must be non-empty")
-    merged = np.concatenate([av, bv])
-    cdf1 = np.searchsorted(av, merged, side="right") / n1
-    cdf2 = np.searchsorted(bv, merged, side="right") / n2
-    stat = float(np.max(np.abs(cdf1 - cdf2)))
-    ne = n1 * n2 / (n1 + n2)
-    return stat, kolmogorov_survival(math.sqrt(ne) * stat)
-
-
 def ks_uniform(values) -> tuple[float, float]:
     """One-sample KS against the uniform distribution on [0, 1]."""
     u = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
@@ -85,8 +64,9 @@ def ks_uniform(values) -> tuple[float, float]:
 
 
 def _singleton_pvalues(values: np.ndarray, pool_sorted: np.ndarray) -> np.ndarray:
-    """p-value of a one-point sample {v} against an empirical pool, for each
-    v in values. Bit-identical to ks_two_sample([v], pool)."""
+    """Two-sample KS p-value of the one-point sample {v} against the sorted
+    pool, for each v in values: the statistic is the sup CDF distance and
+    the effective size n_e = n2 / (1 + n2)."""
     n2 = pool_sorted.size
     hi = np.searchsorted(pool_sorted, values, side="right") / n2
     lo = np.searchsorted(pool_sorted, values, side="left") / n2

@@ -83,14 +83,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model: LinearSoftmaxModel, x) -> np.ndarray:
-    """Class probabilities for one input; positive, summing to 1."""
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xv.size != model.d:
-        raise ValidationError(f"input length {xv.size} != model d {model.d}")
-    return softmax_rows(model.W @ xv + model.b)
-
-
 def loss_and_gradient(
     model: LinearSoftmaxModel, x, y
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
@@ -222,8 +214,8 @@ def _encrypted_probs(
         rows = _encrypt_rows(S, None, cfg, rep, members.child("enc"), m + partners)
         Xc = np.abs(rows.pixels) if cfg.scheme != "mixup" else rows.pixels
         Xc = Xc.astype(np.float64)
-        # matmul over a stack of column vectors runs forward()'s matrix-vector
-        # product row by row, so these probabilities equal forward()'s bit for bit
+        # matmul over a stack of column vectors takes one W @ x product per row,
+        # so each row's probabilities equal softmax_rows(W @ x + b) alone, bit for bit
         P = softmax_rows(np.matmul(model.W, Xc[:, :, None])[:, :, 0] + model.b)
         acc = np.zeros((len(rows_i), model.classes))
         for e in range(ensemble):  # summed in the order predict_encrypted sums
@@ -241,9 +233,9 @@ def predict_encrypted(
     partner_pool=None,
     publicset=None,
 ) -> np.ndarray:
-    """Mean of forward() over ``ensemble`` fresh encryptions of x; a mean of
-    simplex points, so still a probability vector. ``partner_pool`` and
-    ``publicset`` are a Dataset or PatchSet."""
+    """Mean of the model's softmax probabilities over ``ensemble`` fresh
+    encryptions of x; a mean of simplex points, so still a probability vector.
+    ``partner_pool`` and ``publicset`` are a Dataset or PatchSet."""
     return _encrypted_probs(
         model, np.asarray(x).reshape(1, -1), cfg, Streams(rng.seed, [rng.stream]), ensemble,
         partner_pool, publicset,

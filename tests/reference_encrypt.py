@@ -536,7 +536,7 @@ def kolmogorov_survival(lam: float) -> float:
 
 def _singleton_pvalues(values: np.ndarray, pool_sorted: np.ndarray) -> np.ndarray:
     """p-value of a one-point sample {v} against an empirical pool, for each
-    v in values. Bit-identical to ks_two_sample([v], pool)."""
+    v in values, one Kolmogorov series per p-value."""
     n2 = pool_sorted.size
     hi = np.searchsorted(pool_sorted, values, side="right") / n2
     lo = np.searchsorted(pool_sorted, values, side="left") / n2

@@ -26,7 +26,6 @@ from instahide.core import (
     Coefficients,
     Dataset,
     Image,
-    inner_product,
     make_gaussian_dataset,
     one_hot,
     sample_sign_mask,
@@ -90,7 +89,7 @@ def test_correlation_basics():
 def test_pair_share_score_matches_inner_product():
     a = Image(np.array([1.0, 2.0], np.float32), (1, 1, 2))
     b = Image(np.array([3.0, -1.0], np.float32), (1, 1, 2))
-    assert inner_product(a, b) == pytest.approx(1.0)
+    assert pair_detection_attack([a, b]).scores == ((1, 1.0),)  # pair id 0 * 2 + 1
 
 
 # ---------------------------------------------------------------------------

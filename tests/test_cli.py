@@ -1017,3 +1017,35 @@ def test_attack_similarity_encrypts_in_one_kernel_call_and_ranks_in_one_ssim_pas
     assert main(["attack", "similarity", "--sources", "150"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["trials"] == 50
     assert calls == {"_encrypt_rows": 1, "ssim_pairwise": 1}
+
+
+def test_attack_similarity_runs_no_harris_pass(monkeypatch, capsys):
+    # its crops are neither filtered nor scored, so no keypoint count is taken
+    def refused(batch):
+        raise AssertionError("keypoint_counts ran")
+
+    monkeypatch.setattr(cli.publicprep, "keypoint_counts", refused)
+    argv = ["attack", "similarity", "--trials", "3", "--sources", "12", "--m", "4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["trials"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["--min-keypoints", "100000"],
+         "none of the 20 candidate crops has more than 100000 keypoints"),
+        (["--per-image", "0"], "--per-image 0 or an empty --in gives no crops"),
+    ],
+    ids=["all-filtered", "no-candidates"],
+)
+def test_prep_public_that_keeps_no_patch_exits_2_with_one_error_line(tmp_path, capsys, argv,
+                                                                     why):
+    # no warning comes first: under an error filter it would be the
+    # command's exception, exit 1
+    source = save_dataset(make_gaussian_dataset(20, (3, 16, 16), RngStream(0), normalize=False),
+                          tmp_path / "d.ihds")
+    code = main(["prep-public", "--in", str(source), "--patch-size", "8x8",
+                 "--out", str(tmp_path / "p.ihds"), *argv])
+    assert (code, capsys.readouterr().err) == (2, f"error: no patch kept: {why}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.ihds"]

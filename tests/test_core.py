@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import reference_encrypt as oracle
@@ -12,7 +15,6 @@ from instahide.core import (
     SignMask,
     _all_finite,
     _draw_lambdas,
-    inner_product,
     make_gaussian_dataset,
     normalize_image,
     one_hot,
@@ -73,6 +75,28 @@ def test_one_hot():
     lv = one_hot(2, 5)
     assert lv.weights.tolist() == [0, 0, 1, 0, 0]
     assert lv.classes == 5
+
+
+@pytest.mark.parametrize("label, classes", [(-1, 3), (3, 3), (0, 0), (1.5, 3)])
+def test_one_hot_refuses_a_label_outside_the_classes(label, classes):
+    # a negative label must not index from the end, nor a float round to a class
+    with pytest.raises(ValidationError, match="class index"):
+        one_hot(label, classes)
+
+
+def test_one_hot_builds_one_row_without_an_identity_matrix():
+    # valid labels keep np.eye's bytes, without its classes x classes matrix
+    for label, classes in ((0, 1), (2, 5), (np.int64(9), 10)):
+        want = np.eye(classes, dtype=np.float32)[label]
+        assert one_hot(label, classes).weights.tobytes() == want.tobytes()
+    tracemalloc.start()
+    try:
+        lv = one_hot(3999, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lv.weights[3999] == 1.0 and lv.weights.sum() == 1.0
+    assert peak < 1 << 20
 
 
 def test_dataset_shape_checks():
@@ -221,9 +245,9 @@ def test_normalize_constant_image_is_degenerate():
 
 
 def test_inner_product_small_oracle():
-    assert inner_product(np.array([1.0, 2.0, 3.0]), np.array([4.0, -5.0, 6.0])) == 12.0
+    assert scan_scores(np.array([[1.0, 2.0, 3.0]]), np.array([4.0, -5.0, 6.0])).tolist() == [12.0]
     with pytest.raises(DimensionMismatchError):
-        inner_product(np.zeros(3), np.zeros(4))
+        scan_scores(np.zeros((1, 3)), np.zeros(4))
 
 
 def test_normalized_gaussians_are_nearly_orthogonal():
@@ -233,7 +257,7 @@ def test_normalized_gaussians_are_nearly_orthogonal():
     m = ds.matrix()
     worst = 0.0
     for i in range(0, 100, 2):
-        worst = max(worst, abs(inner_product(m[i], m[i + 1])))
+        worst = max(worst, abs(scan_scores(m[i : i + 1], m[i + 1])[0]))
     assert worst <= 5.0 / np.sqrt(d)
 
 
@@ -242,7 +266,7 @@ def test_scan_scores_match_inner_product_bitwise():
     m = ds.matrix()
     q = ds.images[0]
     scores = scan_scores(m, q)
-    expect = np.array([inner_product(row, q) for row in m])
+    expect = np.array([scan_scores(row[None], q)[0] for row in m])
     assert np.array_equal(scores, expect)
     with pytest.raises(DimensionMismatchError):
         scan_scores(m, np.zeros(7))
@@ -333,6 +357,16 @@ def test_sign_mask_sampling():
     assert abs(float(m.signs.astype(np.float64).mean())) < 5.0 / np.sqrt(4096)
     with pytest.raises(ValidationError):
         sample_sign_mask(0, RngStream(0))
+
+
+@pytest.mark.parametrize("dims, normalize", [((1, 0, 4), True), ((1, -2, 4), False),
+                                             ((2, 2), False)])
+def test_make_gaussian_dataset_checks_dims_before_it_draws(dims, normalize):
+    # refused by name before numpy draws, warns or raises on the shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="dims must be three positive ints"):
+            make_gaussian_dataset(2, dims, RngStream(0), normalize=normalize)
 
 
 def test_make_gaussian_dataset_contract():

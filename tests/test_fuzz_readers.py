@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from instahide.cli import main
 from instahide.core import make_gaussian_dataset
-from instahide.ihds import dataset_to_bytes
+from instahide.ihds import save_dataset
 from instahide.publicprep import build_patchset, save_patchset
 from instahide.rng import RngStream
 from instahide.utility import init_model, model_to_bytes
@@ -38,6 +38,13 @@ def _patchset_files() -> tuple[bytes, bytes]:
         path = Path(root) / "public.ihds"
         save_patchset(build_patchset(sources, (4, 4), 1, RngStream(4), min_keypoints=0), path)
         return path.read_bytes(), Path(f"{path}.prov.csv").read_bytes()
+
+
+def _dataset_file() -> bytes:
+    """The IHDS file of four labelled 1x4x4 images."""
+    ds = make_gaussian_dataset(4, (1, 4, 4), RngStream(2), classes=3)
+    with tempfile.TemporaryDirectory() as root:
+        return save_dataset(ds, Path(root) / "input.ihds").read_bytes()
 
 
 PATCHES, SIDECAR = _patchset_files()
@@ -61,7 +68,7 @@ READERS = {
     "ihmd": (model_to_bytes(init_model(3, 16, RngStream(1), scale=0.5)),
              ["eval", "--model", "{path}", "--synthetic-n", "4", "--synthetic-dims", "1x4x4",
               "--synthetic-classes", "3"], {}),
-    "ihds": (dataset_to_bytes(make_gaussian_dataset(4, (1, 4, 4), RngStream(2), classes=3)),
+    "ihds": (_dataset_file(),
              ["encrypt", "--in", "{path}", "--scheme", "mixup", "--k", "2", "--epochs", "1",
               "--out", "{out}"], {}),
     "prov.csv": (SIDECAR,

@@ -8,9 +8,6 @@ from instahide import ihds
 from instahide.core import Dataset, make_gaussian_dataset, one_hot
 from instahide.errors import FormatError, TruncatedFileError, ValidationError
 from instahide.ihds import (
-    arrays_to_bytes,
-    dataset_from_bytes,
-    dataset_to_bytes,
     import_raw,
     load_dataset,
     output,
@@ -23,63 +20,73 @@ from instahide.ihds import (
 from instahide.rng import RngStream
 
 
-def roundtrip(ds: Dataset) -> Dataset:
-    return dataset_from_bytes(dataset_to_bytes(ds))
+def file_bytes(ds: Dataset, tmp_path) -> bytes:
+    return save_dataset(ds, tmp_path / "saved.ihds").read_bytes()
 
 
-def test_roundtrip_is_bitwise():
+def load_bytes(blob: bytes, tmp_path) -> Dataset:
+    path = tmp_path / "written.ihds"
+    path.write_bytes(blob)
+    return load_dataset(path)
+
+
+def roundtrip(ds: Dataset, tmp_path) -> Dataset:
+    return load_dataset(save_dataset(ds, tmp_path / "ds.ihds"))
+
+
+def test_roundtrip_is_bitwise(tmp_path):
     ds = make_gaussian_dataset(7, (3, 5, 4), RngStream(1), classes=6)
-    back = roundtrip(ds)
+    back = roundtrip(ds, tmp_path)
     assert back == ds
     assert np.array_equal(back.matrix(), ds.matrix())
     assert np.array_equal(back.label_matrix(), ds.label_matrix())
     # serialization itself is deterministic
-    assert dataset_to_bytes(ds) == dataset_to_bytes(back)
+    assert file_bytes(ds, tmp_path) == file_bytes(back, tmp_path)
 
 
-def test_roundtrip_without_labels():
+def test_roundtrip_without_labels(tmp_path):
     ds = make_gaussian_dataset(3, (1, 4, 4), RngStream(2))
-    back = roundtrip(ds)
+    back = roundtrip(ds, tmp_path)
     assert back.labels is None and back == ds
 
 
-def test_reserved_flag_bits_are_ignored_on_read_and_written_clear():
+def test_reserved_flag_bits_are_ignored_on_read_and_written_clear(tmp_path):
     # files written before bit 1 was reserved set it for normalized pixels
     ds = make_gaussian_dataset(2, (1, 3, 3), RngStream(3), classes=2)
-    blob = bytearray(dataset_to_bytes(ds))
+    blob = bytearray(file_bytes(ds, tmp_path))
     assert blob[6] == ihds.FLAG_LABELS
     blob[6] |= 1 << 1
-    back = dataset_from_bytes(bytes(blob))
+    back = load_bytes(bytes(blob), tmp_path)
     assert back == ds
-    assert dataset_to_bytes(back)[6] == ihds.FLAG_LABELS
+    assert file_bytes(back, tmp_path)[6] == ihds.FLAG_LABELS
 
 
-def test_zero_image_dataset():
+def test_zero_image_dataset(tmp_path):
     ds = Dataset((), dims=(3, 2, 2))
-    back = roundtrip(ds)
+    back = roundtrip(ds, tmp_path)
     assert back.n == 0 and back.dims == (3, 2, 2)
 
 
-def test_bad_magic_and_version():
-    blob = dataset_to_bytes(make_gaussian_dataset(1, (1, 2, 2), RngStream(0)))
+def test_bad_magic_and_version(tmp_path):
+    blob = file_bytes(make_gaussian_dataset(1, (1, 2, 2), RngStream(0)), tmp_path)
     with pytest.raises(FormatError):
-        dataset_from_bytes(b"XXXX" + blob[4:])
+        load_bytes(b"XXXX" + blob[4:], tmp_path)
     with pytest.raises(FormatError):
-        dataset_from_bytes(blob[:4] + b"\x09\x00" + blob[6:])
+        load_bytes(blob[:4] + b"\x09\x00" + blob[6:], tmp_path)
 
 
-def test_truncated_payload():
-    blob = dataset_to_bytes(make_gaussian_dataset(2, (1, 2, 2), RngStream(0)))
+def test_truncated_payload(tmp_path):
+    blob = file_bytes(make_gaussian_dataset(2, (1, 2, 2), RngStream(0)), tmp_path)
     with pytest.raises(TruncatedFileError):
-        dataset_from_bytes(blob[:-3])
+        load_bytes(blob[:-3], tmp_path)
     with pytest.raises(TruncatedFileError):
-        dataset_from_bytes(blob[:10])
+        load_bytes(blob[:10], tmp_path)
 
 
-def test_trailing_bytes_rejected():
-    blob = dataset_to_bytes(make_gaussian_dataset(2, (1, 2, 2), RngStream(0)))
+def test_trailing_bytes_rejected(tmp_path):
+    blob = file_bytes(make_gaussian_dataset(2, (1, 2, 2), RngStream(0)), tmp_path)
     with pytest.raises(FormatError):
-        dataset_from_bytes(blob + b"\x00")
+        load_bytes(blob + b"\x00", tmp_path)
 
 
 @pytest.mark.parametrize("kind", ["labelled", "unlabelled", "normalized", "empty"])
@@ -92,7 +99,10 @@ def test_save_dataset_writes_the_in_memory_bytes(tmp_path, kind):
         "empty": Dataset((), dims=(3, 2, 2)),
     }[kind]
     path = save_dataset(ds, tmp_path / "ds.ihds")
-    assert path.read_bytes() == dataset_to_bytes(ds)
+    labelled = ds.classes is not None
+    header = ihds._HEADER.pack(b"IHDS", 1, int(labelled), ds.n, *ds.dims, ds.classes or 0)
+    labels = ds.label_matrix().astype("<f4").tobytes() if labelled else b""
+    assert path.read_bytes() == header + ds.matrix().astype("<f4").tobytes() + labels
     assert load_dataset(path) == ds
 
 
@@ -110,26 +120,29 @@ def test_nonfinite_payload_touches_no_file(tmp_path, poison):
     assert (tmp_path / "old.ihds").read_bytes() == b"kept"
 
 
-def test_nonfinite_payload_refused():
+def test_nonfinite_payload_refused(tmp_path):
     # a Dataset refuses non-finite pixels itself, so poison the writer's input
     pixels = np.array([np.inf, 0, 0, 0], np.float32).reshape(1, 1, 2, 2)
     with pytest.raises(ValidationError):
-        arrays_to_bytes(pixels)
+        write_arrays(tmp_path / "a.ihds", pixels)
     with pytest.raises(ValidationError):
-        arrays_to_bytes(np.ones((1, 1, 2, 2), np.float32), np.array([[np.nan]], np.float32))
+        write_arrays(tmp_path / "a.ihds", np.ones((1, 1, 2, 2), np.float32),
+                     np.array([[np.nan]], np.float32))
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("row", [0, -1])
-def test_writer_refuses_nonfinite_first_and_last_rows(value, row):
+def test_writer_refuses_nonfinite_first_and_last_rows(tmp_path, value, row):
     # 300 rows of 1,024 float32 span several blocks of the finiteness check
     pixels, labels = np.zeros((300, 1, 32, 32), np.float32), np.zeros((300, 1024), np.float32)
-    arrays_to_bytes(pixels, labels)
+    write_arrays(tmp_path / "a.ihds", pixels, labels)
     for poisoned in (pixels, labels):
         poisoned[row, 0] = value
         with pytest.raises(ValidationError, match="non-finite"):
-            arrays_to_bytes(pixels, labels)
+            write_arrays(tmp_path / "b.ihds", pixels, labels)
         poisoned[row, 0] = 0.0
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ihds"]
 
 
 @pytest.mark.parametrize("labelled", [True, False])

@@ -182,12 +182,10 @@ def test_build_patchset_filters_flat_sources():
     from instahide.core import Dataset
 
     mixed = Dataset((flat,) + noisy.images)
-    with pytest.warns(UserWarning):
-        # every flat crop dies; warning only fires when everything is dropped
-        ps_all_flat = build_patchset(
-            Dataset((flat,)), (32, 32), 3, RngStream(104), min_keypoints=40
-        )
-    assert len(ps_all_flat) == 0
+    # every flat crop dies, and the empty set says so by its size and retention
+    ps_all_flat = build_patchset(Dataset((flat,)), (32, 32), 3, RngStream(104), min_keypoints=40)
+    assert len(ps_all_flat) == 0 and ps_all_flat.retention == 0.0
+    assert ps_all_flat.dims == (3, 32, 32)
     ps = build_patchset(mixed, (32, 32), 1, RngStream(105), min_keypoints=40)
     assert len(ps) == 4 and ps.retention == pytest.approx(0.8)
     assert 0 not in set(int(s) for s, _, _ in ps.provenance)
@@ -302,8 +300,7 @@ def test_a_patch_set_is_an_unlabelled_dataset():
 
 def test_an_empty_patch_set_carries_the_crop_dims():
     src = make_gaussian_dataset(4, (3, 12, 12), RngStream(19), normalize=False)
-    with pytest.warns(UserWarning, match="no crop candidates"):
-        ps = build_patchset(src, (6, 5), 0, RngStream(20))
+    ps = build_patchset(src, (6, 5), 0, RngStream(20))  # no crop candidates
     assert isinstance(ps, PatchSet) and len(ps) == 0 and ps.retention == 0.0
     assert ps.dims == (3, 6, 5) and ps.matrix().shape == (0, 90)
 
