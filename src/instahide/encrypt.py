@@ -15,11 +15,11 @@ public rows; nothing is stacked), each output row's own image index, and one
 ``rng.Streams`` block of the rows' streams. ``rng.Draws`` draws every row's
 partners (``_partners``, which encrypted inference also calls, so both
 refuse the same sets), then lambda (``core._draw_lambdas``), then the int8
-mask, each row from its own counter stream. ``_mix`` mixes the rows in
-cache-sized tiles: a tile's float64 sum starts at zero, adds
-``lam[:, j] * S[idx[:, j]]`` for j = 0..k-1 in turn (mix_pixels' order, so
-the tile size never changes a byte) and is cast into the float32 output,
-which the signs then multiply.
+mask, each row from its own counter stream. ``_mix`` mixes cache-sized
+tiles in two reused buffers: ``np.take`` gathers each slot, then one einsum
+sums ``lam[:, j] * S[idx[:, j]]`` from zero for j = 0..k-1 in turn
+(mix_pixels' order, so the tile size never changes a byte) in float64, cast
+into the float32 output, which the signs then multiply.
 Each sample has one stream ``rng.child(epoch, i)``, drawn as partners ->
 lambda -> mask, so a seed gives the same bytes in any block size.
 A history is one kernel call's columns, its rows each epoch's images in
@@ -53,7 +53,7 @@ from .rng import Draws, RngStream, Streams
 
 SCHEMES = ("mixup", "inside", "cross")
 
-_TILE_BYTES = 1 << 18  # per float64 buffer of a _mix tile or stats block: 10 rows at d = 3072
+_TILE_BYTES = 1 << 18  # float64 stats block or _mix accumulator (and gather rows): 10 at d=3072
 
 
 @dataclass(frozen=True)
@@ -169,24 +169,37 @@ def _partners(draws: Draws, cfg: SchemeConfig, n: int, n_public: int, own=None) 
 def _mix(S, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Float32 rows sum_j lam[:, j] * S[idx[:, j]], accumulated in float64
     slot by slot from zero as the per-sample code did, so each row matches it
-    bit for bit. S is a list of row blocks stacked top to bottom; each index
-    is split into (block, row) once. Rows go in tiles whose float64 sum and
-    term buffers fit _TILE_BYTES, each cast into the output as it finishes;
-    float32 to float64 is exact."""
-    starts = np.cumsum([0] + [len(block) for block in S[:-1]])
-    which = np.searchsorted(starts, idx, side="right") - 1
-    local, m, d = idx - starts[which], len(idx), S[0].shape[1]
-    out, step = np.empty((m, d), np.float32), max(1, _TILE_BYTES // (8 * d))
-    acc, term = np.empty((2, min(step, m), d))
-    for lo in range(0, m, step):
-        rows, a, t = slice(lo, lo + step), acc[: m - lo], term[: m - lo]
-        a.fill(0.0)
-        for j in range(idx.shape[1]):
+    bit for bit. S is a list of float32 row blocks stacked top to bottom; an
+    index outside them all is an IndexError. A tile of _TILE_BYTES // (8 * d)
+    rows fills one reused float32 (k, rows, d) gather by one np.take per slot
+    (mode "clip", as "raise" buffers; a slot whose rows span blocks copies per
+    block), then one einsum sums it into one reused float64 accumulator: from
+    zero, slots in ascending order, ((0 + lam_0 x_0) + lam_1 x_1) + .... One
+    column is summed by hand, as einsum would add a lone k axis in SIMD lanes.
+    An einsum built to contract the multiply-add into an FMA would move bytes;
+    the guard tests, the kernel oracle and the goldens catch that."""
+    bounds = np.cumsum([0] + [len(block) for block in S])
+    (m, k), d, lam = idx.shape, S[0].shape[1], np.asarray(lam, np.float64)
+    if idx.size and not 0 <= idx.min() <= idx.max() < bounds[-1]:
+        raise IndexError(f"source rows {idx.min()}..{idx.max()} outside [0, {bounds[-1]})")
+    which = np.searchsorted(bounds, idx, side="right") - 1
+    local, step = idx - bounds[which], max(1, _TILE_BYTES // (8 * d))
+    tiles, r = range(0, m, step), min(step, m)
+    firsts, lasts = (f.reduceat(which, tiles).tolist() for f in (np.minimum, np.maximum))
+    out, acc, tile = np.empty((m, d), np.float32), np.empty((r, d)), np.empty((k, r, d), np.float32)
+    for lo, first, last in zip(tiles, firsts, lasts):
+        rows, g, a = slice(lo, lo + step), tile[:, : m - lo], acc[: m - lo]
+        for j in range(k):
+            if first[j] == last[j]:
+                np.take(S[first[j]], local[rows, j], axis=0, out=g[j], mode="clip")
+                continue
             for b, block in enumerate(S):
                 hit = which[rows, j] == b
-                t[hit] = block[local[rows, j][hit]]
-            t *= lam[rows, j, None]
-            a += t
+                g[j][hit] = block[local[rows, j][hit]]
+        if d > 1:
+            np.einsum("krd,rk->rd", g, lam[rows], out=a, dtype=np.float64, casting="safe")
+        else:  # Python's sum over arrays: ((0.0 + p_0) + p_1) + ...
+            a[...] = sum((g[j] * lam[rows, j, None] for j in range(k)), 0.0)
         out[rows] = a
     return out
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Image
+from .core import Dataset, Image, _freeze
 from .errors import ValidationError
 from .ihds import output, read_arrays, read_file, write_arrays
 from .rng import Draws, RngStream, Streams
@@ -195,7 +195,9 @@ def build_patchset(
     crops, prov = _candidates(public, out_hw, patches_per_image, rng)
     counts = keypoint_counts(crops)
     kept = np.flatnonzero(counts > min_keypoints) if min_keypoints > 0 else np.arange(len(prov))
-    return PatchSet(crops[kept], prov[kept], counts[kept], retention=kept.size / max(1, len(prov)))
+    crops = crops[kept] if kept.size < len(prov) else crops  # copy only to drop; PatchSet shares it
+    return PatchSet(_freeze(crops), prov[kept], counts[kept],
+                    retention=kept.size / max(1, len(prov)))
 
 
 def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:

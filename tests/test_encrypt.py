@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,59 @@ def test_mix_gathers_every_block_in_every_tile(monkeypatch):
     for budget in (8 * 7, 8 * 7 * 4, encrypt._TILE_BYTES):
         monkeypatch.setattr(encrypt, "_TILE_BYTES", budget)
         assert encrypt._mix(S, idx, lam).tobytes() == want.astype(np.float32).tobytes()
+
+
+def test_mix_refuses_source_rows_outside_its_blocks():
+    # a negative row must not wrap around or reuse a stale row, and one past
+    # the last block is named, not a bare numpy IndexError
+    S = [np.ones((3, 4), np.float32), 2 * np.ones((2, 4), np.float32)]
+    for bad in (-1, 5):
+        with pytest.raises(IndexError, match=r"outside \[0, 5\)"):
+            encrypt._mix(S, np.array([[0, bad]]), np.array([[0.5, 0.5]]))
+    assert encrypt._mix(S, np.array([[0, 4]]), np.array([[0.5, 0.5]])).tolist() == [[1.5] * 4]
+
+
+def test_mix_takes_one_block_as_the_masked_gather_does(monkeypatch):
+    # one stacked block, two blocks with one block per slot column, and two
+    # blocks with columns spanning both give the same bytes, +-0.0 included
+    gen = np.random.default_rng(13)
+    A, B = (gen.normal(size=(n, 6)).astype(np.float32) for n in (9, 14))
+    A[:, 0], B[:, 1], B[::2, 2] = -0.0, 0.0, -0.0
+    lam = gen.random((31, 4))
+    lam[:, 3] = 0.0  # -x * 0.0 gives -0.0 terms
+    single = np.column_stack([gen.integers(0, 9, 31), 9 + gen.integers(0, 14, (31, 2)),
+                              gen.integers(0, 9, 31)])
+    for idx in (single, gen.integers(0, 23, (31, 4))):
+        for budget in (8 * 6, 8 * 6 * 7, encrypt._TILE_BYTES):
+            monkeypatch.setattr(encrypt, "_TILE_BYTES", budget)
+            want = encrypt._mix([np.concatenate([A, B])], idx, lam).view(np.uint32)
+            assert encrypt._mix([A, B], idx, lam).view(np.uint32).tobytes() == want.tobytes()
+
+
+def test_mix_adds_a_one_column_mix_slot_by_slot():
+    # one-pixel images and one-class labels: (0 + 1 + 1e-16) - 1 is 0 in slot
+    # order, where adding the slots in SIMD lanes would give 1e-16
+    S = [np.array([[1.0], [1e-16], [-1.0]], np.float32)]
+    for m in (1, 3):
+        assert encrypt._mix(S, np.tile([0, 1, 2], (m, 1)), np.ones((m, 3))).tolist() == [[0.0]] * m
+
+
+def test_mix_allocates_nothing_per_tile():
+    # 40 tiles of 6 single-block slots: the traced peak is the output, the one
+    # gather tile and accumulator, the (m, k) block and row indices, and 64 KiB
+    # of einsum's cast buffer and loop objects, so no slot copies its rows
+    gen, d, m, k = np.random.default_rng(14), 3072, 400, 6
+    S = [gen.random((50, d), dtype=np.float32), gen.random((300, d), dtype=np.float32)]
+    idx = np.hstack([gen.integers(0, 50, (m, 2)), 50 + gen.integers(0, 300, (m, k - 2))])
+    lam = gen.dirichlet(np.ones(k), m)
+    rows = encrypt._TILE_BYTES // (8 * d)
+    tracemalloc.start()
+    try:
+        out = encrypt._mix(S, idx, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (4 * k + 8) * rows * d + 2 * idx.nbytes + (64 << 10)
 
 
 @pytest.mark.parametrize("scheme", ["inside", "cross"])

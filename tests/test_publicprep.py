@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -205,6 +207,19 @@ def test_build_patchset_is_deterministic():
     b = build_patchset(src, (16, 16), 2, RngStream(10), min_keypoints=0)
     assert np.array_equal(a.matrix(), b.matrix())
     assert a.provenance == b.provenance
+
+
+def test_build_patchset_keeps_one_copy_of_its_crops():
+    # when every crop is kept, the crop gather itself becomes the PatchSet's
+    # matrix: no second copy for the kept rows, no third for the set
+    src = make_gaussian_dataset(1000, (3, 40, 40), RngStream(19), normalize=False)
+    tracemalloc.start()
+    try:
+        ps = build_patchset(src, (32, 32), 1, RngStream(20), min_keypoints=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == 1000 and peak < 1.5 * ps.matrix().nbytes
 
 
 def test_patchset_alignment_validation():
