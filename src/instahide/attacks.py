@@ -385,8 +385,8 @@ def braverman_attack(
         truth, rank_of = _truth_ranks(order, truth_members)
         ranks = tuple(sorted(int(rank_of[t]) for t in truth))
         non_ranks = np.delete(rank_of, list(truth))
-        metrics["median_member_rank"] = float(np.median(ranks))
-        metrics["median_nonmember_rank"] = float(np.median(non_ranks))
+        metrics["median_member_rank"] = float(np.median(ranks)) if ranks else None
+        metrics["median_nonmember_rank"] = float(np.median(non_ranks)) if non_ranks.size else None
     scores = tuple((int(i), float(v[i])) for i in order[:TOP_SCORES])
     return AttackReport(
         attack="braverman",
@@ -587,8 +587,8 @@ def similarity_search_attack(xtilde, publicset, oracle: SignOracle, truth_mask, 
                              truth_sources=None, truth_patches=None, tag=0):
     """Demask through the oracle, rank the public patches by SSIM, and report
     whether any true mixing source shows up in the top m. Truth is patch
-    indices or, when the patch set carries provenance, source image ids
-    (robust to the attacker cropping differently than the encryptor).
+    indices or, for a PatchSet, source image ids (provenance column 0, read
+    only then; robust to the attacker cropping differently than the encryptor).
 
     One query (EncryptedSample, Image or 1-D row) with a SignMask, an int tag
     and truth sets gives one report; a (q, d) block (EncryptedSamples or an
@@ -610,9 +610,10 @@ def similarity_search_attack(xtilde, publicset, oracle: SignOracle, truth_mask, 
     sources, members = ([v] * q if v is None else list(v) for v in (truth_sources, truth_patches))
     if np.shape(tag) != (q,) or len(sources) != q or len(members) != q:
         raise ValidationError(f"{q} queries need {q} tags and {q} sets per truth")
-    ids = publicset.source_ids() if hasattr(publicset, "source_ids") else None
-    if ids is None and any(s is not None for s in sources):
-        raise ValidationError("source-id truth needs a patch set with provenance")
+    if any(s is not None for s in sources):
+        if not hasattr(publicset, "provenance"):
+            raise ValidationError("source-id truth needs a patch set with provenance")
+        ids = publicset.provenance[:, 0]
     estimate = oracle.demask(X, truth_mask, tag)
     # SSIM windows need the image geometry: a raw query takes the candidates'
     dims = getattr(xtilde, "dims", None) or getattr(publicset, "dims", None) or (1, 1, X.shape[1])

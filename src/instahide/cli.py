@@ -311,7 +311,7 @@ def cmd_prep_public(opts: dict, rng: RngStream) -> dict:
     return {
         "candidates": candidates,
         "kept": len(ps),
-        "retention": ps.retention,
+        "retention": len(ps) / candidates,
         "out": opts["out"],
     }
 

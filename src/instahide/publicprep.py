@@ -11,8 +11,8 @@ here than matching any particular feature library.
 Crops are gathered straight from the public set's pixel matrix by ``_crops``,
 the one crop path that random_crop also uses, at offsets drawn from one
 ``rng.Draws`` block of per-source streams; the filter scores every candidate
-in one call, and the kept crops become a PatchSet: a Dataset whose rows also
-carry their provenance and keypoint counts (an empty one keeps the crop dims).
+in one call, and the kept crops become a PatchSet: a Dataset with int64
+provenance and keypoint columns (an empty one keeps the crop dims).
 Every filter step is per image, so the call runs in row chunks of about
 _CHUNK_BYTES per float64 buffer: one reflect-padded buffer serves the Sobel
 and box inputs and holds R inside its -inf border, each box sum overwrites a
@@ -41,19 +41,19 @@ _CHUNK_BYTES = 1 << 18  # per float64 padded buffer of one Harris chunk: 28 crop
 
 
 class PatchSet(Dataset):
-    """Crops that survived the flatness filter: an unlabelled Dataset whose
-    rows carry provenance (source image index and crop offset) and keypoint
-    counts. ``patches`` is a sequence of Images or an (n, C, H, W) array (see
-    core._row_matrix), so an empty set is a (0, C, H, W) array."""
+    """Crops that survived the flatness filter: an unlabelled Dataset with the
+    read-only int64 columns ``provenance``, (n, 3) rows of (source index, crop
+    y, crop x), and ``keypoints`` (n,). ``patches`` is Images or an (n, C, H, W)
+    array (core._row_matrix): an empty set is (0, C, H, W), its provenance ()."""
 
-    def __init__(self, patches, provenance, keypoints, retention: float = 1.0):
+    def __init__(self, patches, provenance, keypoints):
         super().__init__(patches)
-        prov = np.asarray(provenance, np.int64).reshape(len(provenance), 3)  # refuses other widths
-        self.provenance = tuple(map(tuple, prov.tolist()))
-        self.keypoints = tuple(np.asarray(keypoints, np.int64).tolist())
-        self.retention = retention
-        if not self.n == len(self.provenance) == len(self.keypoints):
-            raise ValidationError("patches, provenance, and keypoints must align")
+        prov, kp = np.array(provenance, np.int64), np.array(keypoints, np.int64)
+        prov = prov.reshape(0, 3) if prov.shape == (0,) else prov
+        if prov.shape != (self.n, 3) or kp.shape != (self.n,):
+            raise ValidationError(f"{self.n} patches need ({self.n}, 3) provenance and"
+                                  f" ({self.n},) keypoints, got {prov.shape} and {kp.shape}")
+        self.provenance, self.keypoints = _freeze(prov), _freeze(kp)
 
     @property
     def patches(self) -> tuple[Image, ...]:
@@ -61,9 +61,6 @@ class PatchSet(Dataset):
         return self.images
 
     matrix = Dataset.matrix  # a binding of its own, which perfbench traces
-
-    def source_ids(self) -> np.ndarray:
-        return np.array([src for src, _, _ in self.provenance], dtype=np.int64)
 
 
 def _crops(chw: np.ndarray, out_hw: tuple[int, int], count: int, draws: Draws):
@@ -190,14 +187,13 @@ def build_patchset(
     min_keypoints: int = DEFAULT_MIN_KEYPOINTS,
 ) -> PatchSet:
     """Crop every public image ``patches_per_image`` times and keep crops with
-    strictly more than ``min_keypoints`` keypoints (0 disables the filter).
-    ``retention`` records the surviving fraction, 0.0 for an empty result."""
+    strictly more than ``min_keypoints`` keypoints (0 disables the filter);
+    ``prep-public`` reports the kept fraction as its retention."""
     crops, prov = _candidates(public, out_hw, patches_per_image, rng)
     counts = keypoint_counts(crops)
     kept = np.flatnonzero(counts > min_keypoints) if min_keypoints > 0 else np.arange(len(prov))
     crops = crops[kept] if kept.size < len(prov) else crops  # copy only to drop; PatchSet shares it
-    return PatchSet(_freeze(crops), prov[kept], counts[kept],
-                    retention=kept.size / max(1, len(prov)))
+    return PatchSet(_freeze(crops), prov[kept], counts[kept])
 
 
 def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
@@ -209,7 +205,7 @@ def save_patchset(ps: PatchSet, path: str | Path) -> tuple[Path, Path]:
         path = write_arrays(path, ps.matrix().reshape(len(ps), *ps.dims))
         writer = csv.writer(fh)
         writer.writerow(["source_index", "offset_y", "offset_x", "keypoints"])
-        writer.writerows([*prov, kp] for prov, kp in zip(ps.provenance, ps.keypoints))
+        writer.writerows(np.column_stack((ps.provenance, ps.keypoints)).tolist())
     return path, sidecar
 
 

@@ -167,8 +167,9 @@ def train_encrypted(
     rng: RngStream,
     publicset=None,
 ) -> LinearSoftmaxModel:
-    """Re-encrypt the private set with fresh keys every epoch and take one SGD
-    pass over each encryption batch, in published order.
+    """Re-encrypt the private set with fresh keys every epoch and train on each
+    epoch's samples with one one-epoch ``train`` call, which reshuffles them
+    under rng.child("sgd", epoch) and restarts momentum at zero.
 
     Sign-masked samples enter the model as their absolute values. A masked
     sample carries exactly the per-pixel absolute values of its underlying

@@ -227,6 +227,18 @@ def test_braverman_attack_validation():
         braverman_attack(q, np.ones((3, 5)))
 
 
+def test_braverman_medians_over_an_empty_set_are_none():
+    patches = unit_rows(4, 16, 19)
+    q = Image(patches[:2].sum(axis=0).astype(np.float32), (1, 4, 4))
+    no_member = braverman_attack(q, patches, truth_members=set())
+    assert no_member.ranks == ()
+    assert no_member.metrics == {"median_member_rank": None, "median_nonmember_rank": 2.5}
+    every_member = braverman_attack(q, patches, truth_members={0, 1, 2, 3})
+    assert every_member.ranks == (1, 2, 3, 4)
+    assert every_member.metrics == {"median_member_rank": 2.5, "median_nonmember_rank": None}
+    assert every_member.to_dict()["metrics"]["median_nonmember_rank"] is None
+
+
 @pytest.mark.parametrize("truth", [{-1}, {3}, {0, 7}])
 def test_truth_members_outside_the_candidates_are_refused(truth):
     patches = unit_rows(3, 16, 19)
@@ -403,7 +415,7 @@ def cross_block(q=6, seed=41):
     cfg = SchemeConfig("cross", k=5, c1=0.65, c2=0.3)
     samples, keys = encrypt_epoch(private, cfg, 0, rng.child("e"), publicset=pool)
     patches = [{j - q for j in row if j >= q} for row in keys.sources.tolist()]
-    ids = pool.source_ids()
+    ids = pool.provenance[:, 0]
     return samples, keys, pool, patches, [{int(ids[j]) for j in p} for p in patches]
 
 
@@ -428,6 +440,31 @@ def test_a_block_of_queries_matches_one_query_at_a_time():
         assert report_fields(alone) == report_fields(one)
     hits = [rep.metrics["hit"] for rep in block]
     assert 0.0 in hits and 1.0 in hits
+
+
+def test_a_query_without_source_truth_never_reads_provenance():
+    samples, keys, pool, patches, _ = cross_block(q=3)
+
+    class Unread(PatchSet):
+        @property
+        def provenance(self):
+            raise AssertionError("provenance was read")
+
+        @provenance.setter
+        def provenance(self, value):
+            pass
+
+    def reports(pub):
+        oracle = SignOracle(0.2, RngStream(44))
+        block = similarity_search_attack(samples, pub, oracle, keys.signs, 10,
+                                         truth_patches=patches, tag=samples.ids)
+        one = similarity_search_attack(samples[0], pub, oracle, keys[0].mask, 10,
+                                       tag=int(samples.ids[0]))
+        return [report_fields(rep) for rep in (*block, one)]
+
+    hidden = Unread(np.asarray(pool).reshape(len(pool), *pool.dims), pool.provenance,
+                    pool.keypoints)
+    assert reports(hidden) == reports(pool)
 
 
 def test_a_block_of_queries_is_checked_like_one_query():

@@ -8,7 +8,7 @@ from instahide import cli
 from instahide.attacks import SignOracle, similarity_search_attack
 from instahide.cli import _parse_dims, leakage_guard, main
 from instahide.ihds import load_dataset, save_dataset
-from instahide.core import Dataset, make_gaussian_dataset
+from instahide.core import Dataset, Image, make_gaussian_dataset
 from instahide.encrypt import SchemeConfig, encrypt_sample
 from instahide.errors import TruncatedFileError, ValidationError
 from instahide.publicprep import build_patchset, save_patchset
@@ -150,6 +150,30 @@ def test_import_and_prep_public_roundtrip(tmp_path):
     )
     assert code == 0
     assert patch_path.exists()
+
+
+def test_prep_public_reports_kept_over_candidates_as_retention(tmp_path):
+    # a flat source's crop has no keypoints: 4 of 5 candidates are kept
+    flat = Image(np.zeros(3 * 40 * 40, np.float32), (3, 40, 40))
+    noisy = make_gaussian_dataset(4, (3, 40, 40), RngStream(103), normalize=False)
+    source = save_dataset(Dataset((flat,) + noisy.images), tmp_path / "d.ihds")
+    rep = tmp_path / "r.json"
+    code = main(["prep-public", "--in", str(source), "--patch-size", "32x32", "--per-image", "1",
+                 "--min-keypoints", "40", "--out", str(tmp_path / "p.ihds"), "--report", str(rep)])
+    assert code == 0
+    results = read_report(rep)["results"]
+    assert (results["candidates"], results["kept"]) == (5, 4)
+    assert results["retention"] == 4 / 5 == pytest.approx(0.8)
+
+
+def test_braverman_with_every_candidate_a_member_reports_a_null_median(capsys):
+    code = main(["attack", "braverman", "--candidates", "4", "--k", "4",
+                 "--synthetic-dims", "1x4x4"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["ranks"] == [1, 2, 3, 4] and sorted(results["true_members"]) == [0, 1, 2, 3]
+    assert results["metrics"] == {"median_member_rank": 2.5, "median_nonmember_rank": None}
 
 
 def test_train_and_eval_plain(tmp_path):

@@ -46,7 +46,6 @@ def unit_patchset(n: int, dims, rng: RngStream) -> PatchSet:
         ds.images,
         tuple((i, 0, 0) for i in range(n)),
         tuple(100 for _ in range(n)),
-        1.0,
     )
 
 
@@ -303,7 +302,7 @@ def test_cross_requires_k_at_least_3_and_patches():
     pub = unit_patchset(5, (1, 2, 2), RngStream(1))
     with pytest.raises(ValidationError):
         encrypt_sample(ds, 0, SchemeConfig("cross", 2, 0.65, 0.3), RngStream(2), pub)
-    empty = PatchSet(np.zeros((0, 1, 2, 2), np.float32), (), (), 0.0)
+    empty = PatchSet(np.zeros((0, 1, 2, 2), np.float32), (), ())
     with pytest.raises(ValidationError):
         encrypt_sample(ds, 0, SchemeConfig("cross", 4, 0.65, 0.3), RngStream(2), empty)
 

@@ -171,7 +171,7 @@ def test_chunk_size_never_changes_counts(kind, monkeypatch):
 def test_build_patchset_keeps_textured_patches():
     src = make_gaussian_dataset(30, (3, 40, 40), RngStream(101), normalize=False)
     ps = build_patchset(src, (32, 32), 1, RngStream(102), min_keypoints=40)
-    assert len(ps) == 30 and ps.retention == 1.0
+    assert len(ps) == 30
     assert all(kp > 40 for kp in ps.keypoints)
     assert ps.dims == (3, 32, 32)
     for src_idx, oy, ox in ps.provenance:
@@ -184,12 +184,12 @@ def test_build_patchset_filters_flat_sources():
     from instahide.core import Dataset
 
     mixed = Dataset((flat,) + noisy.images)
-    # every flat crop dies, and the empty set says so by its size and retention
+    # every flat crop dies, and the empty set says so by its size and columns
     ps_all_flat = build_patchset(Dataset((flat,)), (32, 32), 3, RngStream(104), min_keypoints=40)
-    assert len(ps_all_flat) == 0 and ps_all_flat.retention == 0.0
+    assert len(ps_all_flat) == 0 and ps_all_flat.provenance.shape == (0, 3)
     assert ps_all_flat.dims == (3, 32, 32)
     ps = build_patchset(mixed, (32, 32), 1, RngStream(105), min_keypoints=40)
-    assert len(ps) == 4 and ps.retention == pytest.approx(0.8)
+    assert len(ps) == 4
     assert 0 not in set(int(s) for s, _, _ in ps.provenance)
 
 
@@ -206,7 +206,7 @@ def test_build_patchset_is_deterministic():
     a = build_patchset(src, (16, 16), 2, RngStream(10), min_keypoints=0)
     b = build_patchset(src, (16, 16), 2, RngStream(10), min_keypoints=0)
     assert np.array_equal(a.matrix(), b.matrix())
-    assert a.provenance == b.provenance
+    assert np.array_equal(a.provenance, b.provenance)
 
 
 def test_build_patchset_keeps_one_copy_of_its_crops():
@@ -225,9 +225,40 @@ def test_build_patchset_keeps_one_copy_of_its_crops():
 def test_patchset_alignment_validation():
     im = Image(np.zeros(4, np.float32), (1, 2, 2))
     with pytest.raises(ValidationError):
-        PatchSet((im,), (), (5,), 1.0)
+        PatchSet((im,), (), (5,))
     with pytest.raises(ValidationError):
-        PatchSet((), (), (), 1.0).dims  # empty set has no dims
+        PatchSet((), (), ()).dims  # empty set has no dims
+
+
+@pytest.mark.parametrize("n, provenance, keypoints", [
+    (5, np.zeros((5, 2)), np.zeros(5)),  # a width-2 provenance
+    (5, np.zeros((5, 4)), np.zeros(5)),
+    (5, np.zeros(15), np.zeros(5)),  # the right cells, flat
+    (5, np.zeros((4, 3)), np.zeros(5)),  # a row short
+    (5, np.zeros((5, 3)), np.zeros((5, 1))),  # keypoints as a column
+    (5, np.zeros((5, 3)), np.zeros(6)),
+    (0, np.zeros((0, 2)), ()),  # empty sets included
+    (0, (), np.zeros((0, 1))),
+    (0, np.zeros((1, 3)), np.zeros(1)),
+])
+def test_patchset_refuses_columns_of_the_wrong_shape(n, provenance, keypoints):
+    with pytest.raises(ValidationError, match=rf"{n} patches need \({n}, 3\) provenance"):
+        PatchSet(np.ones((n, 1, 2, 2), np.float32), provenance, keypoints)
+
+
+def test_a_reloaded_patch_set_has_read_only_int64_columns(tmp_path):
+    src = make_gaussian_dataset(6, (3, 16, 16), RngStream(11), normalize=False)
+    ps = build_patchset(src, (8, 8), 2, RngStream(12), min_keypoints=0)
+    back = load_patchset(save_patchset(ps, tmp_path / "p.ihds")[0])
+    for built, loaded, shape in ((ps.provenance, back.provenance, (12, 3)),
+                                 (ps.keypoints, back.keypoints, (12,))):
+        for col in (built, loaded):
+            assert col.dtype == np.int64 and col.shape == shape and not col.flags.writeable
+        assert np.array_equal(loaded, built)
+    # the set freezes its own copy, never the caller's array
+    prov = np.array([[2, 3, 1]])
+    PatchSet(np.ones((1, 1, 2, 2), np.float32), prov, [41])
+    assert prov.flags.writeable
 
 
 def test_save_load_roundtrip_with_provenance(tmp_path):
@@ -236,8 +267,8 @@ def test_save_load_roundtrip_with_provenance(tmp_path):
     data_path, prov_path = save_patchset(ps, tmp_path / "p.ihds")
     back = load_patchset(data_path)
     assert np.array_equal(back.matrix(), ps.matrix())
-    assert back.provenance == ps.provenance
-    assert back.keypoints == ps.keypoints
+    assert np.array_equal(back.provenance, ps.provenance)
+    assert np.array_equal(back.keypoints, ps.keypoints)
     assert prov_path.read_text().splitlines()[0] == (
         "source_index,offset_y,offset_x,keypoints"
     )
@@ -279,7 +310,8 @@ def test_load_patchset_checks_the_pixels_once(tmp_path, monkeypatch):
 def test_one_patch_roundtrip(tmp_path):
     ps = PatchSet(np.ones((1, 3, 4, 4), np.float32), [(2, 3, 1)], [41])
     back = load_patchset(save_patchset(ps, tmp_path / "one.ihds")[0])
-    assert (back.provenance, back.keypoints, back.dims) == (((2, 3, 1),), (41,), (3, 4, 4))
+    assert (back.provenance.tolist(), back.keypoints.tolist(), back.dims) == (
+        [[2, 3, 1]], [41], (3, 4, 4))
 
 
 def test_patchset_is_one_frozen_matrix_with_cached_views():
@@ -300,7 +332,7 @@ def test_build_patchset_crops_match_random_crop():
     for si, image in enumerate(src.images):
         crops = random_crop(image, (5, 4), 3, RngStream(16).child("crop", si))
         assert [p for p, _ in crops] == list(ps.patches[3 * si : 3 * si + 3])
-        assert [(si, *off) for _, off in crops] == list(ps.provenance[3 * si : 3 * si + 3])
+        assert [[si, *off] for _, off in crops] == ps.provenance[3 * si : 3 * si + 3].tolist()
 
 
 def test_a_patch_set_is_an_unlabelled_dataset():
@@ -316,7 +348,7 @@ def test_a_patch_set_is_an_unlabelled_dataset():
 def test_an_empty_patch_set_carries_the_crop_dims():
     src = make_gaussian_dataset(4, (3, 12, 12), RngStream(19), normalize=False)
     ps = build_patchset(src, (6, 5), 0, RngStream(20))  # no crop candidates
-    assert isinstance(ps, PatchSet) and len(ps) == 0 and ps.retention == 0.0
+    assert isinstance(ps, PatchSet) and len(ps) == 0 and ps.provenance.shape == (0, 3)
     assert ps.dims == (3, 6, 5) and ps.matrix().shape == (0, 90)
 
 

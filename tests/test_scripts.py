@@ -14,8 +14,10 @@ def test_attack_sweep_runs_at_tiny_sizes(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = tmp_path / "rows.json"
     run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_attack_sweep.py"), "--candidates", "50",
-         "--scan-trials", "2", "--history-n", "8", "--history-epochs", "3", "--out", str(out)],
+        # -W error: the subprocess does not inherit pytest's warning filters
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_attack_sweep.py"),
+         "--candidates", "50", "--scan-trials", "2", "--history-n", "8", "--history-epochs", "3",
+         "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
