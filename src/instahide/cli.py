@@ -38,7 +38,7 @@ import numpy as np
 
 from . import attacks, encrypt, publicprep, stats, utility
 from .core import Dataset, Image, make_gaussian_dataset
-from .encrypt import SCHEMES, SchemeConfig, encrypt_history, encrypt_sample, export_challenge
+from .encrypt import SCHEMES, SchemeConfig, encrypt_history, export_challenge
 from .errors import ValidationError
 from .ihds import import_raw, load_dataset, output, publishing, read_arrays, read_file, save_dataset
 from .rng import RngStream
@@ -129,9 +129,10 @@ COMMANDS = {
     "eval": ("cmd_eval", "evaluate a trained model",
              f"model! in public mode ensemble {_SCHEME} {_SYNTHETIC} seed"),
     "attack pair": ("cmd_attack_pair", "pairwise inner-product detection on a history",
-                    f"in threshold reconstruction_out epochs delta k c1 {_SYNTHETIC} seed"),
+                    f"in threshold reconstruction_out epochs delta scheme k c1 {_SYNTHETIC} seed"),
     "attack public-scan": ("cmd_attack_public_scan", "inner-product sweep over public patches",
-                           "public candidates threshold delta k synthetic_dims seed"),
+                           "public candidates threshold delta scheme k c1 trials synthetic_dims "
+                           "seed"),
     "attack braverman": ("cmd_attack_braverman", "fourth-moment candidate ranking",
                          "public candidates k c1 synthetic_dims seed"),
     "attack averaging": ("cmd_attack_averaging", "average demasked encryptions",
@@ -155,7 +156,8 @@ COMMANDS = {
 COMMAND_DEFAULTS = {
     "challenge": {"k": 6, "synthetic_n": 100},
     "eval": {"mode": "plain"},
-    "attack pair": {"k": 2},
+    "attack pair": {"scheme": "mixup", "k": 2},
+    "attack public-scan": {"scheme": "mixup", "trials": 25},
     "attack averaging": {"mode": "strong"},
     "attack similarity": {"m": 100, "trials": 50},
     "attack grad-match": {"lr": 0.05},
@@ -282,6 +284,16 @@ def _public_patches(opts: dict, dims, rng: RngStream, count: int = 1000, cfg=Non
     return make_gaussian_dataset(count, dims, rng.child("public"), normalize=False)
 
 
+def _trial_rows(private, cfg: SchemeConfig, trials: int, rng: RngStream, publicset=None):
+    """An attack's queries from one kernel call: trial t encrypts row t % n of
+    ``private`` under ``rng.children("enc", ids=t)``."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    t = np.arange(trials)
+    S = encrypt._sources(private, cfg, publicset)
+    return encrypt._encrypt_rows(S, None, cfg, t % private.n, rng.children("enc", ids=t))
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes (resolved options, RngStream(seed)) and returns its
 # report's results
@@ -376,7 +388,7 @@ def _attack_results(opts: dict, report, **extra) -> dict:
 
 def cmd_attack_pair(opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(opts, rng)
-    cfg = _scheme_config(opts, "mixup")
+    cfg = _scheme_config(opts)
     history, truth = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
     report = attacks.pair_detection_attack(
         history, threshold=opts["threshold"], truth_keys=truth, delta=opts["delta"], k=cfg.k
@@ -385,31 +397,29 @@ def cmd_attack_pair(opts: dict, rng: RngStream) -> dict:
 
 
 def cmd_attack_public_scan(opts: dict, rng: RngStream) -> dict:
-    dims = _parse_dims(opts["synthetic_dims"])
+    if opts["scheme"] == "cross":  # its queries mix pool rows only
+        raise ValidationError("attack public-scan runs the mixup or inside scheme, got cross")
+    cfg, dims = _scheme_config(opts), _parse_dims(opts["synthetic_dims"])
     publicset = _public_patches(opts, dims, rng, count=opts["candidates"])
-    k = opts["k"]
-    if not 1 <= k <= len(publicset):
-        raise ValidationError(f"k must be in [1, {len(publicset)}] candidates, got {k}")
-    gen = rng.child("mix").generator()
-    members = [int(v) for v in gen.choice(len(publicset), size=k, replace=False)]
-    mixed = publicset.matrix()[members].astype(np.float64).sum(axis=0)
-    report = attacks.public_scan_attack(
-        mixed.astype(np.float32), publicset, k, threshold=opts["threshold"],
-        truth_members=set(members), delta=opts["delta"],
-    )
-    return _attack_results(opts, report, true_members=members)
+    rows = _trial_rows(publicset, cfg, opts["trials"], rng)
+    reports = []
+    for query, members in zip(rows.pixels, rows.sources.tolist()):
+        report = attacks.public_scan_attack(
+            query, publicset, cfg.k, threshold=opts["threshold"], truth_members=set(members),
+            delta=opts["delta"],
+        )
+        reports.append(_attack_results(opts, report, true_members=members))
+    mean_recall = sum(report["metrics"]["recall"] for report in reports) / len(reports)
+    return {"trials": len(reports), "mean_recall": mean_recall, "reports": reports}
 
 
 def cmd_attack_braverman(opts: dict, rng: RngStream) -> dict:
     dims = _parse_dims(opts["synthetic_dims"])
     publicset = _public_patches(opts, dims, rng, count=opts["candidates"])
-    # labels are irrelevant to this ranking; any one-hot will do
-    pool = Dataset(publicset.matrix(), np.ones((len(publicset), 1)), dims=publicset.dims)
-    cfg = _scheme_config(opts, "inside")
-    sample, key = encrypt_sample(pool, 0, cfg, rng.child("enc"))
-    truth = {idx for _, idx in key.sources}
-    report = attacks.braverman_attack(sample, publicset, truth_members=truth)
-    return _attack_results(opts, report, true_members=sorted(truth))
+    rows = _trial_rows(publicset, _scheme_config(opts, "inside"), 1, rng)
+    truth = rows.sources[0].tolist()
+    report = attacks.braverman_attack(rows.pixels[0], publicset, truth_members=set(truth))
+    return _attack_results(opts, report, true_members=truth)
 
 
 def cmd_attack_averaging(opts: dict, rng: RngStream) -> dict:
@@ -425,8 +435,6 @@ def cmd_attack_averaging(opts: dict, rng: RngStream) -> dict:
 
 def cmd_attack_similarity(opts: dict, rng: RngStream) -> dict:
     trials = opts["trials"]
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
     source_dims, patch_dims = _parse_dims(opts["source_dims"]), _parse_dims(opts["patch_dims"])
     sources = make_gaussian_dataset(opts["sources"], source_dims, rng.child("sources"),
                                     normalize=False)
@@ -439,14 +447,12 @@ def cmd_attack_similarity(opts: dict, rng: RngStream) -> dict:
     private = make_gaussian_dataset(n, patch_dims, rng.child("private"), normalize=False)
     cfg = _scheme_config(opts, "cross")
     oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
-    # trial t encrypts private image t (n > t) under rng.child("enc", t): one kernel call
-    t = np.arange(trials)
-    S = encrypt._sources(private, cfg, enc_patches)
-    rows = encrypt._encrypt_rows(S, None, cfg, t, rng.children("enc", ids=t))
+    rows = _trial_rows(private, cfg, trials, rng, enc_patches)  # trial t encrypts image t
     # source row j >= n is public patch j - n, so source image j - n
     truth = [set((j[j >= n] - n).tolist()) for j in rows.sources]
     reports = attacks.similarity_search_attack(
-        rows.pixels, attacker_patches, oracle, rows.signs, opts["m"], truth_patches=truth, tag=t
+        rows.pixels, attacker_patches, oracle, rows.signs, opts["m"], truth_patches=truth,
+        tag=np.arange(trials),
     )
     hits = sum(int(rep.metrics["hit"]) for rep in reports)
     return {"trials": trials, "hits": hits, "hit_rate": hits / trials, "m": opts["m"]}

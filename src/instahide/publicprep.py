@@ -48,11 +48,14 @@ class PatchSet(Dataset):
 
     def __init__(self, patches, provenance, keypoints):
         super().__init__(patches)
-        prov, kp = np.array(provenance, np.int64), np.array(keypoints, np.int64)
+        need = f"{self.n} patches need ({self.n}, 3) provenance and ({self.n},) keypoints"
+        try:
+            prov, kp = np.array(provenance, np.int64), np.array(keypoints, np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, a non-integer cell
+            raise ValidationError(f"{need} of integers: {exc}") from None
         prov = prov.reshape(0, 3) if prov.shape == (0,) else prov
         if prov.shape != (self.n, 3) or kp.shape != (self.n,):
-            raise ValidationError(f"{self.n} patches need ({self.n}, 3) provenance and"
-                                  f" ({self.n},) keypoints, got {prov.shape} and {kp.shape}")
+            raise ValidationError(f"{need}, got {prov.shape} and {kp.shape}")
         self.provenance, self.keypoints = _freeze(prov), _freeze(kp)
 
     @property

@@ -215,19 +215,62 @@ def test_attack_pair_defaults_to_k2(tmp_path):
     assert report["results"]["metrics"]["precision"] in (None, pytest.approx(1.0, abs=0.10))
 
 
-def test_attack_public_scan_report(tmp_path):
+def _public_scan_recalls(tmp_path, scheme):
     rep = tmp_path / "r.json"
     code = main(
         [
-            "attack", "public-scan", "--candidates", "200",
-            "--synthetic-dims", "1x16x16", "--k", "3", "--report", str(rep),
+            "attack", "public-scan", "--scheme", scheme, "--k", "2", "--trials", "4",
+            "--candidates", "200", "--synthetic-dims", "1x16x16", "--report", str(rep),
             "--seed", "7",
         ]
     )
     assert code == 0
-    report = read_report(rep)
-    assert report["results"]["metrics"]["recall"] == 1.0
-    assert len(report["results"]["ranks"]) == 3
+    results = read_report(rep)["results"]
+    assert results["trials"] == len(results["reports"]) == 4
+    for report in results["reports"]:
+        assert len(report["ranks"]) == len(set(report["true_members"])) == 2
+    return results["mean_recall"], [report["metrics"]["recall"] for report in results["reports"]]
+
+
+def test_attack_public_scan_report(tmp_path):
+    # each trial's query is a kernel row: the scan finds every source of a Mixup
+    assert _public_scan_recalls(tmp_path, "mixup") == (1.0, [1.0] * 4)
+
+
+def test_attack_public_scan_finds_no_source_of_a_masked_mix(tmp_path):
+    assert _public_scan_recalls(tmp_path, "inside") == (0.0, [0.0] * 4)
+
+
+def test_attack_public_scan_refuses_cross_naming_the_schemes_it_runs(tmp_path, capsys):
+    # its queries mix pool rows only, so --public is its pool, not a cross scheme's patches
+    code = main(["attack", "public-scan", "--scheme", "cross", "--candidates", "20",
+                 "--synthetic-dims", "1x4x4"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: attack public-scan runs the mixup or inside scheme, got cross\n")
+
+
+# the paper's mask claim at tiny sizes: the inner-product attacks on Mixup
+# and on InstaHide's masked mixes, across k
+SWEEP = [
+    *(["attack", "public-scan", "--scheme", scheme, "--k", str(k), "--candidates", "50",
+       "--trials", "2", "--synthetic-dims", "1x4x4"]
+      for scheme in ("mixup", "inside") for k in (2, 4, 6)),
+    *(["attack", "pair", "--scheme", scheme, "--synthetic-n", "8", "--epochs", "3"]
+      for scheme in ("mixup", "inside")),
+]
+
+
+def test_attack_sweep_commands_run_and_replay(tmp_path, monkeypatch):
+    monkeypatch.delenv("IH_SEED", raising=False)
+    run, replay, cfg = tmp_path / "run.json", tmp_path / "replay.json", tmp_path / "replay.cfg"
+    for argv in SWEEP:
+        assert main([*argv, "--report", str(run)]) == 0, argv
+        config = read_report(run)["config"]
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()
+                               if value is not None))
+        assert main([*argv[:2], "--config", str(cfg), "--report", str(replay)]) == 0, argv
+        assert replay.read_bytes() == run.read_bytes(), argv
 
 
 def test_stats_ks_table_csv(tmp_path):
@@ -385,6 +428,10 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["encrypt", "--synthetic-dims", "3xax3", "--out", "{tmp}/o.ihds"],
         ["prep-public", "--in", "{tmp}/d.ihds", "--patch-size", "2xb", "--out", "{tmp}/p.ihds"],
         ["attack", "public-scan", "--candidates", "3", "--k", "5", "--synthetic-dims", "1x4x4"],
+        ["attack", "public-scan", "--scheme", "cross", "--public", "{tmp}/p4.ihds",
+         "--synthetic-dims", "3x4x4"],
+        ["attack", "public-scan", "--trials", "0", "--candidates", "20", "--synthetic-dims",
+         "1x4x4"],
         ["attack", "similarity", "--trials", "0", "--sources", "4", "--source-dims", "1x8x8",
          "--patch-dims", "1x4x4"],
         ["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels", "{tmp}/y.csv",
@@ -438,7 +485,8 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--scheme", "cross",
          "--in", "{tmp}/p8.ihds", "--public", "{tmp}/p416.ihds"],
     ],
-    ids=["synthetic-dims", "patch-size", "k-over-candidates", "zero-trials", "class-index",
+    ids=["synthetic-dims", "patch-size", "k-over-candidates", "public-scan-cross",
+         "public-scan-zero-trials", "zero-trials", "class-index",
          "weight-not-a-number", "weight-width", "encrypt-zero-epochs", "challenge-zero-epochs",
          "challenge-negative-epochs", "train-negative-epochs", "encrypt-public-dims",
          "challenge-public-dims", "train-public-dims", "eval-public-dims", "pair-nan-threshold",
@@ -492,8 +540,9 @@ def test_attack_reports_are_strict_json(tmp_path, argv):
     report = tmp_path / "r.json"
     argv = [*argv, "--synthetic-dims", "1x4x4", "--report", str(report)]
     assert main(argv + (["--epochs", "1"] if argv[1] == "pair" else [])) == 0
-    threshold = _strict_json(report)["results"]["params"]["threshold"]
-    assert (threshold is None) == (argv[2:4] == ["--k", "1"])
+    results = _strict_json(report)["results"]
+    params = results["reports"][0]["params"] if "reports" in results else results["params"]
+    assert (params["threshold"] is None) == (argv[2:4] == ["--k", "1"])
 
 
 def test_parse_dims_allows_spaces_and_refuses_non_digits():
@@ -510,13 +559,13 @@ def test_parse_dims_allows_spaces_and_refuses_non_digits():
     [
         ["challenge", "--out", "o.ihds", "--scheme", "mixup"],
         ["challenge", "--out", "o.ihds", "--synthetic-n", "4"],
-        ["attack", "pair", "--scheme", "inside"],
+        ["attack", "pair", "--c2", "0.3"],
         ["attack", "averaging", "--scheme", "inside"],
         ["attack", "averaging", "--c2", "0.3"],
         ["attack", "grad-match", "--synthetic-n", "4"],
         ["import", "--raw", "x.raw", "--dims", "1x2x2", "--out", "o", "--config", "c.cfg"],
     ],
-    ids=["challenge-scheme", "challenge-synthetic-n", "pair-scheme", "averaging-scheme",
+    ids=["challenge-scheme", "challenge-synthetic-n", "pair-c2", "averaging-scheme",
          "averaging-c2", "grad-match-synthetic-n", "import-config"],
 )
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
@@ -564,9 +613,10 @@ COMMANDS = {
               {"in": None, "plain": False, "out": "{tmp}/m.ihmd"}),
     "eval": (["--model", "{tmp}/m16.ihmd"], {*SYNTHETIC},
              {"model": "{tmp}/m16.ihmd", "in": None, "mode": "plain"}),
-    "attack pair": ([], {"k", "c1", "epochs", "delta", *SYNTHETIC},
+    "attack pair": ([], {"scheme", "k", "c1", "epochs", "delta", *SYNTHETIC},
                     {"in": None, "threshold": None, "reconstruction_out": None}),
-    "attack public-scan": (["--candidates", "20"], {"k", "delta", "synthetic_dims"},
+    "attack public-scan": (["--candidates", "20"],
+                           {"scheme", "k", "c1", "trials", "delta", "synthetic_dims"},
                            {"public": None, "candidates": 20, "threshold": None}),
     "attack braverman": (["--candidates", "20"], {"k", "c1", "synthetic_dims"},
                          {"public": None, "candidates": 20}),

@@ -246,6 +246,18 @@ def test_patchset_refuses_columns_of_the_wrong_shape(n, provenance, keypoints):
         PatchSet(np.ones((n, 1, 2, 2), np.float32), provenance, keypoints)
 
 
+@pytest.mark.parametrize("provenance, keypoints", [
+    ([(1, 2, 3), (1, 2)], [0, 0]),  # ragged rows
+    ([("a", 2, 3), (0, 0, 0)], [0, 0]),  # a cell that is not an integer
+    ([(1, 2, 3), (0, 0, 0)], [0, None]),
+    ([(1, 2, 3), (0, 0, 2**64)], [0, 0]),  # beyond int64
+], ids=["ragged", "non-integer-cell", "non-integer-keypoint", "int64-overflow"])
+def test_patchset_refuses_a_ragged_or_non_integer_column(provenance, keypoints):
+    # each raised numpy's bare ValueError (or TypeError, OverflowError), exit 1 at the CLI
+    with pytest.raises(ValidationError, match=r"2 patches need \(2, 3\) provenance .* integers"):
+        PatchSet(np.ones((2, 1, 2, 2), np.float32), provenance, keypoints)
+
+
 def test_a_reloaded_patch_set_has_read_only_int64_columns(tmp_path):
     src = make_gaussian_dataset(6, (3, 16, 16), RngStream(11), normalize=False)
     ps = build_patchset(src, (8, 8), 2, RngStream(12), min_keypoints=0)
