@@ -18,11 +18,48 @@ Detection thresholds default to the geometric midpoint between the typical
 member score scale and a union-bounded noise ceiling, both computable from the
 runtime parameters (d, k, candidate count, delta).
 
-A pair score is scan_scores' float64 row dot, the same bits whatever the BLAS
-thread count or block size. BLAS only filters: one product per upper-triangle
-row block of CHUNK_BYTES, within (gamma_d(u) + gamma_d(2^-53)) ||x_i|| ||x_j||
-of the row dot (gamma_d(u) = d u / (1 - d u), Higham 2002, 3.1); pairs whose
-bound straddles the threshold or the running top-50 cut are re-scored.
+Scan, pair and fourth-moment scores are float64 row kernels (scan_scores,
+_fourth_moment_scores): a row's bits do not depend on the BLAS thread count,
+the block size or the other rows. BLAS only filters. It gives each row an
+interval [lo, hi] around its exact score, and only the rows a report byte
+depends on are scored exactly: those whose interval reaches the top-50 floor
+(the 50th largest lo), holds the threshold or holds a truth member's score,
+and the members. Every other row is flagged by its interval, and a member's
+rank is 1 + the unscored rows whose lo is above its score + the scored rows
+ahead of it by (-score, index), the order np.lexsort gives. Tied rows have
+overlapping intervals, so all of them are scored and ties fall by index.
+
+The bounds use gamma_n(u) = n u / (1 - n u), which bounds n roundings to
+unit roundoff u in any summation order, FMA included (Higham 2002, 3.1).
+Pairs: one product per upper-triangle row block of CHUNK_BYTES is within
+(gamma_d(u) + gamma_d(2^-53)) ||x_i|| ||x_j|| of the row dot.
+
+Scan and fourth moment: one float32 pass over a float32 pool in row blocks of
+CHUNK_BYTES screens a (q, d) block of queries, with |block| or block^2
+written into one reused buffer. Below, u = 2^-24; an underflowed float32
+square or product is off by at most 2^-150 absolutely; +-0 changes no
+magnitude.
+- Scan: s = x.q' and a = |x|.|q'|, with q' the query in float32. s is
+  within gamma_d(u) |x|.|q'| + d 2^-150 of the exact x.q', the float64 score
+  within gamma_d(2^-53) |x|.|q| of the exact x.q, and
+  a >= (1 - gamma_d(u)) |x|.|q'| - d 2^-150. A float64 query that rounds
+  moves each coordinate by at most u |q| when q' is normal, adding u a (a
+  query rounding into float32's subnormal range is not screened). So
+  |score| is within 2 (gamma_d(u) + gamma_d(2^-53)) a / (1 - gamma_d(u))
+  [+ u a] + 2 d 2^-149 of |s|; the factor 2 covers the second-order terms and
+  the rounding of the bound itself.
+- Fourth moment: v = <x^2, s^2> - ||x||^2 ||s||^2 / d is two sums of
+  nonnegative products, t1 = s^2.x^2 and t2 = s^2.1, taken in float32 and
+  joined in float64 with the kernel's own float64 ||x||^2. Either path rounds
+  each term at most d + 3 times, so v is within
+  2 (gamma_{d+3}(u) + gamma_{d+3}(2^-53)) (t1 + ||x||^2 t2 / d)
+  / (1 - gamma_{d+3}(u)) + 2 (d + ||x||^2 + t2) 2^-149 of the screened value.
+  The last term bounds underflow: 2^-150 per square or product, times the
+  other factor, which x^2 and s^2 sum.
+A query whose float32 products are not all finite (overflow near float32's
+maximum, or a non-finite input), a pool that is not float32 and a pool of at
+most 50 rows are scored exactly, row by row; a float64 screen would read and
+cast the pool as the exact kernel does.
 """
 
 from __future__ import annotations
@@ -144,6 +181,12 @@ def pair_threshold(d: int, k: int, n_pairs: int, delta: float) -> float:
 # inner-product attacks
 
 
+def _gamma(n: int, u):
+    """gamma_n(u) = n u / (1 - n u): the relative error of n roundings to unit
+    roundoff u (see the module docstring)."""
+    return n * u / (1 - n * u)
+
+
 def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Label every node of the graph on m nodes with edges (i, j) by the
     smallest node of its component: hook roots under the smaller label across
@@ -201,7 +244,7 @@ def pair_detection_attack(
         rows = rows.astype(np.float64, copy=False)
     # row i's bound against any partner, rounded up by 2; tiny: underflowed products
     u, tiny = np.finfo(rows.dtype).eps / 2, 2 * d * np.finfo(rows.dtype).smallest_subnormal
-    bound = 2 * sum(d * v / (1 - d * v) for v in (u, 2.0**-53)) * norms.max() * norms + tiny
+    bound = 2 * (_gamma(d, u) + _gamma(d, 2.0**-53)) * norms.max() * norms + tiny
     cut = math.inf if threshold is None else max(threshold, 0.0)  # <= 0 detects every pair
     if truth_keys is not None:
         # incidence[i, c] = 1 iff sample i mixes source c; shared counts are exact in float32
@@ -273,16 +316,83 @@ def _mean_rows(rows: np.ndarray, members: np.ndarray | None = None) -> np.ndarra
     return total / np.count_nonzero(members)
 
 
-def _truth_ranks(order: np.ndarray, truth_members) -> tuple[frozenset, np.ndarray]:
-    """The truth set and every candidate's 1-based rank under ``order``; a
-    member index outside [0, n) is refused."""
-    n = order.size
-    truth = frozenset(int(t) for t in truth_members)
-    if any(not 0 <= t < n for t in truth):
-        raise ValidationError(f"truth members must be in [0, {n}), got {sorted(truth)}")
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[order] = np.arange(1, n + 1)
-    return truth, rank_of
+def _query_block(xtilde, patches: np.ndarray, truth_members):
+    """(q, d) queries, whether ``xtilde`` was one query (not a 2-D block),
+    and q truth sets (None or frozensets of pool rows), all checked before
+    any pass over the pool."""
+    X = np.asarray(xtilde)
+    if single := X.ndim != 2:
+        X, truth_members = X.reshape(1, -1), [truth_members]
+    if patches.ndim != 2 or patches.shape[1] != X.shape[1]:
+        raise DimensionMismatchError(f"pool {patches.shape} does not fit queries of length "
+                                     f"{X.shape[1]}")
+    truths = [None] * len(X) if truth_members is None else [
+        None if t is None else frozenset(int(v) for v in t) for t in truth_members]
+    if len(truths) != len(X):
+        raise ValidationError(f"{len(X)} queries need {len(X)} truth sets")
+    n = len(patches)
+    for truth in filter(None, truths):
+        if not all(0 <= t < n for t in truth):
+            raise ValidationError(f"truth members must be in [0, {n}), got {sorted(truth)}")
+    return X, single, truths
+
+
+def _screenable(patches: np.ndarray) -> bool:
+    """Whether the float32 screen runs: a float32 pool of more than
+    TOP_SCORES rows (every row of a smaller one is scored), with d + 3
+    roundings well below 2^24."""
+    return patches.dtype == np.float32 and len(patches) > TOP_SCORES and patches.shape[1] < 1 << 22
+
+
+def _screen(patches: np.ndarray, plain, fold, folded):
+    """One float32 BLAS pass over a float32 pool in row blocks of CHUNK_BYTES:
+    the (n, q) products block @ plain.T (none when ``plain`` is None) and
+    fold(block) @ folded.T, each fold written into one reused block buffer."""
+    n, d = patches.shape
+    step = max(1, core.CHUNK_BYTES // (4 * d))
+    buf = np.empty((min(step, n), d), np.float32)
+    s = None if plain is None else np.empty((n, len(plain)), np.float32)
+    t = np.empty((n, len(folded)), np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a non-finite product
+        for lo in range(0, n, step):
+            blk, rows = patches[lo : lo + step], slice(lo, min(n, lo + step))
+            if s is not None:
+                np.matmul(blk, plain.T, out=s[rows])
+            fold(blk, out=buf[: len(blk)])
+            np.matmul(buf[: len(blk)], folded.T, out=t[rows])
+    return s, t
+
+
+def _screened_rank(kernel, patches, x, lo, hi, truth, cut=None, key=np.positive):
+    """Rank the pool by key(kernel(rows, x)), descending with ties by index,
+    from intervals [lo, hi] that hold every row's key: only the rows that can
+    decide a top score, the ``cut`` or a member's rank are scored (the module
+    docstring). Returns those rows (ascending), their scores and keys, their
+    order, and the truth members' ranks, sorted."""
+    n = lo.size
+
+    def score(rows):
+        return kernel(patches if rows.size == n else patches[rows], x)
+
+    floor = -np.inf if n <= TOP_SCORES else np.partition(lo, n - TOP_SCORES)[n - TOP_SCORES]
+    near = hi >= floor
+    if cut is not None:
+        near |= (lo < cut) & (cut <= hi)
+    members = np.array(sorted(truth or ()), dtype=np.int64)
+    if members.size:
+        held = np.sort(key(score(members)))
+        first = held[np.minimum(np.searchsorted(held, lo), held.size - 1)]  # least key >= lo
+        near |= (lo <= first) & (first <= hi)
+        near[members] = True
+    rows = np.flatnonzero(near)
+    raw = score(rows)
+    keys = key(raw)
+    order = np.lexsort((rows, -keys))
+    place = np.empty(rows.size, np.int64)
+    place[order] = np.arange(rows.size)
+    far, mine = np.sort(lo[~near]), np.searchsorted(rows, members)
+    ranks = 1 + far.size - np.searchsorted(far, keys[mine], "right") + place[mine]
+    return rows, raw, keys, order, tuple(sorted(ranks.tolist()))
 
 
 def public_scan_attack(
@@ -294,44 +404,64 @@ def public_scan_attack(
     delta: float = DEFAULT_DELTA,
 ) -> AttackReport:
     """Score every public patch by inner product against the query in one
-    O(N d) pass; candidates above the threshold are flagged as suspected mix
-    members. With ground truth the report adds member recall, precision, and
-    the 1-based ranks of the true members under |score| ordering."""
+    O(N d) pass; candidates whose |score| reaches the threshold are flagged as
+    suspected mix members. With ground truth the report adds member recall,
+    precision, and the 1-based ranks of the true members under |score|
+    ordering (ties by index).
+
+    One query (an EncryptedSample, Image or 1-D row) with one truth set gives
+    one report; a (q, d) block with q truth sets gives a list of q, the
+    single-query reports bit for bit, from one screening pass over the pool
+    (the module docstring)."""
     patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     if patches.size == 0:
         raise ValidationError("public scan needs a non-empty patch set")
-    query = np.asarray(xtilde)
-    raw = scan_scores(patches, query)
-    mags = np.abs(raw)
-    n = raw.size
-    if threshold is None:
-        qn = float(np.linalg.norm(query.astype(np.float64)))
-        threshold = scan_threshold(qn, query.size, k, n, delta)
-    if math.isnan(threshold):
+    Q, single, truths = _query_block(xtilde, patches, truth_members)
+    n, d = patches.shape
+    cuts = [threshold] * len(Q) if threshold is not None else [
+        scan_threshold(float(np.linalg.norm(q.astype(np.float64))), d, k, n, delta) for q in Q]
+    if any(math.isnan(c) for c in cuts):
         raise ValidationError("threshold must be a number, got nan")
+    screened = np.zeros(len(Q), dtype=bool)
+    if _screenable(patches):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q32 = Q.astype(np.float32)
+        s, a = _screen(patches, Q32, np.abs, np.abs(Q32))
+        rounded = Q != Q32
+        # a coordinate rounded into float32's subnormal range moves by more than u |q|
+        lost = (rounded & (np.abs(Q32) < np.finfo(np.float32).tiny)).any(axis=1)
+        screened = np.isfinite(s).all(axis=0) & np.isfinite(a).all(axis=0) & ~lost
+        u = 2.0**-24
+        c = 2 * (_gamma(d, u) + _gamma(d, 2.0**-53)) / (1 - _gamma(d, u)) + u * rounded.any(axis=1)
 
-    order = np.lexsort((np.arange(n), -mags))
-    flagged = tuple(int(i) for i in np.flatnonzero(mags >= threshold))
-    metrics: dict = {"flagged": float(len(flagged))}
-    ranks = None
-    if truth_members is not None:
-        truth, rank_of = _truth_ranks(order, truth_members)
-        ranks = tuple(sorted(int(rank_of[t]) for t in truth))
-        hit = len(truth & set(flagged))
-        metrics["recall"] = hit / len(truth) if truth else None
-        metrics["precision"] = hit / len(flagged) if flagged else None
-        metrics["mean_member_rank"] = float(np.mean(ranks)) if ranks else None
-        metrics["max_member_rank"] = float(max(ranks)) if ranks else None
-
-    scores = tuple((int(i), float(raw[i])) for i in order[:TOP_SCORES])
-    return AttackReport(
-        attack="public_scan",
-        params={"threshold": float(threshold), "delta": delta, "k": k, "candidates": n},
-        scores=scores,
-        decisions=flagged,
-        metrics=metrics,
-        ranks=ranks,
-    )
+    reports = []
+    for t, (q, truth, cut) in enumerate(zip(Q, truths, cuts)):
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        if screened[t]:
+            mag = np.abs(s[:, t], dtype=np.float64)
+            r = c[t] * a[:, t].astype(np.float64) + 2 * d * 2.0**-149
+            lo, hi = np.maximum(mag - r, 0.0), mag + r
+        rows, raw, mags, order, ranks = _screened_rank(scan_scores, patches, q, lo, hi, truth,
+                                                       cut, np.abs)
+        flags = lo >= cut  # unscored rows: their interval lies on one side of the cut
+        flags[rows] = mags >= cut
+        flagged = tuple(np.flatnonzero(flags).tolist())
+        metrics: dict = {"flagged": float(len(flagged))}
+        if truth is not None:
+            hit = len(truth & set(flagged))
+            metrics["recall"] = hit / len(truth) if truth else None
+            metrics["precision"] = hit / len(flagged) if flagged else None
+            metrics["mean_member_rank"] = float(np.mean(ranks)) if ranks else None
+            metrics["max_member_rank"] = float(max(ranks)) if ranks else None
+        reports.append(AttackReport(
+            attack="public_scan",
+            params={"threshold": float(cut), "delta": delta, "k": k, "candidates": n},
+            scores=tuple((int(rows[j]), float(raw[j])) for j in order[:TOP_SCORES]),
+            decisions=flagged,
+            metrics=metrics,
+            ranks=None if truth is None else ranks,
+        ))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -369,33 +499,53 @@ def braverman_attack(
     publicset,
     truth_members: set[int] | frozenset[int] | None = None,
 ) -> AttackReport:
-    """Rank all candidates by the fourth-moment statistic, descending. Mask
-    bits do not enter the statistic, so this runs on masked samples as-is;
-    the signal is weak and shrinks as k grows."""
+    """Rank all candidates by the fourth-moment statistic, descending (ties
+    by index). Mask bits do not enter the statistic, so this runs on masked
+    samples as-is; the signal is weak and shrinks as k grows.
+
+    One query gives one report and a (q, d) block with q truth sets a list of
+    q, as in public_scan_attack."""
     patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     if patches.size == 0:
         raise ValidationError("ranking needs a non-empty candidate set")
-    v = _fourth_moment_scores(patches, xtilde)
-    n = v.size
-    order = np.lexsort((np.arange(n), -v))
+    X, single, truths = _query_block(xtilde, patches, truth_members)
+    n, d = patches.shape
+    x2 = np.square(X.astype(np.float64))
+    totals = [np.sum(row) for row in x2]  # the kernel's ||x||^2, bit for bit
+    screened = np.zeros(len(X), dtype=bool)
+    if _screenable(patches):
+        with np.errstate(over="ignore"):
+            W = np.vstack([x2, np.ones(d)]).astype(np.float32)
+        T = _screen(patches, None, np.square, W)[1]
+        screened = np.isfinite(T[:, :-1]).all(axis=0) & np.isfinite(T[:, -1]).all()
+        u = 2.0**-24
+        c = 2 * (_gamma(d + 3, u) + _gamma(d + 3, 2.0**-53)) / (1 - _gamma(d + 3, u))
 
-    metrics: dict = {}
-    ranks = None
-    if truth_members is not None:
-        truth, rank_of = _truth_ranks(order, truth_members)
-        ranks = tuple(sorted(int(rank_of[t]) for t in truth))
-        non_ranks = np.delete(rank_of, list(truth))
-        metrics["median_member_rank"] = float(np.median(ranks)) if ranks else None
-        metrics["median_nonmember_rank"] = float(np.median(non_ranks)) if non_ranks.size else None
-    scores = tuple((int(i), float(v[i])) for i in order[:TOP_SCORES])
-    return AttackReport(
-        attack="braverman",
-        params={"candidates": n},
-        scores=scores,
-        decisions=tuple(int(i) for i in order[: min(TOP_SCORES, n)]),
-        metrics=metrics,
-        ranks=ranks,
-    )
+    reports = []
+    for t, (x, truth, total) in enumerate(zip(X, truths, totals)):
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        if screened[t]:
+            t1, t2 = T[:, t].astype(np.float64), T[:, -1].astype(np.float64)
+            second = total * t2 / d
+            r = c * (t1 + second) + 2 * (d + total + t2) * 2.0**-149
+            lo, hi = t1 - second - r, t1 - second + r
+        rows, v, _, order, ranks = _screened_rank(_fourth_moment_scores, patches, x, lo, hi,
+                                                  truth)
+        metrics: dict = {}
+        if truth is not None:
+            non_ranks = np.delete(np.arange(1, n + 1), np.array(ranks, dtype=np.int64) - 1)
+            metrics["median_member_rank"] = float(np.median(ranks)) if ranks else None
+            metrics["median_nonmember_rank"] = (float(np.median(non_ranks)) if non_ranks.size
+                                                else None)
+        reports.append(AttackReport(
+            attack="braverman",
+            params={"candidates": n},
+            scores=tuple((int(rows[j]), float(v[j])) for j in order[:TOP_SCORES]),
+            decisions=tuple(int(rows[j]) for j in order[:TOP_SCORES]),
+            metrics=metrics,
+            ranks=None if truth is None else ranks,
+        ))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------

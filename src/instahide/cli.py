@@ -386,9 +386,17 @@ def _attack_results(opts: dict, report, **extra) -> dict:
     return {**report.to_dict(path), **extra}
 
 
+def _pool_free_scheme(opts: dict, command: str) -> SchemeConfig:
+    """The scheme of a command whose mixes draw no public patches: cross is
+    refused by name."""
+    if opts["scheme"] == "cross":
+        raise ValidationError(f"attack {command} runs the mixup or inside scheme, got cross")
+    return _scheme_config(opts)
+
+
 def cmd_attack_pair(opts: dict, rng: RngStream) -> dict:
+    cfg = _pool_free_scheme(opts, "pair")
     private = _private_dataset(opts, rng)
-    cfg = _scheme_config(opts)
     history, truth = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
     report = attacks.pair_detection_attack(
         history, threshold=opts["threshold"], truth_keys=truth, delta=opts["delta"], k=cfg.k
@@ -397,18 +405,16 @@ def cmd_attack_pair(opts: dict, rng: RngStream) -> dict:
 
 
 def cmd_attack_public_scan(opts: dict, rng: RngStream) -> dict:
-    if opts["scheme"] == "cross":  # its queries mix pool rows only
-        raise ValidationError("attack public-scan runs the mixup or inside scheme, got cross")
-    cfg, dims = _scheme_config(opts), _parse_dims(opts["synthetic_dims"])
+    cfg = _pool_free_scheme(opts, "public-scan")  # its queries mix pool rows only
+    dims = _parse_dims(opts["synthetic_dims"])
     publicset = _public_patches(opts, dims, rng, count=opts["candidates"])
     rows = _trial_rows(publicset, cfg, opts["trials"], rng)
-    reports = []
-    for query, members in zip(rows.pixels, rows.sources.tolist()):
-        report = attacks.public_scan_attack(
-            query, publicset, cfg.k, threshold=opts["threshold"], truth_members=set(members),
-            delta=opts["delta"],
-        )
-        reports.append(_attack_results(opts, report, true_members=members))
+    members = rows.sources.tolist()
+    found = attacks.public_scan_attack(
+        rows.pixels, publicset, cfg.k, threshold=opts["threshold"], truth_members=members,
+        delta=opts["delta"],
+    )
+    reports = [_attack_results(opts, r, true_members=m) for r, m in zip(found, members)]
     mean_recall = sum(report["metrics"]["recall"] for report in reports) / len(reports)
     return {"trials": len(reports), "mean_recall": mean_recall, "reports": reports}
 

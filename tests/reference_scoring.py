@@ -6,8 +6,11 @@ streamed the pool in row blocks, copied verbatim.
 ``ssim_pairwise`` copied every window into a float64 window tensor, and
 ``pair_detection_attack`` sorted every pair score and clustered with a
 Python union-find, and ``average_reconstruct`` averaged a cluster one member
-at a time. test_scoring_oracle.py checks the streaming kernels in
-``instahide`` against these. Nothing here is imported by the package.
+at a time. ``public_scan_attack`` and ``braverman_attack`` are the report
+paths as they stood before the float32 screen: every row of the pool scored
+by the package's exact row kernels, then sorted. test_scoring_oracle.py
+checks the streaming kernels and the screened reports in ``instahide``
+against these. Nothing here is imported by the package.
 
 One deliberate change from the verbatim copy: ``pair_detection_attack``
 scores pairs with the package's float64 einsum row dot (one
@@ -30,8 +33,10 @@ from instahide.attacks import (
     SSIM_WINDOW,
     TOP_SCORES,
     AttackReport,
+    _fourth_moment_scores as exact_fourth_moment_scores,
     _window_starts,
     pair_threshold,
+    scan_threshold,
 )
 from instahide.core import Image
 from instahide.encrypt import EncryptionKey
@@ -250,4 +255,87 @@ def pair_detection_attack(
         reconstruction=reconstruction,
         metrics=metrics,
         clusters=clusters,
+    )
+
+
+def _truth_ranks(order: np.ndarray, truth_members) -> tuple[frozenset, np.ndarray]:
+    """The truth set and every candidate's 1-based rank under ``order``; a
+    member index outside [0, n) is refused."""
+    n = order.size
+    truth = frozenset(int(t) for t in truth_members)
+    if any(not 0 <= t < n for t in truth):
+        raise ValidationError(f"truth members must be in [0, {n}), got {sorted(truth)}")
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[order] = np.arange(1, n + 1)
+    return truth, rank_of
+
+
+def public_scan_attack(xtilde, publicset, k, threshold=None, truth_members=None,
+                       delta=DEFAULT_DELTA) -> AttackReport:
+    """Score every public patch by inner product against the query in one
+    O(N d) pass; candidates above the threshold are flagged as suspected mix
+    members. With ground truth the report adds member recall, precision, and
+    the 1-based ranks of the true members under |score| ordering."""
+    patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
+    if patches.size == 0:
+        raise ValidationError("public scan needs a non-empty patch set")
+    query = np.asarray(xtilde)
+    raw = core.scan_scores(patches, query)
+    mags = np.abs(raw)
+    n = raw.size
+    if threshold is None:
+        qn = float(np.linalg.norm(query.astype(np.float64)))
+        threshold = scan_threshold(qn, query.size, k, n, delta)
+    if math.isnan(threshold):
+        raise ValidationError("threshold must be a number, got nan")
+
+    order = np.lexsort((np.arange(n), -mags))
+    flagged = tuple(int(i) for i in np.flatnonzero(mags >= threshold))
+    metrics: dict = {"flagged": float(len(flagged))}
+    ranks = None
+    if truth_members is not None:
+        truth, rank_of = _truth_ranks(order, truth_members)
+        ranks = tuple(sorted(int(rank_of[t]) for t in truth))
+        hit = len(truth & set(flagged))
+        metrics["recall"] = hit / len(truth) if truth else None
+        metrics["precision"] = hit / len(flagged) if flagged else None
+        metrics["mean_member_rank"] = float(np.mean(ranks)) if ranks else None
+        metrics["max_member_rank"] = float(max(ranks)) if ranks else None
+
+    scores = tuple((int(i), float(raw[i])) for i in order[:TOP_SCORES])
+    return AttackReport(
+        attack="public_scan",
+        params={"threshold": float(threshold), "delta": delta, "k": k, "candidates": n},
+        scores=scores,
+        decisions=flagged,
+        metrics=metrics,
+        ranks=ranks,
+    )
+
+
+def braverman_attack(xtilde, publicset, truth_members=None) -> AttackReport:
+    """Rank all candidates by the fourth-moment statistic, descending."""
+    patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
+    if patches.size == 0:
+        raise ValidationError("ranking needs a non-empty candidate set")
+    v = exact_fourth_moment_scores(patches, xtilde)
+    n = v.size
+    order = np.lexsort((np.arange(n), -v))
+
+    metrics: dict = {}
+    ranks = None
+    if truth_members is not None:
+        truth, rank_of = _truth_ranks(order, truth_members)
+        ranks = tuple(sorted(int(rank_of[t]) for t in truth))
+        non_ranks = np.delete(rank_of, list(truth))
+        metrics["median_member_rank"] = float(np.median(ranks)) if ranks else None
+        metrics["median_nonmember_rank"] = float(np.median(non_ranks)) if non_ranks.size else None
+    scores = tuple((int(i), float(v[i])) for i in order[:TOP_SCORES])
+    return AttackReport(
+        attack="braverman",
+        params={"candidates": n},
+        scores=scores,
+        decisions=tuple(int(i) for i in order[: min(TOP_SCORES, n)]),
+        metrics=metrics,
+        ranks=ranks,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_scoring as ref
+from instahide import attacks
 from instahide.attacks import (
     AttackReport,
     SignOracle,
@@ -247,6 +248,43 @@ def test_truth_members_outside_the_candidates_are_refused(truth):
                    lambda: braverman_attack(q, patches, truth_members=truth)):
         with pytest.raises(ValidationError, match="truth members"):
             attack()
+
+
+def _refuse_pool_reads(monkeypatch):
+    def read(*args):
+        raise AssertionError("the pool was read")
+
+    for name in ("_screen", "scan_scores", "_fourth_moment_scores"):
+        monkeypatch.setattr(attacks, name, read, raising=False)
+
+
+def test_public_scan_refuses_a_nan_threshold_before_reading_the_pool(monkeypatch):
+    patches = unit_rows(300, 64, 3).astype(np.float32)
+    _refuse_pool_reads(monkeypatch)
+    for q in (patches[0], patches[:3]):
+        with pytest.raises(ValidationError, match="threshold must be a number"):
+            public_scan_attack(q, patches, 1, threshold=float("nan"))
+    with pytest.raises(ValidationError, match="threshold must be a number"):
+        public_scan_attack(np.full(64, np.nan, np.float32), patches, 1)  # default: nan
+
+
+@pytest.mark.parametrize("attack", [lambda q, p: public_scan_attack(q, p, 2),
+                                    lambda q, p: braverman_attack(q, p)],
+                         ids=["scan", "braverman"])
+def test_a_wrong_length_query_is_refused_before_reading_the_pool(monkeypatch, attack):
+    patches = unit_rows(300, 64, 3).astype(np.float32)
+    _refuse_pool_reads(monkeypatch)
+    for q in (patches[0, :-1], patches[:3, :-1]):
+        with pytest.raises(ValidationError, match="does not fit queries of length 63"):
+            attack(q, patches)
+
+
+def test_a_block_needs_one_truth_set_per_query():
+    patches = unit_rows(60, 16, 3).astype(np.float32)
+    with pytest.raises(ValidationError, match="3 queries need 3 truth sets"):
+        public_scan_attack(patches[:3], patches, 1, truth_members=[{0}, {1}])
+    with pytest.raises(ValidationError, match="truth members must be in"):
+        braverman_attack(patches[:2], patches, truth_members=[{0}, {60}])
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,16 @@ def test_attack_public_scan_refuses_cross_naming_the_schemes_it_runs(tmp_path, c
         "error: attack public-scan runs the mixup or inside scheme, got cross\n")
 
 
+def test_attack_pair_refuses_cross_naming_the_schemes_it_runs(capsys):
+    # pair mixes history rows only and reads no --public, at any k
+    for k in ("2", "3"):
+        code = main(["attack", "pair", "--scheme", "cross", "--k", k, "--synthetic-n", "4",
+                     "--synthetic-dims", "1x4x4", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: attack pair runs the mixup or inside scheme, got cross\n")
+
+
 # the paper's mask claim at tiny sizes: the inner-product attacks on Mixup
 # and on InstaHide's masked mixes, across k
 SWEEP = [

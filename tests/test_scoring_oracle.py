@@ -14,9 +14,12 @@ import pytest
 
 import reference_scoring as ref
 from instahide import core
+from instahide import attacks
 from instahide.attacks import (
     _fourth_moment_scores,
+    braverman_attack,
     pair_detection_attack,
+    public_scan_attack,
     ssim_pairwise,
 )
 from instahide.core import make_gaussian_dataset, scan_scores
@@ -86,7 +89,8 @@ def test_fourth_moment_scores_are_bit_identical_across_chunks(monkeypatch):
 THREAD_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
-from instahide.attacks import _fourth_moment_scores, pair_detection_attack, ssim_pairwise
+from instahide.attacks import (_fourth_moment_scores, braverman_attack, pair_detection_attack,
+                               public_scan_attack, ssim_pairwise)
 from instahide.core import scan_scores
 gen = np.random.default_rng(11)
 pool = gen.standard_normal((1500, 3072)).astype(np.float32)
@@ -101,6 +105,20 @@ history = pool[:600] / np.float32(np.sqrt(3072))
 history[gen.choice(600, 12, replace=False)] = history[0]
 report = pair_detection_attack(history, k=2)
 out["pair"] = json.dumps(report.to_dict(), sort_keys=True).encode()
+# 60 copies of pool row 0 tie across the top-50 cut, and the threshold is their score
+dup = pool[:1200].copy()
+dup[gen.choice(np.arange(1, 1200), 60, replace=False)] = dup[0]
+Q = np.vstack([dup[0], q[1:] + dup[:3]])
+cut = float(abs(scan_scores(dup[:1], Q[0])[0]))
+truths = [{0, 1, 2}, {1, 5}, {2}, set()]
+def reports(found):
+    found = found if isinstance(found, list) else [found]
+    return json.dumps([[r.to_dict(), r.decisions, r.ranks] for r in found]).encode()
+out["scan1"] = reports(public_scan_attack(Q[0], dup, 4, threshold=cut, truth_members=truths[0]))
+out["scan4"] = reports(public_scan_attack(Q, dup, 4, threshold=cut, truth_members=truths))
+out["scan4-default"] = reports(public_scan_attack(Q, dup, 4, truth_members=truths))
+out["braverman1"] = reports(braverman_attack(Q[0], dup, truth_members=truths[0]))
+out["braverman4"] = reports(braverman_attack(Q, dup, truth_members=truths))
 print(json.dumps({k: hashlib.sha256(v).hexdigest() for k, v in out.items()}))
 """
 
@@ -266,3 +284,130 @@ def test_pair_top_scores_are_the_head_of_a_stable_descending_sort(monkeypatch):
         for rows_per_block in (m, 7, 1):
             monkeypatch.setattr(core, "CHUNK_BYTES", 8 * m * rows_per_block)
             assert list(pair_detection_attack(rows, threshold=np.inf).scores) == expect
+
+
+# ---------------------------------------------------------------------------
+# scan and fourth-moment screens
+
+
+def report_bytes(report):
+    return json.dumps([report.to_dict(), report.decisions, report.ranks])
+
+
+def assert_same_reports(pool, queries, truths, thresholds=(None,)):
+    """Screened scan and fourth-moment reports, one query at a time and as a
+    block, equal the whole-pool reference's for every query."""
+    for cut in thresholds:
+        block = public_scan_attack(queries, pool, 4, threshold=cut, truth_members=truths)
+        for q, truth, rep in zip(queries, truths, block):
+            expect = report_bytes(ref.public_scan_attack(q, pool, 4, cut, truth))
+            assert report_bytes(public_scan_attack(q, pool, 4, cut, truth)) == expect
+            assert report_bytes(rep) == expect
+    block = braverman_attack(queries, pool, truth_members=truths)
+    for q, truth, rep in zip(queries, truths, block):
+        expect = report_bytes(ref.braverman_attack(q, pool, truth))
+        assert report_bytes(braverman_attack(q, pool, truth)) == expect
+        assert report_bytes(rep) == expect
+
+
+def duplicate_rows():
+    # 70 copies of row 5 tie across the top-50 cut; the first query is row 5
+    pool, queries = pool_and_queries((1, 8, 8), seed=21, n=300, queries=2)
+    pool[np.random.default_rng(21).choice(300, 70, replace=False)] = pool[5]
+    queries[0] = pool[5]
+    return pool, queries, [{5, 6}, {5}]
+
+
+def constant_pool():
+    pool = np.full((120, 48), 0.5, np.float32)
+    queries = np.stack([pool[0], -pool[0], np.arange(48, dtype=np.float32)])
+    return pool, queries, [{0}, {3, 119}, None]
+
+
+def signed_zeros():
+    # rows of +0.0 and -0.0 among random rows, and a zero query
+    pool, queries = pool_and_queries((1, 8, 8), seed=22, n=200, queries=2)
+    pool[::3] = 0.0
+    pool[1::3] = -0.0
+    queries[1] = 0.0
+    return pool, queries, [{0, 1, 2}, {4, 5}]
+
+
+def small_pools():
+    pool, queries = pool_and_queries((1, 4, 4), seed=23, n=49, queries=2)
+    return pool, queries, [{0, 48}, set()]
+
+
+def near_float32_max():
+    # rows 40-49 overflow a float32 product; the other rows do not
+    pool, queries = pool_and_queries((1, 8, 8), seed=24, n=200, queries=2)
+    pool[40:50] *= np.float32(2e37)
+    return pool, queries * np.float32(1e3), [{40, 41, 100}, {7}]
+
+
+def squares_overflow():
+    # scan products stay finite; float32 squares and fourth-moment terms overflow
+    pool, queries = pool_and_queries((1, 8, 8), seed=25, n=200, queries=2)
+    return pool * np.float32(1e21), queries, [{3}, {4, 5}]
+
+
+def near_subnormal():
+    pool, queries = pool_and_queries((1, 8, 8), seed=26, n=200, queries=3)
+    pool[:100] *= np.float32(1e-38)  # products and squares underflow
+    pool[100:] *= np.float32(1e-19)  # squares underflow
+    queries[2] = queries[2] * np.float32(1e-40)  # a subnormal query
+    return pool, queries, [{0, 150}, {101}, {3}]
+
+
+def float64_queries():
+    # mixes in float64, and one whose coordinates round into float32's subnormal
+    # range, where rounding moves them by up to half their value
+    pool, _ = pool_and_queries((1, 8, 8), seed=27, n=200, queries=1)
+    pool *= np.float32(1e10)
+    mixes = np.stack([pool[[1, 2, 3]].astype(np.float64).mean(axis=0),
+                      pool[[4, 5]].astype(np.float64).sum(axis=0) * 1e-54])
+    return pool, mixes, [{1, 2, 3}, {4, 5}]
+
+
+def float64_pool():
+    pool, queries = pool_and_queries((1, 8, 8), seed=28, n=200, queries=2)
+    return pool.astype(np.float64), queries, [{0, 9}, {1}]
+
+
+SCREEN_CASES = [duplicate_rows, constant_pool, signed_zeros, small_pools, near_float32_max,
+                squares_overflow, near_subnormal, float64_queries, float64_pool]
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES, ids=lambda c: c.__name__)
+def test_screened_reports_equal_the_whole_pool_reports(case):
+    pool, queries, truths = case()
+    assert_same_reports(pool, queries, truths)
+
+
+def test_screened_reports_equal_the_whole_pool_reports_for_one_row():
+    pool, queries = pool_and_queries((1, 4, 4), seed=29, n=1, queries=2)
+    assert_same_reports(pool, queries, [{0}, set()], thresholds=(None, 0.0, np.inf))
+
+
+def test_screened_scan_settles_every_threshold_as_the_whole_pool_scan():
+    pool, queries, truths = duplicate_rows()
+    rows = [int(i) for i in np.argsort(np.abs(scan_scores(pool, queries[1])))[[0, 150, -1]]]
+    exact = [float(abs(scan_scores(pool[i : i + 1], queries[1])[0])) for i in rows]
+    above = [float(np.nextafter(c, np.inf)) for c in exact]
+    assert_same_reports(pool, queries, truths,
+                        thresholds=(0.0, -1.0, np.inf, -np.inf, *exact, *above))
+
+
+def test_screen_scores_few_rows_exactly(monkeypatch):
+    pool, queries = pool_and_queries((3, 16, 16), seed=30, n=2000, queries=2)
+    queries[0] = pool[:4].mean(axis=0)
+    scored = []
+
+    def counting(kernel):
+        return lambda rows, q: scored.append(len(rows)) or kernel(rows, q)
+
+    monkeypatch.setattr(attacks, "scan_scores", counting(scan_scores))
+    monkeypatch.setattr(attacks, "_fourth_moment_scores", counting(_fourth_moment_scores))
+    public_scan_attack(queries, pool, 4, truth_members=[{0, 1, 2, 3}, None])
+    braverman_attack(queries, pool, truth_members=[{0, 1, 2, 3}, None])
+    assert 0 < sum(scored) < 0.1 * len(pool) * 4  # 4 queries' worth of pool
