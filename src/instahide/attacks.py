@@ -19,8 +19,10 @@ member score scale and a union-bounded noise ceiling, both computable from the
 runtime parameters (d, k, candidate count, delta).
 
 Scan, pair and fourth-moment scores are float64 row kernels (scan_scores,
-_fourth_moment_scores): a row's bits do not depend on the BLAS thread count,
-the block size or the other rows. BLAS only filters. It gives each row an
+_fourth_moment_scores; a pair score is a scan_scores call): a row's bits do
+not depend on the BLAS thread count, the block size or the other rows, and
+thresholds and correlations take their norms and dots with einsum, never
+BLAS. BLAS only filters. It gives each row an
 interval [lo, hi] around its exact score, and only the rows a report byte
 depends on are scored exactly: those whose interval reaches the top-50 floor
 (the 50th largest lo), holds the threshold or holds a truth member's score,
@@ -39,15 +41,13 @@ CHUNK_BYTES screens a (q, d) block of queries, with |block| or block^2
 written into one reused buffer. Below, u = 2^-24; an underflowed float32
 square or product is off by at most 2^-150 absolutely; +-0 changes no
 magnitude.
-- Scan: s = x.q' and a = |x|.|q'|, with q' the query in float32. s is
-  within gamma_d(u) |x|.|q'| + d 2^-150 of the exact x.q', the float64 score
-  within gamma_d(2^-53) |x|.|q| of the exact x.q, and
-  a >= (1 - gamma_d(u)) |x|.|q'| - d 2^-150. A float64 query that rounds
-  moves each coordinate by at most u |q| when q' is normal, adding u a (a
-  query rounding into float32's subnormal range is not screened). So
-  |score| is within 2 (gamma_d(u) + gamma_d(2^-53)) a / (1 - gamma_d(u))
-  [+ u a] + 2 d 2^-149 of |s|; the factor 2 covers the second-order terms and
-  the rounding of the bound itself.
+- Scan: s = x.q and a = |x|.|q|, for a query that float32 holds exactly.
+  s is within gamma_d(u) |x|.|q| + d 2^-150 of the exact x.q, the float64
+  score within gamma_d(2^-53) |x|.|q| of it, and
+  a >= (1 - gamma_d(u)) |x|.|q| - d 2^-150. So |score| is within
+  2 (gamma_d(u) + gamma_d(2^-53)) a / (1 - gamma_d(u)) + 2 d 2^-149 of |s|;
+  the factor 2 covers the second-order terms and the rounding of the bound
+  itself.
 - Fourth moment: v = <x^2, s^2> - ||x||^2 ||s||^2 / d is two sums of
   nonnegative products, t1 = s^2.x^2 and t2 = s^2.1, taken in float32 and
   joined in float64 with the kernel's own float64 ||x||^2. Either path rounds
@@ -57,9 +57,9 @@ magnitude.
   The last term bounds underflow: 2^-150 per square or product, times the
   other factor, which x^2 and s^2 sum.
 A query whose float32 products are not all finite (overflow near float32's
-maximum, or a non-finite input), a pool that is not float32 and a pool of at
-most 50 rows are scored exactly, row by row; a float64 screen would read and
-cast the pool as the exact kernel does.
+maximum, or a non-finite input), a scan query that float32 does not hold
+exactly and a pool that is not float32 are scored exactly, row by row; a
+float64 screen would read and cast the pool as the exact kernel does.
 """
 
 from __future__ import annotations
@@ -143,10 +143,11 @@ def correlation(a, b) -> float:
         raise ValidationError(f"length mismatch: {av.size} vs {bv.size}")
     ac = av - av.mean()
     bc = bv - bv.mean()
-    denom = np.linalg.norm(ac) * np.linalg.norm(bc)
+    dot, aa, bb = (np.einsum("i,i", x, y) for x, y in ((ac, bc), (ac, ac), (bc, bc)))
+    denom = np.sqrt(aa) * np.sqrt(bb)
     if denom == 0.0:
         return 0.0
-    return float(np.clip(np.dot(ac, bc) / denom, -1.0, 1.0))
+    return float(np.clip(dot / denom, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +204,6 @@ def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             label = label[label]
 
 
-def _row_dots(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """abs(scan_scores(rows[j:j+1], rows[i])[0]) per index pair, bit for bit, in blocks."""
-    out = np.empty(i.size)
-    step = max(1, core.CHUNK_BYTES // (16 * rows.shape[1]))
-    for s in range(0, i.size, step):
-        a, b = (rows[ix[s : s + step]].astype(np.float64) for ix in (i, j))
-        out[s : s + step] = np.abs(np.einsum("ij,ij->i", a, b))
-    return out
-
-
 def pair_detection_attack(
     history,
     threshold: float | None = None,
@@ -263,7 +254,11 @@ def pair_detection_attack(
         floor = np.partition(lows, lows.size - TOP_SCORES)[lows.size - TOP_SCORES]
         det = G >= cut + r
         near = np.nonzero(((G >= cut - r) & ~det) | (G >= floor - r))
-        exact = _row_dots(rows, near[0] + lo, near[1] + lo)
+        # near pairs come row-major, so each row's partners are one slice
+        heads, starts = np.unique(near[0], return_index=True)
+        exact = np.concatenate([np.zeros(0)] + [
+            np.abs(scan_scores(rows[lo + cols], rows[lo + i]))
+            for i, cols in zip(heads, np.split(near[1], starts[1:]))])
         det[near] = exact >= cut
         if truth_keys is not None:
             truth = (incidence[lo:hi] @ incidence[lo:].T > 0) & (G > -np.inf)
@@ -338,10 +333,9 @@ def _query_block(xtilde, patches: np.ndarray, truth_members):
 
 
 def _screenable(patches: np.ndarray) -> bool:
-    """Whether the float32 screen runs: a float32 pool of more than
-    TOP_SCORES rows (every row of a smaller one is scored), with d + 3
-    roundings well below 2^24."""
-    return patches.dtype == np.float32 and len(patches) > TOP_SCORES and patches.shape[1] < 1 << 22
+    """Whether the float32 screen runs: a float32 pool, with d + 3 roundings
+    well below 2^24."""
+    return patches.dtype == np.float32 and patches.shape[1] < 1 << 22
 
 
 def _screen(patches: np.ndarray, plain, fold, folded):
@@ -419,27 +413,26 @@ def public_scan_attack(
     Q, single, truths = _query_block(xtilde, patches, truth_members)
     n, d = patches.shape
     cuts = [threshold] * len(Q) if threshold is not None else [
-        scan_threshold(float(np.linalg.norm(q.astype(np.float64))), d, k, n, delta) for q in Q]
+        scan_threshold(float(v), d, k, n, delta)
+        for v in np.sqrt(np.einsum("ij,ij->i", Q, Q, dtype=np.float64))]
     if any(math.isnan(c) for c in cuts):
         raise ValidationError("threshold must be a number, got nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q32 = Q.astype(np.float32)
+    held = (Q == Q32).all(axis=1)  # the queries float32 holds exactly
     screened = np.zeros(len(Q), dtype=bool)
-    if _screenable(patches):
-        with np.errstate(over="ignore", invalid="ignore"):
-            Q32 = Q.astype(np.float32)
+    if _screenable(patches) and held.any():
         s, a = _screen(patches, Q32, np.abs, np.abs(Q32))
-        rounded = Q != Q32
-        # a coordinate rounded into float32's subnormal range moves by more than u |q|
-        lost = (rounded & (np.abs(Q32) < np.finfo(np.float32).tiny)).any(axis=1)
-        screened = np.isfinite(s).all(axis=0) & np.isfinite(a).all(axis=0) & ~lost
+        screened = np.isfinite(s).all(axis=0) & np.isfinite(a).all(axis=0) & held
         u = 2.0**-24
-        c = 2 * (_gamma(d, u) + _gamma(d, 2.0**-53)) / (1 - _gamma(d, u)) + u * rounded.any(axis=1)
+        c = 2 * (_gamma(d, u) + _gamma(d, 2.0**-53)) / (1 - _gamma(d, u))
 
     reports = []
     for t, (q, truth, cut) in enumerate(zip(Q, truths, cuts)):
         lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
         if screened[t]:
             mag = np.abs(s[:, t], dtype=np.float64)
-            r = c[t] * a[:, t].astype(np.float64) + 2 * d * 2.0**-149
+            r = c * a[:, t].astype(np.float64) + 2 * d * 2.0**-149
             lo, hi = np.maximum(mag - r, 0.0), mag + r
         rows, raw, mags, order, ranks = _screened_rank(scan_scores, patches, q, lo, hi, truth,
                                                        cut, np.abs)

@@ -291,11 +291,13 @@ def _normalize_rows(px: np.ndarray) -> np.ndarray:
     stacked matmul takes each row's norm with np.linalg.norm's dot product.
     A constant row raises DegenerateInputError."""
     x = px.astype(np.float64)
-    centered = x - x.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.matmul(centered[:, None, :], centered[:, :, None])[:, 0, 0])
-    if np.any(norms <= 1e-12 * np.maximum(1.0, np.abs(x).max(axis=1))):
+    top = np.maximum(x.max(axis=1), -x.min(axis=1))  # max |x| per row
+    x -= x.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    if np.any(norms <= 1e-12 * np.maximum(1.0, top)):
         raise DegenerateInputError("cannot normalize a constant image")
-    return (centered / norms[:, None]).astype(np.float32)
+    x /= norms[:, None]
+    return x.astype(np.float32)
 
 
 def normalize_image(x: Image) -> Image:
@@ -426,10 +428,11 @@ def make_gaussian_dataset(
     dims = _dims(dims)
     d = dims[0] * dims[1] * dims[2]
     gen = rng.generator()
-    pixels = gen.standard_normal((n, d), dtype=np.float32) / np.sqrt(d, dtype=np.float32)
+    pixels = gen.standard_normal((n, d), dtype=np.float32)
+    pixels /= np.sqrt(d, dtype=np.float32)
     if normalize:
         pixels = _normalize_rows(pixels)
     labels = None
     if classes is not None:
         labels = gen.integers(0, classes, size=n)[:, None] == np.arange(classes)  # one-hot rows
-    return Dataset(pixels, labels, dims=dims)
+    return Dataset(_freeze(pixels), labels, dims=dims)  # frozen: Dataset shares it

@@ -365,7 +365,11 @@ def check_bernstein_tail(
     """
     terms, magnitude = 256, 1.0
     gen = rng.generator()
-    sums = gen.uniform(-magnitude, magnitude, size=(cfg.trials, terms)).sum(axis=1)
+    sums = np.empty(cfg.trials)
+    chunk = 2_000_000 // terms  # consecutive draws continue one stream
+    for lo in range(0, cfg.trials, chunk):
+        b = min(chunk, cfg.trials - lo)
+        sums[lo : lo + b] = gen.uniform(-magnitude, magnitude, size=(b, terms)).sum(axis=1)
     var_sum = terms * magnitude**2 / 3.0
     rows = []
     all_ok = True

@@ -218,10 +218,8 @@ def _encrypted_probs(
         # matmul over a stack of column vectors takes one W @ x product per row,
         # so each row's probabilities equal softmax_rows(W @ x + b) alone, bit for bit
         P = softmax_rows(np.matmul(model.W, Xc[:, :, None])[:, :, 0] + model.b)
-        acc = np.zeros((len(rows_i), model.classes))
-        for e in range(ensemble):  # summed in the order predict_encrypted sums
-            acc += P[e::ensemble]
-        probs[rows_i] = acc / ensemble
+        # a row's members are adjacent rows of P: one reduction sums them in member order
+        probs[rows_i] = P.reshape(len(rows_i), ensemble, model.classes).sum(axis=1) / ensemble
     return probs
 
 

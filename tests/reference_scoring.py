@@ -284,7 +284,7 @@ def public_scan_attack(xtilde, publicset, k, threshold=None, truth_members=None,
     mags = np.abs(raw)
     n = raw.size
     if threshold is None:
-        qn = float(np.linalg.norm(query.astype(np.float64)))
+        qn = math.sqrt(np.einsum("ij,ij->i", *[query.reshape(1, -1)] * 2, dtype=np.float64)[0])
         threshold = scan_threshold(qn, query.size, k, n, delta)
     if math.isnan(threshold):
         raise ValidationError("threshold must be a number, got nan")

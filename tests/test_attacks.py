@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,14 @@ def test_correlation_basics():
     assert correlation(x, np.full(4, 7.0)) == 0.0
     with pytest.raises(ValidationError):
         correlation(x, np.zeros(5))
+
+
+def test_attacks_take_no_blas_norm_or_dot():
+    # a number that reaches a report is an einsum row dot, whose bits do not
+    # depend on the BLAS thread count; BLAS only filters
+    tree = ast.parse(Path(attacks.__file__).read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & {"norm", "dot", "vdot"}
 
 
 def test_pair_share_score_matches_inner_product():

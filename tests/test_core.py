@@ -374,3 +374,16 @@ def test_make_gaussian_dataset_contract():
     assert ds.n == 6 and ds.dims == (3, 4, 4) and ds.classes == 3
     for im in ds.images:
         assert abs(float(np.linalg.norm(im.pixels)) - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("normalize, copies", [(False, 1.5), (True, 5.0)])
+def test_a_synthetic_set_makes_its_pixel_matrix_once(normalize, copies):
+    # the draw is scaled in place and shared with Dataset; normalization adds one
+    # float64 copy (two float32 matrices) and its float32 result, no more
+    tracemalloc.start()
+    try:
+        ds = make_gaussian_dataset(400, (3, 32, 32), RngStream(5), normalize=normalize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < copies * ds.matrix().nbytes

@@ -89,8 +89,8 @@ def test_fourth_moment_scores_are_bit_identical_across_chunks(monkeypatch):
 THREAD_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
-from instahide.attacks import (_fourth_moment_scores, braverman_attack, pair_detection_attack,
-                               public_scan_attack, ssim_pairwise)
+from instahide.attacks import (_fourth_moment_scores, braverman_attack, correlation,
+                               pair_detection_attack, public_scan_attack, ssim_pairwise)
 from instahide.core import scan_scores
 gen = np.random.default_rng(11)
 pool = gen.standard_normal((1500, 3072)).astype(np.float32)
@@ -119,6 +119,10 @@ out["scan4"] = reports(public_scan_attack(Q, dup, 4, threshold=cut, truth_member
 out["scan4-default"] = reports(public_scan_attack(Q, dup, 4, truth_members=truths))
 out["braverman1"] = reports(braverman_attack(Q[0], dup, truth_members=truths[0]))
 out["braverman4"] = reports(braverman_attack(Q, dup, truth_members=truths))
+# at d = 49,152 (3x128x128) BLAS splits a norm or a dot across threads
+big = gen.standard_normal((121, 3 * 128 * 128)).astype(np.float32)
+out["scan-default-d49152"] = reports(public_scan_attack(big[0], big[1:], 4, truth_members={0}))
+out["corr-d49152"] = np.float64(correlation(big[0], big[0] + big[1])).tobytes()
 print(json.dumps({k: hashlib.sha256(v).hexdigest() for k, v in out.items()}))
 """
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -317,6 +318,21 @@ def test_bernstein_tail():
         assert tail["rate"] <= tail["bound"] + 3 * np.sqrt(
             max(tail["bound"] * (1 - tail["bound"]), 1e-12) / cfg.trials
         ) + 1e-12
+
+
+def test_bernstein_tail_draws_one_stream_in_bounded_runs():
+    cfg = ConcentrationCheckConfig(trials=20_000)
+    multipliers = tuple(np.linspace(0.05, 3.0, 60))
+    tracemalloc.start()
+    try:
+        rep = check_bernstein_tail(cfg, RngStream(45), multipliers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6  # one draw of 20,000 x 256 float64 is 41 MB
+    sums = RngStream(45).generator().uniform(-1.0, 1.0, size=(cfg.trials, 256)).sum(axis=1)
+    assert [t["rate"] for t in rep["tails"]] == [
+        float(np.mean(sums > t["t"])) for t in rep["tails"]]
 
 
 def test_theorem_gap_pair_and_scan_pass_at_small_scale():
