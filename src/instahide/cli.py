@@ -111,7 +111,6 @@ OPTIONS = {
 
 _SCHEME = "scheme k c1 c2"
 _SYNTHETIC = "synthetic_n synthetic_dims synthetic_classes"
-_VALIDATOR = "k delta trials beta d n seed"
 
 GROUPS = {"attack": "run an attack harness with known ground truth",
           "stats": "statistical validators"}
@@ -145,9 +144,9 @@ COMMANDS = {
     "stats ks-table": ("cmd_stats_ks_table", "indistinguishability p-value table",
                        f"in public out! picks encryptions {_SCHEME} {_SYNTHETIC} seed"),
     "stats concentration": ("cmd_stats_concentration", "tail-bound Monte Carlo checks",
-                            _VALIDATOR),
+                            "d delta trials seed"),
     "stats theorem-gap": ("cmd_stats_theorem_gap", "member/non-member separation check",
-                          f"which! {_VALIDATOR}"),
+                          "which! k delta trials beta d n seed"),
     "challenge": ("cmd_challenge", "export encrypted samples, no keys or originals",
                   "in public out! n=synthetic_n epochs k c1 c2 synthetic_dims "
                   "synthetic_classes seed"),
@@ -246,10 +245,11 @@ def _parse_dims(text: str, shape: str = "CxHxW") -> tuple[int, ...]:
 
 
 def _scheme_config(opts: dict, scheme: str | None = None) -> SchemeConfig:
-    """The scheme options a command reads; ``scheme`` for a command that
-    fixes its scheme (the options it lacks keep SchemeConfig's defaults)."""
-    given = {name: opts[name] for name in ("k", "c1", "c2") if name in opts}
-    return SchemeConfig(scheme or opts["scheme"], **given)
+    """The scheme options a command reads, c2 only for cross; ``scheme`` for a
+    command that fixes its scheme (the options it lacks keep SchemeConfig's defaults)."""
+    scheme = scheme or opts["scheme"]
+    names = ("k", "c1", "c2") if scheme == "cross" else ("k", "c1")
+    return SchemeConfig(scheme, **{name: opts[name] for name in names if name in opts})
 
 
 def _read_input(load, path, *args, **kwargs):
@@ -331,10 +331,8 @@ def cmd_prep_public(opts: dict, rng: RngStream) -> dict:
 def _export(opts: dict, rng: RngStream, private: Dataset, cfg, publicset) -> dict:
     """Encrypt opts["epochs"] epochs and write them to --out (encrypt, challenge)."""
     samples = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"), publicset)[0]
-    meta = {
-        "scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "c2": cfg.c2,
-        "epochs": opts["epochs"], "n": private.n,
-    }
+    meta = {"scheme": cfg.scheme, "k": cfg.k, "c1": cfg.c1, "epochs": opts["epochs"],
+            "n": private.n, **({"c2": cfg.c2} if cfg.scheme == "cross" else {})}
     out_path, meta_path = export_challenge(samples, opts["out"], meta)
     return {"samples": len(samples), "out": str(out_path), "meta": str(meta_path)}
 
@@ -433,9 +431,9 @@ def cmd_attack_averaging(opts: dict, rng: RngStream) -> dict:
     cfg = _scheme_config(opts, "inside")
     history, keys = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
     oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
-    report = attacks.averaging_attack(  # refuses a mode other than strong or weak
-        history, keys, private, opts["mode"], oracle, m=opts["m"], target=opts["target"]
-    )
+    # weak mode takes m, strong mode a target; averaging_attack refuses any other mode
+    knob = {"m": opts["m"]} if opts["mode"] == "weak" else {"target": opts["target"]}
+    report = attacks.averaging_attack(history, keys, private, opts["mode"], oracle, **knob)
     return _attack_results(opts, report)
 
 
@@ -493,15 +491,13 @@ def cmd_stats_ks_table(opts: dict, rng: RngStream) -> dict:
     }
 
 
-def _concentration_config(opts: dict) -> stats.ConcentrationCheckConfig:
-    return stats.ConcentrationCheckConfig(
-        d=opts["d"], n=opts["n"], k=opts["k"], delta=opts["delta"], trials=opts["trials"],
-        beta=opts["beta"],
-    )
+def _concentration_config(opts: dict, names: str) -> stats.ConcentrationCheckConfig:
+    """A config of the named options; the rest keep ConcentrationCheckConfig's defaults."""
+    return stats.ConcentrationCheckConfig(**{name: opts[name] for name in names.split()})
 
 
 def cmd_stats_concentration(opts: dict, rng: RngStream) -> dict:
-    cfg = _concentration_config(opts)
+    cfg = _concentration_config(opts, "d delta trials")
     return {
         "chi_square": stats.check_chi_square_tail(cfg, rng.child("chi")),
         "inner_product": stats.check_inner_product_concentration(cfg, rng.child("ip")),
@@ -510,7 +506,9 @@ def cmd_stats_concentration(opts: dict, rng: RngStream) -> dict:
 
 
 def cmd_stats_theorem_gap(opts: dict, rng: RngStream) -> dict:
-    return stats.check_theorem_gap(_concentration_config(opts), opts["which"], rng.child("gap"))
+    names = "d n delta trials beta" + (" k" if opts["which"] == "scan" else "")
+    return stats.check_theorem_gap(_concentration_config(opts, names), opts["which"],
+                                   rng.child("gap"))
 
 
 def leakage_guard(path: str | Path, private: Dataset) -> None:

@@ -247,9 +247,6 @@ class ConcentrationCheckConfig:
     def pixel_variance(self) -> float:
         return 1.0 / self.d
 
-    def params(self) -> dict:
-        return {**asdict(self), "sigma2": self.pixel_variance}
-
 
 def _three_sigma_ok(rate: float, bound: float, trials: int) -> bool:
     # sampling slack: 3 binomial standard errors at the bound itself
@@ -339,7 +336,8 @@ def check_inner_product_concentration(
     violation_rate = float(np.mean(abs_ips >= bound))  # bound > 0: d / delta > 1
     return {
         "check": "inner_product_concentration",
-        "params": cfg.params(),
+        "params": {"d": cfg.d, "delta": cfg.delta, "trials": cfg.trials,
+                   "sigma2": cfg.pixel_variance},
         "sigma1": s1,
         "sigma2": s2,
         "bound": bound,
@@ -476,10 +474,13 @@ def check_theorem_gap(
 
     fraction = float(np.mean(gap_ok))
     threshold = 1.0 - delta - GAP_SLACK
+    params = {**asdict(cfg), "sigma2": cfg.pixel_variance}
+    if which == "pair":  # its mixes are 2-mixes whatever k is
+        del params["k"]
     return {
         "check": "theorem_gap",
         "which": which,
-        "params": cfg.params(),
+        "params": params,
         "precondition_ok": bool(precondition_ok),
         "pass_fraction": fraction,
         "pass_threshold": threshold,

@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +52,7 @@ def test_encrypt_writes_dataset_and_report(tmp_path):
 
 
 def test_report_goes_to_stdout_by_default(capsys):
-    code = main(["stats", "concentration", "--d", "64", "--n", "10", "--trials", "500", "--seed", "1"])
+    code = main(["stats", "concentration", "--d", "64", "--trials", "500", "--seed", "1"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "stats concentration"
@@ -603,12 +607,13 @@ def test_attack_averaging_reconstruction_out_replays(tmp_path, monkeypatch):
     assert rec.n == 1 and rec.dims == (3, 4, 4)
 
 
-SCHEME = ("scheme", "k", "c1", "c2")
+SCHEME = ("scheme", "k", "c1")
 SYNTHETIC = ("synthetic_n", "synthetic_dims", "synthetic_classes")
 # every command: argv that runs it in well under a second, the options its
 # report takes from CONFIG, and the rest of its report's config, which comes
 # from its flags or its defaults (CONFIG's scheme is mixup, which reads no
-# --public, so the reports of encrypt, train, eval and ks-table leave it out)
+# c2 or --public, so the reports of encrypt, train, eval and ks-table leave
+# them out)
 COMMANDS = {
     "import": (["--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--out", "{tmp}/i.ihds"], set(),
                {"raw": "{tmp}/x.raw", "dims": "1x2x2", "labels": None, "classes": None,
@@ -630,7 +635,7 @@ COMMANDS = {
                            {"public": None, "candidates": 20, "threshold": None}),
     "attack braverman": (["--candidates", "20"], {"k", "c1", "synthetic_dims"},
                          {"public": None, "candidates": 20}),
-    "attack averaging": ([], {"k", "c1", "epochs", "oracle_p", "m", "target", *SYNTHETIC},
+    "attack averaging": ([], {"k", "c1", "epochs", "oracle_p", "target", *SYNTHETIC},
                          {"in": None, "mode": "strong", "reconstruction_out": None}),
     "attack similarity": (["--trials", "2", "--sources", "20", "--source-dims", "1x8x8",
                            "--patch-dims", "1x4x4"], {"k", "c1", "c2", "oracle_p", "m"},
@@ -642,10 +647,9 @@ COMMANDS = {
                        {*SCHEME, *SYNTHETIC},
                        {"in": None, "out": "{tmp}/t.csv", "picks": 2,
                         "encryptions": 60}),
-    "stats concentration": (["--d", "16", "--n", "4"], {"delta", "trials", "beta", "k"},
-                            {"d": 16, "n": 4}),
+    "stats concentration": (["--d", "16"], {"delta", "trials"}, {"d": 16}),
     "stats theorem-gap": (["--which", "pair", "--d", "16", "--n", "4"],
-                          {"delta", "trials", "beta", "k"}, {"which": "pair", "d": 16, "n": 4}),
+                          {"delta", "trials", "beta"}, {"which": "pair", "d": 16, "n": 4}),
     "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", *SYNTHETIC},
                   {"in": None, "public": None, "out": "{tmp}/c.ihds"}),
 }
@@ -726,6 +730,133 @@ def test_every_report_replays_from_its_config(tmp_path, monkeypatch, case):
     assert _files(replay) == _files(run)
 
 
+# the COMMANDS and MODES runs (some resized so that each option's effect
+# shows) and each further mode that changes what a command reads, for the
+# check that each option a report records can change its run
+EFFECT_CASES = {
+    **{case: argv for case, (argv, _, _) in {**COMMANDS, **MODES}.items()},
+    "prep-public": ["--in", "{tmp}/d.ihds", "--patch-size", "3x3", "--min-keypoints", "0",
+                    "--out", "{tmp}/p.ihds"],
+    "eval": ["--model", "{tmp}/m16.ihmd", "--synthetic-n", "200"],
+    "eval --mode encrypted": ["--model", "{tmp}/m16.ihmd", "--mode", "encrypted",
+                              "--synthetic-n", "200"],
+    "attack public-scan": ["--candidates", "20", "--trials", "5"],
+    "attack public-scan --threshold": ["--candidates", "20", "--trials", "5",
+                                       "--threshold", "0.5"],
+    "attack similarity": ["--trials", "40", "--sources", "20", "--source-dims", "1x12x12",
+                          "--patch-dims", "1x8x8"],
+    "attack averaging --mode weak": ["--mode", "weak"],
+    "attack pair --threshold": ["--threshold", "0.5"],
+    "stats theorem-gap": ["--which", "pair", "--d", "16", "--n", "8"],
+    "stats theorem-gap --which scan": ["--which", "scan", "--d", "16", "--n", "8"],
+    "encrypt --scheme cross": ["--scheme", "cross", "--out", "{tmp}/e.ihds"],
+}
+PATHS = {"in", "public", "model", "out", "raw", "labels", "reconstruction_out"}
+# a second value for each option, set apart from CONFIG's, the case's flags and
+# the built-in defaults so that its effect shows; a dict maps each first value
+# to its second
+SECOND = {
+    "scheme": {"mixup": "inside", "inside": "mixup", "cross": "inside"},
+    "mode": {"plain": "encrypted", "encrypted": "plain", "strong": "weak", "weak": "strong"},
+    "which": {"pair": "scan", "scan": "pair"},
+    "plain": {False: True, True: False},
+    "trials": {200: 100, 5: 3, 40: 30},
+    "k": 4, "c1": 0.4, "c2": 0.8, "epochs": 1, "lr": 0.2, "ensemble": 5, "synthetic_n": 5,
+    "synthetic_dims": "1x3x3", "synthetic_classes": 2, "dims": "1x1x2", "classes": 2,
+    "patch_size": "4x4", "per_image": 1, "min_keypoints": 1, "threshold": 0.1, "delta": 0.2,
+    "candidates": 10, "target": 2, "oracle_p": 0.4, "m": 2, "sources": 10,
+    "source_dims": "1x10x10", "patch_dims": "1x3x3", "steps": 3, "picks": 3, "encryptions": 50,
+    "d": 9, "n": 6, "beta": 5.0,
+}
+# options whose every other value is refused: the model fixes eval's d and classes
+REFUSED = {(case, name) for case in ("eval", "eval --mode encrypted")
+           for name in ("synthetic_dims", "synthetic_classes")}
+# reads known to change no output, each left for its own change
+NO_EFFECT = {
+    # the attack's params echo delta whatever the threshold, as
+    # tests/reference_scoring.py does: dropping it changes the report format
+    ("attack pair --threshold", "delta"), ("attack public-scan --threshold", "delta"),
+    # the encryption kernel mixes labels in every history, so an unlabelled
+    # synthetic set cannot be encrypted, though these commands read no label
+    *((case, "synthetic_classes") for case in ("attack pair", "attack pair --threshold",
+                                               "stats ks-table", "attack averaging",
+                                               "attack averaging --mode weak")),
+    # import_raw only range-checks classes when no label CSV is given
+    ("import", "classes"),
+}
+
+
+def _drop(value, name):
+    """``value`` without the dict entries keyed ``name``, at any depth."""
+    if isinstance(value, dict):
+        return {key: _drop(v, name) for key, v in value.items() if key != name}
+    return [_drop(v, name) for v in value] if isinstance(value, list) else value
+
+
+def _effect_inputs(root):
+    """_write_inputs, with a model whose predictions depend on its input."""
+    root.mkdir()
+    _write_inputs(root)
+    save_model(init_model(3, 16, RngStream(18), scale=1.0), root / "m16.ihmd")
+
+
+def _run_from(root, command, config):
+    """Exit code and written files (the report parsed) of ``command`` run in
+    ``root`` with ``config`` as its flags."""
+    _effect_inputs(root)
+    os.chdir(root)
+    inputs = {path.name for path in root.iterdir()}
+    flags = {option: flag for option, flag, _ in cli.command_flags(command)}
+    argv = command.split()
+    for option, value in config.items():
+        if value is not None and value is not False:
+            argv += [flags[option]] + ([] if value is True else [str(value)])
+    code = main([*argv, "--report", "report.json"])
+    return code, {path.name: read_report(path) if path.name == "report.json" else path.read_bytes()
+                  for path in sorted(root.iterdir()) if path.name not in inputs}
+
+
+def _beyond_echoes(outcome, name):
+    """``outcome`` without the report entries and meta lines that echo option ``name``."""
+    code, files = outcome
+    files = {file: _drop(content, name) if file == "report.json" else content
+             for file, content in files.items()}
+    for file in [file for file in files if file.endswith(".meta.txt")]:
+        files[file] = [line for line in files[file].decode().splitlines()
+                       if not line.startswith(f"{name}=")]
+    return code, files
+
+
+@pytest.mark.parametrize("case", list(EFFECT_CASES))
+def test_every_option_a_report_records_can_change_its_run(tmp_path, capsys, monkeypatch, case):
+    # an option in a report's config replays its run only if some value of it
+    # changes some output: each is set to its SECOND value, and the exit code,
+    # an output byte or a result beyond its own echoes must differ
+    monkeypatch.delenv("IH_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)  # each run moves to its own directory
+    command = case.split(" -")[0]
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG.items()))
+    _effect_inputs(tmp_path / "first")
+    os.chdir(tmp_path / "first")
+    argv = [a.format(tmp=".") for a in EFFECT_CASES[case]]
+    if command != "import":
+        argv += ["--config", str(cfg)]
+    assert main([*command.split(), *argv]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    base = _run_from(tmp_path / "base", command, config)
+    silent = set()
+    for name in sorted(set(config) - PATHS - {"seed"}):
+        second = SECOND[name][config[name]] if isinstance(SECOND[name], dict) else SECOND[name]
+        assert second != config[name], name
+        changed = _run_from(tmp_path / name, command, {**config, name: second})
+        assert changed[0] == (2 if (case, name) in REFUSED else 0), capsys.readouterr().err
+        if _beyond_echoes(changed, name) == _beyond_echoes(base, name):
+            silent.add(name)
+    capsys.readouterr()
+    assert silent == {name for known, name in NO_EFFECT if known == case}
+
+
 def test_command_table_declares_every_flag():
     read = set()
     for command, (handler, _, _) in cli.COMMANDS.items():
@@ -746,6 +877,31 @@ def test_every_command_prints_its_help(capsys, command):
         main([*command.split(), "--help"])
     assert exc.value.code == 0
     assert "--report" in capsys.readouterr().out
+
+
+def _brace_expanded(line):
+    """``line`` with each ``{a,b}`` expanded as the shell does."""
+    match = re.search(r"\{([^{}]*,[^{}]*)\}", line)
+    if not match:
+        return [line]
+    return [expanded for word in match[1].split(",")
+            for expanded in _brace_expanded(line[:match.start()] + word + line[match.end():])]
+
+
+def _readme_commands():
+    """Every ``instahide`` command line of README's sh blocks and inline code."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines()]
+    lines += re.findall(r"`(instahide [^`]*)`", text)
+    return [expanded for line in lines if line.startswith("instahide ")
+            and "<command>" not in line for expanded in _brace_expanded(line)]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_every_readme_command_parses(line):
+    # nothing runs: a flag the docs still name after its option went fails here
+    cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize(
@@ -791,8 +947,7 @@ def _files(path):
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
     cfg.write_bytes(b"k = 3\n\xff\xfe = 1\n")
-    code = main(["stats", "concentration", "--d", "8", "--n", "4", "--trials", "10",
-                 "--config", str(cfg)])
+    code = main(["stats", "concentration", "--d", "8", "--trials", "10", "--config", str(cfg)])
     assert code == 2
     assert f"error: cannot read input file {cfg}: not UTF-8 text" in capsys.readouterr().err
 
@@ -945,12 +1100,11 @@ TINY = ["--synthetic-n", "6", "--synthetic-dims", "1x4x4", "--epochs", "2"]
 @pytest.mark.parametrize(
     "argv, message",
     [
-        pytest.param(["stats", "concentration", *SMALL_STATS, "--beta", "inf"],
-                     "beta must be finite", id="concentration-infinite-beta"),
         pytest.param(["stats", "theorem-gap", "--which", "pair", *SMALL_STATS, "--beta", "1e400"],
                      "beta must be finite", id="theorem-gap-overflowing-beta"),
-        pytest.param(["stats", "concentration", *SMALL_STATS, "--delta", "1e-320"],
-                     "n*d/delta finite", id="concentration-delta-overflows-log"),
+        pytest.param(["stats", "concentration", "--d", "16", "--trials", "100",
+                      "--delta", "1e-320"], "n*d/delta finite",
+                     id="concentration-delta-overflows-log"),
         pytest.param(["stats", "theorem-gap", "--which", "scan", *SMALL_STATS, "--delta", "1e-320"],
                      "n*d/delta finite", id="theorem-gap-scan-delta-overflows-log"),
         pytest.param(["attack", "pair", "--synthetic-n", "6", "--synthetic-dims", "1x4x4",

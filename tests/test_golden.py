@@ -76,12 +76,12 @@ GOLDEN = {
     "cross_files.ihds.meta.txt": "07ad56feb2a61f8d8d1004bdc6a04a2b483412b8bf8c841e525caa9e4de2bd08",
     "encrypt-cross-files.json": "8343bd75ccd26d7b1ebbb2f6aa1a193742a1d90de62c80d2e2f502f6a3a7a0ff",
     "encrypt-cross.json": "2802c19dd169bc394bfbc59a99ddf6347f9dd0fa3dd563bff8e36686d251b683",
-    "encrypt-inside.json": "8deeb866242c88ff25f2af6c7907de33ead528cee0d2e0ad8b22a81146ed746f",
-    "encrypt-mixup.json": "197405353c91956e4905c4a76160222e8c740c1dcf9d27572a0d056bd74c5a09",
+    "encrypt-inside.json": "b547f3bf48d6ad4d9994b6c477a35ae8934d1e5ae1ef78a062ab1bac80f3cfe6",
+    "encrypt-mixup.json": "797052db75aedab6968ca6bf16552a04ac999a15ee2b13f4602ca0432e119ace",
     "inside.ihds": "40a3cfc871b49cb352f1cd4b0b45fab8323abcadce1d6cbf0581019e4d3a7b76",
-    "inside.ihds.meta.txt": "2df87dc190914a9316f1992261dd569aa41bb8302de0173b6e00fe85a2359534",
+    "inside.ihds.meta.txt": "dd10223d971cf18f7c7358882074395420ad8953c58209a0b4344a5165ca88d5",
     "mixup.ihds": "430b93fb3afa6144b30f4735d6b99d2acc3e210a941259fdb4d330aa631ed29e",
-    "mixup.ihds.meta.txt": "6b94f851be9b93e077d39285f67120bb8bb1572bbdacb3952d5646838cdabfae",
+    "mixup.ihds.meta.txt": "8857e4b64a50bca8ae4eeddd4d42fa61ae2764472fdd0fd829c236a26e4b74bf",
     "patches.ihds": "5f2ab671ca57ac1ee7e66ea04353ec253d4a069f4664ff693744d2416b7fb263",
     "patches.ihds.prov.csv": "3b7ca4a34419888847a8c15318523b29d24812e75718ae1a667b566e9442f53f",
     "prep-public.json": "2da5384b38600a72ce58046ae250b994be4019325470e7d7643ec6809fa6f564",
@@ -89,11 +89,11 @@ GOLDEN = {
     "public.ihds": "516238bf008db2a916b8a73f404052336de9f9262fb2effb2d65c973f19c0cc3",
     # train, encrypted eval and the KS table draw keys through the same kernel
     "eval-cross.json": "acc2fafd5d1b3ec7e002bda6f67a9543e819bc7049ea8ac48d8fdc3c0897855b",
-    "eval-inside.json": "961c49c63599be4f919fa14dc078dfe34a4873b1d1bc2138f7db8956bb6178fd",
-    "ks-table.json": "4ef630df176909883a9970b54027c46bc7060d4484fce22c87e6564ffc073b24",
+    "eval-inside.json": "fc5e176fe7c0931be659db401fe8738653544229bacbc84afabd8763e2590578",
+    "ks-table.json": "1f18f1f117f9aeff8d6c9cc23afc46fbed43d97ee2b4c51b6fc4d81d400e5b75",
     "ks.csv": "0b68d1629892dbc7c67375eb3fbb4c2d5afb0057c4a5b5c7aaf8b06e9329f925",
     "model.ihmd": "089c44f72a973b9f87eb54f9137d1a6fa104c177bc4098da4f6abff414df9583",
-    "train.json": "08e7d425695f0112d96b873c8b7bd1e74b625f44ab2703ff2abc4631e761a377",
+    "train.json": "1a3c00648600fe183863a062e2ca586f8e7a65e76fe1b80081673251dc200bbb",
 }
 
 PROBS = {
