@@ -16,7 +16,8 @@ the averaging attack read a history's key columns (sources, signs) directly.
 
 Detection thresholds default to the geometric midpoint between the typical
 member score scale and a union-bounded noise ceiling, both computable from the
-runtime parameters (d, k, candidate count, delta).
+runtime parameters (d, k, candidate count, delta); a report's params echo
+delta only when it set the threshold.
 
 Scan, pair and fourth-moment scores are float64 row kernels (scan_scores,
 _fourth_moment_scores; a pair score is a scan_scores call): a row's bits do
@@ -225,6 +226,7 @@ def pair_detection_attack(
     rows = np.asarray(history).reshape(m, -1)
     d = rows.shape[1]
     n_pairs = m * (m - 1) // 2
+    echo = {} if threshold is not None else {"delta": delta}  # delta sets only a default
     if threshold is None and n_pairs:  # with no pairs the threshold stays None (null)
         threshold = pair_threshold(d, k, n_pairs, delta)
     if threshold is not None and math.isnan(threshold := float(threshold)):
@@ -295,7 +297,7 @@ def pair_detection_attack(
 
     return AttackReport(
         attack="pair_detection",
-        params={"threshold": threshold, "delta": delta, "samples": m, "k": k},
+        params={"threshold": threshold, **echo, "samples": m, "k": k},
         scores=tuple(zip(top_ids.tolist(), top.tolist())),
         decisions=tuple(ids.tolist()),
         reconstruction=reconstruction,
@@ -415,6 +417,7 @@ def public_scan_attack(
         raise ValidationError("public scan needs a non-empty patch set")
     Q, single, truths = _query_block(xtilde, patches, truth_members)
     n, d = patches.shape
+    echo = {} if threshold is not None else {"delta": delta}  # delta sets only a default
     cuts = [threshold] * len(Q) if threshold is not None else [
         scan_threshold(float(v), d, k, n, delta)
         for v in np.sqrt(np.einsum("ij,ij->i", Q, Q, dtype=np.float64))]
@@ -451,7 +454,7 @@ def public_scan_attack(
             metrics["max_member_rank"] = float(max(ranks)) if ranks else None
         reports.append(AttackReport(
             attack="public_scan",
-            params={"threshold": float(cut), "delta": delta, "k": k, "candidates": n},
+            params={"threshold": float(cut), **echo, "k": k, "candidates": n},
             scores=tuple((int(rows[j]), float(raw[j])) for j in order[:TOP_SCORES]),
             decisions=flagged,
             metrics=metrics,
@@ -671,7 +674,9 @@ def ssim_pairwise(
     or empty. Both axes are cut into blocks at the window edges, so a window's
     moments and cross term are sums over its blocks (cross terms: one batched
     matmul per pair of row blocks of CHUNK_BYTES, each side gathered and cast
-    into one reused float64 buffer); the formula runs one window at a time."""
+    into one reused float64 buffer); the formula runs one window at a time.
+    The matmul sums in the order BLAS picks for the block and the BLAS thread
+    count, so either can move a score in the last ulp."""
     A = np.atleast_2d(np.asarray(a_rows))
     B = np.atleast_2d(np.asarray(b_rows))
     c, h, w = core._dims(dims)
@@ -748,9 +753,9 @@ def similarity_search_attack(xtilde, publicset, oracle: SignOracle, truth_mask, 
     array) with (q, d) signs, q tags and q sets per truth gives a list of q.
     The block is demasked in one multiply and ranked in one ssim_pairwise
     call, query t at its own default range (its row joined with the pool, in
-    float64). A block of one has a one-query call's bits; in a larger block
-    the cross term's matmul sums in another order, so a score can move in the
-    last ulp."""
+    float64). A block of one has a one-query call's bits under the same BLAS
+    thread count; in a larger block, or under another thread count, the cross
+    term's matmul sums in another order, so a score can move in the last ulp."""
     patches = np.asarray(publicset)  # a Dataset or PatchSet gives its matrix
     n = patches.shape[0]
     if not 0 <= m <= n:

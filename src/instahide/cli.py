@@ -7,13 +7,15 @@ stats {ks-table, concentration, theorem-gap}, challenge.
 Every flag but --config (which import lacks) and --report is an entry of
 one table, OPTIONS: type, built-in default, choices and help; the flag is
 ``--`` and the name with ``-`` for ``_``. COMMANDS gives each command its
-handler's name, help and the options it reads (``out!`` is required, and
-``n=synthetic_n`` registers option synthetic_n as ``--n``); build_parser
-builds every parser from it. Each option resolves as: IH_SEED (for the
-seed) > flag > config file (``key = value`` lines) > COMMAND_DEFAULTS >
-OPTIONS default. Required options are checked after that, so a config file
-can supply them. Config-file values and IH_SEED are typed like flags: a
-value its option's type refuses, or an unknown key, is invalid input.
+handler's name, help and the options it reads (``out!`` is required,
+``n=synthetic_n`` registers option synthetic_n as ``--n``, ``mode:a|b`` gives
+mode the command's own choices, a the default); build_parser builds every
+parser from it. Each option resolves as: IH_SEED (for the seed) > flag >
+config file (``key = value`` lines) > COMMAND_DEFAULTS > the Option's
+default. Required options are checked after that, so a config file can
+supply them. Config-file values and IH_SEED are typed and checked like the
+command's flags: a value its option's type or choices refuse, or an unknown
+key, is invalid input.
 ``main`` runs every command the same way: resolve the options, open
 RngStream(seed), call the handler with them, and write one JSON report whose
 ``config`` holds exactly the options the run read (``Options.read``), paths
@@ -79,7 +81,7 @@ OPTIONS = {
     "epochs": Option(int, 50),
     "lr": Option(float, 0.1),
     "plain": Option(boolean, False, help="train on raw images"),
-    "mode": Option(str, choices=("plain", "encrypted", *attacks.AVERAGING_MODES)),
+    "mode": Option(str),  # each command's spec gives its choices
     "ensemble": Option(int, 10),
     "synthetic_n": Option(int, 50, help="synthetic private size (challenge: --n, default 100)"),
     "synthetic_dims": Option(str, "3x32x32"),
@@ -110,7 +112,7 @@ OPTIONS = {
 }
 
 _SCHEME = "scheme k c1 c2"
-_SYNTHETIC = "synthetic_n synthetic_dims synthetic_classes"
+_SYNTHETIC = "synthetic_n synthetic_dims"  # a command that reads labels adds synthetic_classes
 
 GROUPS = {"attack": "run an attack harness with known ground truth",
           "stats": "statistical validators"}
@@ -122,11 +124,12 @@ COMMANDS = {
     "prep-public": ("cmd_prep_public", "crop and filter a public dataset",
                     "in! out! patch_size per_image min_keypoints seed"),
     "encrypt": ("cmd_encrypt", "encrypt a private dataset for T epochs",
-                f"in public out! epochs {_SCHEME} {_SYNTHETIC} seed"),
+                f"in public out! epochs {_SCHEME} {_SYNTHETIC} synthetic_classes seed"),
     "train": ("cmd_train", "train the linear softmax classifier",
-              f"in public plain out! epochs lr {_SCHEME} {_SYNTHETIC} seed"),
+              f"in public plain out! epochs lr {_SCHEME} {_SYNTHETIC} synthetic_classes seed"),
     "eval": ("cmd_eval", "evaluate a trained model",
-             f"model! in public mode ensemble {_SCHEME} {_SYNTHETIC} seed"),
+             f"model! in public mode:plain|encrypted ensemble {_SCHEME} {_SYNTHETIC} "
+             "synthetic_classes seed"),
     "attack pair": ("cmd_attack_pair", "pairwise inner-product detection on a history",
                     f"in threshold reconstruction_out epochs delta scheme k c1 {_SYNTHETIC} seed"),
     "attack public-scan": ("cmd_attack_public_scan", "inner-product sweep over public patches",
@@ -135,7 +138,8 @@ COMMANDS = {
     "attack braverman": ("cmd_attack_braverman", "fourth-moment candidate ranking",
                          "public candidates k c1 synthetic_dims seed"),
     "attack averaging": ("cmd_attack_averaging", "average demasked encryptions",
-                         "in mode target reconstruction_out epochs oracle_p m k c1 "
+                         f"in mode:{'|'.join(attacks.AVERAGING_MODES)} target reconstruction_out "
+                         "epochs oracle_p m k c1 "
                          f"{_SYNTHETIC} seed"),
     "attack similarity": ("cmd_attack_similarity", "SSIM search after oracle demasking",
                           "trials sources source_dims patch_dims m oracle_p k c1 c2 seed"),
@@ -154,25 +158,30 @@ COMMANDS = {
 
 COMMAND_DEFAULTS = {
     "challenge": {"k": 6, "synthetic_n": 100},
-    "eval": {"mode": "plain"},
     "attack pair": {"scheme": "mixup", "k": 2},
     "attack public-scan": {"scheme": "mixup", "trials": 25},
-    "attack averaging": {"mode": "strong"},
     "attack similarity": {"m": 100, "trials": 50},
     "attack grad-match": {"lr": 0.05},
 }
 
 
 def command_flags(command: str):
-    """(option name, flag, required) for each option ``command`` reads."""
+    """(option name, flag, required, Option) for each option ``command`` reads,
+    the Option with the command's own choices and, as its default, the first."""
     for token in COMMANDS[command][2].split():
+        token, _, choices = token.partition(":")
         alias, _, name = token.rstrip("!").rpartition("=")
-        yield name, "--" + (alias or name).replace("_", "-"), token.endswith("!")
+        opt = OPTIONS[name]
+        if choices:
+            choices = tuple(choices.split("|"))
+            opt = opt._replace(default=choices[0], choices=choices)
+        yield name, "--" + (alias or name).replace("_", "-"), token.endswith("!"), opt
 
 
-def _convert(name: str, text: str, source: str):
-    """``text`` as option ``name``'s value, converted and checked as its flag would be."""
-    opt = OPTIONS.get(name)
+def _convert(name: str, text: str, source: str, opt: Option | None = None):
+    """``text`` as option ``name``'s value, converted and checked as its flag
+    would be: by ``opt``, the command's Option, else by OPTIONS."""
+    opt = opt or OPTIONS.get(name)
     if opt is None:
         raise ValidationError(f"{source}: unknown option {name!r}")
     try:
@@ -185,7 +194,8 @@ def _convert(name: str, text: str, source: str):
     return value
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, own: dict) -> dict:
+    """The file's options, checked by the command's Option (``own``) where it has one."""
     if not path:
         return {}
     out = {}
@@ -197,12 +207,13 @@ def _load_config_file(path: str | None) -> dict:
             raise ValidationError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        out[key] = _convert(key, value.strip(), f"config {path}")
+        out[key] = _convert(key, value.strip(), f"config {path}", own.get(key))
     return out
 
 
 class Options(dict):
-    """A command's resolved options; ``read`` keeps each one a lookup returned."""
+    """A command's resolved options; ``read`` keeps each one a lookup returned
+    (``dict.get`` peeks without recording)."""
 
     def __init__(self, values: dict):
         super().__init__(values)
@@ -215,22 +226,23 @@ class Options(dict):
 
 def resolve_options(given: dict, command: str) -> Options:
     """The value of every option ``command`` reads: IH_SEED (for the seed) >
-    flag > config file > COMMAND_DEFAULTS > OPTIONS default. ``given`` holds
+    flag > config file > COMMAND_DEFAULTS > the Option's default. ``given`` holds
     the parsed flags, None where absent; a required option left unset is
     invalid input."""
     flags = list(command_flags(command))
+    own = {name: opt for name, _, _, opt in flags}
     env = {}
     if "seed" in given and "IH_SEED" in os.environ:
         env["seed"] = _convert("seed", os.environ["IH_SEED"], "IH_SEED")
     layers = ChainMap(
         env,
-        {name: given[name] for name, _, _ in flags if given[name] is not None},
-        _read_input(_load_config_file, given.get("config")),
+        {name: given[name] for name in own if given[name] is not None},
+        _read_input(_load_config_file, given.get("config"), own),
         COMMAND_DEFAULTS.get(command, {}),
-        {name: opt.default for name, opt in OPTIONS.items()},
+        {name: opt.default for name, opt in own.items()},
     )
-    values = {name: layers[name] for name, _, _ in flags}
-    missing = [flag for name, flag, required in flags if required and values[name] is None]
+    values = {name: layers[name] for name in own}
+    missing = [flag for name, flag, required, _ in flags if required and values[name] is None]
     if missing:
         raise ValidationError(f"missing required option {', '.join(missing)} (flag or config)")
     return Options(values)
@@ -262,14 +274,15 @@ def _read_input(load, path, *args, **kwargs):
 
 
 def _private_dataset(opts: dict, rng: RngStream) -> Dataset:
-    """The dataset behind --in, or a labelled synthetic Gaussian stand-in."""
+    """The dataset behind --in, or a synthetic Gaussian stand-in, labelled only
+    for a command that reads synthetic_classes (labels are drawn after pixels)."""
     if opts["in"]:
         return _read_input(load_dataset, opts["in"])
     return make_gaussian_dataset(
         opts["synthetic_n"],
         _parse_dims(opts["synthetic_dims"]),
         rng.child("synthetic"),
-        classes=opts["synthetic_classes"],
+        classes=opts["synthetic_classes"] if "synthetic_classes" in opts else None,
     )
 
 
@@ -300,9 +313,12 @@ def _trial_rows(private, cfg: SchemeConfig, trials: int, rng: RngStream, publics
 
 
 def cmd_import(opts: dict, rng: None) -> dict:
+    labels = opts["labels"]
+    if labels is None and dict.get(opts, "classes") is not None:  # a peek: classes is unread
+        raise ValidationError("--classes needs --labels (it bounds the label CSV's classes)")
     ds = _read_input(
-        import_raw, opts["raw"], _parse_dims(opts["dims"]), labels_path=opts["labels"],
-        classes=opts["classes"],
+        import_raw, opts["raw"], _parse_dims(opts["dims"]), labels_path=labels,
+        classes=None if labels is None else opts["classes"],
     )
     save_dataset(ds, opts["out"])
     return {"images": ds.n, "out": opts["out"]}
@@ -365,7 +381,7 @@ def cmd_eval(opts: dict, rng: RngStream) -> dict:
     test = _private_dataset(opts, rng)
     if opts["mode"] == "plain":
         acc = utility.evaluate(model, test, mode="plain")
-    else:  # evaluate refuses a mode other than encrypted
+    else:  # encrypted, the parser's one other choice
         cfg = _scheme_config(opts)
         publicset = _public_patches(opts, test.dims, rng, cfg=cfg)
         acc = utility.evaluate(
@@ -396,8 +412,10 @@ def cmd_attack_pair(opts: dict, rng: RngStream) -> dict:
     cfg = _pool_free_scheme(opts, "pair")
     private = _private_dataset(opts, rng)
     history, truth = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
+    threshold = opts["threshold"]  # delta only sets the default threshold
     report = attacks.pair_detection_attack(
-        history, threshold=opts["threshold"], truth_keys=truth, delta=opts["delta"], k=cfg.k
+        history, threshold=threshold, truth_keys=truth, k=cfg.k,
+        delta=opts["delta"] if threshold is None else attacks.DEFAULT_DELTA,
     )
     return _attack_results(opts, report)
 
@@ -408,9 +426,10 @@ def cmd_attack_public_scan(opts: dict, rng: RngStream) -> dict:
     publicset = _public_patches(opts, dims, rng, count=opts["candidates"])
     rows = _trial_rows(publicset, cfg, opts["trials"], rng)
     members = rows.sources.tolist()
+    threshold = opts["threshold"]  # delta only sets the default threshold
     found = attacks.public_scan_attack(
-        rows.pixels, publicset, cfg.k, threshold=opts["threshold"], truth_members=members,
-        delta=opts["delta"],
+        rows.pixels, publicset, cfg.k, threshold=threshold, truth_members=members,
+        delta=opts["delta"] if threshold is None else attacks.DEFAULT_DELTA,
     )
     reports = [_attack_results(opts, r, true_members=m) for r, m in zip(found, members)]
     mean_recall = sum(report["metrics"]["recall"] for report in reports) / len(reports)
@@ -431,7 +450,7 @@ def cmd_attack_averaging(opts: dict, rng: RngStream) -> dict:
     cfg = _scheme_config(opts, "inside")
     history, keys = encrypt_history(private, cfg, opts["epochs"], rng.child("enc"))
     oracle = attacks.SignOracle(opts["oracle_p"], rng.child("oracle"))
-    # weak mode takes m, strong mode a target; averaging_attack refuses any other mode
+    # weak mode takes m, strong mode (the parser's one other choice) a target
     knob = {"m": opts["m"]} if opts["mode"] == "weak" else {"target": opts["target"]}
     report = attacks.averaging_attack(history, keys, private, opts["mode"], oracle, **knob)
     return _attack_results(opts, report)
@@ -476,6 +495,9 @@ def cmd_attack_grad_match(opts: dict, rng: RngStream) -> dict:
 
 
 def cmd_stats_ks_table(opts: dict, rng: RngStream) -> dict:
+    if opts["encryptions"] < stats.PROTOCOL_PROBES:
+        raise ValidationError(f"--encryptions must be >= {stats.PROTOCOL_PROBES} (the probe "
+                              f"encryptions per image), got {opts['encryptions']}")
     private = _private_dataset(opts, rng)
     cfg = _scheme_config(opts)
     publicset = _public_patches(opts, private.dims, rng, cfg=cfg)
@@ -531,6 +553,7 @@ def leakage_guard(path: str | Path, private: Dataset) -> None:
 
 def cmd_challenge(opts: dict, rng: RngStream) -> dict:
     private = _private_dataset(opts, rng)
+    private.label_matrix()  # a release carries labels: refuses an unlabelled set
     cfg = _scheme_config(opts, "cross")
     publicset = _public_patches(opts, private.dims, rng)
     results = _export(opts, rng, private, cfg, publicset)
@@ -557,8 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="subcommand", required=True
             )
         p = subs[group].add_parser(leaf, help=text)
-        for name, flag, required in command_flags(command):
-            opt = OPTIONS[name]
+        for name, flag, required, opt in command_flags(command):
             text = "; ".join(filter(None, (opt.help, required and "required"))) or None
             if opt.type is boolean:
                 p.add_argument(flag, dest=name, action="store_true", default=None, help=text)

@@ -103,11 +103,12 @@ class EncryptionKey:
 @dataclass(frozen=True)
 class EncryptedSample:
     """One published sample: mixed (and possibly masked) pixels plus the
-    mixed label, tagged with the epoch and a history-unique sample id.
-    ``np.asarray(sample)`` gives the published pixels, ``dims`` their shape."""
+    mixed label (None for an unlabelled set), tagged with the epoch and a
+    history-unique sample id. ``np.asarray(sample)`` gives the published
+    pixels, ``dims`` their shape."""
 
     xtilde: Image
-    ytilde: LabelVector
+    ytilde: LabelVector | None
     epoch: int = 0
     sample_id: int = 0
 
@@ -234,11 +235,12 @@ def _encrypt_rows(S, Y, cfg: SchemeConfig, base, streams, partners=None) -> _Row
 @dataclass(frozen=True, eq=False)
 class EncryptedSamples(Sequence):
     """Published samples as columns: float32 pixels (m, d) (``np.asarray``
-    gives them), labels (m, classes), epochs and history-unique sample ids.
-    An integer index builds one EncryptedSample, any other index a block."""
+    gives them), labels (m, classes) or None for an unlabelled set, epochs and
+    history-unique sample ids. An integer index builds one EncryptedSample,
+    any other index a block."""
 
     pixels: np.ndarray
-    labels: np.ndarray
+    labels: np.ndarray | None
     epochs: np.ndarray
     ids: np.ndarray
     dims: tuple[int, int, int]
@@ -247,10 +249,12 @@ class EncryptedSamples(Sequence):
         return len(self.pixels)
 
     def __getitem__(self, i):
+        labels = None if self.labels is None else self.labels[i]
         if not isinstance(i, (int, np.integer)):
-            return replace(self, pixels=self.pixels[i], labels=self.labels[i],
+            return replace(self, pixels=self.pixels[i], labels=labels,
                            epochs=self.epochs[i], ids=self.ids[i])
-        return EncryptedSample(Image(self.pixels[i], self.dims), LabelVector(self.labels[i]),
+        return EncryptedSample(Image(self.pixels[i], self.dims),
+                               None if labels is None else LabelVector(labels),
                                int(self.epochs[i]), int(self.ids[i]))
 
     def __array__(self, dtype=None, copy=None):
@@ -323,7 +327,8 @@ def encrypt_sample(
     cast, so this stays cheap on a large pool."""
     if not 0 <= int(i) < private.n:
         raise ValidationError(f"index {i} out of range for n={private.n}")
-    S, Y = _sources(private, cfg, publicset), [private.label_matrix()]
+    S = _sources(private, cfg, publicset)
+    Y = None if private.classes is None else [private.label_matrix()]
     rows = _encrypt_rows(S, Y, cfg, [int(i)], Streams(rng.seed, [rng.stream]))
     samples, keys = _blocks(rows, private, np.zeros(1, np.int64), np.zeros(1, np.int64))
     return samples[0], keys[0]
@@ -335,7 +340,8 @@ def _history(private: Dataset, cfg: SchemeConfig, epochs, rng: RngStream, public
     epoch t, draws from ``rng.child(t, i)`` and has sample id t * n + i."""
     if not len(epochs):
         raise ValidationError("need at least one epoch")
-    S, Y, n = _sources(private, cfg, publicset), [private.label_matrix()], private.n
+    S, n = _sources(private, cfg, publicset), private.n
+    Y = None if private.classes is None else [private.label_matrix()]  # None: unlabelled
     base = np.concatenate([rng.child(t, "perm").generator().permutation(n) for t in epochs])
     epochs = np.repeat(np.asarray(epochs, dtype=np.int64), n)
     rows = _encrypt_rows(S, Y, cfg, base, rng.children(epochs, ids=base))

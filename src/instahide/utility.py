@@ -178,6 +178,7 @@ def train_encrypted(
     canonical mask-invariant form; unmasked (Mixup) samples pass through."""
     if epochs < 0:
         raise ValidationError(f"need epochs >= 0, got {epochs}")
+    private.label_matrix()  # refuses an unlabelled set, whose history has no labels
     out = model.copy()
     for epoch in range(int(epochs)):
         samples, _ = encrypt_epoch(private, cfg, epoch, rng.child("enc"), publicset)

@@ -208,6 +208,7 @@ def pair_detection_attack(
     m = len(history)
     rows = np.stack([np.asarray(s) for s in history]).astype(np.float64)
     n_pairs = m * (m - 1) // 2
+    echo = {} if threshold is not None else {"delta": delta}
     if threshold is None:
         threshold = (
             pair_threshold(rows.shape[1], k, n_pairs, delta) if n_pairs else math.inf
@@ -249,7 +250,7 @@ def pair_detection_attack(
     )
     return AttackReport(
         attack="pair_detection",
-        params={"threshold": float(threshold), "delta": delta, "samples": m, "k": k},
+        params={"threshold": float(threshold), **echo, "samples": m, "k": k},
         scores=scores,
         decisions=tuple(int(iu[o] * m + ju[o]) for o in np.flatnonzero(detected)),
         reconstruction=reconstruction,
@@ -283,6 +284,7 @@ def public_scan_attack(xtilde, publicset, k, threshold=None, truth_members=None,
     raw = core.scan_scores(patches, query)
     mags = np.abs(raw)
     n = raw.size
+    echo = {} if threshold is not None else {"delta": delta}
     if threshold is None:
         qn = math.sqrt(np.einsum("ij,ij->i", *[query.reshape(1, -1)] * 2, dtype=np.float64)[0])
         threshold = scan_threshold(qn, query.size, k, n, delta)
@@ -305,7 +307,7 @@ def public_scan_attack(xtilde, publicset, k, threshold=None, truth_members=None,
     scores = tuple((int(i), float(raw[i])) for i in order[:TOP_SCORES])
     return AttackReport(
         attack="public_scan",
-        params={"threshold": float(threshold), "delta": delta, "k": k, "candidates": n},
+        params={"threshold": float(threshold), **echo, "k": k, "candidates": n},
         scores=scores,
         decisions=flagged,
         metrics=metrics,

@@ -491,9 +491,6 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
         ["attack", "grad-match", "--lr", "0", "--steps", "5", "--synthetic-dims", "1x4x4"],
         ["attack", "grad-match", "--lr=-1", "--steps", "5", "--synthetic-dims", "1x4x4"],
         ["attack", "grad-match", "--lr", "nan", "--steps", "5", "--synthetic-dims", "1x4x4"],
-        ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "weak", "--in", "{tmp}/p8.ihds"],
-        ["attack", "averaging", "--mode", "encrypted", "--k", "2", "--synthetic-n", "4",
-         "--synthetic-dims", "1x4x4", "--epochs", "1"],
         ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--synthetic-n", "2",
          "--synthetic-dims", "3x8x8", "--k", "4"],
         ["eval", "--model", "{tmp}/m192.ihmd", "--mode", "encrypted", "--scheme", "cross",
@@ -508,8 +505,7 @@ def test_nonfinite_input_file_exits_2(tmp_path, capsys):
          "encrypt-empty-synthetic", "mixup-empty-synthetic", "encrypt-negative-synthetic",
          "train-empty-synthetic", "pair-empty-synthetic", "challenge-empty-synthetic",
          "grad-match-negative-steps", "grad-match-zero-lr", "grad-match-negative-lr",
-         "grad-match-nan-lr", "eval-averaging-mode", "averaging-eval-mode",
-         "eval-small-pool", "eval-public-shape"],
+         "grad-match-nan-lr", "eval-small-pool", "eval-public-shape"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     save_dataset(make_gaussian_dataset(2, (1, 4, 4), RngStream(15), normalize=False),
@@ -578,9 +574,14 @@ def test_parse_dims_allows_spaces_and_refuses_non_digits():
         ["attack", "averaging", "--c2", "0.3"],
         ["attack", "grad-match", "--synthetic-n", "4"],
         ["import", "--raw", "x.raw", "--dims", "1x2x2", "--out", "o", "--config", "c.cfg"],
+        # the attacks and the KS table read no label
+        ["attack", "pair", "--synthetic-classes", "2147483648"],
+        ["attack", "averaging", "--synthetic-classes", "2147483648"],
+        ["stats", "ks-table", "--out", "t.csv", "--synthetic-classes", "3"],
     ],
     ids=["challenge-scheme", "challenge-synthetic-n", "pair-c2", "averaging-scheme",
-         "averaging-c2", "grad-match-synthetic-n", "import-config"],
+         "averaging-c2", "grad-match-synthetic-n", "import-config", "pair-synthetic-classes",
+         "averaging-synthetic-classes", "ks-table-synthetic-classes"],
 )
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -608,7 +609,8 @@ def test_attack_averaging_reconstruction_out_replays(tmp_path, monkeypatch):
 
 
 SCHEME = ("scheme", "k", "c1")
-SYNTHETIC = ("synthetic_n", "synthetic_dims", "synthetic_classes")
+SYNTHETIC = ("synthetic_n", "synthetic_dims")  # and synthetic_classes where labels are read
+LABELLED = (*SYNTHETIC, "synthetic_classes")
 # every command: argv that runs it in well under a second, the options its
 # report takes from CONFIG, and the rest of its report's config, which comes
 # from its flags or its defaults (CONFIG's scheme is mixup, which reads no
@@ -616,17 +618,16 @@ SYNTHETIC = ("synthetic_n", "synthetic_dims", "synthetic_classes")
 # them out)
 COMMANDS = {
     "import": (["--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--out", "{tmp}/i.ihds"], set(),
-               {"raw": "{tmp}/x.raw", "dims": "1x2x2", "labels": None, "classes": None,
-                "out": "{tmp}/i.ihds"}),
+               {"raw": "{tmp}/x.raw", "dims": "1x2x2", "labels": None, "out": "{tmp}/i.ihds"}),
     "prep-public": (["--in", "{tmp}/d.ihds", "--patch-size", "2x2", "--min-keypoints", "0",
                      "--out", "{tmp}/p.ihds"], {"per_image"},
                     {"in": "{tmp}/d.ihds", "out": "{tmp}/p.ihds", "patch_size": "2x2",
                      "min_keypoints": 0}),
-    "encrypt": (["--out", "{tmp}/e.ihds"], {*SCHEME, "epochs", *SYNTHETIC},
+    "encrypt": (["--out", "{tmp}/e.ihds"], {*SCHEME, "epochs", *LABELLED},
                 {"in": None, "out": "{tmp}/e.ihds"}),
-    "train": (["--out", "{tmp}/m.ihmd"], {*SCHEME, "epochs", "lr", *SYNTHETIC},
+    "train": (["--out", "{tmp}/m.ihmd"], {*SCHEME, "epochs", "lr", *LABELLED},
               {"in": None, "plain": False, "out": "{tmp}/m.ihmd"}),
-    "eval": (["--model", "{tmp}/m16.ihmd"], {*SYNTHETIC},
+    "eval": (["--model", "{tmp}/m16.ihmd"], {*LABELLED},
              {"model": "{tmp}/m16.ihmd", "in": None, "mode": "plain"}),
     "attack pair": ([], {"scheme", "k", "c1", "epochs", "delta", *SYNTHETIC},
                     {"in": None, "threshold": None, "reconstruction_out": None}),
@@ -650,16 +651,16 @@ COMMANDS = {
     "stats concentration": (["--d", "16"], {"delta", "trials"}, {"d": 16}),
     "stats theorem-gap": (["--which", "pair", "--d", "16", "--n", "4"],
                           {"delta", "trials", "beta"}, {"which": "pair", "d": 16, "n": 4}),
-    "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", *SYNTHETIC},
+    "challenge": (["--out", "{tmp}/c.ihds"], {"k", "c1", "c2", "epochs", *LABELLED},
                   {"in": None, "public": None, "out": "{tmp}/c.ihds"}),
 }
 # eval and train in their other mode (eval runs plain by default, train encrypted);
 # plain mode reads no scheme, ensemble or public option, so its report leaves them out
 MODES = {
     "eval --mode encrypted": (["--model", "{tmp}/m16.ihmd", "--mode", "encrypted"],
-                              {*SCHEME, "ensemble", *SYNTHETIC},
+                              {*SCHEME, "ensemble", *LABELLED},
                               {"model": "{tmp}/m16.ihmd", "in": None, "mode": "encrypted"}),
-    "train --plain": (["--plain", "--out", "{tmp}/m.ihmd"], {"epochs", "lr", *SYNTHETIC},
+    "train --plain": (["--plain", "--out", "{tmp}/m.ihmd"], {"epochs", "lr", *LABELLED},
                       {"in": None, "plain": True, "out": "{tmp}/m.ihmd"}),
 }
 # a value for every option that no command or built-in default takes
@@ -771,19 +772,6 @@ SECOND = {
 # options whose every other value is refused: the model fixes eval's d and classes
 REFUSED = {(case, name) for case in ("eval", "eval --mode encrypted")
            for name in ("synthetic_dims", "synthetic_classes")}
-# reads known to change no output, each left for its own change
-NO_EFFECT = {
-    # the attack's params echo delta whatever the threshold, as
-    # tests/reference_scoring.py does: dropping it changes the report format
-    ("attack pair --threshold", "delta"), ("attack public-scan --threshold", "delta"),
-    # the encryption kernel mixes labels in every history, so an unlabelled
-    # synthetic set cannot be encrypted, though these commands read no label
-    *((case, "synthetic_classes") for case in ("attack pair", "attack pair --threshold",
-                                               "stats ks-table", "attack averaging",
-                                               "attack averaging --mode weak")),
-    # import_raw only range-checks classes when no label CSV is given
-    ("import", "classes"),
-}
 
 
 def _drop(value, name):
@@ -806,7 +794,7 @@ def _run_from(root, command, config):
     _effect_inputs(root)
     os.chdir(root)
     inputs = {path.name for path in root.iterdir()}
-    flags = {option: flag for option, flag, _ in cli.command_flags(command)}
+    flags = {option: flag for option, flag, _, _ in cli.command_flags(command)}
     argv = command.split()
     for option, value in config.items():
         if value is not None and value is not False:
@@ -854,14 +842,17 @@ def test_every_option_a_report_records_can_change_its_run(tmp_path, capsys, monk
         if _beyond_echoes(changed, name) == _beyond_echoes(base, name):
             silent.add(name)
     capsys.readouterr()
-    assert silent == {name for known, name in NO_EFFECT if known == case}
+    assert silent == set()
 
 
 def test_command_table_declares_every_flag():
     read = set()
     for command, (handler, _, _) in cli.COMMANDS.items():
-        names = [name for name, _, _ in cli.command_flags(command)]
+        flags = list(cli.command_flags(command))
+        names = [name for name, _, _, _ in flags]
         assert len(set(names)) == len(names) and set(names) <= set(cli.OPTIONS), command
+        # a command's own choices stand where OPTIONS holds none, never beside a union
+        assert all(cli.OPTIONS[name].choices in (None, opt.choices) for name, *_, opt in flags)
         assert set(cli.COMMAND_DEFAULTS.get(command, {})) <= set(names), command
         read.update(names)
     assert read == set(cli.OPTIONS)  # no option is left unregistered
@@ -877,6 +868,40 @@ def test_every_command_prints_its_help(capsys, command):
         main([*command.split(), "--help"])
     assert exc.value.code == 0
     assert "--report" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, modes", [("eval", ["plain", "encrypted"]),
+                                            ("attack averaging", ["strong", "weak"])])
+def test_each_command_help_lists_only_its_own_modes(capsys, command, modes):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert re.search(r"--mode \{([^}]*)\}", capsys.readouterr().out)[1].split(",") == modes
+
+
+@pytest.mark.parametrize("argv", [["eval", "--model", "m.ihmd", "--mode", "weak"],
+                                  ["attack", "averaging", "--mode", "encrypted"]],
+                         ids=["eval-weak", "averaging-encrypted"])
+def test_a_mode_of_another_command_is_refused_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --mode: invalid choice: '{argv[-1]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, mode, choices", [
+    (["eval", "--model", "{tmp}/m.ihmd"], "weak", ("plain", "encrypted")),
+    (["attack", "averaging", "--synthetic-dims", "1x4x4"], "encrypted", ("strong", "weak")),
+], ids=["eval-weak", "averaging-encrypted"])
+def test_a_config_mode_is_checked_against_the_command_choices(tmp_path, capsys, argv, mode,
+                                                              choices):
+    save_model(init_model(3, 16), tmp_path / "m.ihmd")
+    (tmp_path / "c.cfg").write_text(f"mode = {mode}\n")
+    code = main([*(a.format(tmp=tmp_path) for a in argv), "--config", str(tmp_path / "c.cfg")])
+    assert code == 2
+    # refused as the file is read, not by the attack or the evaluation
+    err = capsys.readouterr().err
+    assert err == f"error: config {tmp_path}/c.cfg: mode must be one of {choices}, got {mode!r}\n"
 
 
 def _brace_expanded(line):
@@ -1125,9 +1150,7 @@ TINY = ["--synthetic-n", "6", "--synthetic-dims", "1x4x4", "--epochs", "2"]
         *(pytest.param([*argv, "--synthetic-classes", "2147483648"],
                        "needs 1 <= classes <= 65535", id=f"{name}-huge-classes")
           for name, argv in (("encrypt", ["encrypt", *TINY, "--out", "{tmp}/o.ihds"]),
-                             ("train", ["train", *TINY, "--out", "{tmp}/m.ihmd"]),
-                             ("attack-pair", ["attack", "pair", *TINY]),
-                             ("attack-averaging", ["attack", "averaging", *TINY]))),
+                             ("train", ["train", *TINY, "--out", "{tmp}/m.ihmd"]))),
         pytest.param(["encrypt", *TINY, "--out", "{tmp}/o.ihds", "--synthetic-classes", "65536"],
                      "needs 1 <= classes <= 65535", id="encrypt-classes-beyond-u16"),
         pytest.param(["import", "--raw", "{tmp}/x.raw", "--dims", "1x2x2", "--labels",
@@ -1157,6 +1180,46 @@ def test_import_refuses_a_huge_class_count_before_it_allocates(tmp_path, capsys)
     assert code == 2
     assert "classes=2147483648 does not fit the header" in capsys.readouterr().err
     assert not (tmp_path / "i.ihds").exists()
+
+
+def test_import_refuses_classes_without_labels(tmp_path, capsys):
+    # without a label CSV, --classes bounded nothing and changed no byte
+    (tmp_path / "x.raw").write_bytes(bytes(4))
+    code = main(["import", "--raw", str(tmp_path / "x.raw"), "--dims", "1x2x2",
+                 "--classes", "3", "--out", str(tmp_path / "i.ihds")])
+    assert code == 2
+    assert "error: --classes needs --labels" in capsys.readouterr().err
+    assert _names(tmp_path) == ["x.raw"]
+
+
+def test_ks_table_refuses_encryptions_below_the_probe_count(tmp_path, capsys):
+    # the protocol's 50 probe encryptions per image were refused with no flag named
+    code = main(["stats", "ks-table", "--encryptions", "4", "--picks", "2", "--synthetic-n", "4",
+                 "--synthetic-dims", "1x4x4", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "error: --encryptions must be >= 50" in capsys.readouterr().err
+    assert _names(tmp_path) == []
+
+
+def test_encrypt_of_an_unlabelled_set_writes_an_unlabelled_dataset(tmp_path):
+    private = make_gaussian_dataset(4, (1, 4, 4), RngStream(20))
+    save_dataset(private, tmp_path / "u.ihds")
+    assert main(["encrypt", "--in", str(tmp_path / "u.ihds"), "--epochs", "2",
+                 "--out", str(tmp_path / "e.ihds")]) == 0
+    written = load_dataset(tmp_path / "e.ihds")
+    assert (written.n, written.dims, written.classes) == (8, (1, 4, 4), None)
+
+
+@pytest.mark.parametrize("argv", [["train", "--out", "{tmp}/m.ihmd"],
+                                  ["challenge", "--out", "{tmp}/c.ihds"]],
+                         ids=["train", "challenge"])
+def test_a_command_that_reads_labels_refuses_an_unlabelled_set(tmp_path, capsys, argv):
+    save_dataset(make_gaussian_dataset(4, (1, 4, 4), RngStream(20)), tmp_path / "u.ihds")
+    code = main([*(a.format(tmp=tmp_path) for a in argv), "--in", str(tmp_path / "u.ihds"),
+                 "--epochs", "1", "--k", "3"])
+    assert code == 2
+    assert "error: dataset has no labels" in capsys.readouterr().err
+    assert _names(tmp_path) == ["u.ihds"]
 
 
 @pytest.mark.parametrize("lr, message", [

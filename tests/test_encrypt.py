@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import tracemalloc
 
@@ -17,6 +18,7 @@ from instahide.core import (
     sample_sign_mask,
 )
 from instahide.encrypt import (
+    SCHEMES,
     EncryptedSamples,
     EncryptionKeys,
     SchemeConfig,
@@ -394,6 +396,43 @@ def test_history_is_columnar(scheme):
     assert back_s.ids.tobytes() == samples.ids.tobytes() and back_s.dims == samples.dims
     assert back_k.sources.tobytes() == keys.sources.tobytes()
     assert back_k[3].mask == keys[3].mask
+
+
+# sha256 of a labelled history's columns (pixels, labels, epochs, ids, sources,
+# lam, signs), pinned before unlabelled sets could be encrypted
+LABELLED_HISTORY = {
+    "mixup": "568019047fe829229af2dfed1591dbd970ae238ae8f032d3f5471bbdbbb7dc52",
+    "inside": "1aed6c132097d632a95875d1209b83e2b6138b9e94e3ee7ea4f8c742abacfc8a",
+    "cross": "9cb8e0f9a3b47f84bb00ac4b678f64ef2bbcaecfff420c347d6a0b69d6abae00",
+}
+
+
+def _columns_digest(samples, keys):
+    cols = (samples.pixels, samples.labels, samples.epochs, samples.ids, keys.sources, keys.lam,
+            np.zeros(0) if keys.signs is None else keys.signs)
+    return hashlib.sha256(b"".join(np.ascontiguousarray(c).tobytes() for c in cols)).hexdigest()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_an_unlabelled_history_mixes_the_labelled_pixels_and_keys(scheme):
+    rng = RngStream(60)
+    labelled = make_gaussian_dataset(5, (1, 4, 4), rng.child("ds"), classes=3)
+    unlabelled = Dataset(labelled.matrix(), dims=labelled.dims)
+    pub = make_gaussian_dataset(7, (1, 4, 4), rng.child("pub"), normalize=False)
+    cfg = SchemeConfig(scheme, k=3)
+    samples, keys = encrypt_history(labelled, cfg, 3, rng.child("h"), pub)
+    assert _columns_digest(samples, keys) == LABELLED_HISTORY[scheme]
+    runs = [(encrypt_history(ds, cfg, 3, rng.child("h"), pub),
+             encrypt_epoch(ds, cfg, 2, rng.child("h"), pub)) for ds in (labelled, unlabelled)]
+    for (with_labels, with_keys), (bare, bare_keys) in zip(*runs):
+        assert bare.labels is None and bare[1:3].labels is None and bare[[0, 2]].labels is None
+        assert bare[2].ytilde is None and with_labels[2].ytilde is not None
+        assert bare[1:3][0].xtilde == with_labels[1].xtilde
+        for name in ("pixels", "epochs", "ids"):
+            assert getattr(bare, name).tobytes() == getattr(with_labels, name).tobytes()
+        for name in ("sources", "lam", "signs"):  # signs: None for mixup
+            x, y = getattr(bare_keys, name), getattr(with_keys, name)
+            assert x is y is None or x.tobytes() == y.tobytes()
 
 
 def test_scheme_config_validation():

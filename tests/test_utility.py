@@ -151,6 +151,16 @@ def test_train_encrypted_is_deterministic():
     assert np.array_equal(a.W, b.W)
 
 
+def test_train_encrypted_refuses_an_unlabelled_set_before_encrypting():
+    # an unlabelled history encrypts, and train then refused its missing labels
+    # with a message about array shapes
+    ds = blocky_dataset(14, n=8)
+    bare = Dataset(ds.matrix(), dims=ds.dims)
+    with pytest.raises(ValidationError, match="dataset has no labels"):
+        train_encrypted(init_model(4, ds.d), bare, SchemeConfig("inside", k=2), 1, 0.05,
+                        RngStream(15))
+
+
 def test_train_validates_arguments():
     ds = blocky_dataset(16, n=8)
     with pytest.raises(ValidationError):
