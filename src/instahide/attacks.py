@@ -63,6 +63,13 @@ A query whose float32 products are not all finite (overflow near float32's
 maximum, or a non-finite input), a scan query that float32 does not hold
 exactly and a pool that is not float32 are scored exactly, row by row; a
 float64 screen would read and cast the pool as the exact kernel does.
+
+SSIM (ssim_pairwise) cuts the pool into tiles and runs them on core.WORKERS
+threads (at most two, the caller one of them), each with one workspace
+allocated per call; the similarity search takes the pool's min and max on
+the same threads. A tile's size never depends on the worker count, so
+neither does a byte; only the cross term's BLAS matmul can move a score in
+its last ulp, with the tile shape or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -608,55 +615,100 @@ def _window_starts(size: int, win: int, stride: int) -> np.ndarray:
     return starts
 
 
-def _axis_blocks(size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Cut one image axis at every window start and end: the block edges and
-    each window's [first, last) block range."""
+def _runs(breaks: np.ndarray) -> list[tuple[int, int]]:
+    """Positions 0..breaks.size as [lo, hi) runs; breaks[i - 1] starts one at i."""
+    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), breaks.size + 1]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _axis_blocks(size: int) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """Cut one image axis at every window start and end: the block edges, and
+    the windows as runs (j0, j1, a, k): windows j0..j1-1 start at blocks a,
+    a+1, ... and span k blocks each. The last run's j1 counts the windows."""
     win = min(SSIM_WINDOW, size)
     starts = _window_starts(size, win, SSIM_STRIDE)
     edges = np.union1d(starts, starts + win)
     first, last = np.searchsorted(edges, starts), np.searchsorted(edges, starts + win)
-    return edges, [(int(a), int(b)) for a, b in zip(first, last)]
+    k = last - first
+    return edges, [(j0, j1, int(first[j0]), int(k[j0]))
+                   for j0, j1 in _runs((np.diff(first) != 1) | (np.diff(k) != 0))]
+
+
+def _carve(space: np.ndarray, *shapes):
+    """Views of the given shapes, one after another from the front of the
+    flat buffer ``space``."""
+    views, at = [], 0
+    for shape in shapes:
+        views.append(space[at : at + math.prod(shape)].reshape(shape))
+        at += views[-1].size
+    return views
 
 
 def _blocks(rows: np.ndarray, dims, ey: np.ndarray, ex: np.ndarray, buf: np.ndarray):
     """(n, d) rows -> float64 (C, by, bx, n, block pixels), gathered and cast
     exactly into the front of the flat ``buf``: every block zero-padded to the
-    longest block on each axis (zeros add nothing to the sums over a block)."""
-    c, h, w = dims
-    img = rows.reshape(len(rows), c, h, w).transpose(1, 0, 2, 3)
-    shape = (c, ey.size - 1, ex.size - 1, len(rows), *(int(np.diff(e).max()) for e in (ey, ex)))
-    out = buf[: math.prod(shape)].reshape(shape)
-    if out.size > rows.size:  # some block is short: its padding holds another chunk's pixels
+    longest block on each axis (zeros add nothing to the sums over a block).
+    Each run of equal-size blocks is one strided copy."""
+    n, (c, h, w), sy, sx = len(rows), dims, np.diff(ey), np.diff(ex)
+    img = rows.reshape(n, c, h, w)
+    out = _carve(buf, (c, sy.size, sx.size, n, int(sy.max()), int(sx.max())))[0]
+    if out.size > rows.size:  # some block is short: its padding holds an earlier tile's pixels
         out.fill(0.0)
-    for b, (y0, y1) in enumerate(zip(ey[:-1], ey[1:])):
-        for a, (x0, x1) in enumerate(zip(ex[:-1], ex[1:])):
-            np.copyto(out[:, b, a, :, : y1 - y0, : x1 - x0], img[:, :, y0:y1, x0:x1])
-    return out.reshape(shape[:4] + (shape[4] * shape[5],))
+    for b0, b1 in _runs(np.diff(sy) != 0):
+        for a0, a1 in _runs(np.diff(sx) != 0):
+            (y0, ny), (x0, nx) = (ey[b0], sy[b0]), (ex[a0], sx[a0])
+            run = img[:, :, y0 : y0 + (b1 - b0) * ny, x0 : x0 + (a1 - a0) * nx]
+            run = run.reshape(n, c, b1 - b0, ny, a1 - a0, nx).transpose(1, 2, 4, 0, 3, 5)
+            np.copyto(out[:, b0:b1, a0:a1, :, :ny, :nx], run)
+    return out.reshape(out.shape[:4] + (-1,))
 
 
-def _window_sums(per_block: np.ndarray, ry, rx) -> np.ndarray:
-    """Sum (C, by, bx, ...) block values over every window's block ranges:
-    (windows, ...), windows in (channel, y, x) order."""
-    c, by = per_block.shape[:2]
-    cols = np.empty((c, by, len(rx)) + per_block.shape[3:])
-    for j, (a, b) in enumerate(rx):
-        np.copyto(cols[:, :, j], per_block[:, :, a])
-        for k in range(a + 1, b):
-            cols[:, :, j] += per_block[:, :, k]
-    out = np.empty((c, len(ry), len(rx)) + per_block.shape[3:])
-    for i, (a, b) in enumerate(ry):
-        np.copyto(out[:, i], cols[:, a])
-        for k in range(a + 1, b):
-            out[:, i] += cols[:, k]
-    return out.reshape((-1,) + out.shape[3:])
+def _window_sums(per_block: np.ndarray, ry, rx, cols: np.ndarray, out: np.ndarray):
+    """Sum (C, by, bx, ...) block values over every window's blocks into the
+    flat ``out``, through the flat ``cols`` (x sums): (windows, ...), windows
+    in (channel, y, x) order, each summed from its first block on."""
+    (c, by), tail = per_block.shape[:2], per_block.shape[3:]
+    cols = _carve(cols, (c, by, rx[-1][1]) + tail)[0]
+    out = _carve(out, (c, ry[-1][1], rx[-1][1]) + tail)[0]
+    for src, sums, axis, runs in ((per_block, cols, 2, rx), (cols, out, 1, ry)):
+        at = (slice(None),) * axis
+        for j0, j1, a, k in runs:
+            part = sums[at + (slice(j0, j1),)]
+            np.copyto(part, src[at + (slice(a, a + j1 - j0),)])
+            for i in range(a + 1, a + k):
+                part += src[at + (slice(i, i + j1 - j0),)]
+    return out.reshape((-1,) + tail)
 
 
-def _window_moments(blocks: np.ndarray, ry, rx, npix: int):
-    """Population mean and variance of every window, (windows, n) each, from
-    per-block sums and sums of squares."""
-    mean = _window_sums(np.einsum("...l->...", blocks), ry, rx) / npix
-    square = _window_sums(np.einsum("...l,...l->...", blocks, blocks), ry, rx) / npix
-    return mean, square - mean * mean
+def _window_moments(blocks: np.ndarray, ry, rx, npix: int, space: np.ndarray):
+    """Population mean, variance and squared mean of every window, (windows,
+    n) each, from per-block sums and sums of squares, in the flat ``space``."""
+    lead = blocks.shape[:4]
+    sums, cols, mean, square = _carve(space, lead, *[(math.prod(lead),)] * 3)
+    np.einsum("...l->...", blocks, out=sums)
+    mean = _window_sums(sums, ry, rx, cols, mean)
+    mean /= npix
+    np.einsum("...l,...l->...", blocks, blocks, out=sums)
+    var = _window_sums(sums, ry, rx, cols, square)
+    var /= npix
+    pm = np.multiply(mean, mean, out=sums.reshape(-1)[: mean.size].reshape(mean.shape))
+    var -= pm
+    return mean, var, pm
+
+
+def _extremes(rows: np.ndarray) -> tuple[float, float]:
+    """min and max of ``rows`` (inf and -inf when empty), taken back to back
+    on each row block of SCREEN_BYTES, the blocks split over core.WORKERS
+    threads; exact in any order."""
+    step = max(1, SCREEN_BYTES // max(1, rows[:1].nbytes))
+    lo, hi = np.empty((2, -(-len(rows) // step)))
+
+    def extremes(i, _):
+        block = rows[i * step : (i + 1) * step]
+        lo[i], hi[i] = block.min(), block.max()
+
+    core._map_tiles(extremes, range(lo.size), [None] * core.WORKERS)
+    return float(lo.min(initial=np.inf)), float(hi.max(initial=-np.inf))
 
 
 def ssim_pairwise(
@@ -672,11 +724,19 @@ def ssim_pairwise(
     of ``a_rows`` (c1 and c2 per row). It defaults to the joint peak-to-peak
     of the non-empty batches, falling back to 1.0 when everything is constant
     or empty. Both axes are cut into blocks at the window edges, so a window's
-    moments and cross term are sums over its blocks (cross terms: one batched
-    matmul per pair of row blocks of CHUNK_BYTES, each side gathered and cast
-    into one reused float64 buffer); the formula runs one window at a time.
-    The matmul sums in the order BLAS picks for the block and the BLAS thread
-    count, so either can move a score in the last ulp."""
+    moments and cross term are sums over its blocks.
+
+    ``a_rows`` is taken in chunks of CHUNK_BYTES, and ``b_rows`` in tiles
+    whose row count depends only on CHUNK_BYTES, the dims and the chunk's
+    rows: a tile's gather takes at most a third of CHUNK_BYTES and its cross
+    terms at most all of it. The tiles run on core.WORKERS threads, the
+    caller included. Each thread owns one workspace, allocated once per call,
+    for its gather, block and window sums, cross terms and formula terms, so
+    no tile allocates. A tile's cross terms are one batched BLAS matmul, and
+    its formula runs on groups of windows of SCREEN_BYTES, each pair summing
+    its windows in window order. So the worker count moves no bit, but the
+    matmul sums in the order BLAS picks for the tile shape and the BLAS
+    thread count, so either can move a score in the last ulp."""
     A = np.atleast_2d(np.asarray(a_rows))
     B = np.atleast_2d(np.asarray(b_rows))
     c, h, w = core._dims(dims)
@@ -684,8 +744,8 @@ def ssim_pairwise(
     if A.shape[1] != d or B.shape[1] != d:
         raise ValidationError(f"rows must have length {d}")
     if dynamic_range is None:  # empty batches give lo = inf, hi = -inf
-        lo = min(float(A.min(initial=np.inf)), float(B.min(initial=np.inf)))
-        hi = max(float(A.max(initial=-np.inf)), float(B.max(initial=-np.inf)))
+        (lo_a, hi_a), (lo_b, hi_b) = _extremes(A), _extremes(B)
+        lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
         dynamic_range = hi - lo if hi > lo else 1.0
     r = np.asarray(dynamic_range, np.float64)
     if r.shape not in ((), (len(A),)) or not (np.isfinite(r) & (r > 0.0)).all():
@@ -693,41 +753,70 @@ def ssim_pairwise(
     # Python's float power, as a scalar range always had: numpy's square can differ by an ulp
     c1, c2 = (np.array([(k * v) ** 2 for v in np.broadcast_to(r, len(A)).tolist()])
               for k in (SSIM_K1, SSIM_K2))
+    out = np.empty((A.shape[0], B.shape[0]))
+    if not out.size:
+        return out
 
     (ey, ry), (ex, rx) = _axis_blocks(h), _axis_blocks(w)
     npix = min(SSIM_WINDOW, h) * min(SSIM_WINDOW, w)
     blocks = c * (ey.size - 1) * (ex.size - 1)
+    windows = c * ry[-1][1] * rx[-1][1]
     per_row = blocks * int(np.diff(ey).max() * np.diff(ex).max())  # padded float64s
     step_a = max(1, core.CHUNK_BYTES // (8 * d))
-    buf_a, buf_b = (np.empty(min(step_a, len(M)) * per_row) for M in (A, B))  # b's step <= a's
-    out = np.empty((A.shape[0], B.shape[0]))
+
+    def tile_rows(na):  # a tile gathers at most a third of CHUNK_BYTES
+        return min(len(B), max(1, core.CHUNK_BYTES // (8 * max(3 * d, blocks * na))))
+
+    def window_group(na):  # windows per formula pass: a pass's terms fill SCREEN_BYTES
+        return min(windows, max(1, SCREEN_BYTES // (8 * na * tile_rows(na))))
+
+    def shapes(na, nb):  # gather, moments, cross terms and their x sums, two formula terms
+        return [(nb * per_row,), (nb * 4 * blocks,), *[(nb * na * blocks,)] * 2,
+                *[(window_group(na) * na * tile_rows(na),)] * 2]
+
+    chunks = {min(step_a, len(A)), (len(A) - 1) % step_a + 1}
+    buf_a, moments_a = _carve(np.empty(max(chunks) * (per_row + 4 * blocks)),
+                              (max(chunks) * per_row,), (max(chunks) * 4 * blocks,))
+    size = max(sum(map(math.prod, shapes(na, tile_rows(na)))) for na in chunks)
+    tiles = -(-len(B) // tile_rows(max(chunks)))  # the most any chunk takes
+    spaces = [np.empty(size) for _ in range(min(core.WORKERS, tiles))]
     for rows_a in (slice(lo, lo + step_a) for lo in range(0, len(A), step_a)):
         a = _blocks(A[rows_a], dims, ey, ex, buf_a)
-        mu_a, var_a = _window_moments(a, ry, rx, npix)
+        na = a.shape[3]
+        mu_a, var_a, pa = _window_moments(a, ry, rx, npix, moments_a)
         # SSIM = (2 mu_a mu_b + c1)(2 cov + c2) / ((pa + mu_b^2)(va + var_b))
-        c1a, c2a = c1[rows_a], c2[rows_a]
-        mu2_a, pa, va = 2.0 * mu_a, mu_a * mu_a + c1a, var_a + c2a
-        # b's chunk also bounds the (blocks, rows of a, rows of b) cross terms
-        step = max(1, core.CHUNK_BYTES // max(8 * d, 8 * blocks * a.shape[3]))
-        for rows_b in (slice(lo, lo + step) for lo in range(0, len(B), step)):
-            b = _blocks(B[rows_b], dims, ey, ex, buf_b)
-            mu_b, var_b = _window_moments(b, ry, rx, npix)
-            pb = mu_b * mu_b
-            # per window, the sum of a*b over its pixels: (windows, na, nb)
-            sab = _window_sums(np.matmul(a, b.swapaxes(-1, -2)), ry, rx)
-            acc = np.zeros((a.shape[3], b.shape[3]))
-            for wi, s in enumerate(sab):
-                m2 = np.multiply.outer(mu2_a[wi], mu_b[wi])  # 2 mu_a mu_b
+        c1a, c2a = c1[rows_a, None], c2[rows_a, None]
+        mu2_a, pa, va = 2.0 * mu_a, pa + c1a[:, 0], var_a + c2a[:, 0]
+        step, group = tile_rows(na), window_group(na)
+
+        def tile(rows_b, space):
+            rows = B[rows_b]
+            gather, moments, cross, cols, m2, den = _carve(space, *shapes(na, len(rows)))
+            b = _blocks(rows, dims, ey, ex, gather)
+            mu_b, var_b, pb = _window_moments(b, ry, rx, npix, moments)
+            # per window, the sum of a*b over its pixels: (windows, na, nb), back in cross
+            sab = np.matmul(a, b.swapaxes(-1, -2), out=cross.reshape(a.shape[:4] + (len(rows),)))
+            sab = _window_sums(sab, ry, rx, cols, cross)
+            acc = out[rows_a, rows_b]
+            acc.fill(0.0)
+            for g in (slice(lo, lo + group) for lo in range(0, windows, group)):
+                s = sab[g]
+                t, u = (x[: s.size].reshape(s.shape) for x in (m2, den))
+                np.multiply(mu2_a[g, :, None], mu_b[g, None], out=t)  # 2 mu_a mu_b
                 s *= 2.0 / npix
-                s -= m2
-                s += c2a[:, None]  # 2 cov + c2
-                m2 += c1a[:, None]
-                m2 *= s
-                den = np.add.outer(pa[wi], pb[wi])
-                den *= np.add.outer(va[wi], var_b[wi])
-                m2 /= den
-                acc += m2
-            out[rows_a, rows_b] = acc / len(sab)
+                s -= t
+                s += c2a  # 2 cov + c2
+                t += c1a
+                t *= s
+                np.add(pa[g, :, None], pb[g, None], out=u)
+                np.add(va[g, :, None], var_b[g, None], out=s)
+                u *= s
+                t /= u
+                t[0] += acc  # each pair sums its windows in window order
+                np.add.reduce(t, axis=0, out=acc)
+            acc /= windows
+
+        core._map_tiles(tile, [slice(lo, lo + step) for lo in range(0, len(B), step)], spaces)
     return out
 
 
@@ -775,8 +864,9 @@ def similarity_search_attack(xtilde, publicset, oracle: SignOracle, truth_mask, 
     estimate = oracle.demask(X, truth_mask, tag)
     # SSIM windows need the image geometry: a raw query takes the candidates'
     dims = getattr(xtilde, "dims", None) or getattr(publicset, "dims", None) or (1, 1, X.shape[1])
-    lo = np.minimum(estimate.min(axis=1), patches.min(initial=np.inf), dtype=np.float64)
-    hi = np.maximum(estimate.max(axis=1), patches.max(initial=-np.inf), dtype=np.float64)
+    pool_lo, pool_hi = _extremes(patches)
+    lo = np.minimum(estimate.min(axis=1), pool_lo, dtype=np.float64)
+    hi = np.maximum(estimate.max(axis=1), pool_hi, dtype=np.float64)
     sims = ssim_pairwise(estimate, patches, dims, np.where(hi > lo, hi - lo, 1.0))
     order = np.argsort(-sims, axis=1, kind="stable")  # by (-score, index)
 

@@ -18,8 +18,10 @@ count, the chunk size or the number of BLAS threads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from multiprocessing import cpu_count
 
 import numpy as np
 
@@ -35,8 +37,14 @@ from .rng import Draws, RngStream, Streams
 REJECTION_CAP = 1_000_000
 
 # Float64 bytes per row block of the exact scan and fourth-moment kernels, pair
-# products and SSIM gathers (attacks' float32 screens use attacks.SCREEN_BYTES).
+# products and SSIM's query chunks. An SSIM pool tile gathers at most a third
+# of it and takes at most all of it in cross terms, in each worker's workspace
+# (attacks' float32 screens use attacks.SCREEN_BYTES).
 CHUNK_BYTES = 1 << 23
+
+# Threads that _map_tiles runs tiles on, the caller included: the CPUs, at
+# most two. A tile never depends on the count, so no byte does.
+WORKERS = min(2, cpu_count())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -307,6 +315,30 @@ def normalize_image(x: Image) -> Image:
     undefined.
     """
     return Image(_normalize_rows(x.pixels[None])[0], x.dims)
+
+
+def _map_tiles(work, tiles, spaces) -> None:
+    """Call work(tile, space) for every tile of the sequence ``tiles``: thread
+    i of up to len(spaces), the caller being thread 0, takes tiles i, i + the
+    thread count, ... with spaces[i]. A thread's error is raised once every
+    thread has ended."""
+    spaces, errors = spaces[: max(1, len(tiles))], []
+
+    def run(i):
+        try:
+            for tile in tiles[i :: len(spaces)]:
+                work(tile, spaces[i])
+        except BaseException as exc:  # noqa: BLE001 - raised below, in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(spaces))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def float64_blocks(matrix: np.ndarray, row_bytes: int):

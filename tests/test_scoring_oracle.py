@@ -2,10 +2,12 @@
 (tests/reference_scoring.py), and their determinism across row counts,
 chunk boundaries and BLAS thread counts."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,10 +18,12 @@ import reference_scoring as ref
 from instahide import core
 from instahide import attacks
 from instahide.attacks import (
+    SignOracle,
     _fourth_moment_scores,
     braverman_attack,
     pair_detection_attack,
     public_scan_attack,
+    similarity_search_attack,
     ssim_pairwise,
 )
 from instahide.core import make_gaussian_dataset, scan_scores
@@ -110,6 +114,105 @@ def test_ssim_holds_one_gather_buffer_per_side():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * core.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("dims", [(3, 32, 32), (3, 30, 27), (2, 5, 11)],
+                         ids=["3x32x32", "3x30x27", "2x5x11"])
+def test_ssim_worker_count_moves_no_byte(monkeypatch, dims):
+    # float64 queries against a float32 pool, at the default tiles and at
+    # tiles of a few rows, where every call spans many tiles; 4 workers on
+    # a short switch interval stress the threads' writes into one matrix
+    pool, _ = pool_and_queries(dims, seed=9, n=500)
+    queries = pool[:60].astype(np.float64) / 3.0 + 0.25
+    d = dims[0] * dims[1] * dims[2]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for chunk in (core.CHUNK_BYTES, 8 * 3 * d * 4):
+            monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+            found = []
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(core, "WORKERS", workers)
+                found.append([ssim_pairwise(queries[:q], pool, dims).tobytes()
+                              for q in (1, 7, 60)])
+            assert found[1] == found[0] and found[2] == found[0], chunk
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_extremes_are_min_and_max_at_any_block_size(monkeypatch):
+    pool, _ = pool_and_queries((3, 8, 8), seed=13, n=300)
+    pool[7, 3], pool[250, 0] = -0.0, 0.0
+    for rows in (pool, pool.astype(np.float64), pool[:1], pool[:0], np.zeros((4, 5))):
+        expect = (float(rows.min(initial=np.inf)), float(rows.max(initial=-np.inf)))
+        for size, workers in ((attacks.SCREEN_BYTES, 2), (1, 2), (4 * 192 * 7, 1)):
+            monkeypatch.setattr(attacks, "SCREEN_BYTES", size)
+            monkeypatch.setattr(core, "WORKERS", workers)
+            assert attacks._extremes(rows) == expect
+
+
+def test_ssim_tiles_allocate_nothing(monkeypatch):
+    # each worker's workspace is allocated once per call: a pool four times as
+    # long adds less than one tile's gather buffer to the peak
+    monkeypatch.setattr(core, "WORKERS", 2)
+    pool, _ = pool_and_queries((3, 32, 32), seed=10, n=3000, queries=1)
+    pool = np.tile(pool, (4, 1))
+    ssim_pairwise(pool[:1], pool[:1], (3, 32, 32))  # one-time numpy set-up stays out of the peak
+    peaks = []
+    for n in (3000, 12000):
+        tracemalloc.start()
+        try:
+            ssim_pairwise(pool[:1], pool[:n], (3, 32, 32))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    tile_rows = core.CHUNK_BYTES // (8 * 3 * 3072)  # one query's tile: a third of CHUNK_BYTES
+    assert peaks[1] - peaks[0] < 8 * 3072 * tile_rows
+    assert max(peaks) < 1.5 * core.CHUNK_BYTES
+
+
+def test_an_error_in_an_ssim_tile_is_raised_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(core, "WORKERS", 2)
+    pool, queries = pool_and_queries((3, 32, 32), seed=11, n=600, queries=1)
+    gather, calls = attacks._blocks, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MemoryError("third gather")
+        return gather(*args)
+
+    monkeypatch.setattr(attacks, "_blocks", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="third gather"):
+        ssim_pairwise(queries, pool, (3, 32, 32))
+    assert threading.active_count() == before
+
+
+def test_ssim_workers_call_no_traced_function(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so every traced call must
+    # come from the calling thread
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer, threads = module.Tracer(), []
+    span = tracer._span_wrapper
+
+    def recording(fn, name, volume):
+        traced = span(fn, name, volume)
+        return lambda *args, **kwargs: threads.append(threading.get_ident()) or traced(
+            *args, **kwargs)
+
+    monkeypatch.setattr(tracer, "_span_wrapper", recording)
+    monkeypatch.setattr(core, "WORKERS", 2)
+    pool, queries = pool_and_queries((3, 32, 32), seed=12, n=600, queries=2)
+    signs = np.where(queries < 0, -1, 1).astype(np.int8)
+    with tracer:
+        attacks.similarity_search_attack(queries, pool, SignOracle(0.25), signs, 10,
+                                         tag=np.arange(2))
+        attacks.ssim_pairwise(queries, pool, (3, 32, 32))
+    assert len(threads) == 3 and set(threads) == {threading.get_ident()}  # 2 ssim_pairwise calls
 
 
 def test_scan_scores_are_bit_identical_across_row_counts_and_chunks(monkeypatch):
